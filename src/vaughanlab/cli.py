@@ -52,6 +52,7 @@ from .variance import (
     Weight,
     bdh_variance,
     delta_sq_progression,
+    theorem3_coupled_prediction,
     theorem3_prediction,
     variance_sum,
 )
@@ -71,6 +72,7 @@ RESULT_COLUMNS = [
     "weight",
     "empirical",
     "predicted_total",
+    "predicted_coupled",
     "term_main",
     "term_const",
     "term_r",
@@ -261,6 +263,7 @@ def _variance_row(run: VarianceRun) -> dict:
         "weight": run.weight.value,
         "empirical": run.empirical,
         "predicted_total": run.predicted_total,
+        "predicted_coupled": "",
         "term_main": terms.get("log_term", terms.get("leading")),
         "term_const": terms.get("const_term", terms.get("fitted_C")),
         "term_r": "",
@@ -279,6 +282,7 @@ def _theorem3_rows(x: int, r: float, v_list: list[int], n_shift: int, cfg_fr: FR
         emp = delta_sq_progression(x, v, n_shift, cfg_fr)
         wall = (time.perf_counter() - t0) * 1e3
         pred = theorem3_prediction(x, v, n_shift, r, cs)
+        coupled = theorem3_coupled_prediction(x, v, n_shift, r, cs)
         rows.append(
             {
                 "x": x,
@@ -291,6 +295,7 @@ def _theorem3_rows(x: int, r: float, v_list: list[int], n_shift: int, cfg_fr: FR
                 "weight": "psi",
                 "empirical": emp,
                 "predicted_total": pred.total,
+                "predicted_coupled": coupled.total,
                 "term_main": pred.terms["delta_main"],
                 "term_const": "",
                 "term_r": pred.terms["r_term"],

@@ -13,10 +13,19 @@ Main-term predictions follow the per-modulus densities, so a banded run is
 predicted by (Q - Q_low) times the per-modulus density; Q_low = 0 recovers the
 headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 
-Determinism: each modulus contributes a float computed by a fixed sequence of
-array operations, worker threads never share accumulators, and the final
-reduction is an exactly rounded fsum, so results are bit-identical for any
-thread count.
+Two routes compute a band.  The bucket route takes one O(x) pass per modulus
+and can split the band over threads.  The lag route opens each modulus as
+sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the autocorrelation of
+the residual, so the whole band costs one FFT; the restricted modes take one
+autocorrelation per squarefree e <= Q by Moebius inversion.  The band width
+alone picks the route (_lag_route); the bucket route stays as the oracle the
+tests compare the lag route against.
+
+Determinism: on the bucket route each modulus contributes a float computed by
+a fixed sequence of array operations, worker threads never share
+accumulators, and the final reduction is an exactly rounded fsum.  The lag
+route is single threaded, a fixed sequence of array operations and fsums.
+Either way results are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -174,14 +183,16 @@ def _modulus_contribution(
     return float((vals * vals).sum())
 
 
-def _run_moduli(
+def _bucket_band_sum(
     moduli: range,
     x: int,
     diff: np.ndarray,
     restriction: RestrictionMode,
-    phi: np.ndarray | None,
+    phi: np.ndarray,
     threads: int,
 ) -> float:
+    """The band one modulus at a time: an O(x) bucket pass per d, split over threads."""
+
     def chunk_contribs(chunk: list[int]) -> list[float]:
         return [_modulus_contribution(d, x, diff, restriction, phi) for d in chunk]
 
@@ -198,6 +209,123 @@ def _run_moduli(
     # fsum is exactly rounded, so the reduction order cannot matter; contribs
     # are nevertheless kept in ascending-d order.
     return math.fsum(contribs)
+
+
+# Subarrays up to this length are autocorrelated directly (O(n^2), no call
+# overhead), longer ones by FFT.  Measured on one Xeon core with numpy's
+# pocketfft: direct 24 us against FFT 25 us at n = 384, 39 us against 25 us
+# at n = 512.
+_DIRECT_CORRELATION_MAX = 384
+
+# Bands wider than this many moduli per log2(x) take the lag route.  Measured
+# crossovers on one Xeon core, bands (x/10 - M, x/10]: x = 10^4 at
+# M ~ 200 (ALL) and ~ 300 (COPRIME), x = 10^5 at ~ 200 and ~ 120, x = 10^6 at
+# ~ 130 (ALL), i.e. M / log2(x) between 7 and 23.  At 12 the slower route
+# costs at most about twice the faster one on either side.
+_LAG_MODULI_PER_LOG2_X = 12.0
+
+
+def _autocorrelation(a: np.ndarray) -> np.ndarray:
+    """A(j) = sum_n a[n] a[n + j] for 0 <= j < len(a)."""
+    n = len(a)
+    if n <= _DIRECT_CORRELATION_MAX:
+        return np.correlate(a, a, "full")[n - 1 :]
+    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1, so no lag wraps around
+    spec = np.fft.rfft(a, size)
+    return np.fft.irfft(spec.real * spec.real + spec.imag * spec.imag, size)[:n]
+
+
+def _lag_band_all(a: np.ndarray, lo: int, hi: int) -> float:
+    """sum_{lo < f <= hi} sum_{b mod f} S_b(f)^2, S_b(f) = sum_{m = b (mod f)} a[m].
+
+    The classes of f pair every m with every m' = m (mod f), so the inner sum
+    is A(0) + 2 sum_{k >= 1} A(k f) and the band is
+    (hi - lo) A(0) + 2 sum_{j >= 1} c(j) A(j), c(j) = #{lo < f <= hi : f | j}.
+    """
+    n = len(a)
+    acf = _autocorrelation(a)
+    counts = np.zeros(n)
+    for f in range(lo + 1, min(hi, n - 1) + 1):
+        counts[f::f] += 1.0
+    lags = float(np.sum(counts[1:] * acf[1:]))
+    return math.fsum(((hi - lo) * math.fsum(a * a), 2.0 * lags))
+
+
+def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarray) -> float:
+    """sum_{lo < d <= hi} sum_{b mod d, (shift - b, d) = 1} S_b(d)^2 by Moebius inversion.
+
+    [gcd(shift - b, d) = 1] = sum_{e | shift - b, e | d} mu(e); with d = e f the
+    classes b = shift (mod e) of d are the classes of f on a[shift mod e :: e],
+    so each squarefree e adds mu(e) times the all-class band
+    floor(lo/e) < f <= floor(hi/e) of that subarray.
+    """
+    parts = []
+    for e in np.flatnonzero(mu[1 : hi + 1]) + 1:
+        e = int(e)
+        f_lo, f_hi = lo // e, hi // e
+        if f_hi > f_lo:
+            parts.append(int(mu[e]) * _lag_band_all(a[shift % e :: e], f_lo, f_hi))
+    return math.fsum(parts)
+
+
+def _coprime_first_moments(w: np.ndarray, q: int, phi: np.ndarray) -> np.ndarray:
+    """F(d) = sum of w[n] over n coprime to d, at index d <= q, for w carried by prime powers.
+
+    The n that meet d are the powers of the primes p | d, so
+    F(d) = sum w - sum_{p | d} sum_k w[p^k].
+    """
+    x = len(w) - 1
+    first = np.full(q + 1, math.fsum(w))
+    for p in np.flatnonzero(phi[: q + 1] == np.arange(-1, q)):  # phi(p) = p - 1
+        p = int(p)
+        powers = []
+        pk = p
+        while pk <= x:
+            powers.append(w[pk])
+            pk *= p
+        first[p::p] -= math.fsum(powers)
+    return first
+
+
+def _lag_band_sum(
+    moduli: range, x: int, diff: np.ndarray, restriction: RestrictionMode, tables: ArithTables
+) -> float:
+    """The band from one autocorrelation per squarefree e <= Q; single threaded."""
+    lo, hi = moduli.start - 1, moduli.stop - 1
+    a = diff[: x + 1]
+    if restriction.mode is Mode.ALL:
+        return _lag_band_all(a, lo, hi)
+    if restriction.mode is Mode.COPRIME:
+        return _lag_band_coprime(a, lo, hi, 0, tables.mu)
+    if restriction.mode is Mode.SHIFT_COPRIME:
+        return _lag_band_coprime(a, lo, hi, restriction.N, tables.mu)
+    # BDH: a holds the raw weight; the phi(d) reduced classes give
+    # sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d)
+    approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
+    first = _coprime_first_moments(a, hi, tables.phi)[lo + 1 :]
+    rest = math.fsum(approx * (x - 2.0 * first))
+    return math.fsum((_lag_band_coprime(a, lo, hi, 0, tables.mu), rest))
+
+
+def _lag_route(n_moduli: int, x: int) -> bool:
+    """Whether the band of n_moduli moduli at length x goes to the lag kernel.
+
+    The bucket route costs about n_moduli * x, the lag route about x log x.
+    """
+    return n_moduli > _LAG_MODULI_PER_LOG2_X * math.log2(x)
+
+
+def _run_moduli(
+    moduli: range,
+    x: int,
+    diff: np.ndarray,
+    restriction: RestrictionMode,
+    tables: ArithTables,
+    threads: int,
+) -> float:
+    if _lag_route(len(moduli), x):
+        return _lag_band_sum(moduli, x, diff, restriction, tables)
+    return _bucket_band_sum(moduli, x, diff, restriction, tables.phi, threads)
 
 
 def variance_sum(
@@ -229,7 +357,7 @@ def variance_sum(
     w = _weight_array(weight, cfg.tables)
     diff = w[: x + 1] - cfg.table()[: x + 1]
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
-    empirical = _run_moduli(moduli, x, diff, restriction, None, threads)
+    empirical = _run_moduli(moduli, x, diff, restriction, cfg.tables, threads)
     wall_ms = (time.perf_counter() - t0) * 1e3
 
     run = VarianceRun(
@@ -324,8 +452,8 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     survive averaging over the class and contribute at order x log R / v, so
     at x = 10^6, R = 50 the total is off the brute-force moment by up to 0.25
     of x log x / v.  It is kept frozen for comparison (the CLI theorem3
-    command reports it); theorem3_coupled_prediction is the closed form that
-    keeps the coupled pairs.
+    command reports it as predicted_total); theorem3_coupled_prediction is the
+    closed form that keeps the coupled pairs (predicted_coupled).
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
@@ -562,7 +690,7 @@ def bdh_variance(
     t0 = time.perf_counter()
     w = _weight_array(weight, tables)
     empirical = _run_moduli(
-        range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables.phi, threads
+        range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables, threads
     )
     wall_ms = (time.perf_counter() - t0) * 1e3
     leading = q * x * math.log(q) if q > 1 else 0.0

@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 from pytest import approx, raises
 
-from vaughanlab import bdh_variance, build_sieve, build_tables, mu2_over_phi_sum
+from vaughanlab import (
+    bdh_variance,
+    build_sieve,
+    build_tables,
+    constant_set,
+    mu2_over_phi_sum,
+    theorem3_coupled_prediction,
+    theorem3_prediction,
+)
 from vaughanlab.cli import (
     CONSTANT_COLUMNS,
     RESULT_COLUMNS,
@@ -141,6 +149,12 @@ def test_theorem3_small_run(tmp_path, capsys):
     assert header == RESULT_COLUMNS
     assert [r[header.index("v")] for r in rows] == ["1", "2", "3"]
     assert all(r[header.index("mode")] == "progression" for r in rows)
+    cs = constant_set()
+    for row, v in zip(rows, (1, 2, 3)):
+        assert row[header.index("predicted_total")] == _fmt(theorem3_prediction(10_000, v, 1, 10.0, cs).total)
+        assert row[header.index("predicted_coupled")] == _fmt(
+            theorem3_coupled_prediction(10_000, v, 1, 10.0, cs).total
+        )
 
 
 def test_variance_run_is_thread_invariant(tmp_path, capsys):
@@ -172,6 +186,7 @@ def test_bdh_command_matches_library(tmp_path, capsys):
     want = bdh_variance(1000, 100, build_tables(build_sieve(1000))).empirical
     assert float(rows[0][header.index("empirical")]) == approx(want, rel=1e-11)
     assert rows[0][header.index("mode")] == "bdh"
+    assert rows[0][header.index("predicted_coupled")] == ""
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch, capsys):

@@ -32,9 +32,15 @@ from vaughanlab import (
 )
 from vaughanlab.frmodel import fr_square_progression_mean
 from vaughanlab.variance import (
+    _DIRECT_CORRELATION_MAX,
+    _LAG_MODULI_PER_LOG2_X,
+    _bucket_band_sum,
     _coprime_mu2_over_phi_asymptotic,
     _crt_class_mean,
+    _lag_band_sum,
+    _lag_route,
     _restricted_main_terms,
+    _weight_array,
 )
 
 
@@ -125,6 +131,65 @@ def test_thread_count_does_not_change_bits(cfg10_small):
         for t in (1, 2, 4)
     ]
     assert runs[0].empirical == runs[1].empirical == runs[2].empirical
+
+
+# Bands (Q_low, Q] at x = 2000: Q_low = 0 takes in d = 1; a non-integer
+# Q_low; Q = x with every d > x/2; a band straddling x/2.
+LAG_ORACLE_BANDS = ((0.0, 300), (333.3, 700), (1_000.0, 2_000), (850.5, 1_400))
+# SHIFT_COPRIME with N = 6 and 7 below most d and N = 2310 above every d;
+# 6 and 2310 = 2*3*5*7*11 are 0 mod p for many p | d.
+LAG_ORACLE_MODES = (
+    RestrictionMode(Mode.ALL),
+    RestrictionMode(Mode.COPRIME),
+    RestrictionMode(Mode.SHIFT_COPRIME, 6),
+    RestrictionMode(Mode.SHIFT_COPRIME, 7),
+    RestrictionMode(Mode.SHIFT_COPRIME, 2_310),
+    RestrictionMode(Mode.BDH),
+)
+VARIANCE_SUM_MODES = [r for r in LAG_ORACLE_MODES if r.mode is not Mode.BDH]
+
+
+@pytest.mark.parametrize("weight", list(Weight))
+@pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
+def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
+    x = 2_000
+    # x + 1 > _DIRECT_CORRELATION_MAX, so the small e take the FFT and the
+    # large e the direct correlation
+    assert x + 1 > _DIRECT_CORRELATION_MAX
+    w = _weight_array(weight, cfg10_small.tables)
+    arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
+    for q_low, q in LAG_ORACLE_BANDS:
+        moduli = range(math.floor(q_low) + 1, q + 1)
+        want = _bucket_band_sum(moduli, x, arr, restriction, cfg10_small.tables.phi, 1)
+        got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
+        assert type(got) is float
+        assert got == approx(want, rel=1e-12), (q_low, q)
+
+
+def test_variance_sum_continuous_across_route_crossover(cfg20_1e4):
+    x, q = 10_000, 2_000
+    width = math.floor(_LAG_MODULI_PER_LOG2_X * math.log2(x))  # widest bucket band
+    assert not _lag_route(width, x) and _lag_route(width + 1, x)
+    tables = cfg20_1e4.tables
+    diff = tables.theta[: x + 1] - cfg20_1e4.table()[: x + 1]
+    for restriction in VARIANCE_SUM_MODES:
+        below = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width).empirical
+        above = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width - 1).empirical
+        narrow, wide = range(q - width + 1, q + 1), range(q - width, q + 1)
+        assert below == _bucket_band_sum(narrow, x, diff, restriction, tables.phi, 1)
+        assert above == _lag_band_sum(wide, x, diff, restriction, tables)
+        extra = _bucket_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables.phi, 1)
+        assert above == approx(below + extra, rel=1e-12)
+
+
+def test_empirical_is_a_python_float_on_both_routes(cfg20_1e4):
+    x = 10_000
+    for q_low, q, lag in ((45.0, 50, False), (0.0, 1_000, True)):
+        assert _lag_route(q - math.floor(q_low), x) is lag
+        for restriction in VARIANCE_SUM_MODES:
+            run = variance_sum(x, q, cfg20_1e4, restriction, q_low=q_low)
+            assert type(run.empirical) is float
+        assert type(bdh_variance(x, q, cfg20_1e4.tables).empirical) is float
 
 
 def test_frozen_unit_scale_values(cfg20_1e4):
