@@ -25,7 +25,6 @@ import argparse
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -41,6 +40,7 @@ from .constants import (
     ConstantSet,
     ProductKind,
     constant_set,
+    prime_array,
     restricted_product,
     t_of_n,
 )
@@ -85,7 +85,12 @@ RESULT_COLUMNS = [
 
 CONSTANT_COLUMNS = ["name", "value", "tail_bound", "prime_cutoff", "note"]
 
-VARIANCE_COMMANDS = {"vaughan", "theorem5", "theorem4", "bdh"}
+VARIANCE_COMMANDS = {
+    "vaughan": Mode.ALL,
+    "theorem5": Mode.COPRIME,
+    "theorem4": Mode.SHIFT_COPRIME,
+    "bdh": Mode.BDH,
+}
 
 
 class UsageError(ValueError):
@@ -344,28 +349,15 @@ def _constants_rows(cut: int) -> list[dict]:
     return rows
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(row.get(c)) for c in columns])
+def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
+    w = csv.writer(stream)
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt(row.get(c)) for c in columns])
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
-
-
-def _echo(rows: list[dict], columns: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True, default=_fmt))
-        return
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(columns)
-    for row in rows:
-        w.writerow([_fmt(row.get(c)) for c in columns])
-    print(buf.getvalue(), end="")
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -382,9 +374,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.command == "constants":
         rows = _constants_rows(cfg.prime_cutoff)
         columns = CONSTANT_COLUMNS
-        checksums["primes_sha256"] = _sha256(
-            __import__("vaughanlab.constants", fromlist=["prime_array"]).prime_array(cfg.prime_cutoff)
-        )
+        checksums["primes_sha256"] = _sha256(prime_array(cfg.prime_cutoff))
     elif cfg.command == "fr-table":
         x = _require_x(cfg)
         r = _resolve_r(cfg)
@@ -417,9 +407,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         x = _require_x(cfg)
         q = _resolve_q(cfg)
         weight = _resolve_weight(cfg)
-        threads = cfg.threads or (os.cpu_count() or 1)
+        threads = derived["threads"]
+        mode = VARIANCE_COMMANDS[cfg.command]
         derived["Q"] = q
-        if cfg.command == "bdh":
+        if mode is Mode.BDH:
             tables = _tables_for(x)
             vrun = bdh_variance(x, q, tables, threads=threads, weight=weight)
             checksums["lambda_sha256"] = _sha256(tables.lam)
@@ -430,13 +421,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             derived["Q_low"] = q_low
             fr = _fr_for(x, r)
             cs = constant_set(cfg.prime_cutoff)
-            mode = {
-                "vaughan": RestrictionMode(Mode.ALL),
-                "theorem5": RestrictionMode(Mode.COPRIME),
-                "theorem4": RestrictionMode(Mode.SHIFT_COPRIME, cfg.n_shift),
-            }[cfg.command]
+            restriction = RestrictionMode(mode, cfg.n_shift if mode is Mode.SHIFT_COPRIME else 0)
             vrun = variance_sum(
-                x, q, fr, mode, weight=weight, q_low=q_low, threads=threads, constants=cs
+                x, q, fr, restriction, weight=weight, q_low=q_low, threads=threads, constants=cs
             )
             checksums["lambda_sha256"] = _sha256(fr.tables.lam)
             checksums["fr_sha256"] = _sha256(fr.table())
@@ -447,7 +434,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 
     csv_path = out / "results.csv"
     json_path = out / "results.json"
-    _write_csv(csv_path, columns, rows)
+    with csv_path.open("w", newline="") as fh:
+        _write_csv(fh, columns, rows)
     _write_json(json_path, {"command": cfg.command, "columns": columns, "rows": rows})
     manifest = RunManifest(
         config=dataclasses.asdict(cfg),
@@ -458,7 +446,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         results=[csv_path.name, json_path.name],
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
-    _echo(rows, columns, cfg.format)
+    if cfg.format == "json":
+        print(json.dumps(rows, indent=2, sort_keys=True, default=_fmt))
+    else:
+        _write_csv(sys.stdout, columns, rows)
     return manifest
 
 
@@ -548,9 +539,12 @@ def report(manifest_paths: list[str]) -> str:
                 pred = row.get("predicted_total")
                 dev = row.get("relative_deviation")
                 vtag = f" v={row['v']}" if row.get("v") else ""
-                lines.append(
-                    f"  mode={mode}{vtag} empirical={emp} predicted={pred} rel_dev={dev}"
-                )
+                line = f"  mode={mode}{vtag} empirical={emp} predicted={pred} rel_dev={dev}"
+                coupled = row.get("predicted_coupled")
+                if coupled not in (None, ""):
+                    cdev = (emp - coupled) / coupled if coupled else None
+                    line += f" coupled={coupled} coupled_rel_dev={cdev}"
+                lines.append(line)
                 if mode in ("all", "coprime") and isinstance(emp, (int, float)):
                     variance_by_mode[mode] = row
     if "all" in variance_by_mode and "coprime" in variance_by_mode:

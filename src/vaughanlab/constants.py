@@ -188,17 +188,20 @@ def _factor_values(kind: ProductKind, p: np.ndarray) -> np.ndarray:
     return 1.0 - 1.0 / (p * p)
 
 
-def _small_prime_factors(n: int) -> list[int]:
+def _small_factorization(n: int) -> list[tuple[int, int]]:
+    """[(p, exponent)] with p ascending, by trial division; for callers without a sieve."""
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
@@ -216,7 +219,7 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
     key = (kind.value, N, prime_cutoff)
     if key in _PRODUCT_CACHE:
         return _PRODUCT_CACHE[key]
-    pf = _small_prime_factors(N)
+    pf = [p for p, _ in _small_factorization(N)]
     if pf and max(pf) > prime_cutoff:
         raise ValueError(
             f"prime_cutoff = {prime_cutoff} is below the largest prime factor {max(pf)} of N = {N}"

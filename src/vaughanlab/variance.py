@@ -7,7 +7,10 @@ The central quantity is the banded variance
 where W is the theta (primes) or psi (prime powers) progression sum, A is the
 model progression sum rho(x, d, b) built from F_R (or x/phi(d) in the
 classical BDH mode), and S(d) is one of: all residues, the reduced residues,
-or the shifted-coprime classes gcd(N - b, d) = 1.
+or the shifted-coprime classes gcd(N - b, d) = 1.  The restricted modes are one
+rule, gcd(shift - b, d) = 1 with shift 0 for the reduced residues and BDH and
+N for the shifted classes (RestrictionMode.shift), so neither kernel branches
+on the mode beyond BDH's x/phi(d).
 
 Main-term predictions follow the per-modulus densities, so a banded run is
 predicted by (Q - Q_low) times the per-modulus density; Q_low = 0 recovers the
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTables, _check_x
-from .constants import ConstantSet, ProductKind, _small_prime_factors, restricted_product
+from .constants import ConstantSet, ProductKind, _small_factorization, restricted_product
 from .frmodel import (
     FRConfig,
     delta_indicator,
@@ -89,6 +92,13 @@ class RestrictionMode:
     def __post_init__(self) -> None:
         if self.mode is Mode.SHIFT_COPRIME and self.N < 1:
             raise ValueError("SHIFT_COPRIME requires N >= 1")
+
+    @property
+    def shift(self) -> int | None:
+        """The classes b mod d kept are those with gcd(shift - b, d) = 1; None keeps all."""
+        if self.mode is Mode.ALL:
+            return None
+        return self.N if self.mode is Mode.SHIFT_COPRIME else 0
 
 
 @dataclass(frozen=True)
@@ -145,12 +155,6 @@ def _bucket_sums(arr: np.ndarray, x: int, d: int) -> np.ndarray:
     return buf.reshape(rows, d).sum(axis=0)
 
 
-def _coprime_mask(d: int, shift_n: int | None = None) -> np.ndarray:
-    b = np.arange(d, dtype=np.int64)
-    vals = b if shift_n is None else (shift_n - b) % d
-    return np.gcd(vals, d) == 1
-
-
 def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.THETA) -> ProgressionAccumulator:
     """Bucket the weight and the model table by residue class mod d."""
     if d < 1:
@@ -171,15 +175,11 @@ def _modulus_contribution(
     restriction: RestrictionMode,
     phi: np.ndarray | None,
 ) -> float:
-    cols = _bucket_sums(diff, x, d)
-    if restriction.mode is Mode.ALL:
-        vals = cols
-    elif restriction.mode is Mode.COPRIME:
-        vals = cols[_coprime_mask(d)]
-    elif restriction.mode is Mode.SHIFT_COPRIME:
-        vals = cols[_coprime_mask(d, restriction.N)]
-    else:  # BDH: diff holds the raw weight, the approximant is x/phi(d)
-        vals = cols[_coprime_mask(d)] - x / float(phi[d])
+    vals = _bucket_sums(diff, x, d)
+    if restriction.shift is not None:
+        vals = vals[np.gcd((restriction.shift - np.arange(d, dtype=np.int64)) % d, d) == 1]
+    if restriction.mode is Mode.BDH:  # diff holds the raw weight, the approximant is x/phi(d)
+        vals = vals - x / float(phi[d])
     return float((vals * vals).sum())
 
 
@@ -191,7 +191,8 @@ def _bucket_band_sum(
     phi: np.ndarray,
     threads: int,
 ) -> float:
-    """The band one modulus at a time: an O(x) bucket pass per d, split over threads."""
+    """The band one modulus at a time: an O(x) bucket pass per d, over threads (0: one per core)."""
+    threads = threads or os.cpu_count() or 1
 
     def chunk_contribs(chunk: list[int]) -> list[float]:
         return [_modulus_contribution(d, x, diff, restriction, phi) for d in chunk]
@@ -293,18 +294,16 @@ def _lag_band_sum(
     """The band from one autocorrelation per squarefree e <= Q; single threaded."""
     lo, hi = moduli.start - 1, moduli.stop - 1
     a = diff[: x + 1]
-    if restriction.mode is Mode.ALL:
+    if restriction.shift is None:
         return _lag_band_all(a, lo, hi)
-    if restriction.mode is Mode.COPRIME:
-        return _lag_band_coprime(a, lo, hi, 0, tables.mu)
-    if restriction.mode is Mode.SHIFT_COPRIME:
-        return _lag_band_coprime(a, lo, hi, restriction.N, tables.mu)
+    band = _lag_band_coprime(a, lo, hi, restriction.shift, tables.mu)
+    if restriction.mode is not Mode.BDH:
+        return band
     # BDH: a holds the raw weight; the phi(d) reduced classes give
     # sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d)
     approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
     first = _coprime_first_moments(a, hi, tables.phi)[lo + 1 :]
-    rest = math.fsum(approx * (x - 2.0 * first))
-    return math.fsum((_lag_band_coprime(a, lo, hi, 0, tables.mu), rest))
+    return math.fsum((band, math.fsum(approx * (x - 2.0 * first))))
 
 
 def _lag_route(n_moduli: int, x: int) -> bool:
@@ -350,8 +349,6 @@ def variance_sum(
         raise ValueError(f"Q_low must satisfy 0 <= Q_low < Q, got {q_low}")
     if restriction.mode is Mode.BDH:
         raise ValueError("BDH mode is served by bdh_variance")
-    if threads == 0:
-        threads = os.cpu_count() or 1
 
     t0 = time.perf_counter()
     w = _weight_array(weight, cfg.tables)
@@ -408,37 +405,20 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
 
 
 def _phi_small(v: int) -> int:
-    out = 1
-    n = v
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out *= (f - 1) * f ** (e - 1)
-        f += 1
-    if n > 1:
-        out *= n - 1
-    return out
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _small_factorization(v))
 
 
 def _tau_small(v: int) -> int:
-    out = 1
-    n = v
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out *= e + 1
-        f += 1
-    if n > 1:
-        out *= 2
-    return out
+    return math.prod(e + 1 for _, e in _small_factorization(v))
+
+
+def _check_theorem3_args(x: int, v: int, R: float) -> None:
+    if x < 2:
+        raise ValueError(f"x must be >= 2, got {x}")
+    if v < 1:
+        raise ValueError(f"v must be >= 1, got {v}")
+    if not R >= 1:
+        raise ValueError(f"R must be >= 1, got {R}")
 
 
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:
@@ -455,12 +435,7 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     command reports it as predicted_total); theorem3_coupled_prediction is the
     closed form that keeps the coupled pairs (predicted_coupled).
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if not R >= 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    _check_theorem3_args(x, v, R)
     ind = delta_indicator(N, v)
     phi_v = _phi_small(v)
     lx = math.log(x)
@@ -502,10 +477,7 @@ def theorem3_refined_prediction(
     that keeps the coupled pairs, with no tables, is
     theorem3_coupled_prediction.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    _check_theorem3_args(x, v, cfg.R)
     ind = delta_indicator(N, v)
     phi_v = _phi_small(v)
     tau_v = _tau_small(v)
@@ -543,7 +515,7 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
     # w_a is multiplicative in a: its factor at p is -1 when p | N
     # (C_p(N) = p - 1) and 1/(p - 1) otherwise (C_p(N) = -1)
     wts = [(1, 1.0)]
-    for p in _small_prime_factors(v):
+    for p, _ in _small_factorization(v):
         w_p = -1.0 if N % p == 0 else 1.0 / (p - 1)
         wts += [(a * p, w_a * w_p) for a, w_a in wts]
     parts = []
@@ -557,7 +529,7 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
 
 def _coprime_mu2_over_phi_asymptotic(y: float, v: int, c2: float) -> float:
     """(phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y)."""
-    ps = _small_prime_factors(v)
+    ps = [p for p, _ in _small_factorization(v)]
     density = math.prod((p - 1) / p for p in ps)
     return density * (math.log(y) + c2 + math.fsum(math.log(p) / p for p in ps))
 
@@ -573,12 +545,7 @@ def theorem3_coupled_prediction(
     Costs O(tau(v)^2) and needs no tables.  At v = 1 it collapses to
     x (log(x/R) - c0), like theorem3_prediction.
     """
-    if x < 2:
-        raise ValueError(f"x must be >= 2, got {x}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    if not R >= 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    _check_theorem3_args(x, v, R)
     ind = delta_indicator(N, v)
     phi_v = _phi_small(v)
     c2 = constants.c2
@@ -596,6 +563,14 @@ def _banded(q: int, q_low: float) -> float:
     return float(q) - float(q_low)
 
 
+def _band_budget(x: int, q: int, R: float) -> str:
+    return (
+        "O-terms at these parameters: "
+        f"Q*x/sqrt(R) = {q * x / math.sqrt(R):.3e}; "
+        f"x^2*(log x)^2/R = {x * x * math.log(x) ** 2 / R:.3e}"
+    )
+
+
 def vaughan_prediction(
     x: int, q: int, R: float, constants: ConstantSet, q_low: float = 0.0
 ) -> Prediction:
@@ -605,12 +580,7 @@ def vaughan_prediction(
         "log_term": qe * x * math.log(x / R),
         "const_term": -constants.c0 * qe * x,
     }
-    budget = (
-        "O-terms at these parameters: "
-        f"Q*x/sqrt(R) = {q * x / math.sqrt(R):.3e}; "
-        f"x^2*(log x)^2/R = {x * x * math.log(x) ** 2 / R:.3e}"
-    )
-    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
+    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=_band_budget(x, q, R))
 
 
 def _restricted_main_terms(
@@ -639,12 +609,7 @@ def theorem5_prediction(
     terms = _restricted_main_terms(
         x, _banded(q, q_low), R, constants, pm1_n=1.0, psq_n=1.0, pzeta=pzeta, pm1_1=pm1_1
     )
-    budget = (
-        "O-terms at these parameters: "
-        f"Q*x/sqrt(R) = {q * x / math.sqrt(R):.3e}; "
-        f"x^2*(log x)^2/R = {x * x * math.log(x) ** 2 / R:.3e}"
-    )
-    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
+    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=_band_budget(x, q, R))
 
 
 def theorem4_prediction(
@@ -665,12 +630,7 @@ def theorem4_prediction(
     terms = _restricted_main_terms(
         x, _banded(q, q_low), R, constants, pm1_n=pm1_n, psq_n=psq_n, pzeta=pzeta, pm1_1=pm1_1
     )
-    budget = (
-        "O-terms at these parameters: "
-        f"Q*x/sqrt(R) = {q * x / math.sqrt(R):.3e}; "
-        f"x^2*(log x)^2/R = {x * x * math.log(x) ** 2 / R:.3e}; "
-        f"product truncation (relative) <= {4.0 / cut:.1e}"
-    )
+    budget = _band_budget(x, q, R) + f"; product truncation (relative) <= {4.0 / cut:.1e}"
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
@@ -685,8 +645,6 @@ def bdh_variance(
     _check_x(x, tables)
     if q < 1 or q > x:
         raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={q}, x={x}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
     t0 = time.perf_counter()
     w = _weight_array(weight, tables)
     empirical = _run_moduli(
@@ -694,7 +652,6 @@ def bdh_variance(
     )
     wall_ms = (time.perf_counter() - t0) * 1e3
     leading = q * x * math.log(q) if q > 1 else 0.0
-    fitted_c = (empirical - leading) / (q * x)
     run = VarianceRun(
         x=x,
         q=q,
@@ -704,12 +661,12 @@ def bdh_variance(
         n_shift=0,
         weight=weight,
         empirical=empirical,
-        predicted_total=leading,
-        predicted_terms={"leading": leading, "fitted_C": fitted_c},
-        error_budget="secondary constant intentionally unmodeled; fitted_C reported",
         wall_time_ms=wall_ms,
     )
-    if leading != 0.0:
-        run.relative_deviation = (empirical - leading) / leading
-        run.relative_deviation_main = run.relative_deviation
+    pred = Prediction(
+        terms={"leading": leading, "fitted_C": (empirical - leading) / (q * x)},
+        total=leading,
+        error_budget="secondary constant intentionally unmodeled; fitted_C reported",
+    )
+    _attach_prediction(run, pred)
     return run

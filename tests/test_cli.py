@@ -249,6 +249,13 @@ def test_suite_quick_end_to_end(tmp_path, capsys):
         assert (tmp_path / sub / "results.csv").exists()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert len(manifest["derived"]["runs"]) == 6
+    # theorem3 lines carry the coupled form and its deviation; banded lines do not
+    rows = json.loads((tmp_path / "theorem3" / "results.json").read_text())["rows"]
+    for row in rows:
+        emp, coupled = row["empirical"], row["predicted_coupled"]
+        assert f" v={row['v']} " in text
+        assert f"coupled={coupled} coupled_rel_dev={(emp - coupled) / coupled}" in text
+    assert text.count("coupled=") == len(rows)
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -13,7 +13,9 @@ from vaughanlab import (
     t_of_n,
     zeta2_inv,
 )
-from vaughanlab.constants import euler_gamma_bessel, euler_gamma_harmonic
+from vaughanlab.arith import build_sieve, divisors, factorize, phi_of
+from vaughanlab.constants import _small_factorization, euler_gamma_bessel, euler_gamma_harmonic
+from vaughanlab.variance import _phi_small, _tau_small
 
 # 20-digit reference, rounded to the nearest double.
 GAMMA_REF = 0.5772156649015328606
@@ -137,3 +139,12 @@ def test_c2_matches_gamma_plus_logp(cs):
     assert cs.c2 == approx(cs.gamma + cs.logp_sum, rel=1e-14)
     assert cs.c0 == approx(1.0 + cs.gamma + cs.logp_sum, rel=1e-14)
     assert cs.c1 == approx(1.0 + 2.0 * (cs.gamma + cs.logp_sum), rel=1e-14)
+
+
+def test_small_factorization_matches_sieve():
+    # the closed forms factor without tables; the sieve-backed factorize is the oracle
+    sieve = build_sieve(20_000)
+    for n in range(1, 20_001):
+        assert _small_factorization(n) == factorize(n, sieve), n
+        assert _phi_small(n) == phi_of(n, sieve), n
+        assert _tau_small(n) == len(divisors(n, sieve)), n

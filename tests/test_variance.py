@@ -166,6 +166,36 @@ def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
         assert got == approx(want, rel=1e-12), (q_low, q)
 
 
+@pytest.mark.parametrize("mode", [Mode.ALL, Mode.COPRIME, Mode.SHIFT_COPRIME, Mode.BDH])
+def test_class_rule_against_brute_force(cfg10_small, mode):
+    # both routes read the kept classes from RestrictionMode.shift, so the
+    # lag-vs-bucket oracle cannot see a wrong shift; here each rule is spelt out
+    x, n_shift = 2_000, 6
+    keep = {
+        Mode.ALL: lambda b, d: True,
+        Mode.COPRIME: lambda b, d: math.gcd(b, d) == 1,
+        Mode.SHIFT_COPRIME: lambda b, d: math.gcd(n_shift - b, d) == 1,
+        Mode.BDH: lambda b, d: math.gcd(b, d) == 1,
+    }[mode]
+    phi = cfg10_small.tables.phi
+    for q_low, q in ((20, 40), (0, 200)):  # bucket route, then lag route
+        assert _lag_route(q - q_low, x) == (q_low == 0)
+        parts = []
+        for d in range(q_low + 1, q + 1):
+            acc = accumulate_modulus(d, x, cfg10_small)
+            for b in range(d):
+                if keep(b, d):
+                    model = x / float(phi[d]) if mode is Mode.BDH else float(acc.rho_buckets[b])
+                    parts.append((float(acc.theta_buckets[b]) - model) ** 2)
+        if mode is Mode.BDH:
+            if q_low:
+                continue
+            got = bdh_variance(x, q, cfg10_small.tables).empirical
+        else:
+            got = variance_sum(x, q, cfg10_small, RestrictionMode(mode, n_shift), q_low=q_low).empirical
+        assert got == approx(math.fsum(parts), rel=1e-9)
+
+
 def test_variance_sum_continuous_across_route_crossover(cfg20_1e4):
     x, q = 10_000, 2_000
     width = math.floor(_LAG_MODULI_PER_LOG2_X * math.log2(x))  # widest bucket band
@@ -440,6 +470,7 @@ def test_classical_variance_shape(tables_small, tables_1e4):
     want = (theta_progression(100, 1, 0, tables_small) - 100.0) ** 2
     assert one.empirical == approx(want, rel=1e-12)
     assert one.predicted_total == 0.0  # log 1 leading term vanishes
+    assert one.relative_deviation is None and one.relative_deviation_main is None
     run = bdh_variance(10_000, 1_000, tables_1e4)
     assert run.empirical == approx(29174642.193569023, rel=1e-12)
     leading = 1_000 * 10_000 * math.log(1_000)
@@ -447,6 +478,30 @@ def test_classical_variance_shape(tables_small, tables_1e4):
     fitted = run.predicted_terms["fitted_C"]
     assert run.empirical == approx(leading + fitted * 1_000 * 10_000, rel=1e-12)
     assert run.relative_deviation is not None
+
+
+def test_error_budget_strings_pinned(cfg20_1e4, tables_small, cs):
+    band = "O-terms at these parameters: Q*x/sqrt(R) = {}; x^2*(log x)^2/R = {}"
+    assert vaughan_prediction(10**5, 10**4, 30.0, cs).error_budget == band.format("1.826e+08", "4.418e+10")
+    assert theorem5_prediction(10**4, 2000, 10.0, cs).error_budget == band.format("6.325e+06", "8.483e+08")
+    assert theorem4_prediction(10**4, 2000, 3, 10.0, cs).error_budget == (
+        band.format("6.325e+06", "8.483e+08") + "; product truncation (relative) <= 4.0e-07"
+    )
+    closed = (
+        "O-terms at these parameters: x*tau(v)/(v*sqrt(R)) = 9.428e+04; "
+        "x/(phi(v)*sqrt(R)) = 7.071e+04; R^2*log(R) = 9.780e+03; tau(v)*R = 2.000e+02; "
+        "x*exp(-c*sqrt(log x)) with ineffective c"
+    )
+    assert theorem3_prediction(10**6, 6, 5, 50.0, cs).error_budget == closed
+    assert theorem3_coupled_prediction(10**6, 6, 5, 50.0, cs).error_budget == closed
+    assert theorem3_refined_prediction(10_000, 6, 5, cfg20_1e4, cs).error_budget == (
+        "O-terms at these parameters: x*tau(v)/(v*sqrt(R)) = 1.491e+03; "
+        "R^2*log(R) = 1.198e+03; tau(v)*R = 8.000e+01; "
+        "x*exp(-c*sqrt(log x)) with ineffective c"
+    )
+    assert bdh_variance(2_000, 100, tables_small).error_budget == (
+        "secondary constant intentionally unmodeled; fitted_C reported"
+    )
 
 
 def test_run_metadata(cfg20_1e4):
