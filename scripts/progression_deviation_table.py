@@ -8,8 +8,8 @@ x log x / v, of the empirical sum of (Lambda(n) - F_R(n))^2 from
     per-class mean of F_R(n)^2 by (log R + c2)/v plus the coprime spike,
   * the coupled closed form (theorem3_coupled_prediction), which keeps the
     expansion pairs (a*b, a1*b) with a, a1 | v through a CRT sum, and
-  * the refined prediction, which computes that mean exactly from all
-    expansion pairs (r, r1).
+  * the refined prediction, which computes that mean exactly by the same
+    CRT sum with the exact, table-backed G_v(y) in place of its main terms.
 
 The uncoupled form drifts at main order once v > 1 because the pairs coupled
 through v survive averaging over the class; the other two columns show the

@@ -19,7 +19,8 @@ Two evaluation routes are kept deliberately distinct:
 Also here: progression sums rho(x, d, b) of F_R, the residual
 delta(n) = Lambda(n) - F_R(n), the diagnostic oscillating sum rho_star, the
 exact Mobius/Ramanujan divisor identity, the squarefree partial sum
-sum_{r <= R} mu(r)^2/phi(r), and the exact per-class mean of F_R(n)^2.
+sum_{r <= R} mu(r)^2/phi(r) and its restriction G_v(y) to r coprime to v, and
+the pair sweep for the exact per-class mean of F_R(n)^2.
 """
 
 from __future__ import annotations
@@ -126,10 +127,7 @@ class FRConfig:
         for d in range(1, self.r_int + 1):
             if mu[d] == 0:
                 continue
-            y = int(math.floor(self.R / d))
-            hs = np.arange(1, y + 1)
-            mask = (mu[hs] != 0) & (np.gcd(hs, d) == 1)
-            g = float((1.0 / phi[hs[mask]]).sum())
+            g = _coprime_mu2_over_phi(self.R / d, d, self.tables)
             coef[d] = d * int(mu[d]) / float(phi[d]) * g
         return coef
 
@@ -325,9 +323,17 @@ def mu2_over_phi_sum(R: float, tables: ArithTables) -> float:
     r_int = int(math.floor(R))
     if r_int > tables.limit:
         raise TableRangeError(f"floor(R) = {r_int} exceeds table limit {tables.limit}")
-    idx = np.nonzero(tables.mu[1 : r_int + 1])[0] + 1
-    vals = 1.0 / tables.phi[idx]
-    return math.fsum(vals)
+    return _coprime_mu2_over_phi(R, 1, tables)
+
+
+def _coprime_mu2_over_phi(y: float, v: int, tables: ArithTables) -> float:
+    """G_v(y) = sum_{b <= y, gcd(b, v) = 1} mu(b)^2 / phi(b), compensated; 0 for y < 1.
+
+    The one exact home of G_v: the F_R weights g_R(d) = G_d(R/d), the
+    squarefree partial sum G_1(R) and the CRT class mean all read it.
+    """
+    b = np.nonzero(tables.mu[1 : int(math.floor(y)) + 1])[0] + 1
+    return math.fsum(1.0 / tables.phi[b[np.gcd(b, v) == 1]])
 
 
 _CR_PERIOD_CACHE: dict[int, np.ndarray] = {}

@@ -47,8 +47,8 @@ from .arith import ArithTables, _check_x
 from .constants import ConstantSet, ProductKind, _small_factorization, restricted_product
 from .frmodel import (
     FRConfig,
+    _coprime_mu2_over_phi,
     delta_indicator,
-    fr_square_progression_mean,
     mu2_over_phi_sum,
 )
 
@@ -391,7 +391,12 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 
 
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
-    """Compensated sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v)."""
+    """Pairwise sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
+
+    numpy's pairwise summation (np.sum, not a BLAS dot) has a fixed reduction
+    order for a given array length, so the result is deterministic; it stays
+    within a few ulps of the exactly rounded math.fsum of the same squares.
+    """
     _check_x(x, cfg.tables)
     if v < 1 or v > cfg.tables.limit or cfg.tables.mu[v] == 0:
         raise ValueError(f"v must be a squarefree modulus within the tables, got {v}")
@@ -401,7 +406,7 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     if start == 0:
         start = v
     dv = cfg.tables.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
-    return math.fsum(dv * dv)
+    return float(np.sum(dv * dv))
 
 
 def _phi_small(v: int) -> int:
@@ -471,10 +476,12 @@ def theorem3_refined_prediction(
     class n = N (mod v) by (log R + c2)/v + delta(N, v) * v/phi(v)^2, which keeps
     only expansion pairs (r, r1) whose coupling through v is trivial.  For v > 1
     the coupled pairs (r = g*s, r1 = g*s1 with s, s1 | v) contribute at the same
-    order, so here that mean is computed exactly by fr_square_progression_mean
-    and only the cross and squared-Lambda terms keep their closed forms.  Runs
-    one exact pair sweep per call; intended for desk-scale R.  The closed form
-    that keeps the coupled pairs, with no tables, is
+    order, so here that mean is computed exactly and only the cross and
+    squared-Lambda terms keep their closed forms.  The mean is the CRT class
+    mean M (_crt_class_mean) with the exact, table-backed G_v, which costs
+    tau(v) lookups of G_v per call; the pair sweep fr_square_progression_mean
+    computes the same mean independently and is the oracle the tests hold it
+    to.  The closed form that keeps the coupled pairs, with no tables, is
     theorem3_coupled_prediction.
     """
     _check_theorem3_args(x, v, cfg.R)
@@ -482,10 +489,11 @@ def theorem3_refined_prediction(
     phi_v = _phi_small(v)
     tau_v = _tau_small(v)
     lx = math.log(x)
+    mean = _crt_class_mean(v, N, cfg.R, lambda y: _coprime_mu2_over_phi(y, v, cfg.tables))
     terms = {
         "lambda_sq_term": ind * (x / phi_v) * (lx - 1.0),
         "cross_term": -2.0 * ind * (x / phi_v) * mu2_over_phi_sum(cfg.R, cfg.tables),
-        "mean_sq_term": (x / v) * fr_square_progression_mean(v, N, cfg),
+        "mean_sq_term": (x / v) * mean,
     }
     total = math.fsum(terms.values())
     budget = (
@@ -510,7 +518,8 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
         w_a = mu(a) C_a(N) / phi(a),
 
     over squarefree a, a1, with G_v(y) = sum_{b <= y, (b, v) = 1}
-    mu(b)^2/phi(b) supplied as g(y) and taken as 0 for y < 1.
+    mu(b)^2/phi(b) supplied as g(y) and taken as 0 for y < 1.  g is called
+    once per distinct max(a, a1), i.e. tau(v) times for squarefree v.
     """
     # w_a is multiplicative in a: its factor at p is -1 when p | N
     # (C_p(N) = p - 1) and 1/(p - 1) otherwise (C_p(N) = -1)
@@ -518,20 +527,30 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
     for p, _ in _small_factorization(v):
         w_p = -1.0 if N % p == 0 else 1.0 / (p - 1)
         wts += [(a * p, w_a * w_p) for a, w_a in wts]
+    g_at = {a: g(R / a) for a, _ in wts if R / a >= 1.0}
     parts = []
     for a, w_a in wts:
         for a1, w_a1 in wts:
-            y = R / max(a, a1)
-            if y >= 1.0:
-                parts.append(w_a * w_a1 * g(y))
+            top = max(a, a1)
+            if top in g_at:
+                parts.append(w_a * w_a1 * g_at[top])
     return math.fsum(parts)
+
+
+def _coprime_mu2_over_phi_main_terms(v: int, c2: float) -> Callable[[float], float]:
+    """y -> (phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y).
+
+    v is factorised once here, not once per evaluation.
+    """
+    ps = [p for p, _ in _small_factorization(v)]
+    density = math.prod((p - 1) / p for p in ps)
+    log_sum = math.fsum(math.log(p) / p for p in ps)
+    return lambda y: density * (math.log(y) + c2 + log_sum)
 
 
 def _coprime_mu2_over_phi_asymptotic(y: float, v: int, c2: float) -> float:
     """(phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y)."""
-    ps = [p for p, _ in _small_factorization(v)]
-    density = math.prod((p - 1) / p for p in ps)
-    return density * (math.log(y) + c2 + math.fsum(math.log(p) / p for p in ps))
+    return _coprime_mu2_over_phi_main_terms(v, c2)(y)
 
 
 def theorem3_coupled_prediction(
@@ -549,7 +568,7 @@ def theorem3_coupled_prediction(
     ind = delta_indicator(N, v)
     phi_v = _phi_small(v)
     c2 = constants.c2
-    mean = _crt_class_mean(v, N, R, lambda y: _coprime_mu2_over_phi_asymptotic(y, v, c2))
+    mean = _crt_class_mean(v, N, R, _coprime_mu2_over_phi_main_terms(v, c2))
     terms = {
         "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
         "cross_term": -2.0 * ind * (x / phi_v) * (math.log(R) + c2),

@@ -30,7 +30,7 @@ from vaughanlab import (
     variance_sum,
     vaughan_prediction,
 )
-from vaughanlab.frmodel import fr_square_progression_mean
+from vaughanlab.frmodel import _coprime_mu2_over_phi, fr_square_progression_mean
 from vaughanlab.variance import (
     _DIRECT_CORRELATION_MAX,
     _LAG_MODULI_PER_LOG2_X,
@@ -371,6 +371,50 @@ def test_coupled_crt_sum_matches_pair_sweep(tables_small):
     assert _coprime_partial_sums(1, tables_small, 50)[-1] == approx(
         mu2_over_phi_sum(50.0, tables_small), rel=1e-12
     )
+
+
+def test_coprime_g_matches_partial_sums(tables_small):
+    # the table-backed G_v at every integer y <= 500 and at the left limit
+    # y -> k from below, where G_v is still G_v(k - 1)
+    ymax = 500
+    for v in (1, 6, 30, 210):
+        exact = np.concatenate(([0.0], _coprime_partial_sums(v, tables_small, ymax)))
+        for k in range(1, ymax + 1):
+            assert _coprime_mu2_over_phi(float(k), v, tables_small) == approx(exact[k], rel=1e-12), (v, k)
+            below = math.nextafter(float(k), 0.0)
+            assert _coprime_mu2_over_phi(below, v, tables_small) == approx(exact[k - 1], rel=1e-12), (v, k)
+
+
+def test_crt_class_mean_calls_g_once_per_divisor():
+    for v, R, want in ((1, 50.0, 1), (6, 50.0, 4), (30, 100.0, 8), (210, 100.0, 14)):
+        calls = []
+        _crt_class_mean(v, 1, R, lambda y: calls.append(y) or 1.0)
+        # one call per divisor a <= R of v; for v = 210 that leaves out 105 and 210
+        assert len(calls) == len(set(calls)) == want, (v, calls)
+
+
+@pytest.mark.parametrize("R", [20.0, 50.0])
+def test_refined_mean_matches_pair_sweep(tables_small, cs, R):
+    # the refined prediction's class mean (CRT route) against the independent
+    # pair sweep, for every class of each v, non-squarefree 4 and 12 included
+    x = 10**6
+    cfg = FRConfig(R=R, tables=tables_small)
+    for v in (1, 2, 3, 5, 6, 7, 10, 30, 4, 12):
+        for N in range(1, v + 1):
+            got = theorem3_refined_prediction(x, v, N, cfg, cs).terms["mean_sq_term"]
+            want = (x / v) * fr_square_progression_mean(v, N, cfg)
+            assert got == approx(want, rel=1e-12), (v, N)
+
+
+def test_delta_sq_progression_matches_fsum(tables_1e5):
+    x = 100_000
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    for v in (1, 2, 30, 59):
+        for N in sorted({0, 1, v - 1}):
+            start = N % v or v
+            dv = tables_1e5.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
+            want = math.fsum(dv * dv)
+            assert delta_sq_progression(x, v, N, cfg) == approx(want, rel=1e-13), (v, N)
 
 
 def test_coupled_prediction_v1_collapse(cs):
