@@ -2,7 +2,9 @@
 
 Provides:
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit]
-- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays
+- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays,
+  built by striking only the primes p <= sqrt(limit) and then one vectorised
+  pass over the single prime cofactor above sqrt(limit) that n may have
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -116,37 +118,52 @@ class ArithTables:
 
 
 def build_tables(sieve: FactorSieve) -> ArithTables:
-    """Build Lambda, mu, phi and the prime-log weight from a factor sieve."""
+    """Build Lambda, mu, phi and the prime-log weight from a factor sieve.
+
+    Only the primes p <= sqrt(limit) are struck one at a time.  Each flips mu
+    on its multiples and zeroes it on multiples of p^2, applies the factor
+    (1 - 1/p) to phi, sets Lambda(p^k) = log p for k >= 2, and divides every
+    power p^k out of the cofactor array rem.  Any n <= limit has at most one
+    prime factor q > sqrt(limit), and it divides n exactly once, so after the
+    loop rem[n] is either 1 or that q.  One vectorised pass over rem > 1 then
+    flips mu and applies (1 - 1/q) to phi; the division by q is exact because
+    phi[n] is still q times the totient of n / q.
+    """
     limit = sieve.limit
     primes = sieve.primes()
 
     theta = np.zeros(limit + 1, dtype=np.float64)
     theta[primes] = np.log(primes.astype(np.float64))
-
     lam = theta.copy()
-    for p in primes[primes <= math.isqrt(limit)]:
-        p = int(p)
-        lp = math.log(p)
-        pk = p * p
-        while pk <= limit:
-            lam[pk] = lp
-            pk *= p
 
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in primes:
-        mu[p::p] *= -1
-    for p in primes[primes <= math.isqrt(limit)]:
-        sq = int(p) * int(p)
-        mu[sq::sq] = 0
-
-    # phi[n] = n * prod_{p | n} (1 - 1/p), applied one prime at a time; each
-    # step divides exactly because the p-part of n is still present.
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes:
+    rem = np.arange(limit + 1, dtype=np.int32)
+    rem[0] = 1
+    for p in primes[primes <= math.isqrt(limit)].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
         seg = phi[p::p]
-        seg //= int(p)
-        seg *= int(p) - 1
+        seg //= p
+        seg *= p - 1
+        lp = math.log(p)
+        pk = p
+        while pk <= limit:
+            rem[pk::pk] //= p
+            if pk > p:
+                lam[pk] = lp
+            pk *= p
+
+    # rem[n] > 1 is the one prime factor q of n above sqrt(limit).  In-place
+    # masked ufuncs: about two thirds of n have such a q, so gathered copies
+    # would cost several x-sized temporaries.
+    big = rem > 1
+    np.negative(mu, out=mu, where=big)
+    np.floor_divide(phi, rem, out=phi, where=big)
+    rem -= 1
+    np.multiply(phi, rem, out=phi, where=big)
+    del rem, big
     phi[0] = 0
 
     return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)

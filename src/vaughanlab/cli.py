@@ -28,11 +28,14 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .arith import ArithTables, build_sieve, build_tables
@@ -252,7 +255,16 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _sha256(arr) -> str:
-    return hashlib.sha256(arr.tobytes()).hexdigest()
+    """Digest of the array's bytes in C order, hashed in place rather than copied."""
+    return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
+
+
+def _timed(derived: dict, build, *args):
+    """Call build(*args), adding its seconds to derived["tables_s"]."""
+    t0 = time.perf_counter()
+    out = build(*args)
+    derived["tables_s"] += time.perf_counter() - t0
+    return out
 
 
 def _variance_row(run: VarianceRun) -> dict:
@@ -369,7 +381,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 
     out = _out_dir(cfg)
     checksums: dict[str, str] = {}
-    derived: dict = {"threads": cfg.threads or (os.cpu_count() or 1)}
+    derived: dict = {"threads": cfg.threads or (os.cpu_count() or 1), "tables_s": 0.0}
 
     if cfg.command == "constants":
         rows = _constants_rows(cfg.prime_cutoff)
@@ -379,7 +391,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         x = _require_x(cfg)
         r = _resolve_r(cfg)
         derived["R"] = r
-        fr = _fr_for(x, r)
+        fr = _timed(derived, _fr_for, x, r)
         t = fr.table()
         lam = fr.tables.lam
         columns = ["n", "lambda", "fr", "delta"]
@@ -397,7 +409,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                 f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
             )
         derived["R"] = r
-        fr = _fr_for(x, r)
+        fr = _timed(derived, _fr_for, x, r)
         cs = constant_set(cfg.prime_cutoff)
         rows = _theorem3_rows(x, r, cfg.v_list, cfg.n_shift, fr, cs)
         columns = RESULT_COLUMNS
@@ -411,7 +423,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         mode = VARIANCE_COMMANDS[cfg.command]
         derived["Q"] = q
         if mode is Mode.BDH:
-            tables = _tables_for(x)
+            tables = _timed(derived, _tables_for, x)
             vrun = bdh_variance(x, q, tables, threads=threads, weight=weight)
             checksums["lambda_sha256"] = _sha256(tables.lam)
         else:
@@ -419,7 +431,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             q_low = _resolve_q_low(cfg, x, r)
             derived["R"] = r
             derived["Q_low"] = q_low
-            fr = _fr_for(x, r)
+            fr = _timed(derived, _fr_for, x, r)
             cs = constant_set(cfg.prime_cutoff)
             restriction = RestrictionMode(mode, cfg.n_shift if mode is Mode.SHIFT_COPRIME else 0)
             vrun = variance_sum(
@@ -432,6 +444,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     else:
         raise UsageError(f"unknown command {cfg.command!r}")
 
+    # ru_maxrss is in KiB on Linux; the peak of the whole process so far.
+    derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     csv_path = out / "results.csv"
     json_path = out / "results.json"
     with csv_path.open("w", newline="") as fh:

@@ -3,6 +3,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from pytest import approx, raises
@@ -10,6 +11,7 @@ from pytest import approx, raises
 from vaughanlab import (
     TableRangeError,
     build_sieve,
+    build_tables,
     divisors,
     factorize,
     is_squarefree,
@@ -149,3 +151,49 @@ def test_residue_normalization_and_errors(tables_small):
         theta_progression(100, 6, -1, tables_small)
     with raises(TableRangeError):
         theta_progression(10**7, 6, 1, tables_small)
+
+
+# Every limit up to 64, the squares of primes near sqrt(limit) and their
+# neighbours (49, 961 = 31^2), powers of two and three, and a prime limit.
+TABLE_LIMITS = sorted(set(range(2, 65)) | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003})
+
+
+@pytest.fixture(scope="module")
+def factorization_oracle():
+    """mu, phi, Lambda and the prime-log weight of every n <= max(TABLE_LIMITS), from factorize."""
+    top = max(TABLE_LIMITS)
+    sieve = build_sieve(top)
+    mu = np.zeros(top + 1, dtype=np.int64)
+    phi = np.zeros(top + 1, dtype=np.int64)
+    lam = np.zeros(top + 1)
+    theta = np.zeros(top + 1)
+    for n in range(1, top + 1):
+        mu[n] = mu_of(n, sieve)
+        phi[n] = phi_of(n, sieve)
+        fac = factorize(n, sieve)
+        if len(fac) == 1:
+            p, e = fac[0]
+            lam[n] = math.log(p)
+            if e == 1:
+                theta[n] = math.log(n)
+    return mu, phi, lam, theta
+
+
+@pytest.mark.parametrize("limit", TABLE_LIMITS)
+def test_build_tables_matches_factorization(factorization_oracle, limit):
+    t = build_tables(build_sieve(limit))
+    # The benchmark hashes the table bytes, so the dtypes are part of the contract.
+    assert (t.lam.dtype, t.mu.dtype, t.phi.dtype, t.theta.dtype) == (
+        np.float64,
+        np.int8,
+        np.int64,
+        np.float64,
+    )
+    mu, phi, lam, theta = (a[: limit + 1] for a in factorization_oracle)
+    np.testing.assert_array_equal(t.mu, mu)
+    np.testing.assert_array_equal(t.phi, phi)
+    for got, want in ((t.lam, lam), (t.theta, theta)):
+        # The support is exact; a value may differ from math.log by the one
+        # ulp numpy's vectorised log is allowed.
+        np.testing.assert_array_equal(got != 0, want != 0)
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)

@@ -1,10 +1,12 @@
 """Command-line front end tests: parsing, file outputs, determinism, reports."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from pytest import approx, raises
 
@@ -27,6 +29,7 @@ from vaughanlab.cli import (
     _resolve_q_low,
     _resolve_r,
     _resolve_weight,
+    _sha256,
     config_from_text,
     config_to_text,
     main,
@@ -139,12 +142,27 @@ def test_theorem3_hypothesis_guard(tmp_path, capsys):
     assert "x^(1/3)" in payload["message"]
 
 
+def assert_run_telemetry(out_dir: Path):
+    derived = json.loads((out_dir / "manifest.json").read_text())["derived"]
+    assert derived["peak_rss_mb"] > 0
+    assert derived["tables_s"] >= 0
+
+
+def test_sha256_hashes_array_bytes_in_place():
+    arrays = [np.arange(-50, 50, dtype=dt) for dt in (np.int8, np.int32, np.int64)]
+    arrays.append(np.linspace(0.0, 3.0, 97))
+    arrays.append(np.arange(40, dtype=np.int64)[3::7])  # non-contiguous view
+    for arr in arrays:
+        assert _sha256(arr) == hashlib.sha256(arr.tobytes()).hexdigest()
+
+
 def test_theorem3_small_run(tmp_path, capsys):
     code, _, err = run_cli(
         capsys,
         "theorem3", "--x", "10000", "--R", "10", "--v", "1,2,3", "--out", str(tmp_path),
     )
     assert code == 0, err
+    assert_run_telemetry(tmp_path)
     header, rows = read_csv(tmp_path / "results.csv")
     assert header == RESULT_COLUMNS
     assert [r[header.index("v")] for r in rows] == ["1", "2", "3"]
@@ -167,6 +185,7 @@ def test_variance_run_is_thread_invariant(tmp_path, capsys):
             "--threads", threads, "--out", str(out_dir),
         )
         assert code == 0, err
+        assert_run_telemetry(out_dir)
         outs.append(read_csv(out_dir / "results.csv"))
     (h1, rows1), (h2, rows2) = outs
     assert h1 == h2 == RESULT_COLUMNS
