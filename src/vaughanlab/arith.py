@@ -164,7 +164,6 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
     rem -= 1
     np.multiply(phi, rem, out=phi, where=big)
     del rem, big
-    phi[0] = 0
 
     return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)
 

@@ -153,8 +153,9 @@ def test_residue_normalization_and_errors(tables_small):
         theta_progression(10**7, 6, 1, tables_small)
 
 
-# Every limit up to 64, the squares of primes near sqrt(limit) and their
-# neighbours (49, 961 = 31^2), powers of two and three, and a prime limit.
+# Every limit up to 64 (48, 49 = 7^2 and 50 among them), 960 and 961 = 31^2
+# on either side of a prime square, powers of two and three, 10^5, and the
+# prime 100003.
 TABLE_LIMITS = sorted(set(range(2, 65)) | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003})
 
 
