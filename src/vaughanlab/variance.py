@@ -19,16 +19,18 @@ headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 Two routes compute a band.  The bucket route takes one O(x) pass per modulus
 and can split the band over threads.  The lag route opens each modulus as
 sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the autocorrelation of
-the residual, so the whole band costs one FFT; the restricted modes take one
-autocorrelation per squarefree e <= Q by Moebius inversion.  The band width
-alone picks the route (_lag_route); the bucket route stays as the oracle the
-tests compare the lag route against.
+the residual, so the whole band costs one FFT; the restricted modes add, by
+Moebius inversion, the autocorrelations of the rows a[shift mod e :: e] of
+every squarefree e <= Q, batched by FFT size so that a block of rows shares
+one transform.  The band width alone picks the route (_lag_route); the bucket
+route stays as the oracle the tests compare the lag route against.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
 accumulators, and the final reduction is an exactly rounded fsum.  The lag
-route is single threaded, a fixed sequence of array operations and fsums.
-Either way results are bit-identical for any thread count.
+route is single threaded: a fixed sequence of array operations, numpy
+pairwise sums along each row and one fsum over the rows.  Either way results
+are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -148,11 +150,17 @@ def _weight_array(weight: Weight, tables: ArithTables) -> np.ndarray:
 
 
 def _bucket_sums(arr: np.ndarray, x: int, d: int) -> np.ndarray:
-    """Column sums of arr[0..x] laid out in rows of length d (residue buckets)."""
-    rows = x // d + 1
-    buf = np.zeros(rows * d, dtype=np.float64)
-    buf[: x + 1] = arr[: x + 1]
-    return buf.reshape(rows, d).sum(axis=0)
+    """Column sums of arr[0..x] laid out in rows of length d (residue buckets).
+
+    The full rows are summed as a view of arr and the short last row is added
+    after them, the order in which the zero-padded layout sums, so no x-sized
+    buffer is built per modulus.
+    """
+    full = (x + 1) // d
+    sums = arr[: full * d].reshape(full, d).sum(axis=0)
+    tail = arr[full * d : x + 1]
+    sums[: len(tail)] += tail
+    return sums
 
 
 def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.THETA) -> ProgressionAccumulator:
@@ -212,61 +220,118 @@ def _bucket_band_sum(
     return math.fsum(contribs)
 
 
-# Subarrays up to this length are autocorrelated directly (O(n^2), no call
-# overhead), longer ones by FFT.  Measured on one Xeon core with numpy's
-# pocketfft: direct 24 us against FFT 25 us at n = 384, 39 us against 25 us
-# at n = 512.
-_DIRECT_CORRELATION_MAX = 384
+# Element budget of one batched block of the lag kernel (rows times FFT size)
+# and of one chunk of divisor multiples in _lag_weights.  A block's
+# temporaries are a few arrays of 8 or 16 bytes per element, about 2 MB here,
+# less than the one-row transform of the whole residual needs at x = 10^5.
+_BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
-# crossovers on one Xeon core, bands (x/10 - M, x/10]: x = 10^4 at
-# M ~ 200 (ALL) and ~ 300 (COPRIME), x = 10^5 at ~ 200 and ~ 120, x = 10^6 at
-# ~ 130 (ALL), i.e. M / log2(x) between 7 and 23.  At 12 the slower route
-# costs at most about twice the faster one on either side.
-_LAG_MODULI_PER_LOG2_X = 12.0
+# crossovers of the batched lag kernel on one Xeon core, bands
+# (x/10 - M, x/10]: ALL at M ~ 140, 340 and 240 for x = 10^4, 10^5 and 10^6,
+# COPRIME at M ~ 68, 58 and 49, i.e. M / log2(x) between 2.5 and 20.5.  At 7,
+# about their geometric mean, the slower route costs at most about three
+# times the faster one on either side.
+_LAG_MODULI_PER_LOG2_X = 7.0
 
 
-def _autocorrelation(a: np.ndarray) -> np.ndarray:
-    """A(j) = sum_n a[n] a[n + j] for 0 <= j < len(a)."""
-    n = len(a)
-    if n <= _DIRECT_CORRELATION_MAX:
-        return np.correlate(a, a, "full")[n - 1 :]
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1, so no lag wraps around
-    spec = np.fft.rfft(a, size)
-    return np.fft.irfft(spec.real * spec.real + spec.imag * spec.imag, size)[:n]
+def _lag_weights(n: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray, width: int) -> np.ndarray:
+    """c[r, j] = #{f_lo[r] < f <= f_hi[r] : f | j} for 1 <= j < n[r], else 0; needs f_lo < n.
 
-
-def _lag_band_all(a: np.ndarray, lo: int, hi: int) -> float:
-    """sum_{lo < f <= hi} sum_{b mod f} S_b(f)^2, S_b(f) = sum_{m = b (mod f)} a[m].
-
-    The classes of f pair every m with every m' = m (mod f), so the inner sum
-    is A(0) + 2 sum_{k >= 1} A(k f) and the band is
-    (hi - lo) A(0) + 2 sum_{j >= 1} c(j) A(j), c(j) = #{lo < f <= hi : f | j}.
+    Each (row, f) pair with f_lo < f <= min(f_hi, n - 1) adds 1 at its
+    m = (n - 1) // f >= 1 multiples f k.  A chunk of pairs lays them out as
+    running sums of f, restarted at each pair's first multiple, and counts
+    them with np.add.at.
     """
-    n = len(a)
-    acf = _autocorrelation(a)
-    counts = np.zeros(n)
-    for f in range(lo + 1, min(hi, n - 1) + 1):
-        counts[f::f] += 1.0
-    lags = float(np.sum(counts[1:] * acf[1:]))
-    return math.fsum(((hi - lo) * math.fsum(a * a), 2.0 * lags))
+    n_f = np.minimum(f_hi, n - 1) - f_lo
+    row = np.repeat(np.arange(len(n)), n_f)
+    f = np.arange(len(row)) - np.repeat(np.cumsum(n_f) - n_f, n_f) + f_lo[row] + 1
+    mult = (n[row] - 1) // f
+    first = row * width + f
+    last = first + f * (mult - 1)
+    ends = np.cumsum(mult)
+    c = np.zeros(len(n) * width)
+    p0 = 0
+    while p0 < len(f):
+        # pairs p0 .. p1 - 1 hold at most _BLOCK_ELEMENTS multiples, or are one pair
+        p1 = max(p0 + 1, int(np.searchsorted(ends, ends[p0] - mult[p0] + _BLOCK_ELEMENTS, "right")))
+        m = mult[p0:p1]
+        steps = np.repeat(f[p0:p1], m)
+        steps[np.cumsum(m) - m] = first[p0:p1] - np.concatenate(([0], last[p0 : p1 - 1]))
+        np.add.at(c, np.cumsum(steps), 1.0)
+        p0 = p1
+    return c.reshape(len(n), width)
+
+
+def _autocorrelations(block: np.ndarray, size: int) -> np.ndarray:
+    """A[r, j] = sum_i block[r, i] block[r, i + j] for j < block.shape[1].
+
+    One rfft/irfft of length size >= 2 block.shape[1] - 1 along axis 1, so no
+    lag wraps around.  The spectrum is freed before the inverse transform,
+    which lowers the peak memory of the longest rows.
+    """
+    spec = np.fft.rfft(block, size, axis=1)
+    power = spec.real * spec.real + spec.imag * spec.imag
+    del spec
+    return np.fft.irfft(power, size, axis=1)[:, : block.shape[1]]
+
+
+def _lag_rows(
+    a: np.ndarray,
+    start: np.ndarray,
+    step: np.ndarray,
+    n: np.ndarray,
+    f_lo: np.ndarray,
+    f_hi: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """(f_hi - f_lo) A(0) + 2 sum_{j >= 1} c(j) A(j) for each row a[start :: step] of length n.
+
+    A(0) is the pairwise sum of the row's squares; the other lags come from
+    one batched FFT of length size, weighted in place.
+    """
+    width = int(n.max())
+    if len(n) == 1:
+        block = a[int(start[0]) :: int(step[0])][None, :]
+    else:
+        i = np.arange(width)
+        block = a[np.minimum(start[:, None] + step[:, None] * i, len(a) - 1)]
+        block *= i < n[:, None]  # zero each row past its own length
+    zero_lag = np.sum(block * block, axis=1)
+    acf = _autocorrelations(block, size)
+    acf *= _lag_weights(n, f_lo, f_hi, width)
+    return (f_hi - f_lo) * zero_lag + 2.0 * np.sum(acf, axis=1)
 
 
 def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarray) -> float:
     """sum_{lo < d <= hi} sum_{b mod d, (shift - b, d) = 1} S_b(d)^2 by Moebius inversion.
 
     [gcd(shift - b, d) = 1] = sum_{e | shift - b, e | d} mu(e); with d = e f the
-    classes b = shift (mod e) of d are the classes of f on a[shift mod e :: e],
-    so each squarefree e adds mu(e) times the all-class band
-    floor(lo/e) < f <= floor(hi/e) of that subarray.
+    classes b = shift (mod e) of d are the classes of f on the row
+    a[shift mod e :: e], so each squarefree e <= min(hi, len(mu) - 1) adds
+    mu(e) times the all-class band floor(lo/e) < f <= floor(hi/e) of its row.
+    The classes of f pair every m with every m' = m (mod f), so that band is
+    (f_hi - f_lo) A(0) + 2 sum_{j >= 1} c(j) A(j), with A the row's
+    autocorrelation and c(j) = #{f_lo < f <= f_hi : f | j}.  The rows are
+    batched by FFT size into blocks of at most _BLOCK_ELEMENTS, one rfft/irfft
+    per block; the parts are summed by one fsum.
     """
+    x = len(a) - 1
+    e = np.flatnonzero(mu[1 : hi + 1]) + 1
+    e = e[hi // e > lo // e]
+    f_lo, f_hi = lo // e, hi // e
+    start = shift % e
+    n = (x - start) // e + 1
+    size = np.int64(1) << np.frexp(2 * n - 2)[1]  # 1 << (2 n - 2).bit_length()
     parts = []
-    for e in np.flatnonzero(mu[1 : hi + 1]) + 1:
-        e = int(e)
-        f_lo, f_hi = lo // e, hi // e
-        if f_hi > f_lo:
-            parts.append(int(mu[e]) * _lag_band_all(a[shift % e :: e], f_lo, f_hi))
-    return math.fsum(parts)
+    for s in np.unique(size):
+        group = np.flatnonzero(size == s)
+        per_block = max(1, _BLOCK_ELEMENTS // int(s))
+        for b in range(0, len(group), per_block):
+            r = group[b : b + per_block]
+            band = _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], int(s))
+            parts.append(mu[e[r]] * band)
+    return math.fsum(np.concatenate(parts))
 
 
 def _coprime_first_moments(w: np.ndarray, q: int, phi: np.ndarray) -> np.ndarray:
@@ -291,11 +356,11 @@ def _coprime_first_moments(w: np.ndarray, q: int, phi: np.ndarray) -> np.ndarray
 def _lag_band_sum(
     moduli: range, x: int, diff: np.ndarray, restriction: RestrictionMode, tables: ArithTables
 ) -> float:
-    """The band from one autocorrelation per squarefree e <= Q; single threaded."""
+    """The band by the batched lag kernel; single threaded."""
     lo, hi = moduli.start - 1, moduli.stop - 1
     a = diff[: x + 1]
-    if restriction.shift is None:
-        return _lag_band_all(a, lo, hi)
+    if restriction.shift is None:  # every class: the e = 1 row alone
+        return _lag_band_coprime(a, lo, hi, 0, tables.mu[:2])
     band = _lag_band_coprime(a, lo, hi, restriction.shift, tables.mu)
     if restriction.mode is not Mode.BDH:
         return band
@@ -406,7 +471,8 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     if start == 0:
         start = v
     dv = cfg.tables.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
-    return float(np.sum(dv * dv))
+    np.multiply(dv, dv, out=dv)  # squared in place: no second x/v-sized array
+    return float(np.sum(dv))
 
 
 def _phi_small(v: int) -> int:

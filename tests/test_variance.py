@@ -32,13 +32,15 @@ from vaughanlab import (
 )
 from vaughanlab.frmodel import _coprime_mu2_over_phi, fr_square_progression_mean
 from vaughanlab.variance import (
-    _DIRECT_CORRELATION_MAX,
     _LAG_MODULI_PER_LOG2_X,
     _bucket_band_sum,
+    _bucket_sums,
+    _coprime_first_moments,
     _coprime_mu2_over_phi_asymptotic,
     _crt_class_mean,
     _lag_band_sum,
     _lag_route,
+    _lag_weights,
     _restricted_main_terms,
     _weight_array,
 )
@@ -153,9 +155,6 @@ VARIANCE_SUM_MODES = [r for r in LAG_ORACLE_MODES if r.mode is not Mode.BDH]
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
 def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     x = 2_000
-    # x + 1 > _DIRECT_CORRELATION_MAX, so the small e take the FFT and the
-    # large e the direct correlation
-    assert x + 1 > _DIRECT_CORRELATION_MAX
     w = _weight_array(weight, cfg10_small.tables)
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     for q_low, q in LAG_ORACLE_BANDS:
@@ -164,6 +163,97 @@ def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
         got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
         assert type(got) is float
         assert got == approx(want, rel=1e-12), (q_low, q)
+
+
+def _autocorrelation(a):
+    """A(j) = sum_n a[n] a[n + j] for 0 <= j < len(a), directly up to 384 entries, else by FFT."""
+    n = len(a)
+    if n <= 384:
+        return np.correlate(a, a, "full")[n - 1 :]
+    size = 1 << (2 * n - 2).bit_length()
+    spec = np.fft.rfft(a, size)
+    return np.fft.irfft(spec.real * spec.real + spec.imag * spec.imag, size)[:n]
+
+
+def _lag_band_all(a, lo, hi):
+    """sum_{lo < f <= hi} sum_{b mod f} S_b(f)^2 of one array, one divisor slice per f."""
+    n = len(a)
+    acf = _autocorrelation(a)
+    counts = np.zeros(n)
+    for f in range(lo + 1, min(hi, n - 1) + 1):
+        counts[f::f] += 1.0
+    lags = float(np.sum(counts[1:] * acf[1:]))
+    return math.fsum(((hi - lo) * math.fsum(a * a), 2.0 * lags))
+
+
+def _per_e_lag_band_sum(moduli, x, arr, restriction, tables):
+    """_lag_band_sum with one _lag_band_all call per squarefree e (the oracle)."""
+    lo, hi = moduli.start - 1, moduli.stop - 1
+    a = arr[: x + 1]
+    if restriction.shift is None:
+        return _lag_band_all(a, lo, hi)
+    parts = [
+        int(tables.mu[e]) * _lag_band_all(a[restriction.shift % e :: e], lo // e, hi // e)
+        for e in range(1, hi + 1)
+        if tables.mu[e] and hi // e > lo // e
+    ]
+    band = math.fsum(parts)
+    if restriction.mode is not Mode.BDH:
+        return band
+    approx_ = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
+    first = _coprime_first_moments(a, hi, tables.phi)[lo + 1 :]
+    return math.fsum((band, math.fsum(approx_ * (x - 2.0 * first))))
+
+
+@pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
+def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction):
+    x = 2_000
+    tables = cfg10_small.tables
+    w = tables.theta
+    arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
+    # Rows a[s :: e] of the squarefree e <= x have lengths n_e ~ x/e.  The
+    # batch groups them by FFT size 1 << (2 n_e - 2).bit_length(): e = 1 is a
+    # group of one row, and the group of e = 5, 6, 7 (size 1024) has rows of
+    # three lengths, so each is zeroed past its own end.
+    e = np.flatnonzero(tables.mu[1 : x + 1]) + 1
+    n = (x - restriction.N % e) // e + 1
+    size = [1 << (2 * int(k) - 2).bit_length() for k in n]
+    assert len(set(size)) >= 3 and size.count(size[0]) == 1
+    assert len({int(k) for k, s in zip(n, size) if s == 1024}) == 3
+    # (850.5, 1_400] has squarefree e with floor(lo/e) = floor(hi/e), which add nothing
+    assert tables.mu[701] and 850 // 701 == 1_400 // 701
+    for q_low, q in LAG_ORACLE_BANDS + ((0.0, x),):
+        moduli = range(math.floor(q_low) + 1, q + 1)
+        want = _per_e_lag_band_sum(moduli, x, arr, restriction, tables)
+        got = _lag_band_sum(moduli, x, arr, restriction, tables)
+        assert got == approx(want, rel=1e-12), (q_low, q)
+
+
+def test_lag_weights_match_divisor_count():
+    # f_lo = 0, f_hi at and past n - 1 (the kernel meets f_hi = n, e.g.
+    # x = 1920, N = 7, e = 5), and two rows of 10^5 whose multiples fill
+    # several chunks
+    rows = [(1, 0, 1), (2, 0, 2), (383, 0, 383), (384, 0, 384), (384, 100, 900),
+            (385, 7, 200), (700, 0, 50), (700, 349, 350), (700, 650, 1_000),
+            (100_000, 0, 30), (100_000, 3_000, 9_000)]
+    n, f_lo, f_hi = (np.array(col) for col in zip(*rows))
+    width = int(n.max())
+    got = _lag_weights(n, f_lo, f_hi, width)
+    want = np.zeros((len(rows), width))
+    for r, (n_r, lo, hi) in enumerate(rows):
+        for f in range(lo + 1, hi + 1):
+            want[r, f:n_r:f] += 1.0
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [1, 2, 7, 128, 999, 4_096, 99_999, 100_000])
+def test_bucket_sums_match_zero_padded_layout(x):
+    arr = np.random.default_rng(x).standard_normal(100_008) * np.log(np.arange(2, 100_010))
+    for d in sorted({1, 2, 3, 5, 8, 17, 128, 129, 1_000, max(1, x // 2), x, x + 1, x + 7}):
+        rows = x // d + 1
+        buf = np.zeros(rows * d)
+        buf[: x + 1] = arr[: x + 1]
+        assert _bucket_sums(arr, x, d).tobytes() == buf.reshape(rows, d).sum(axis=0).tobytes(), d
 
 
 @pytest.mark.parametrize("mode", [Mode.ALL, Mode.COPRIME, Mode.SHIFT_COPRIME, Mode.BDH])
