@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and print where the report landed.
 
-Thin wrapper over `vaughanlab suite`.  Desk scale takes about 2.3 s single
+Thin wrapper over `vaughanlab suite`.  Desk scale takes about 1.3 s single
 threaded on a 2-vCPU Xeon VM.  Its bands are wide, so they take the
 single-threaded lag route; --threads only spreads narrow bands, which take
 the per-modulus route, over threads.  --scale quick gives a smoke run.
