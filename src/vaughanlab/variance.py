@@ -322,14 +322,14 @@ def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarra
     f_lo, f_hi = lo // e, hi // e
     start = shift % e
     n = (x - start) // e + 1
-    size = np.int64(1) << np.frexp(2 * n - 2)[1]  # 1 << (2 n - 2).bit_length()
+    bits = np.frexp(2 * n - 2)[1]  # (2 n - 2).bit_length(): FFT size 1 << bits >= 2 n - 1
     parts = []
-    for s in np.unique(size):
-        group = np.flatnonzero(size == s)
-        per_block = max(1, _BLOCK_ELEMENTS // int(s))
+    for k in range(int(bits.max()) + 1):
+        group = np.flatnonzero(bits == k)
+        per_block = max(1, _BLOCK_ELEMENTS >> k)
         for b in range(0, len(group), per_block):
             r = group[b : b + per_block]
-            band = _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], int(s))
+            band = _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], 1 << k)
             parts.append(mu[e[r]] * band)
     return math.fsum(np.concatenate(parts))
 

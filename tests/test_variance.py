@@ -30,6 +30,7 @@ from vaughanlab import (
     variance_sum,
     vaughan_prediction,
 )
+from vaughanlab import variance
 from vaughanlab.frmodel import _coprime_mu2_over_phi, fr_square_progression_mean
 from vaughanlab.variance import (
     _LAG_MODULI_PER_LOG2_X,
@@ -205,8 +206,14 @@ def _per_e_lag_band_sum(moduli, x, arr, restriction, tables):
     return math.fsum((band, math.fsum(approx_ * (x - 2.0 * first))))
 
 
+@pytest.mark.parametrize("block_elements", [None, 256])
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
-def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction):
+def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_elements, monkeypatch):
+    # at x = 2000 every group fits one block of the default budget; a budget
+    # of 256 splits the small sizes into several blocks, makes every row of
+    # size >= 512 a block alone and cuts the weight counts into many chunks
+    if block_elements:
+        monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
     x = 2_000
     tables = cfg10_small.tables
     w = tables.theta
