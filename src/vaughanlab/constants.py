@@ -6,6 +6,12 @@ over enumerated primes up to an explicit cutoff, and every truncated quantity
 carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
+The primes come from prime_array, an odd-only sieve of (cutoff + 1) // 2
+bools whose int64 result is cached per cutoff.  Each prime sum or product
+takes a fresh float64 copy of them and builds its terms in place in one
+further buffer, so at cutoff 10^7 (664,579 primes) a call holds about
+11 MB of temporaries.
+
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
 - logp_sum(cutoff): sum_p log p / (p (p - 1)) with tail bound 2 log(cutoff)/cutoff
@@ -47,17 +53,35 @@ _GAMMA: float | None = None
 
 
 def prime_array(cutoff: int) -> np.ndarray:
-    """All primes <= cutoff as int64, via a plain Eratosthenes bit sieve (cached)."""
+    """All primes <= cutoff as ascending int64, via an odd-only Eratosthenes sieve (cached).
+
+    Entry i of the sieve stands for the odd number 2i + 1, so the sieve is
+    (cutoff + 1) // 2 bools; each odd prime p <= sqrt(cutoff) strikes its odd
+    multiples from p^2 on.  Entry 0 (the number 1) is left set and its slot in
+    the result becomes the prime 2.
+    """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
     if cutoff not in _PRIME_CACHE:
-        comp = np.zeros(cutoff + 1, dtype=bool)
-        comp[:2] = True
-        for p in range(2, math.isqrt(cutoff) + 1):
-            if not comp[p]:
-                comp[p * p :: p] = True
-        _PRIME_CACHE[cutoff] = np.nonzero(~comp)[0].astype(np.int64)
+        odd = np.ones((cutoff + 1) // 2, dtype=bool)
+        for i in range(1, (math.isqrt(cutoff) - 1) // 2 + 1):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2 :: p] = False
+        primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        _PRIME_CACHE[cutoff] = primes
     return _PRIME_CACHE[cutoff]
+
+
+def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
+    """A fresh float64 copy of the primes <= cutoff, less the primes in omit (all <= cutoff)."""
+    p = prime_array(cutoff)
+    if omit:
+        p = np.delete(p, np.searchsorted(p, omit))
+    return p.astype(np.float64)
 
 
 def euler_gamma_harmonic(terms: int = 10_000) -> float:
@@ -114,8 +138,11 @@ def logp_sum(prime_cutoff: int) -> tuple[float, float]:
     """
     if prime_cutoff < 10:
         raise ValueError(f"prime_cutoff must be >= 10, got {prime_cutoff}")
-    p = prime_array(prime_cutoff).astype(np.float64)
-    value = math.fsum(np.log(p) / (p * (p - 1.0)))
+    p = _float_primes(prime_cutoff, [])
+    terms = p - 1.0
+    terms *= p
+    np.divide(np.log(p, out=p), terms, out=terms)  # log p / (p (p - 1))
+    value = math.fsum(terms)
     tail = 2.0 * math.log(prime_cutoff) / prime_cutoff
     return value, tail
 
@@ -181,11 +208,16 @@ class RestrictedProduct:
 
 
 def _factor_values(kind: ProductKind, p: np.ndarray) -> np.ndarray:
+    """The Euler factors of kind at the float primes p; overwrites p."""
     if kind is ProductKind.P_PM1:
-        return 1.0 - 1.0 / (p * (p - 1.0))
-    if kind is ProductKind.P_SQ:
-        return 1.0 - 1.0 / ((p - 1.0) * (p - 1.0))
-    return 1.0 - 1.0 / (p * p)
+        d = p - 1.0
+        d *= p  # p (p - 1)
+    else:
+        if kind is ProductKind.P_SQ:
+            p -= 1.0
+        d = np.multiply(p, p, out=p)  # (p - 1)^2 or p^2
+    np.divide(1.0, d, out=d)
+    return np.subtract(1.0, d, out=d)
 
 
 def _small_factorization(n: int) -> list[tuple[int, int]]:
@@ -209,10 +241,11 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
     """Evaluate the truncated Euler product, omitting primes dividing N.
 
     N = 1 is the unrestricted product.  For P_PM1 the restricted value is the
-    unrestricted one divided by the omitted factors, so removing a prime and
-    dividing by its factor agree bit-exactly.  P_SQ keeps the direct product
-    form because its p = 2 factor is exactly 0 (any even cutoff product with
-    odd N vanishes identically).
+    cached unrestricted one divided by the omitted factors, so removing a
+    prime and dividing by its factor agree bit-exactly.  P_SQ keeps the direct
+    product form because its p = 2 factor is exactly 0 (any even cutoff
+    product with odd N vanishes identically); it and P_ZETA drop the primes
+    of N from the prime array by index before the factors are formed.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -224,21 +257,20 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
         raise ValueError(
             f"prime_cutoff = {prime_cutoff} is below the largest prime factor {max(pf)} of N = {N}"
         )
-    p = prime_array(prime_cutoff).astype(np.float64)
     if kind is ProductKind.P_PM1:
-        base = float(np.multiply.reduce(_factor_values(kind, p)))
-        value = base
-        for q in pf:
-            value /= 1.0 - 1.0 / (q * (q - 1.0))
+        if pf:
+            value = restricted_product(kind, 1, prime_cutoff).value
+            for q in pf:
+                value /= 1.0 - 1.0 / (q * (q - 1.0))
+        else:
+            value = float(np.multiply.reduce(_factor_values(kind, _float_primes(prime_cutoff, []))))
         tail = 2.0 / prime_cutoff  # sum_{n > P} 1/(n(n-1)) = 1/P, doubled for -log(1-a) <= 2a
-    elif kind is ProductKind.P_SQ:
-        mask = ~np.isin(p, np.array(pf, dtype=np.float64)) if pf else np.ones(len(p), dtype=bool)
-        value = float(np.multiply.reduce(_factor_values(kind, p[mask])))
-        tail = 2.0 / (prime_cutoff - 1)  # sum_{n > P} 1/(n-1)^2 <= 1/(P-1), doubled
     else:
-        mask = ~np.isin(p, np.array(pf, dtype=np.float64)) if pf else np.ones(len(p), dtype=bool)
-        value = float(np.multiply.reduce(_factor_values(kind, p[mask])))
-        tail = 2.0 / prime_cutoff  # sum_{n > P} 1/n^2 <= 1/P, doubled
+        value = float(np.multiply.reduce(_factor_values(kind, _float_primes(prime_cutoff, pf))))
+        if kind is ProductKind.P_SQ:
+            tail = 2.0 / (prime_cutoff - 1)  # sum_{n > P} 1/(n-1)^2 <= 1/(P-1), doubled
+        else:
+            tail = 2.0 / prime_cutoff  # sum_{n > P} 1/n^2 <= 1/P, doubled
     out = RestrictedProduct(kind=kind, N=N, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)
     _PRODUCT_CACHE[key] = out
     return out

@@ -458,8 +458,11 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Pairwise sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
-    numpy's pairwise summation (np.sum, not a BLAS dot) has a fixed reduction
-    order for a given array length, so the result is deterministic; it stays
+    The squares come from the config's cached residual square (built on the
+    first call, 8 bytes per n up to tables.limit, kept with the config), so
+    each class is one strided sum with no gather or temporary.  numpy's
+    pairwise summation (np.sum, not a BLAS dot) has a fixed reduction order
+    for a given array length, so the result is deterministic; it stays
     within a few ulps of the exactly rounded math.fsum of the same squares.
     """
     _check_x(x, cfg.tables)
@@ -470,9 +473,7 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     start = N % v
     if start == 0:
         start = v
-    dv = cfg.tables.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
-    np.multiply(dv, dv, out=dv)  # squared in place: no second x/v-sized array
-    return float(np.sum(dv))
+    return float(np.sum(cfg._delta_sq_table()[start : x + 1 : v]))
 
 
 def _phi_small(v: int) -> int:

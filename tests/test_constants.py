@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from pytest import approx, raises
 
 from vaughanlab import (
@@ -14,7 +15,12 @@ from vaughanlab import (
     zeta2_inv,
 )
 from vaughanlab.arith import build_sieve, divisors, factorize, phi_of
-from vaughanlab.constants import _small_factorization, euler_gamma_bessel, euler_gamma_harmonic
+from vaughanlab.constants import (
+    _small_factorization,
+    euler_gamma_bessel,
+    euler_gamma_harmonic,
+    prime_array,
+)
 from vaughanlab.variance import _phi_small, _tau_small
 
 # 20-digit reference, rounded to the nearest double.
@@ -148,3 +154,49 @@ def test_small_factorization_matches_sieve():
         assert _small_factorization(n) == factorize(n, sieve), n
         assert _phi_small(n) == phi_of(n, sieve), n
         assert _tau_small(n) == len(divisors(n, sieve)), n
+
+
+def _bit_sieve_primes(cutoff):
+    """The full-range Eratosthenes bit sieve that prime_array replaced, kept as its oracle."""
+    comp = np.zeros(cutoff + 1, dtype=bool)
+    comp[:2] = True
+    for p in range(2, math.isqrt(cutoff) + 1):
+        if not comp[p]:
+            comp[p * p :: p] = True
+    return np.nonzero(~comp)[0].astype(np.int64)
+
+
+def test_prime_array_matches_bit_sieve():
+    for cutoff in [*range(2, 2001), 10**6 + 3]:
+        got = prime_array(cutoff)
+        want = _bit_sieve_primes(cutoff)
+        assert got.dtype == want.dtype == np.int64, cutoff
+        assert np.array_equal(got, want), cutoff
+
+
+def test_constants_bitwise_against_direct_formulas():
+    # logp_sum and restricted_product build their factors in place and drop
+    # the primes dividing N by index; the direct array formulas over the bit
+    # sieve's primes, with N's primes masked out, must agree to the last bit
+    for cutoff in (10**5, 10**6):
+        p = _bit_sieve_primes(cutoff).astype(np.float64)
+        want = math.fsum(np.log(p) / (p * (p - 1.0)))
+        assert logp_sum(cutoff)[0].hex() == want.hex(), cutoff
+    p = _bit_sieve_primes(10**7).astype(np.float64)
+    factors = {
+        ProductKind.P_PM1: lambda q: 1.0 - 1.0 / (q * (q - 1.0)),
+        ProductKind.P_SQ: lambda q: 1.0 - 1.0 / ((q - 1.0) * (q - 1.0)),
+        ProductKind.P_ZETA: lambda q: 1.0 - 1.0 / (q * q),
+    }
+    pm1_base = float(np.multiply.reduce(factors[ProductKind.P_PM1](p)))
+    for kind, factor in factors.items():
+        for n in (1, 2, 3, 4, 6, 12, 30, 2310):
+            pf = [q for q, _ in _small_factorization(n)]
+            if kind is ProductKind.P_PM1:
+                want = pm1_base
+                for q in pf:
+                    want /= 1.0 - 1.0 / (q * (q - 1.0))
+            else:
+                kept = p[~np.isin(p, np.array(pf, dtype=np.float64))]
+                want = float(np.multiply.reduce(factor(kept)))
+            assert restricted_product(kind, n).value.hex() == want.hex(), (kind, n)

@@ -514,6 +514,28 @@ def test_delta_sq_progression_matches_fsum(tables_1e5):
             assert delta_sq_progression(x, v, N, cfg) == approx(want, rel=1e-13), (v, N)
 
 
+def test_delta_sq_progression_matches_gather_bitwise(tables_1e5):
+    # the strided sum over the cached residual square adds the same squares in
+    # the same pairwise order as the gather-subtract-square it replaced
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    table = cfg.table()
+    table_before = table.copy()
+    assert cfg._delta_sq is None  # built by the first class sum, not before
+    for x in (tables_1e5.limit, 98_765):
+        for v in (1, 2, 6, 30, 59, 210):
+            for N in sorted({0, 1, v - 1, v, v + 1}):
+                start = N % v or v
+                dv = tables_1e5.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
+                np.multiply(dv, dv, out=dv)
+                want = float(np.sum(dv))
+                assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
+    sq = cfg._delta_sq_table()
+    assert cfg._delta_sq_table() is sq  # built once, kept with the config
+    assert not sq.flags.writeable
+    assert cfg.table() is table
+    assert np.array_equal(table, table_before)
+
+
 def test_coupled_prediction_v1_collapse(cs):
     for x, R in ((10**4, 10.0), (10**6, 50.0)):
         want = x * (math.log(x / R) - cs.c0)
