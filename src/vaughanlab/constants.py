@@ -10,7 +10,7 @@ The primes come from prime_array, an odd-only sieve of (cutoff + 1) // 2
 bools whose int64 result is cached per cutoff.  Each prime sum or product
 takes a fresh float64 copy of them and builds its terms in place in one
 further buffer, so at cutoff 10^7 (664,579 primes) a call holds about
-11 MB of temporaries.
+10 MB of temporaries.
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
