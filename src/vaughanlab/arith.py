@@ -2,6 +2,8 @@
 
 Provides:
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit]
+- prime_array: the primes <= cutoff from an odd-only sieve, the one prime
+  enumerator (FactorSieve.primes and the constants layer both read it)
 - ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays,
   built by striking only the primes p <= sqrt(limit) and then one vectorised
   pass over the single prime cofactor above sqrt(limit) that n may have
@@ -15,8 +17,9 @@ freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "ArithTables",
     "build_sieve",
     "build_tables",
+    "prime_array",
     "theta_progression",
     "psi_progression",
     "factorize",
@@ -50,14 +54,10 @@ class FactorSieve:
 
     limit: int
     spf: np.ndarray
-    _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending, as an int64 array (cached)."""
-        if self._primes is None:
-            ns = np.arange(self.limit + 1, dtype=np.int64)
-            self._primes = ns[(ns >= 2) & (self.spf == ns)]
-        return self._primes
+        """All primes <= limit, ascending, as a read-only int64 array: prime_array(limit)."""
+        return prime_array(self.limit)
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
@@ -68,6 +68,31 @@ class FactorSieve:
             raise ValueError(f"n must be nonnegative, got {n}")
         if n > self.limit:
             raise TableRangeError(f"n = {n} exceeds sieve limit {self.limit}")
+
+
+# Two entries: the prime cutoff of the constants and the limit of the current tables.
+@functools.lru_cache(maxsize=2)
+def prime_array(cutoff: int) -> np.ndarray:
+    """All primes <= cutoff as a read-only ascending int64 array, via an odd-only sieve.
+
+    Entry i of the sieve stands for the odd number 2i + 1, so the sieve is
+    (cutoff + 1) // 2 bools; each odd prime p <= sqrt(cutoff) strikes its odd
+    multiples from p^2 on.  Entry 0 (the number 1) is left set and its slot in
+    the result becomes the prime 2.
+    """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    odd = np.ones((cutoff + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(cutoff) - 1) // 2 + 1):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    primes.setflags(write=False)
+    return primes
 
 
 def build_sieve(limit: int) -> FactorSieve:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -38,12 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arith import ArithTables, build_sieve, build_tables
+from .arith import ArithTables, build_sieve, build_tables, prime_array
 from .constants import (
     ConstantSet,
     ProductKind,
+    _small_factorization,
     constant_set,
-    prime_array,
     restricted_product,
     t_of_n,
 )
@@ -153,12 +154,15 @@ def config_from_text(text: str) -> ExperimentConfig:
 
 
 def _parse_field(key: str, val: str):
-    if key == "v_list":
-        return [int(v) for v in val.split(",") if v.strip()]
-    if key in ("x", "q", "prime_cutoff", "threads", "n_shift"):
-        return int(val)
-    if key in ("b_exp", "r", "g_exp"):
-        return float(val)
+    try:
+        if key == "v_list":
+            return [int(v) for v in val.split(",") if v.strip()]
+        if key in ("x", "q", "prime_cutoff", "threads", "n_shift"):
+            return int(val)
+        if key in ("b_exp", "r", "g_exp"):
+            return float(val)
+    except ValueError as e:
+        raise UsageError(f"bad value for {key}: {val!r}") from e
     return val
 
 
@@ -185,39 +189,55 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_TABLE_CACHE: dict[int, ArithTables] = {}
-_FR_CACHE: dict[tuple[int, float], FRConfig] = {}
-
-
+# One entry each: consecutive runs at the same x and R (as in the suite) share
+# the tables and F_R config; a run at a new x or R lets the old ones go.
+@functools.lru_cache(maxsize=1)
 def _tables_for(limit: int) -> ArithTables:
-    if limit not in _TABLE_CACHE:
-        _TABLE_CACHE[limit] = build_tables(build_sieve(limit))
-    return _TABLE_CACHE[limit]
+    return build_tables(build_sieve(limit))
 
 
+@functools.lru_cache(maxsize=1)
 def _fr_for(limit: int, r: float) -> FRConfig:
-    key = (limit, float(r))
-    if key not in _FR_CACHE:
-        _FR_CACHE[key] = FRConfig(R=r, tables=_tables_for(limit))
-    return _FR_CACHE[key]
+    return FRConfig(R=r, tables=_tables_for(limit))
 
 
 def _resolve_q(cfg: ExperimentConfig) -> int:
     if (cfg.q is None) == (cfg.b_exp is None):
         raise UsageError("give exactly one of Q (--Q) or B (--B)")
-    if cfg.q is not None:
-        return cfg.q
     x = _require_x(cfg)
-    return int(math.floor(x * math.log(x) ** (-cfg.b_exp)))
+    q = cfg.q if cfg.q is not None else int(math.floor(x * math.log(x) ** (-cfg.b_exp)))
+    if not 1 <= q <= x:
+        raise UsageError(f"Q must satisfy 1 <= Q <= x, got Q = {q}, x = {x}")
+    return q
 
 
 def _resolve_r(cfg: ExperimentConfig) -> float:
     if (cfg.r is None) == (cfg.g_exp is None):
         raise UsageError("give exactly one of R (--R) or G (--G)")
-    if cfg.r is not None:
-        return float(cfg.r)
     x = _require_x(cfg)
-    return math.log(x) ** cfg.g_exp
+    r = float(cfg.r) if cfg.r is not None else math.log(x) ** cfg.g_exp
+    if not 1 <= r <= x:
+        raise UsageError(f"R must satisfy 1 <= R <= x, got R = {r:g}, x = {x}")
+    return r
+
+
+def _resolve_n(cfg: ExperimentConfig, least: int) -> int:
+    if cfg.n_shift < least:
+        raise UsageError(f"N must be >= {least} for {cfg.command}, got {cfg.n_shift}")
+    return cfg.n_shift
+
+
+def _resolve_v_list(cfg: ExperimentConfig, x: int) -> list[int]:
+    for v in cfg.v_list:
+        if not 1 <= v <= x or any(e > 1 for _, e in _small_factorization(v)):
+            raise UsageError(f"each v must be squarefree with 1 <= v <= x, got v = {v}, x = {x}")
+    return cfg.v_list
+
+
+def _resolve_threads(cfg: ExperimentConfig) -> int:
+    if cfg.threads < 0:
+        raise UsageError(f"threads must be >= 0, got {cfg.threads}")
+    return cfg.threads or (os.cpu_count() or 1)
 
 
 def _require_x(cfg: ExperimentConfig) -> int:
@@ -381,7 +401,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 
     out = _out_dir(cfg)
     checksums: dict[str, str] = {}
-    derived: dict = {"threads": cfg.threads or (os.cpu_count() or 1), "tables_s": 0.0}
+    derived: dict = {"threads": _resolve_threads(cfg), "tables_s": 0.0}
 
     if cfg.command == "constants":
         rows = _constants_rows(cfg.prime_cutoff)
@@ -408,10 +428,12 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             raise UsageError(
                 f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
             )
+        v_list = _resolve_v_list(cfg, x)
+        n_shift = _resolve_n(cfg, 0)
         derived["R"] = r
         fr = _timed(derived, _fr_for, x, r)
         cs = constant_set(cfg.prime_cutoff)
-        rows = _theorem3_rows(x, r, cfg.v_list, cfg.n_shift, fr, cs)
+        rows = _theorem3_rows(x, r, v_list, n_shift, fr, cs)
         columns = RESULT_COLUMNS
         checksums["lambda_sha256"] = _sha256(fr.tables.lam)
         checksums["fr_sha256"] = _sha256(fr.table())
@@ -429,11 +451,13 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         else:
             r = _resolve_r(cfg)
             q_low = _resolve_q_low(cfg, x, r)
+            if q_low >= q:
+                raise UsageError(f"Q_low must be below Q = {q}, got {q_low:g}")
+            restriction = RestrictionMode(mode, _resolve_n(cfg, 1) if mode is Mode.SHIFT_COPRIME else 0)
             derived["R"] = r
             derived["Q_low"] = q_low
             fr = _timed(derived, _fr_for, x, r)
             cs = constant_set(cfg.prime_cutoff)
-            restriction = RestrictionMode(mode, cfg.n_shift if mode is Mode.SHIFT_COPRIME else 0)
             vrun = variance_sum(
                 x, q, fr, restriction, weight=weight, q_low=q_low, threads=threads, constants=cs
             )
@@ -491,25 +515,15 @@ def _run_suite(cfg: ExperimentConfig) -> RunManifest:
     plan = _SUITE_QUICK if cfg.scale == "quick" else _SUITE_DESK
     manifest_paths = []
     for command, overrides in plan:
-        sub = dataclasses.replace(
-            cfg,
-            command=command,
-            output_dir=str(out / command),
-            q=None,
-            b_exp=None,
-            r=None,
-            g_exp=None,
-            **{},
-        )
-        for k, v in overrides.items():
-            setattr(sub, k, v)
-        run(sub)
+        # Q and R come from the plan alone, never from the suite's own config
+        fields = {"q": None, "b_exp": None, "r": None, "g_exp": None, **overrides}
+        run(dataclasses.replace(cfg, command=command, output_dir=str(out / command), **fields))
         manifest_paths.append(str(out / command / "manifest.json"))
     text = report(manifest_paths)
     (out / "report.txt").write_text(text)
     manifest = RunManifest(
         config=dataclasses.asdict(cfg),
-        derived={"runs": [p for p in manifest_paths]},
+        derived={"runs": list(manifest_paths)},
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         checksums={},
@@ -652,7 +666,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             val = getattr(args, f.name)
             if val is not None:
                 if f.name == "v_list" and isinstance(val, str):
-                    val = [int(v) for v in val.split(",") if v.strip()]
+                    val = _parse_field("v_list", val)
                 setattr(base, f.name, val)
     return base
 

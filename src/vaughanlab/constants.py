@@ -6,11 +6,12 @@ over enumerated primes up to an explicit cutoff, and every truncated quantity
 carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
-The primes come from prime_array, an odd-only sieve of (cutoff + 1) // 2
-bools whose int64 result is cached per cutoff.  Each prime sum or product
-takes a fresh float64 copy of them and builds its terms in place in one
-further buffer, so at cutoff 10^7 (664,579 primes) a call holds about
-10 MB of temporaries.
+The primes come from arith.prime_array, an odd-only sieve of (cutoff + 1) // 2
+bools whose read-only int64 result is cached for the last two cutoffs.  Each
+prime sum or product takes a fresh float64 copy of them and builds its terms
+in place in one further buffer, so at cutoff 10^7 (664,579 primes) a call
+holds about 10 MB of temporaries.  euler_gamma is computed once per process,
+and restricted_product keeps its 128 most recent results (functools.lru_cache).
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
@@ -26,10 +27,13 @@ Main entries:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .arith import prime_array
 
 __all__ = [
     "euler_gamma",
@@ -46,34 +50,6 @@ __all__ = [
     "t_of_n",
     "prime_array",
 ]
-
-_PRIME_CACHE: dict[int, np.ndarray] = {}
-_PRODUCT_CACHE: dict[tuple[str, int, int], "RestrictedProduct"] = {}
-_GAMMA: float | None = None
-
-
-def prime_array(cutoff: int) -> np.ndarray:
-    """All primes <= cutoff as ascending int64, via an odd-only Eratosthenes sieve (cached).
-
-    Entry i of the sieve stands for the odd number 2i + 1, so the sieve is
-    (cutoff + 1) // 2 bools; each odd prime p <= sqrt(cutoff) strikes its odd
-    multiples from p^2 on.  Entry 0 (the number 1) is left set and its slot in
-    the result becomes the prime 2.
-    """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    if cutoff not in _PRIME_CACHE:
-        odd = np.ones((cutoff + 1) // 2, dtype=bool)
-        for i in range(1, (math.isqrt(cutoff) - 1) // 2 + 1):
-            if odd[i]:
-                p = 2 * i + 1
-                odd[p * p // 2 :: p] = False
-        primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-        primes *= 2
-        primes += 1
-        primes[0] = 2
-        _PRIME_CACHE[cutoff] = primes
-    return _PRIME_CACHE[cutoff]
 
 
 def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
@@ -117,17 +93,15 @@ def euler_gamma_bessel(n: int = 12) -> float:
     return math.fsum(a_terms) / math.fsum(b_terms) - math.log(n)
 
 
+@functools.cache
 def euler_gamma() -> float:
     """Euler's constant, computed by two independent methods and cross-checked."""
-    global _GAMMA
-    if _GAMMA is None:
-        g1 = euler_gamma_harmonic()
-        g2 = euler_gamma_bessel()
-        if abs(g1 - g2) > 1e-12:
-            raise ArithmeticError(f"gamma methods disagree: {g1!r} vs {g2!r}")
-        # Bessel-ratio path carries less cancellation; keep it as the value.
-        _GAMMA = g2
-    return _GAMMA
+    g1 = euler_gamma_harmonic()
+    g2 = euler_gamma_bessel()
+    if abs(g1 - g2) > 1e-12:
+        raise ArithmeticError(f"gamma methods disagree: {g1!r} vs {g2!r}")
+    # Bessel-ratio path carries less cancellation; keep it as the value.
+    return g2
 
 
 def logp_sum(prime_cutoff: int) -> tuple[float, float]:
@@ -237,6 +211,7 @@ def _small_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@functools.lru_cache
 def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> RestrictedProduct:
     """Evaluate the truncated Euler product, omitting primes dividing N.
 
@@ -249,9 +224,6 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    key = (kind.value, N, prime_cutoff)
-    if key in _PRODUCT_CACHE:
-        return _PRODUCT_CACHE[key]
     pf = [p for p, _ in _small_factorization(N)]
     if pf and max(pf) > prime_cutoff:
         raise ValueError(
@@ -271,9 +243,7 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
             tail = 2.0 / (prime_cutoff - 1)  # sum_{n > P} 1/(n-1)^2 <= 1/(P-1), doubled
         else:
             tail = 2.0 / prime_cutoff  # sum_{n > P} 1/n^2 <= 1/P, doubled
-    out = RestrictedProduct(kind=kind, N=N, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)
-    _PRODUCT_CACHE[key] = out
-    return out
+    return RestrictedProduct(kind=kind, N=N, value=value, prime_cutoff=prime_cutoff, tail_bound=tail)
 
 
 @dataclass(frozen=True)

@@ -226,6 +226,16 @@ def rho(x: int, d: int, b: int, cfg: FRConfig) -> float:
     return float(t[: x + 1][b::d].sum())
 
 
+def _class_start(x: int, v: int, N: int, tables: ArithTables) -> int:
+    """The least n >= 1 with n = N (mod v), once x <= limit, squarefree v and N >= 0 are checked."""
+    _check_x(x, tables)
+    if v < 1 or v > tables.limit or tables.mu[v] == 0:
+        raise ValueError(f"v must be a squarefree modulus within the tables, got {v}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    return N % v or v
+
+
 def rho_star(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Oscillating remainder sum over moduli r1 <= R that do not divide v.
 
@@ -234,15 +244,7 @@ def rho_star(x: int, v: int, N: int, cfg: FRConfig) -> float:
     as a literal double sum and returns its real part; the imaginary part must
     vanish to within 1e-6 absolute or an ArithmeticError is raised.
     """
-    _check_x(x, cfg.tables)
-    if v < 1 or v > cfg.tables.limit or cfg.tables.mu[v] == 0:
-        raise ValueError(f"v must be a squarefree modulus within the tables, got {v}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    start = N % v
-    if start == 0:
-        start = v
-    ns = np.arange(start, x + 1, v, dtype=np.int64)
+    ns = np.arange(_class_start(x, v, N, cfg.tables), x + 1, v, dtype=np.int64)
     mu = cfg.tables.mu
     phi = cfg.tables.phi
     total = 0j
@@ -350,19 +352,6 @@ def _coprime_mu2_over_phi(y: float, v: int, tables: ArithTables) -> float:
     return math.fsum(1.0 / tables.phi[b[np.gcd(b, v) == 1]])
 
 
-_CR_PERIOD_CACHE: dict[int, np.ndarray] = {}
-
-
-def _cr_period(r: int, sieve: FactorSieve) -> np.ndarray:
-    """Length-r read-only table of C_r(n) indexed by n mod r."""
-    arr = _CR_PERIOD_CACHE.get(r)
-    if arr is None:
-        arr = np.array([ramanujan_sum(r, n, sieve) for n in range(r)], dtype=np.int64)
-        arr.setflags(write=False)
-        _CR_PERIOD_CACHE[r] = arr
-    return arr
-
-
 def fr_square_progression_mean(v: int, N: int, cfg: FRConfig) -> float:
     """Exact asymptotic mean of F_R(n)^2 on the class n = N (mod v), scaled so
     sum_{n <= x, n = N (mod v)} F_R(n)^2 ~ (x/v) * (returned value).
@@ -384,15 +373,16 @@ def fr_square_progression_mean(v: int, N: int, cfg: FRConfig) -> float:
     n0 = N % v
     sf = [r for r in range(1, cfg.r_int + 1) if mu[r] != 0]
     weights = {r: int(mu[r]) / float(phi[r]) for r in sf}
+    # C_r(n) over one period n = 0..r-1, for each squarefree r <= R
+    cr = {r: np.array([ramanujan_sum(r, n, sieve) for n in range(r)], dtype=np.int64) for r in sf}
     parts: list[float] = []
     for r in sf:
-        table_r = _cr_period(r, sieve)
         for r1 in sf:
             g = math.gcd(r, r1)
             if v % (r // g) or v % (r1 // g):
                 continue
             period = math.lcm(r, r1, v) // v
             ns = n0 + v * np.arange(period, dtype=np.int64)
-            total = int((table_r[ns % r] * _cr_period(r1, sieve)[ns % r1]).sum())
+            total = int((cr[r][ns % r] * cr[r1][ns % r1]).sum())
             parts.append(weights[r] * weights[r1] * (total / period))
     return math.fsum(parts)

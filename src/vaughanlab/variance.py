@@ -49,6 +49,7 @@ from .arith import ArithTables, _check_x
 from .constants import ConstantSet, ProductKind, _small_factorization, restricted_product
 from .frmodel import (
     FRConfig,
+    _class_start,
     _coprime_mu2_over_phi,
     delta_indicator,
     mu2_over_phi_sum,
@@ -404,8 +405,8 @@ def variance_sum(
 ) -> VarianceRun:
     """Banded variance over moduli Q_low < d <= Q against the F_R model.
 
-    With constants supplied, the matching main-term prediction (by restriction
-    mode) is attached, scaled to the band by (Q - Q_low).
+    With constants supplied, the main-term prediction of the restriction's
+    shift (None: all classes) is attached, scaled to the band by (Q - Q_low).
     """
     _check_x(x, cfg.tables)
     if q < 1 or q > x:
@@ -434,12 +435,10 @@ def variance_sum(
         wall_time_ms=wall_ms,
     )
     if constants is not None:
-        if restriction.mode is Mode.ALL:
+        if restriction.shift is None:
             pred = vaughan_prediction(x, q, cfg.R, constants, q_low=q_low)
-        elif restriction.mode is Mode.COPRIME:
-            pred = theorem5_prediction(x, q, cfg.R, constants, q_low=q_low)
         else:
-            pred = theorem4_prediction(x, q, restriction.N, cfg.R, constants, q_low=q_low)
+            pred = _restricted_prediction(x, q, restriction.shift, cfg.R, constants, q_low)
         _attach_prediction(run, pred)
     return run
 
@@ -465,14 +464,7 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     for a given array length, so the result is deterministic; it stays
     within a few ulps of the exactly rounded math.fsum of the same squares.
     """
-    _check_x(x, cfg.tables)
-    if v < 1 or v > cfg.tables.limit or cfg.tables.mu[v] == 0:
-        raise ValueError(f"v must be a squarefree modulus within the tables, got {v}")
-    if N < 0:
-        raise ValueError(f"N must be >= 0, got {N}")
-    start = N % v
-    if start == 0:
-        start = v
+    start = _class_start(x, v, N, cfg.tables)
     return float(np.sum(cfg._delta_sq_table()[start : x + 1 : v]))
 
 
@@ -615,11 +607,6 @@ def _coprime_mu2_over_phi_main_terms(v: int, c2: float) -> Callable[[float], flo
     return lambda y: density * (math.log(y) + c2 + log_sum)
 
 
-def _coprime_mu2_over_phi_asymptotic(y: float, v: int, c2: float) -> float:
-    """(phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y)."""
-    return _coprime_mu2_over_phi_main_terms(v, c2)(y)
-
-
 def theorem3_coupled_prediction(
     x: int, v: int, N: int, R: float, constants: ConstantSet
 ) -> Prediction:
@@ -686,16 +673,35 @@ def _restricted_main_terms(
     }
 
 
+def _restricted_prediction(
+    x: int, q: int, shift: int, R: float, constants: ConstantSet, q_low: float
+) -> Prediction:
+    """Main terms on the classes gcd(shift - b, d) = 1: theorem5 at shift 0, theorem4 at N.
+
+    P_PM1 and P_SQ run over the primes p not| shift; every prime divides 0, so
+    at shift 0 both are empty (1.0) and carry no truncation error.
+    """
+    cut = constants.prime_cutoff
+    pzeta = restricted_product(ProductKind.P_ZETA, 1, cut).value
+    pm1_1 = restricted_product(ProductKind.P_PM1, 1, cut).value
+    budget = _band_budget(x, q, R)
+    if shift == 0:
+        pm1_n = psq_n = 1.0
+    else:
+        pm1_n = restricted_product(ProductKind.P_PM1, shift, cut).value
+        psq_n = restricted_product(ProductKind.P_SQ, shift, cut).value
+        budget += f"; product truncation (relative) <= {4.0 / cut:.1e}"
+    terms = _restricted_main_terms(
+        x, _banded(q, q_low), R, constants, pm1_n=pm1_n, psq_n=psq_n, pzeta=pzeta, pm1_1=pm1_1
+    )
+    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
+
+
 def theorem5_prediction(
     x: int, q: int, R: float, constants: ConstantSet, q_low: float = 0.0
 ) -> Prediction:
     """Reduced-residue main terms: the shifted form with both restricted products at 1."""
-    pzeta = restricted_product(ProductKind.P_ZETA, 1, constants.prime_cutoff).value
-    pm1_1 = restricted_product(ProductKind.P_PM1, 1, constants.prime_cutoff).value
-    terms = _restricted_main_terms(
-        x, _banded(q, q_low), R, constants, pm1_n=1.0, psq_n=1.0, pzeta=pzeta, pm1_1=pm1_1
-    )
-    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=_band_budget(x, q, R))
+    return _restricted_prediction(x, q, 0, R, constants, q_low)
 
 
 def theorem4_prediction(
@@ -708,16 +714,7 @@ def theorem4_prediction(
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    cut = constants.prime_cutoff
-    pm1_n = restricted_product(ProductKind.P_PM1, N, cut).value
-    psq_n = restricted_product(ProductKind.P_SQ, N, cut).value
-    pzeta = restricted_product(ProductKind.P_ZETA, 1, cut).value
-    pm1_1 = restricted_product(ProductKind.P_PM1, 1, cut).value
-    terms = _restricted_main_terms(
-        x, _banded(q, q_low), R, constants, pm1_n=pm1_n, psq_n=psq_n, pzeta=pzeta, pm1_1=pm1_1
-    )
-    budget = _band_budget(x, q, R) + f"; product truncation (relative) <= {4.0 / cut:.1e}"
-    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
+    return _restricted_prediction(x, q, N, R, constants, q_low)
 
 
 def bdh_variance(

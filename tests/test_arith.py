@@ -18,7 +18,8 @@ from vaughanlab import (
     psi_progression,
     theta_progression,
 )
-from vaughanlab.arith import mu_of, phi_of
+from vaughanlab.arith import mu_of, phi_of, prime_array
+from vaughanlab.constants import prime_array as constants_prime_array
 
 
 def brute_divisors(n):
@@ -47,6 +48,28 @@ def test_primes_and_is_prime(tables_small):
         assert (n in ps) == all(n % q != 0 for q in range(2, n))
     with raises(TableRangeError):
         sieve.is_prime(10**9)
+
+
+def _mask_primes(sieve):
+    """The arange/mask expression FactorSieve.primes used before it read prime_array, kept as its oracle."""
+    ns = np.arange(sieve.limit + 1, dtype=np.int64)
+    return ns[(ns >= 2) & (sieve.spf == ns)]
+
+
+def test_sieve_primes_match_mask_expression():
+    for n in [*range(2, 2001), 10**6 + 3]:
+        sieve = build_sieve(n)
+        got, want = sieve.primes(), _mask_primes(sieve)
+        assert got.dtype == want.dtype == np.int64, n
+        assert np.array_equal(got, want), n
+
+
+def test_prime_arrays_are_read_only():
+    assert constants_prime_array is prime_array
+    for arr in (prime_array(1000), build_sieve(997).primes(), build_sieve(1000).primes()):
+        assert not arr.flags.writeable
+        with raises(ValueError):
+            arr[0] = 3
 
 
 @settings(deadline=None)

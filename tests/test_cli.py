@@ -1,15 +1,18 @@
 """Command-line front end tests: parsing, file outputs, determinism, reports."""
 
 import csv
+import gc
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 from pytest import approx, raises
 
+import vaughanlab.cli as cli
 from vaughanlab import (
     bdh_variance,
     build_sieve,
@@ -291,3 +294,51 @@ def test_json_echo_format(tmp_path, capsys):
     assert code == 0, err
     rows = json.loads(out)
     assert len(rows) == 10 and rows[0]["n"] == 1
+
+
+def test_cli_frees_the_tables_of_an_earlier_x(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fr-table", "--x", "60", "--R", "5", "--out", str(tmp_path / "a"))
+    assert code == 0, err
+    first = weakref.ref(cli._fr_for(60, 5.0))
+    first_tables = weakref.ref(first().tables)
+    code, _, err = run_cli(capsys, "fr-table", "--x", "70", "--R", "5", "--out", str(tmp_path / "b"))
+    assert code == 0, err
+    gc.collect()
+    assert first() is None
+    assert first_tables() is None
+
+
+CONFIG_FILE = "<config x = abc>"
+BAD_VALUES = [
+    ("vaughan", "--x", "1000", "--Q", "0", "--R", "10"),
+    ("vaughan", "--x", "1000", "--Q", "1001", "--R", "10"),
+    ("theorem5", "--x", "1000", "--B", "20", "--R", "10"),  # Q = floor(x (log x)^-20) = 0
+    ("bdh", "--x", "1000", "--Q", "0"),
+    ("theorem3", "--x", "1000", "--R", "5", "--v", "1,4"),
+    ("theorem3", "--x", "1000", "--R", "5", "--v", "0"),
+    ("theorem3", "--x", "1000", "--R", "5", "--v", "1001"),
+    ("theorem3", "--x", "1000", "--R", "5", "--N", "-1"),
+    ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "0"),
+    ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--threads", "-3"),
+    ("theorem3", "--x", "1000", "--R", "5", "--v", "1,a"),
+    ("fr-table", "--config", CONFIG_FILE, "--R", "5"),
+    ("vaughan", "--x", "1000", "--Q", "100", "--R", "0.5"),
+    ("fr-table", "--x", "100", "--R", "101"),
+    ("theorem5", "--x", "1000", "--Q", "50", "--R", "10", "--q-low", "auto"),  # Q_low = 100 >= Q
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=[" ".join(a) for a in BAD_VALUES])
+def test_bad_values_exit_2_before_any_table(argv, tmp_path, monkeypatch, capsys):
+    def no_sieve(limit):
+        pytest.fail(f"build_sieve({limit}) ran before the values were checked")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    cli._tables_for.cache_clear()
+    cli._fr_for.cache_clear()
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("x = abc\n")
+    argv = [str(cfg_file) if a == CONFIG_FILE else a for a in argv]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2, err
+    assert json.loads(err)["error"] == "usage"

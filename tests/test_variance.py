@@ -37,7 +37,7 @@ from vaughanlab.variance import (
     _bucket_band_sum,
     _bucket_sums,
     _coprime_first_moments,
-    _coprime_mu2_over_phi_asymptotic,
+    _coprime_mu2_over_phi_main_terms,
     _crt_class_mean,
     _lag_band_sum,
     _lag_route,
@@ -442,11 +442,11 @@ def test_coupled_g_asymptotic_within_partial_sum_bound(tables_1e5, cs):
     for v in (1, 2, 3, 5, 6, 7, 10, 30, 210):
         exact = _coprime_partial_sums(v, tables_1e5, ymax)
         # the main terms are affine in log y with slope phi(v)/v
-        base = _coprime_mu2_over_phi_asymptotic(1.0, v, cs.c2)
-        slope = _coprime_mu2_over_phi_asymptotic(math.e, v, cs.c2) - base
+        base = _coprime_mu2_over_phi_main_terms(v, cs.c2)(1.0)
+        slope = _coprime_mu2_over_phi_main_terms(v, cs.c2)(math.e) - base
         assert slope == approx(tables_1e5.phi[v] / v, rel=1e-12)
         for y in (2.5, 300.0, 4e4):
-            assert _coprime_mu2_over_phi_asymptotic(y, v, cs.c2) == approx(
+            assert _coprime_mu2_over_phi_main_terms(v, cs.c2)(y) == approx(
                 base + slope * math.log(y), rel=1e-12
             )
         at_k = np.abs(exact - (base + slope * np.log(k))) * np.sqrt(k)
