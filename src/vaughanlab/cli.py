@@ -399,6 +399,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.command == "report":
         raise UsageError("report takes manifest paths, not a run config")
 
+    if cfg.prime_cutoff < 10:
+        raise UsageError(f"prime cutoff must be >= 10, got {cfg.prime_cutoff}")
     out = _out_dir(cfg)
     checksums: dict[str, str] = {}
     derived: dict = {"threads": _resolve_threads(cfg), "tables_s": 0.0}

@@ -320,6 +320,7 @@ BAD_VALUES = [
     ("theorem3", "--x", "1000", "--R", "5", "--N", "-1"),
     ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "0"),
     ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--threads", "-3"),
+    ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--cutoff", "5"),
     ("theorem3", "--x", "1000", "--R", "5", "--v", "1,a"),
     ("fr-table", "--config", CONFIG_FILE, "--R", "5"),
     ("vaughan", "--x", "1000", "--Q", "100", "--R", "0.5"),
