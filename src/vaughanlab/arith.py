@@ -5,8 +5,7 @@ Provides:
 - prime_array: the primes <= cutoff from an odd-only sieve, the one prime
   enumerator (FactorSieve.primes and the constants layer both read it)
 - ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays,
-  built by striking only the primes p <= sqrt(limit) and then one vectorised
-  pass over the single prime cofactor above sqrt(limit) that n may have
+  built in ascending blocks of n by one recurrence from n / spf(n)
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -114,11 +113,14 @@ def build_sieve(limit: int) -> FactorSieve:
             seg = spf[p * p :: p]
             seg[seg == 0] = p
     # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
-    ns = np.arange(limit + 1, dtype=np.int32)
-    rest = spf == 0
-    spf[rest] = ns[rest]
-    spf[0] = spf[1] = 0
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
     return FactorSieve(limit=limit, spf=spf)
+
+
+# Largest block of the build_tables recurrence: each block gathers through int64
+# index arrays of its own length, so the cap keeps every temporary near 8 MB.
+_BLOCK_CAP = 2**20
 
 
 @dataclass
@@ -145,50 +147,38 @@ class ArithTables:
 def build_tables(sieve: FactorSieve) -> ArithTables:
     """Build Lambda, mu, phi and the prime-log weight from a factor sieve.
 
-    Only the primes p <= sqrt(limit) are struck one at a time.  Each flips mu
-    on its multiples and zeroes it on multiples of p^2, applies the factor
-    (1 - 1/p) to phi, sets Lambda(p^k) = log p for k >= 2, and divides every
-    power p^k out of the cofactor array rem.  Any n <= limit has at most one
-    prime factor q > sqrt(limit), and it divides n exactly once, so after the
-    loop rem[n] is either 1 or that q.  One vectorised pass over rem > 1 then
-    flips mu and applies (1 - 1/q) to phi; the division by q is exact because
-    phi[n] is still q times the totient of n / q.
+    One recurrence on the smallest prime factor.  For n >= 2 let p = spf[n],
+    m = n // p and again = (spf[m] == p), which holds exactly when p^2 | n:
+
+        phi[n] = phi[m] * (p - 1 + again)
+        mu[n] = 0 if again else -mu[m]
+        Lambda[n] = log p if m == 1, or if again and Lambda[m] > 0; else 0
+
+    m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + cap)), each
+    a vectorised gather from blocks already built.  Lambda copies its log p
+    from the prime-log weight, so every power of p carries the same float.
     """
     limit = sieve.limit
+    spf = sieve.spf
     primes = sieve.primes()
 
     theta = np.zeros(limit + 1, dtype=np.float64)
     theta[primes] = np.log(primes.astype(np.float64))
-    lam = theta.copy()
+    lam = np.zeros(limit + 1, dtype=np.float64)
+    mu = np.zeros(limit + 1, dtype=np.int8)
+    phi = np.zeros(limit + 1, dtype=np.int64)
+    mu[1] = phi[1] = 1
 
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    phi = np.arange(limit + 1, dtype=np.int64)
-    rem = np.arange(limit + 1, dtype=np.int32)
-    rem[0] = 1
-    for p in primes[primes <= math.isqrt(limit)].tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        seg = phi[p::p]
-        seg //= p
-        seg *= p - 1
-        lp = math.log(p)
-        pk = p
-        while pk <= limit:
-            rem[pk::pk] //= p
-            if pk > p:
-                lam[pk] = lp
-            pk *= p
-
-    # rem[n] > 1 is the one prime factor q of n above sqrt(limit).  In-place
-    # masked ufuncs: about two thirds of n have such a q, so gathered copies
-    # would cost several x-sized temporaries.
-    big = rem > 1
-    np.negative(mu, out=mu, where=big)
-    np.floor_divide(phi, rem, out=phi, where=big)
-    rem -= 1
-    np.multiply(phi, rem, out=phi, where=big)
-    del rem, big
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + _BLOCK_CAP, limit + 1)
+        p = spf[lo:hi].astype(np.int64)
+        m = np.arange(lo, hi, dtype=np.int64) // p
+        again = spf[m] == p
+        phi[lo:hi] = phi[m] * (p - 1 + again)
+        mu[lo:hi] = np.where(again, 0, -mu[m])
+        lam[lo:hi] = np.where((m == 1) | (again & (lam[m] > 0)), theta[p], 0.0)
+        lo = hi
 
     return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)
 

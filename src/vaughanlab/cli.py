@@ -227,6 +227,13 @@ def _resolve_n(cfg: ExperimentConfig, least: int) -> int:
     return cfg.n_shift
 
 
+def _resolve_shift(cfg: ExperimentConfig) -> int:
+    n = _resolve_n(cfg, 1)
+    if any(p > cfg.prime_cutoff for p, _ in _small_factorization(n)):
+        raise UsageError(f"N = {n} has a prime factor above the prime cutoff {cfg.prime_cutoff}")
+    return n
+
+
 def _resolve_v_list(cfg: ExperimentConfig, x: int) -> list[int]:
     for v in cfg.v_list:
         if not 1 <= v <= x or any(e > 1 for _, e in _small_factorization(v)):
@@ -243,8 +250,8 @@ def _resolve_threads(cfg: ExperimentConfig) -> int:
 def _require_x(cfg: ExperimentConfig) -> int:
     if cfg.x is None:
         raise UsageError(f"command {cfg.command!r} requires --x")
-    if cfg.x < 2:
-        raise UsageError(f"x must be >= 2, got {cfg.x}")
+    if not 2 <= cfg.x < 2**31:
+        raise UsageError(f"x must satisfy 2 <= x < 2^31 (the int32 sieve), got {cfg.x}")
     return cfg.x
 
 
@@ -455,7 +462,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             q_low = _resolve_q_low(cfg, x, r)
             if q_low >= q:
                 raise UsageError(f"Q_low must be below Q = {q}, got {q_low:g}")
-            restriction = RestrictionMode(mode, _resolve_n(cfg, 1) if mode is Mode.SHIFT_COPRIME else 0)
+            restriction = RestrictionMode(mode, _resolve_shift(cfg) if mode is Mode.SHIFT_COPRIME else 0)
             derived["R"] = r
             derived["Q_low"] = q_low
             fr = _timed(derived, _fr_for, x, r)

@@ -36,6 +36,7 @@ are bit-identical for any thread count.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import time
@@ -544,17 +545,7 @@ def theorem3_refined_prediction(
     theorem3_coupled_prediction.
     """
     _check_theorem3_args(x, v, cfg.R)
-    ind = delta_indicator(N, v)
-    phi_v = _phi_small(v)
     tau_v = _tau_small(v)
-    lx = math.log(x)
-    mean = _crt_class_mean(v, N, cfg.R, lambda y: _coprime_mu2_over_phi(y, v, cfg.tables))
-    terms = {
-        "lambda_sq_term": ind * (x / phi_v) * (lx - 1.0),
-        "cross_term": -2.0 * ind * (x / phi_v) * mu2_over_phi_sum(cfg.R, cfg.tables),
-        "mean_sq_term": (x / v) * mean,
-    }
-    total = math.fsum(terms.values())
     budget = (
         "O-terms at these parameters: "
         f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(cfg.R)):.3e}; "
@@ -562,7 +553,24 @@ def theorem3_refined_prediction(
         f"tau(v)*R = {tau_v * cfg.R:.3e}; "
         "x*exp(-c*sqrt(log x)) with ineffective c"
     )
-    return Prediction(terms=terms, total=total, error_budget=budget)
+    g = functools.partial(_coprime_mu2_over_phi, v=v, tables=cfg.tables)
+    return _crt_mean_prediction(x, v, N, cfg.R, mu2_over_phi_sum(cfg.R, cfg.tables), g, budget)
+
+
+def _crt_mean_prediction(
+    x: int, v: int, N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
+) -> Prediction:
+    """The three theorem-3 terms around the CRT class mean M (_crt_class_mean) with g as G_v;
+    cross_sum stands for sum_{r <= R} mu(r)^2/phi(r) in the cross term."""
+    ind = delta_indicator(N, v)
+    phi_v = _phi_small(v)
+    mean = _crt_class_mean(v, N, R, g)
+    terms = {
+        "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
+        "cross_term": -2.0 * ind * (x / phi_v) * cross_sum,
+        "mean_sq_term": (x / v) * mean,
+    }
+    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
 def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> float:
@@ -619,17 +627,9 @@ def theorem3_coupled_prediction(
     x (log(x/R) - c0), like theorem3_prediction.
     """
     _check_theorem3_args(x, v, R)
-    ind = delta_indicator(N, v)
-    phi_v = _phi_small(v)
     c2 = constants.c2
-    mean = _crt_class_mean(v, N, R, _coprime_mu2_over_phi_main_terms(v, c2))
-    terms = {
-        "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
-        "cross_term": -2.0 * ind * (x / phi_v) * (math.log(R) + c2),
-        "mean_sq_term": (x / v) * mean,
-    }
-    total = math.fsum(terms.values())
-    return Prediction(terms=terms, total=total, error_budget=_theorem3_budget(x, v, R, phi_v))
+    budget = _theorem3_budget(x, v, R, _phi_small(v))
+    return _crt_mean_prediction(x, v, N, R, math.log(R) + c2, _coprime_mu2_over_phi_main_terms(v, c2), budget)
 
 
 def _banded(q: int, q_low: float) -> float:

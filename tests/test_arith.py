@@ -18,7 +18,8 @@ from vaughanlab import (
     psi_progression,
     theta_progression,
 )
-from vaughanlab.arith import mu_of, phi_of, prime_array
+from vaughanlab import arith
+from vaughanlab.arith import ArithTables, mu_of, phi_of, prime_array
 from vaughanlab.constants import prime_array as constants_prime_array
 
 
@@ -221,3 +222,66 @@ def test_build_tables_matches_factorization(factorization_oracle, limit):
         # ulp numpy's vectorised log is allowed.
         np.testing.assert_array_equal(got != 0, want != 0)
         np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+
+def _strike_tables(sieve):
+    """The strike-loop and cofactor body build_tables had before the spf recurrence, kept as its oracle."""
+    limit = sieve.limit
+    primes = sieve.primes()
+
+    theta = np.zeros(limit + 1, dtype=np.float64)
+    theta[primes] = np.log(primes.astype(np.float64))
+    lam = theta.copy()
+
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    phi = np.arange(limit + 1, dtype=np.int64)
+    rem = np.arange(limit + 1, dtype=np.int32)
+    rem[0] = 1
+    for p in primes[primes <= math.isqrt(limit)].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        seg = phi[p::p]
+        seg //= p
+        seg *= p - 1
+        lp = math.log(p)
+        pk = p
+        while pk <= limit:
+            rem[pk::pk] //= p
+            if pk > p:
+                lam[pk] = lp
+            pk *= p
+
+    # rem[n] > 1 is the one prime factor q of n above sqrt(limit).  In-place
+    # masked ufuncs: about two thirds of n have such a q, so gathered copies
+    # would cost several x-sized temporaries.
+    big = rem > 1
+    np.negative(mu, out=mu, where=big)
+    np.floor_divide(phi, rem, out=phi, where=big)
+    rem -= 1
+    np.multiply(phi, rem, out=phi, where=big)
+    del rem, big
+
+    return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)
+
+
+def _assert_tables_match_strike_loop(limit):
+    sieve = build_sieve(limit)
+    got, want = build_tables(sieve), _strike_tables(sieve)
+    for name in ("lam", "mu", "phi", "theta"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (limit, name)
+
+
+# The limits on either side of the block cap 2^20 and one past three full
+# capped blocks, so that the recurrence cuts blocks at the cap.
+@pytest.mark.parametrize("limit", [*TABLE_LIMITS, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+def test_recurrence_tables_match_strike_loop_bytes(limit):
+    _assert_tables_match_strike_loop(limit)
+
+
+def test_recurrence_tables_match_strike_loop_in_tiny_blocks(monkeypatch):
+    # A cap of 3 cuts nearly every block below 2 lo.
+    monkeypatch.setattr(arith, "_BLOCK_CAP", 3)
+    for limit in range(2, 301):
+        _assert_tables_match_strike_loop(limit)

@@ -326,6 +326,8 @@ BAD_VALUES = [
     ("vaughan", "--x", "1000", "--Q", "100", "--R", "0.5"),
     ("fr-table", "--x", "100", "--R", "101"),
     ("theorem5", "--x", "1000", "--Q", "50", "--R", "10", "--q-low", "auto"),  # Q_low = 100 >= Q
+    ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "1009", "--cutoff", "1000"),
+    ("vaughan", "--x", "3000000000", "--Q", "100", "--R", "10"),  # beyond the int32 sieve
 ]
 
 
