@@ -1,11 +1,13 @@
 """Sieve-backed arithmetic tables.
 
 Provides:
-- FactorSieve / build_sieve: smallest-prime-factor table over [2, limit]
+- FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
+  struck in cache-sized segments
 - prime_array: the primes <= cutoff from an odd-only sieve, the one prime
   enumerator (FactorSieve.primes and the constants layer both read it)
-- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays,
-  built in ascending blocks of n by one recurrence from n / spf(n)
+- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays;
+  mu and phi built in ascending blocks of n by one recurrence from n / spf(n),
+  Lambda copied from the prime-log array plus its prime powers
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -70,6 +72,8 @@ class FactorSieve:
 
 
 # Two entries: the prime cutoff of the constants and the limit of the current tables.
+# No other caller may ask for a third cutoff, which would evict one of the two:
+# build_sieve takes its sieving primes from its own first segment for that reason.
 @functools.lru_cache(maxsize=2)
 def prime_array(cutoff: int) -> np.ndarray:
     """All primes <= cutoff as a read-only ascending int64 array, via an odd-only sieve.
@@ -94,8 +98,22 @@ def prime_array(cutoff: int) -> np.ndarray:
     return primes
 
 
+# Length of one segment of the sieve and of the F_R table: an int32 segment is
+# 1 MB and stays in L2 while every sieving prime (or divisor) strikes it, where
+# one strided pass per prime over the whole table runs from main memory.
+_SEGMENT = 2**18
+
+
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
+
+    Each prime p <= sqrt(limit) writes p into the still-empty entries among its
+    multiples from p^2 on; entries left empty are prime.  The strikes run over
+    ascending segments [lo, lo + _SEGMENT), every sieving prime in ascending
+    order within each, so an entry gets the same first writer as in one pass
+    per prime over the whole table.  The first segment reaches past sqrt(limit)
+    and is sieved first; its empty entries up to sqrt(limit) are the sieving
+    primes.
 
     Args:
         limit: inclusive upper bound, at least 2.
@@ -108,9 +126,23 @@ def build_sieve(limit: int) -> FactorSieve:
     if limit >= 2**31:
         raise ValueError(f"sieve limit {limit} too large for int32 table")
     spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
+    root = math.isqrt(limit)
+    hi = min(max(_SEGMENT, root + 1), limit + 1)
+    primes = []
+    for p in range(2, root + 1):
         if spf[p] == 0:
-            seg = spf[p * p :: p]
+            primes.append(p)
+            seg = spf[p * p : hi : p]
+            seg[seg == 0] = p
+    for lo in range(hi, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        for p in primes:
+            # p^2 >= hi: neither p nor any later prime has a multiple from its
+            # square on in [lo, hi).  A prime whose multiples all miss a short
+            # last segment does not end the loop: a later one may still hit it.
+            if p * p >= hi:
+                break
+            seg = spf[max(p * p, -(-lo // p) * p) : hi : p]
             seg[seg == 0] = p
     # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
     rest = np.flatnonzero(spf[2:] == 0) + 2
@@ -147,16 +179,17 @@ class ArithTables:
 def build_tables(sieve: FactorSieve) -> ArithTables:
     """Build Lambda, mu, phi and the prime-log weight from a factor sieve.
 
-    One recurrence on the smallest prime factor.  For n >= 2 let p = spf[n],
-    m = n // p and again = (spf[m] == p), which holds exactly when p^2 | n:
+    mu and phi come from one recurrence on the smallest prime factor.  For
+    n >= 2 let p = spf[n], m = n // p and again = (spf[m] == p), which holds
+    exactly when p^2 | n:
 
         phi[n] = phi[m] * (p - 1 + again)
         mu[n] = 0 if again else -mu[m]
-        Lambda[n] = log p if m == 1, or if again and Lambda[m] > 0; else 0
 
     m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + cap)), each
-    a vectorised gather from blocks already built.  Lambda copies its log p
-    from the prime-log weight, so every power of p carries the same float.
+    a vectorised gather from blocks already built.  Lambda is a copy of the
+    prime-log weight plus one store of log p at each p^k <= limit with k >= 2
+    (p <= sqrt(limit)), so every power of p carries the same float.
     """
     limit = sieve.limit
     spf = sieve.spf
@@ -164,7 +197,12 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
 
     theta = np.zeros(limit + 1, dtype=np.float64)
     theta[primes] = np.log(primes.astype(np.float64))
-    lam = np.zeros(limit + 1, dtype=np.float64)
+    lam = theta.copy()
+    for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
+        pk = p * p
+        while pk <= limit:
+            lam[pk] = theta[p]
+            pk *= p
     mu = np.zeros(limit + 1, dtype=np.int8)
     phi = np.zeros(limit + 1, dtype=np.int64)
     mu[1] = phi[1] = 1
@@ -177,7 +215,6 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
         again = spf[m] == p
         phi[lo:hi] = phi[m] * (p - 1 + again)
         mu[lo:hi] = np.where(again, 0, -mu[m])
-        lam[lo:hi] = np.where((m == 1) | (again & (lam[m] > 0)), theta[p], 0.0)
         lo = hi
 
     return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)

@@ -36,6 +36,7 @@ from .arith import (
     ArithTables,
     FactorSieve,
     TableRangeError,
+    _SEGMENT,
     _check_x,
     _norm_residue,
     divisors,
@@ -137,13 +138,23 @@ class FRConfig:
         return coef
 
     def table(self) -> np.ndarray:
-        """Dense F_R values over [0, tables.limit]; index 0 is 0."""
+        """Dense F_R values over [0, tables.limit]; index 0 is 0.
+
+        Entry n is the sum of coef[d] over d | n, added in ascending d.  The
+        additions run over ascending segments [lo, lo + _SEGMENT) of the
+        table, each squarefree d <= R with coef[d] != 0 in ascending order
+        within each, starting at its first multiple >= max(lo, d); so every
+        entry gets the same additions in the same order as in one pass per d
+        over the whole table.
+        """
         if self._table is None:
-            t = np.zeros(self.tables.limit + 1, dtype=np.float64)
-            for d in range(1, self.r_int + 1):
-                c = self._coef[d]
-                if c != 0.0:
-                    t[d::d] += c
+            limit = self.tables.limit
+            t = np.zeros(limit + 1, dtype=np.float64)
+            terms = [(d, self._coef[d]) for d in np.flatnonzero(self._coef).tolist()]
+            for lo in range(0, limit + 1, _SEGMENT):
+                hi = min(lo + _SEGMENT, limit + 1)
+                for d, c in terms:
+                    t[-(-max(lo, d) // d) * d : hi : d] += c
             self._table = t
         return self._table
 
@@ -345,8 +356,9 @@ def mu2_over_phi_sum(R: float, tables: ArithTables) -> float:
 def _coprime_mu2_over_phi(y: float, v: int, tables: ArithTables) -> float:
     """G_v(y) = sum_{b <= y, gcd(b, v) = 1} mu(b)^2 / phi(b), compensated; 0 for y < 1.
 
-    The one exact home of G_v: the F_R weights g_R(d) = G_d(R/d), the
-    squarefree partial sum G_1(R) and the CRT class mean all read it.
+    The one exact home of G_v: the F_R weights g_R(d) = G_d(R/d) and the
+    squarefree partial sum G_1(R) read it, and the tests hold the prefix sums
+    of theorem3_refined_prediction's CRT class mean to it bit for bit.
     """
     b = np.nonzero(tables.mu[1 : int(math.floor(y)) + 1])[0] + 1
     return math.fsum(1.0 / tables.phi[b[np.gcd(b, v) == 1]])

@@ -35,8 +35,8 @@ are bit-identical for any thread count.
 
 from __future__ import annotations
 
+import bisect
 import enum
-import functools
 import math
 import os
 import time
@@ -48,13 +48,7 @@ import numpy as np
 
 from .arith import ArithTables, _check_x
 from .constants import ConstantSet, ProductKind, _small_factorization, restricted_product
-from .frmodel import (
-    FRConfig,
-    _class_start,
-    _coprime_mu2_over_phi,
-    delta_indicator,
-    mu2_over_phi_sum,
-)
+from .frmodel import FRConfig, _class_start, delta_indicator
 
 __all__ = [
     "Mode",
@@ -538,11 +532,13 @@ def theorem3_refined_prediction(
     the coupled pairs (r = g*s, r1 = g*s1 with s, s1 | v) contribute at the same
     order, so here that mean is computed exactly and only the cross and
     squared-Lambda terms keep their closed forms.  The mean is the CRT class
-    mean M (_crt_class_mean) with the exact, table-backed G_v, which costs
-    tau(v) lookups of G_v per call; the pair sweep fr_square_progression_mean
-    computes the same mean independently and is the oracle the tests hold it
-    to.  The closed form that keeps the coupled pairs, with no tables, is
-    theorem3_coupled_prediction.
+    mean M (_crt_class_mean) with the exact, table-backed G_v: the squarefree
+    b <= R and 1/phi(b) are gathered once per call, the cross sum is their
+    fsum and G_v(y) the fsum of the prefix b <= y of those coprime to v, so
+    each value equals _coprime_mu2_over_phi's bit for bit.  The pair sweep
+    fr_square_progression_mean computes the same mean independently and is
+    the oracle the tests hold it to.  The closed form that keeps the coupled
+    pairs, with no tables, is theorem3_coupled_prediction.
     """
     _check_theorem3_args(x, v, cfg.R)
     tau_v = _tau_small(v)
@@ -553,8 +549,15 @@ def theorem3_refined_prediction(
         f"tau(v)*R = {tau_v * cfg.R:.3e}; "
         "x*exp(-c*sqrt(log x)) with ineffective c"
     )
-    g = functools.partial(_coprime_mu2_over_phi, v=v, tables=cfg.tables)
-    return _crt_mean_prediction(x, v, N, cfg.R, mu2_over_phi_sum(cfg.R, cfg.tables), g, budget)
+    b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
+    inv_phi = 1.0 / cfg.tables.phi[b]
+    coprime = np.gcd(b, v) == 1
+    b, kept = b[coprime].tolist(), inv_phi[coprime].tolist()
+
+    def g(y: float) -> float:
+        return math.fsum(kept[: bisect.bisect_right(b, y)])
+
+    return _crt_mean_prediction(x, v, N, cfg.R, math.fsum(inv_phi), g, budget)
 
 
 def _crt_mean_prediction(

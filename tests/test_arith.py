@@ -20,6 +20,7 @@ from vaughanlab import (
 )
 from vaughanlab import arith
 from vaughanlab.arith import ArithTables, mu_of, phi_of, prime_array
+from vaughanlab.constants import constant_set
 from vaughanlab.constants import prime_array as constants_prime_array
 
 
@@ -285,3 +286,47 @@ def test_recurrence_tables_match_strike_loop_in_tiny_blocks(monkeypatch):
     monkeypatch.setattr(arith, "_BLOCK_CAP", 3)
     for limit in range(2, 301):
         _assert_tables_match_strike_loop(limit)
+
+
+def _plain_sieve(limit):
+    """The one-pass-per-prime body build_sieve had before it ran by segments, kept as its oracle."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == 0:
+            seg = spf[p * p :: p]
+            seg[seg == 0] = p
+    # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf
+
+
+def _assert_sieve_matches_plain_sieve(limit):
+    got, want = build_sieve(limit).spf, _plain_sieve(limit)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), limit
+
+
+# The limits on either side of the segment length 2^18, 2^20 + 1 (a short last
+# segment that 17 * 61681 reaches while earlier primes miss it) and two past
+# three full segments.
+SEGMENT_LIMITS = [*TABLE_LIMITS, 2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2]
+
+
+@pytest.mark.parametrize("limit", SEGMENT_LIMITS)
+def test_segmented_sieve_matches_plain_sieve_bytes(limit):
+    _assert_sieve_matches_plain_sieve(limit)
+
+
+def test_segmented_sieve_matches_plain_sieve_in_tiny_segments(monkeypatch):
+    # Segments of 7 leave most sieving primes without a multiple in a segment.
+    monkeypatch.setattr(arith, "_SEGMENT", 7)
+    for limit in range(2, 301):
+        _assert_sieve_matches_plain_sieve(limit)
+
+
+def test_build_sieve_adds_no_prime_array_cutoff():
+    prime_array.cache_clear()
+    build_tables(build_sieve(10**5))
+    constant_set(10**6)
+    # One miss for the tables limit and one for the constants cutoff.
+    assert prime_array.cache_info().misses <= 2

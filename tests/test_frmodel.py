@@ -24,8 +24,11 @@ from vaughanlab import (
     ramanujan_sum_oracle,
     rho,
     rho_star,
+    build_sieve,
+    build_tables,
     verify_mobius_cr_range,
 )
+from vaughanlab import frmodel
 from vaughanlab.arith import is_squarefree
 
 
@@ -134,6 +137,49 @@ def test_dense_tables_match_and_index_zero_contract(tables_small):
         mertens = int(tables_small.mu[1 : int(R) + 1].sum())
         assert fast[0] == 0.0
         assert naive[0] == approx(float(mertens), abs=1e-9)
+
+
+def _strided_fr_table(cfg):
+    """The one-pass-per-divisor body FRConfig.table had before it ran by segments, kept as its oracle."""
+    t = np.zeros(cfg.tables.limit + 1, dtype=np.float64)
+    for d in range(1, cfg.r_int + 1):
+        c = cfg._coef[d]
+        if c != 0.0:
+            t[d::d] += c
+    return t
+
+
+def _assert_fr_table_matches_strided(limit):
+    tables = build_tables(build_sieve(limit))
+    for R in (2.0, 10.0, 50.0):
+        if R > limit:
+            continue
+        cfg = FRConfig(R=R, tables=tables)
+        got, want = cfg.table(), _strided_fr_table(cfg)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (limit, R)
+
+
+# Every limit up to 64, 960 and 961, powers of two and three, 10^5, the prime
+# 100003, either side of the segment length 2^18, 2^20 + 1 and two past three
+# full segments.
+FR_TABLE_LIMITS = sorted(
+    set(range(2, 65))
+    | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003}
+    | {2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2}
+)
+
+
+@pytest.mark.parametrize("limit", FR_TABLE_LIMITS)
+def test_segmented_fr_table_matches_strided_bytes(limit):
+    _assert_fr_table_matches_strided(limit)
+
+
+def test_segmented_fr_table_matches_strided_in_tiny_segments(monkeypatch):
+    # Segments of 7 are shorter than most divisors d <= 50, so many get no
+    # multiple in a segment and the rest start mid-segment.
+    monkeypatch.setattr(frmodel, "_SEGMENT", 7)
+    for limit in range(2, 301):
+        _assert_fr_table_matches_strided(limit)
 
 
 def test_mu2_over_phi_values(tables_small):

@@ -503,6 +503,29 @@ def test_refined_mean_matches_pair_sweep(tables_small, cs, R):
             assert got == approx(want, rel=1e-12), (v, N)
 
 
+@pytest.mark.parametrize("R", [7.5, 20.0, 50.0])
+def test_refined_prediction_bits_match_coprime_g(tables_small, cs, R):
+    # the one squarefree pass per call against the exact home of G_v: the
+    # cross sum and G_v read through mu2_over_phi_sum and _coprime_mu2_over_phi
+    # give every term and the total bit for bit
+    x = 10**6
+    cfg = FRConfig(R=R, tables=tables_small)
+    for v in (1, 2, 3, 6, 7, 30, 210, 4, 12):
+        for N in range(v + 2):
+            got = theorem3_refined_prediction(x, v, N, cfg, cs)
+            want = variance._crt_mean_prediction(
+                x,
+                v,
+                N,
+                R,
+                mu2_over_phi_sum(R, tables_small),
+                lambda y, v=v: _coprime_mu2_over_phi(y, v, tables_small),
+                got.error_budget,
+            )
+            assert got.total.hex() == want.total.hex(), (v, N)
+            assert {k: t.hex() for k, t in got.terms.items()} == {k: t.hex() for k, t in want.terms.items()}
+
+
 def test_delta_sq_progression_matches_fsum(tables_1e5):
     x = 100_000
     cfg = FRConfig(R=50.0, tables=tables_1e5)
