@@ -503,11 +503,12 @@ def test_refined_mean_matches_pair_sweep(tables_small, cs, R):
             assert got == approx(want, rel=1e-12), (v, N)
 
 
-@pytest.mark.parametrize("R", [7.5, 20.0, 50.0])
+@pytest.mark.parametrize("R", [7.5, 20.0, 30.0, 50.0])
 def test_refined_prediction_bits_match_coprime_g(tables_small, cs, R):
     # the one squarefree pass per call against the exact home of G_v: the
     # cross sum and G_v read through mu2_over_phi_sum and _coprime_mu2_over_phi
-    # give every term and the total bit for bit
+    # give every term and the total bit for bit; at R = 30 the prefix ends on
+    # a kept b = R / a (30 for v = 1, 15 for v = 2), which G_v includes
     x = 10**6
     cfg = FRConfig(R=R, tables=tables_small)
     for v in (1, 2, 3, 6, 7, 30, 210, 4, 12):
