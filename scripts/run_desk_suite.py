@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and print where the report landed.
 
-Thin wrapper over `vaughanlab suite`.  Desk scale takes about 1.3 s single
-threaded on a 2-vCPU Xeon VM.  Its bands are wide, so they take the
-single-threaded lag route; --threads only spreads narrow bands, which take
-the per-modulus route, over threads.  --scale quick gives a smoke run.
+Thin wrapper over `vaughanlab suite`.  Desk scale takes about 0.75 s single
+threaded on a 2-vCPU Xeon VM, timed in-process around the suite call (median
+of 12 fresh processes, 0.69-1.00 s), plus the interpreter's start-up.  Its
+bands are wide, so they take the single-threaded lag route; --threads only
+spreads narrow bands, which take the per-modulus route, over threads.
+--scale quick gives a smoke run.
 """
 
 from __future__ import annotations

@@ -2,12 +2,13 @@
 
 Provides:
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
-  struck in cache-sized segments
-- prime_array: the primes <= cutoff from an odd-only sieve, the one prime
-  enumerator (FactorSieve.primes and the constants layer both read it)
-- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays;
-  mu and phi built in ascending blocks of n by one recurrence from n / spf(n),
-  Lambda copied from the prime-log array plus its prime powers
+  struck in cache-sized segments, with the array of the primes it found
+- prime_array: the primes <= cutoff from an odd-only sieve, for the prime sums
+  and products of the constants layer
+- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays
+  from the sieve's spf table and primes; mu and phi built in ascending blocks
+  of n by one recurrence from n / spf(n), on the sieve's segment grid, Lambda
+  copied from the prime-log array plus its prime powers
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,15 +51,17 @@ class FactorSieve:
     """Smallest-prime-factor table over [2, limit].
 
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
-    prime.  Entries 0 and 1 hold the sentinel 0.
+    prime.  Entries 0 and 1 hold the sentinel 0.  build_sieve also keeps the
+    primes it found, 8 bytes per prime, which primes() returns.
     """
 
     limit: int
     spf: np.ndarray
+    _primes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit, ascending, as a read-only int64 array: prime_array(limit)."""
-        return prime_array(self.limit)
+        """All primes <= limit, ascending, as a read-only int64 array (one array per sieve)."""
+        return self._primes
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
@@ -71,10 +74,7 @@ class FactorSieve:
             raise TableRangeError(f"n = {n} exceeds sieve limit {self.limit}")
 
 
-# Two entries: the prime cutoff of the constants and the limit of the current tables.
-# No other caller may ask for a third cutoff, which would evict one of the two:
-# build_sieve takes its sieving primes from its own first segment for that reason.
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def prime_array(cutoff: int) -> np.ndarray:
     """All primes <= cutoff as a read-only ascending int64 array, via an odd-only sieve.
 
@@ -98,9 +98,11 @@ def prime_array(cutoff: int) -> np.ndarray:
     return primes
 
 
-# Length of one segment of the sieve and of the F_R table: an int32 segment is
-# 1 MB and stays in L2 while every sieving prime (or divisor) strikes it, where
-# one strided pass per prime over the whole table runs from main memory.
+# Length of one segment of the sieve and of the F_R table, and the largest block
+# of the build_tables recurrence: an int32 segment is 1 MB and stays in L2 while
+# every sieving prime (or divisor) strikes it, where one strided pass per prime
+# over the whole table runs from main memory; a block's int64 gather
+# temporaries are 2 MB each.
 _SEGMENT = 2**18
 
 
@@ -113,13 +115,14 @@ def build_sieve(limit: int) -> FactorSieve:
     order within each, so an entry gets the same first writer as in one pass
     per prime over the whole table.  The first segment reaches past sqrt(limit)
     and is sieved first; its empty entries up to sqrt(limit) are the sieving
-    primes.
+    primes.  The entries left empty at the end, the primes <= limit (those
+    <= sqrt(limit) among them), are kept read-only for FactorSieve.primes.
 
     Args:
         limit: inclusive upper bound, at least 2.
 
     Returns:
-        FactorSieve with spf filled for every n in [2, limit].
+        FactorSieve with spf filled for every n in [2, limit] and its primes kept.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
@@ -147,12 +150,10 @@ def build_sieve(limit: int) -> FactorSieve:
     # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
-    return FactorSieve(limit=limit, spf=spf)
-
-
-# Largest block of the build_tables recurrence: each block gathers through int64
-# index arrays of its own length, so the cap keeps every temporary near 8 MB.
-_BLOCK_CAP = 2**20
+    rest.setflags(write=False)
+    sieve = FactorSieve(limit=limit, spf=spf)
+    sieve._primes = rest
+    return sieve
 
 
 @dataclass
@@ -186,10 +187,11 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
         phi[n] = phi[m] * (p - 1 + again)
         mu[n] = 0 if again else -mu[m]
 
-    m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + cap)), each
-    a vectorised gather from blocks already built.  Lambda is a copy of the
-    prime-log weight plus one store of log p at each p^k <= limit with k >= 2
-    (p <= sqrt(limit)), so every power of p carries the same float.
+    m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + _SEGMENT)),
+    each a vectorised gather from blocks already built.  The primes are the
+    sieve's own (sieve.primes()), so no second sieve runs.  Lambda is a copy
+    of the prime-log weight plus one store of log p at each p^k <= limit with
+    k >= 2 (p <= sqrt(limit)), so every power of p carries the same float.
     """
     limit = sieve.limit
     spf = sieve.spf
@@ -209,7 +211,7 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
 
     lo = 2
     while lo <= limit:
-        hi = min(2 * lo, lo + _BLOCK_CAP, limit + 1)
+        hi = min(2 * lo, lo + _SEGMENT, limit + 1)
         p = spf[lo:hi].astype(np.int64)
         m = np.arange(lo, hi, dtype=np.int64) // p
         again = spf[m] == p

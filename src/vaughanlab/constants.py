@@ -7,9 +7,9 @@ carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
 The primes come from arith.prime_array, an odd-only sieve of (cutoff + 1) // 2
-bools whose read-only int64 result is cached for the last two cutoffs.  Each
-prime sum or product takes a fresh float64 copy of them and builds its terms
-in place in one further buffer, so at cutoff 10^7 (664,579 primes) a call
+bools whose read-only int64 result is cached for the last cutoff, one per run.
+Each prime sum or product takes a fresh float64 copy of them and builds its
+terms in place in one further buffer, so at cutoff 10^7 (664,579 primes) a call
 holds about 10 MB of temporaries.  euler_gamma is computed once per process,
 and restricted_product keeps its 128 most recent results (functools.lru_cache).
 

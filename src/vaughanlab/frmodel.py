@@ -286,11 +286,8 @@ def _cr_by_gcd(v: int, sieve: FactorSieve) -> list[tuple[int, int, int, dict[int
     phi_v = phi_of(v, sieve)
     out = []
     for r in divisors(v, sieve):
-        mu_r = mu_of(r, sieve)
-        cr = {}
-        for g in divisors(r, sieve):
-            cr[g] = sum(d * mu_of(r // d, sieve) for d in divisors(g, sieve))
-        out.append((r, mu_r, phi_v // phi_of(r, sieve), cr))
+        cr = {g: ramanujan_sum(r, g, sieve) for g in divisors(r, sieve)}
+        out.append((r, mu_of(r, sieve), phi_v // phi_of(r, sieve), cr))
     return out
 
 

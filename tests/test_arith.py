@@ -59,11 +59,21 @@ def _mask_primes(sieve):
 
 
 def test_sieve_primes_match_mask_expression():
-    for n in [*range(2, 2001), 10**6 + 3]:
+    for n in [*range(2, 2001), 10**6 + 3, *SEGMENT_EDGES]:
         sieve = build_sieve(n)
         got, want = sieve.primes(), _mask_primes(sieve)
         assert got.dtype == want.dtype == np.int64, n
         assert np.array_equal(got, want), n
+
+
+@pytest.mark.parametrize("limit", [10**5, 10**6])
+def test_sieve_keeps_its_primes(limit):
+    sieve = build_sieve(limit)
+    primes = sieve.primes()
+    assert sieve.primes() is primes
+    assert not primes.flags.writeable
+    want = prime_array(limit)
+    assert primes.dtype == want.dtype and primes.tobytes() == want.tobytes()
 
 
 def test_prime_arrays_are_read_only():
@@ -183,6 +193,12 @@ def test_residue_normalization_and_errors(tables_small):
 # prime 100003.
 TABLE_LIMITS = sorted(set(range(2, 65)) | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003})
 
+# The limits on either side of the segment length 2^18, 2^20 + 1 (a short last
+# segment that 17 * 61681 reaches while earlier primes miss it) and two past
+# three full segments.
+SEGMENT_EDGES = [2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2]
+SEGMENT_LIMITS = [*TABLE_LIMITS, *SEGMENT_EDGES]
+
 
 @pytest.fixture(scope="module")
 def factorization_oracle():
@@ -274,16 +290,18 @@ def _assert_tables_match_strike_loop(limit):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (limit, name)
 
 
-# The limits on either side of the block cap 2^20 and one past three full
-# capped blocks, so that the recurrence cuts blocks at the cap.
-@pytest.mark.parametrize("limit", [*TABLE_LIMITS, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 7])
+# The segment edges, where the recurrence's blocks stop doubling and follow the
+# sieve's segments, and the limits on either side of 2^20 and one past three
+# full blocks of 2^20.
+@pytest.mark.parametrize("limit", [*SEGMENT_LIMITS, 2**20 - 1, 2**20, 3 * 2**20 + 7])
 def test_recurrence_tables_match_strike_loop_bytes(limit):
     _assert_tables_match_strike_loop(limit)
 
 
 def test_recurrence_tables_match_strike_loop_in_tiny_blocks(monkeypatch):
-    # A cap of 3 cuts nearly every block below 2 lo.
-    monkeypatch.setattr(arith, "_BLOCK_CAP", 3)
+    # Segments of 3 cut nearly every block below 2 lo, and run the sieve in
+    # 3-entry segments as well.
+    monkeypatch.setattr(arith, "_SEGMENT", 3)
     for limit in range(2, 301):
         _assert_tables_match_strike_loop(limit)
 
@@ -306,12 +324,6 @@ def _assert_sieve_matches_plain_sieve(limit):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), limit
 
 
-# The limits on either side of the segment length 2^18, 2^20 + 1 (a short last
-# segment that 17 * 61681 reaches while earlier primes miss it) and two past
-# three full segments.
-SEGMENT_LIMITS = [*TABLE_LIMITS, 2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2]
-
-
 @pytest.mark.parametrize("limit", SEGMENT_LIMITS)
 def test_segmented_sieve_matches_plain_sieve_bytes(limit):
     _assert_sieve_matches_plain_sieve(limit)
@@ -327,6 +339,8 @@ def test_segmented_sieve_matches_plain_sieve_in_tiny_segments(monkeypatch):
 def test_build_sieve_adds_no_prime_array_cutoff():
     prime_array.cache_clear()
     build_tables(build_sieve(10**5))
+    # The sieve and the tables take their primes from the sieve alone.
+    assert prime_array.cache_info().misses == 0
     constant_set(10**6)
-    # One miss for the tables limit and one for the constants cutoff.
-    assert prime_array.cache_info().misses <= 2
+    # One miss, for the constants cutoff.
+    assert prime_array.cache_info().misses == 1
