@@ -189,9 +189,9 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
 
     m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + _SEGMENT)),
     each a vectorised gather from blocks already built.  The primes are the
-    sieve's own (sieve.primes()), so no second sieve runs.  Lambda is a copy
-    of the prime-log weight plus one store of log p at each p^k <= limit with
-    k >= 2 (p <= sqrt(limit)), so every power of p carries the same float.
+    sieve's own, sieve.primes().  Lambda is a copy of the prime-log weight
+    plus one store of log p at each p^k <= limit with k >= 2
+    (p <= sqrt(limit)), so every power of p carries the same float.
     """
     limit = sieve.limit
     spf = sieve.spf
