@@ -12,10 +12,16 @@ Subcommands:
     report      merge manifests from earlier runs into one comparison report
 
 Q may be given directly (--Q) or via --B as Q = floor(x (log x)^-B); R directly
-(--R) or via --G as R = (log x)^G.  A flat key = value config file can supply
-any flag (--config); explicit flags override the file.  Results go to --out,
-else $VAUGHANLAB_OUT, else ./results; each run writes results.csv,
-results.json and manifest.json, with floats printed to 12 significant digits.
+(--R) or via --G as R = (log x)^G.  A flat key = value config file (--config)
+can supply any setting; explicit flags override the file.  Its keys are the
+ExperimentConfig field names: q (--Q), b_exp (--B), r (--R), g_exp (--G),
+n_shift (--N), v_list (--v), prime_cutoff (--cutoff), q_low (--q-low) and
+output_dir (--out); x, weight, threads, scale and format are spelt as their
+flags.  A file value passes its flag's parser, and run checks every setting
+against its flag's choices, whatever set it.  Results go to --out, else
+$VAUGHANLAB_OUT, else ./results; each run writes results.csv, results.json and
+manifest.json.  The CSV files (results.csv and the CSV echo) print floats to
+12 significant digits; results.json and --format json carry the full double.
 Exit status is 0 only if every requested run completed.
 """
 
@@ -35,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,37 +96,69 @@ RESULT_COLUMNS = [
 
 CONSTANT_COLUMNS = ["name", "value", "tail_bound", "prime_cutoff", "note"]
 
-VARIANCE_COMMANDS = {
-    "vaughan": Mode.ALL,
-    "theorem5": Mode.COPRIME,
-    "theorem4": Mode.SHIFT_COPRIME,
-    "bdh": Mode.BDH,
-}
-
 
 class UsageError(ValueError):
     """Bad command line or config file contents."""
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def _flag(flag: str, parse=str, choices: list[str] | None = None, help: str | None = None) -> dict:
+    """Field metadata of one setting: its flag, the parser of its text, its allowed values, its help."""
+    return {"flag": flag, "parse": parse, "choices": choices, "help": help}
+
+
 @dataclass
 class ExperimentConfig:
-    """Flat run description; every field maps to one CLI flag / config key."""
+    """Flat run description.
+
+    Every field but command is one setting: its metadata (see _flag) gives
+    the command-line flag, and its name is the config-file key.
+    """
 
     command: str = ""
-    x: int | None = None
-    q: int | None = None
-    b_exp: float | None = None
-    r: float | None = None
-    g_exp: float | None = None
-    n_shift: int = 1
-    v_list: list[int] = field(default_factory=lambda: [1, 2, 3, 5, 6, 7, 10])
-    prime_cutoff: int = 10**7
-    q_low: str = "0"
-    weight: str = "theta"
-    threads: int = 0
-    scale: str = "desk"
-    output_dir: str = ""
-    format: str = "csv"
+    x: int | None = field(default=None, metadata=_flag("--x", int))
+    q: int | None = field(default=None, metadata=_flag("--Q", int))
+    b_exp: float | None = field(default=None, metadata=_flag("--B", float))
+    r: float | None = field(default=None, metadata=_flag("--R", float))
+    g_exp: float | None = field(default=None, metadata=_flag("--G", float))
+    n_shift: int = field(default=1, metadata=_flag("--N", int))
+    v_list: list[int] = field(
+        default_factory=lambda: [1, 2, 3, 5, 6, 7, 10], metadata=_flag("--v", _int_list, help="comma-separated moduli")
+    )
+    prime_cutoff: int = field(default=10**7, metadata=_flag("--cutoff", int, help="prime cutoff for constants"))
+    q_low: str = field(default="0", metadata=_flag("--q-low", help="number or 'auto' (= x/R)"))
+    weight: str = field(default="theta", metadata=_flag("--weight", choices=[w.value for w in Weight]))
+    threads: int = field(default=0, metadata=_flag("--threads", int))
+    scale: str = field(default="desk", metadata=_flag("--scale", choices=["desk", "quick"]))
+    output_dir: str = field(default="", metadata=_flag("--out"))
+    format: str = field(default="csv", metadata=_flag("--format", choices=["csv", "json"]))
+
+
+class _Command(NamedTuple):
+    help: str
+    settings: tuple[str, ...]  # ExperimentConfig fields, in the order of their flags
+    mode: Mode | None = None  # the variance commands' restriction
+
+
+_COMMON = ("prime_cutoff", "threads", "output_dir", "format")
+_BAND = ("x", *_COMMON, "q", "b_exp", "r", "g_exp", "q_low", "weight")
+
+# Every subcommand but report, which takes manifest paths instead of settings.
+_COMMANDS = {
+    "constants": _Command("print the constant table", _COMMON),
+    "fr-table": _Command("dump n, Lambda, F_R, delta for n <= x", ("x", *_COMMON, "r", "g_exp")),
+    "theorem3": _Command(
+        "progression second moments of the residual", ("x", *_COMMON, "r", "g_exp", "v_list", "n_shift")
+    ),
+    "vaughan": _Command("banded variance over all residues", _BAND, Mode.ALL),
+    "theorem5": _Command("banded variance over reduced residues", _BAND, Mode.COPRIME),
+    "theorem4": _Command("banded variance over shifted-coprime residues", (*_BAND, "n_shift"), Mode.SHIFT_COPRIME),
+    "bdh": _Command("classical variance against x/phi(d)", ("x", *_COMMON, "q", "b_exp", "weight"), Mode.BDH),
+    "suite": _Command("desk-scale battery with a merged report", (*_COMMON, "scale")),
+}
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -149,21 +188,24 @@ def config_from_text(text: str) -> ExperimentConfig:
         val = val.strip()
         if key not in known:
             raise UsageError(f"unknown config key {key!r} on line {lineno}")
-        kwargs[key] = _parse_field(key, val)
+        kwargs[key] = _parse_field(known[key], val)
     return ExperimentConfig(**kwargs)
 
 
-def _parse_field(key: str, val: str):
+def _parse_field(f: dataclasses.Field, val: str):
+    """A config-file value through its flag's parser; run checks the choices."""
     try:
-        if key == "v_list":
-            return [int(v) for v in val.split(",") if v.strip()]
-        if key in ("x", "q", "prime_cutoff", "threads", "n_shift"):
-            return int(val)
-        if key in ("b_exp", "r", "g_exp"):
-            return float(val)
+        return f.metadata.get("parse", str)(val)
     except ValueError as e:
-        raise UsageError(f"bad value for {key}: {val!r}") from e
-    return val
+        raise UsageError(f"bad value for {f.name}: {val!r}") from e
+
+
+def _check_choices(cfg: ExperimentConfig) -> None:
+    """The settings with choices hold one of them, whether set by flag, config file or caller."""
+    for f in dataclasses.fields(cfg):
+        choices = f.metadata.get("choices")
+        if choices and getattr(cfg, f.name) not in choices:
+            raise UsageError(f"{f.name} must be one of {', '.join(choices)}, got {getattr(cfg, f.name)!r}")
 
 
 @dataclass
@@ -267,6 +309,12 @@ def _resolve_q_low(cfg: ExperimentConfig, x: int, r: float) -> float:
     return val
 
 
+def _resolve_cutoff(cfg: ExperimentConfig) -> int:
+    if cfg.prime_cutoff < 10:
+        raise UsageError(f"prime cutoff must be >= 10, got {cfg.prime_cutoff}")
+    return cfg.prime_cutoff
+
+
 def _resolve_weight(cfg: ExperimentConfig) -> Weight:
     try:
         return Weight(cfg.weight)
@@ -286,37 +334,41 @@ def _sha256(arr) -> str:
     return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
 
 
-def _timed(derived: dict, build, *args):
-    """Call build(*args), adding its seconds to derived["tables_s"]."""
+def _set_up(derived: dict, x: int, r: float | None = None) -> tuple[ArithTables, FRConfig | None]:
+    """The tables for x and, given R, the F_R config, timed into derived["tables_s"]."""
     t0 = time.perf_counter()
-    out = build(*args)
-    derived["tables_s"] += time.perf_counter() - t0
-    return out
+    fr = _fr_for(x, r) if r is not None else None
+    tables = fr.tables if fr is not None else _tables_for(x)
+    derived["tables_s"] = time.perf_counter() - t0
+    if r is not None:
+        derived["R"] = r
+    return tables, fr
+
+
+def _row(columns: list[str], **values) -> dict:
+    """One output row: the given values, and "" in every other column."""
+    return {c: values.get(c, "") for c in columns}
 
 
 def _variance_row(run: VarianceRun) -> dict:
     terms = run.predicted_terms
-    return {
-        "x": run.x,
-        "Q": run.q,
-        "Q_low": run.q_low,
-        "R": run.r if run.r else "",
-        "mode": run.mode.value,
-        "N": run.n_shift if run.mode is Mode.SHIFT_COPRIME else "",
-        "v": "",
-        "weight": run.weight.value,
-        "empirical": run.empirical,
-        "predicted_total": run.predicted_total,
-        "predicted_coupled": "",
-        "term_main": terms.get("log_term", terms.get("leading")),
-        "term_const": terms.get("const_term", terms.get("fitted_C")),
-        "term_r": "",
-        "term_phi2": "",
-        "term_neg": "",
-        "relative_deviation": run.relative_deviation,
-        "relative_deviation_main": run.relative_deviation_main,
-        "wall_time_ms": run.wall_time_ms,
-    }
+    return _row(
+        RESULT_COLUMNS,
+        x=run.x,
+        Q=run.q,
+        Q_low=run.q_low,
+        R=run.r or "",
+        mode=run.mode.value,
+        N=run.n_shift if run.mode is Mode.SHIFT_COPRIME else "",
+        weight=run.weight.value,
+        empirical=run.empirical,
+        predicted_total=run.predicted_total,
+        term_main=terms.get("log_term", terms.get("leading")),
+        term_const=terms.get("const_term", terms.get("fitted_C")),
+        relative_deviation=run.relative_deviation,
+        relative_deviation_main=run.relative_deviation_main,
+        wall_time_ms=run.wall_time_ms,
+    )
 
 
 def _theorem3_rows(x: int, r: float, v_list: list[int], n_shift: int, cfg_fr: FRConfig, cs: ConstantSet) -> list[dict]:
@@ -328,63 +380,47 @@ def _theorem3_rows(x: int, r: float, v_list: list[int], n_shift: int, cfg_fr: FR
         pred = theorem3_prediction(x, v, n_shift, r, cs)
         coupled = theorem3_coupled_prediction(x, v, n_shift, r, cs)
         rows.append(
-            {
-                "x": x,
-                "Q": "",
-                "Q_low": "",
-                "R": r,
-                "mode": "progression",
-                "N": n_shift,
-                "v": v,
-                "weight": "psi",
-                "empirical": emp,
-                "predicted_total": pred.total,
-                "predicted_coupled": coupled.total,
-                "term_main": pred.terms["delta_main"],
-                "term_const": "",
-                "term_r": pred.terms["r_term"],
-                "term_phi2": pred.terms["phi2_term"],
-                "term_neg": pred.terms["neg_term"],
-                "relative_deviation": (emp - pred.total) / pred.total if pred.total else None,
-                "relative_deviation_main": (emp - pred.total) / (x * math.log(x) / v),
-                "wall_time_ms": wall,
-            }
+            _row(
+                RESULT_COLUMNS,
+                x=x,
+                R=r,
+                mode="progression",
+                N=n_shift,
+                v=v,
+                weight="psi",
+                empirical=emp,
+                predicted_total=pred.total,
+                predicted_coupled=coupled.total,
+                term_main=pred.terms["delta_main"],
+                term_r=pred.terms["r_term"],
+                term_phi2=pred.terms["phi2_term"],
+                term_neg=pred.terms["neg_term"],
+                relative_deviation=(emp - pred.total) / pred.total if pred.total else None,
+                relative_deviation_main=(emp - pred.total) / (x * math.log(x) / v),
+                wall_time_ms=wall,
+            )
         )
     return rows
 
 
 def _constants_rows(cut: int) -> list[dict]:
     cs = constant_set(cut)
+    row = functools.partial(_row, CONSTANT_COLUMNS)
     rows = [
-        {"name": "gamma", "value": cs.gamma, "tail_bound": 0.0, "prime_cutoff": "", "note": ""},
-        {"name": "logp_sum", "value": cs.logp_sum, "tail_bound": cs.tail_bound, "prime_cutoff": cut, "note": ""},
-        {"name": "c0", "value": cs.c0, "tail_bound": cs.tail_bound, "prime_cutoff": cut, "note": "1 + gamma + logp_sum"},
-        {"name": "c1", "value": cs.c1, "tail_bound": 2 * cs.tail_bound, "prime_cutoff": cut, "note": "2*c0 - 1"},
-        {"name": "c2", "value": cs.c2, "tail_bound": cs.tail_bound, "prime_cutoff": cut, "note": "c0 - 1"},
-        {"name": "zeta2_inv", "value": cs.zeta2_inv, "tail_bound": 0.0, "prime_cutoff": "", "note": "6/pi^2"},
+        row(name="gamma", value=cs.gamma, tail_bound=0.0),
+        row(name="logp_sum", value=cs.logp_sum, tail_bound=cs.tail_bound, prime_cutoff=cut),
+        row(name="c0", value=cs.c0, tail_bound=cs.tail_bound, prime_cutoff=cut, note="1 + gamma + logp_sum"),
+        row(name="c1", value=cs.c1, tail_bound=2 * cs.tail_bound, prime_cutoff=cut, note="2*c0 - 1"),
+        row(name="c2", value=cs.c2, tail_bound=cs.tail_bound, prime_cutoff=cut, note="c0 - 1"),
+        row(name="zeta2_inv", value=cs.zeta2_inv, tail_bound=0.0, note="6/pi^2"),
     ]
     for kind, n in [(ProductKind.P_PM1, 1), (ProductKind.P_PM1, 2), (ProductKind.P_SQ, 2), (ProductKind.P_ZETA, 1)]:
         p = restricted_product(kind, n, cut)
-        rows.append(
-            {
-                "name": f"{kind.name}({n})",
-                "value": p.value,
-                "tail_bound": p.tail_bound,
-                "prime_cutoff": cut,
-                "note": "",
-            }
-        )
+        rows.append(row(name=f"{kind.name}({n})", value=p.value, tail_bound=p.tail_bound, prime_cutoff=cut))
     for n in [1, 2, 3, 5, 6, 30]:
         t = t_of_n(n, cut)
-        rows.append(
-            {
-                "name": f"t({n})",
-                "value": t.value,
-                "tail_bound": t.truncation_error,
-                "prime_cutoff": cut,
-                "note": "" if t.meets_lower_bound else "below 1",
-            }
-        )
+        note = "" if t.meets_lower_bound else "below 1"
+        rows.append(row(name=f"t({n})", value=t.value, tail_bound=t.truncation_error, prime_cutoff=cut, note=note))
     return rows
 
 
@@ -399,100 +435,88 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
 
 
-def run(cfg: ExperimentConfig) -> RunManifest:
-    """Execute one configured run, write its result files, return the manifest."""
-    if cfg.command == "suite":
-        return _run_suite(cfg)
-    if cfg.command == "report":
-        raise UsageError("report takes manifest paths, not a run config")
-
-    if cfg.prime_cutoff < 10:
-        raise UsageError(f"prime cutoff must be >= 10, got {cfg.prime_cutoff}")
-    out = _out_dir(cfg)
-    checksums: dict[str, str] = {}
-    derived: dict = {"threads": _resolve_threads(cfg), "tables_s": 0.0}
-
-    if cfg.command == "constants":
-        rows = _constants_rows(cfg.prime_cutoff)
-        columns = CONSTANT_COLUMNS
-        checksums["primes_sha256"] = _sha256(prime_array(cfg.prime_cutoff))
-    elif cfg.command == "fr-table":
-        x = _require_x(cfg)
-        r = _resolve_r(cfg)
-        derived["R"] = r
-        fr = _timed(derived, _fr_for, x, r)
-        t = fr.table()
-        lam = fr.tables.lam
-        columns = ["n", "lambda", "fr", "delta"]
-        rows = [
-            {"n": n, "lambda": float(lam[n]), "fr": float(t[n]), "delta": float(lam[n] - t[n])}
-            for n in range(1, x + 1)
-        ]
-        checksums["lambda_sha256"] = _sha256(lam)
-        checksums["fr_sha256"] = _sha256(t)
-    elif cfg.command == "theorem3":
-        x = _require_x(cfg)
-        r = _resolve_r(cfg)
-        if r > x ** (1.0 / 3.0) * (1 + 1e-12):
-            raise UsageError(
-                f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
-            )
-        v_list = _resolve_v_list(cfg, x)
-        n_shift = _resolve_n(cfg, 0)
-        derived["R"] = r
-        fr = _timed(derived, _fr_for, x, r)
-        cs = constant_set(cfg.prime_cutoff)
-        rows = _theorem3_rows(x, r, v_list, n_shift, fr, cs)
-        columns = RESULT_COLUMNS
-        checksums["lambda_sha256"] = _sha256(fr.tables.lam)
-        checksums["fr_sha256"] = _sha256(fr.table())
-    elif cfg.command in VARIANCE_COMMANDS:
-        x = _require_x(cfg)
-        q = _resolve_q(cfg)
-        weight = _resolve_weight(cfg)
-        threads = derived["threads"]
-        mode = VARIANCE_COMMANDS[cfg.command]
-        derived["Q"] = q
-        if mode is Mode.BDH:
-            tables = _timed(derived, _tables_for, x)
-            vrun = bdh_variance(x, q, tables, threads=threads, weight=weight)
-            checksums["lambda_sha256"] = _sha256(tables.lam)
-        else:
-            r = _resolve_r(cfg)
-            q_low = _resolve_q_low(cfg, x, r)
-            if q_low >= q:
-                raise UsageError(f"Q_low must be below Q = {q}, got {q_low:g}")
-            restriction = RestrictionMode(mode, _resolve_shift(cfg) if mode is Mode.SHIFT_COPRIME else 0)
-            derived["R"] = r
-            derived["Q_low"] = q_low
-            fr = _timed(derived, _fr_for, x, r)
-            cs = constant_set(cfg.prime_cutoff)
-            vrun = variance_sum(
-                x, q, fr, restriction, weight=weight, q_low=q_low, threads=threads, constants=cs
-            )
-            checksums["lambda_sha256"] = _sha256(fr.tables.lam)
-            checksums["fr_sha256"] = _sha256(fr.table())
-        rows = [_variance_row(vrun)]
-        columns = RESULT_COLUMNS
-    else:
-        raise UsageError(f"unknown command {cfg.command!r}")
-
-    # ru_maxrss is in KiB on Linux; the peak of the whole process so far.
-    derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    csv_path = out / "results.csv"
-    json_path = out / "results.json"
-    with csv_path.open("w", newline="") as fh:
-        _write_csv(fh, columns, rows)
-    _write_json(json_path, {"command": cfg.command, "columns": columns, "rows": rows})
+def _write_manifest(out: Path, cfg: ExperimentConfig, derived: dict, checksums: dict, results: list[str]) -> RunManifest:
     manifest = RunManifest(
         config=dataclasses.asdict(cfg),
         derived=derived,
         version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         checksums=checksums,
-        results=[csv_path.name, json_path.name],
+        results=results,
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    return manifest
+
+
+def run(cfg: ExperimentConfig) -> RunManifest:
+    """Execute one configured run, write its result files, return the manifest.
+
+    Every value is resolved before any table is built or directory made.
+    """
+    _check_choices(cfg)
+    if cfg.command == "suite":
+        return _run_suite(cfg)
+    if cfg.command == "report":
+        raise UsageError("report takes manifest paths, not a run config")
+    if cfg.command not in _COMMANDS:
+        raise UsageError(f"unknown command {cfg.command!r}")
+
+    cut = _resolve_cutoff(cfg)
+    derived: dict = {"threads": _resolve_threads(cfg), "tables_s": 0.0}
+    mode = _COMMANDS[cfg.command].mode
+    tables = fr = None
+    if cfg.command == "constants":
+        columns, rows = CONSTANT_COLUMNS, _constants_rows(cut)
+    elif cfg.command == "fr-table":
+        x, r = _require_x(cfg), _resolve_r(cfg)
+        tables, fr = _set_up(derived, x, r)
+        lam, t = tables.lam, fr.table()
+        columns = ["n", "lambda", "fr", "delta"]
+        rows = [
+            {"n": n, "lambda": float(lam[n]), "fr": float(t[n]), "delta": float(lam[n] - t[n])}
+            for n in range(1, x + 1)
+        ]
+    elif cfg.command == "theorem3":
+        x, r = _require_x(cfg), _resolve_r(cfg)
+        if r > x ** (1.0 / 3.0) * (1 + 1e-12):
+            raise UsageError(
+                f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
+            )
+        v_list, n_shift = _resolve_v_list(cfg, x), _resolve_n(cfg, 0)
+        tables, fr = _set_up(derived, x, r)
+        columns, rows = RESULT_COLUMNS, _theorem3_rows(x, r, v_list, n_shift, fr, constant_set(cut))
+    elif mode is Mode.BDH:
+        x, q, weight = _require_x(cfg), _resolve_q(cfg), _resolve_weight(cfg)
+        derived["Q"] = q
+        tables, _ = _set_up(derived, x)
+        vrun = bdh_variance(x, q, tables, threads=derived["threads"], weight=weight)
+        columns, rows = RESULT_COLUMNS, [_variance_row(vrun)]
+    else:
+        x, q, weight, r = _require_x(cfg), _resolve_q(cfg), _resolve_weight(cfg), _resolve_r(cfg)
+        q_low = _resolve_q_low(cfg, x, r)
+        if q_low >= q:
+            raise UsageError(f"Q_low must be below Q = {q}, got {q_low:g}")
+        restriction = RestrictionMode(mode, _resolve_shift(cfg) if mode is Mode.SHIFT_COPRIME else 0)
+        derived.update(Q=q, Q_low=q_low)
+        tables, fr = _set_up(derived, x, r)
+        vrun = variance_sum(
+            x, q, fr, restriction, weight=weight, q_low=q_low, threads=derived["threads"], constants=constant_set(cut)
+        )
+        columns, rows = RESULT_COLUMNS, [_variance_row(vrun)]
+
+    if tables is None:
+        checksums = {"primes_sha256": _sha256(prime_array(cut))}
+    else:
+        checksums = {"lambda_sha256": _sha256(tables.lam)}
+    if fr is not None:
+        checksums["fr_sha256"] = _sha256(fr.table())
+    # ru_maxrss is in KiB on Linux; the peak of the whole process so far.
+    derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    out = _out_dir(cfg)
+    with (out / "results.csv").open("w", newline="") as fh:
+        _write_csv(fh, columns, rows)
+    _write_json(out / "results.json", {"command": cfg.command, "columns": columns, "rows": rows})
+    manifest = _write_manifest(out, cfg, derived, checksums, ["results.csv", "results.json"])
     if cfg.format == "json":
         print(json.dumps(rows, indent=2, sort_keys=True, default=_fmt))
     else:
@@ -500,45 +524,40 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-_SUITE_DESK = [
-    ("constants", {}),
-    ("theorem3", {"x": 10**6, "r": 50.0, "v_list": [1, 2, 3, 5, 6, 7, 10], "n_shift": 1}),
-    ("vaughan", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto"}),
-    ("theorem5", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto"}),
-    ("theorem4", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto", "n_shift": 2}),
-    ("bdh", {"x": 10**4, "q": 10**3}),
-]
-
-_SUITE_QUICK = [
-    ("constants", {"prime_cutoff": 10**5}),
-    ("theorem3", {"x": 10**4, "r": 10.0, "v_list": [1, 2, 3, 5, 6], "n_shift": 1}),
-    ("vaughan", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto"}),
-    ("theorem5", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto"}),
-    ("theorem4", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto", "n_shift": 2}),
-    ("bdh", {"x": 10**3, "q": 100}),
-]
+_SUITES = {
+    "desk": [
+        ("constants", {}),
+        ("theorem3", {"x": 10**6, "r": 50.0, "v_list": [1, 2, 3, 5, 6, 7, 10], "n_shift": 1}),
+        ("vaughan", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto"}),
+        ("theorem5", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto"}),
+        ("theorem4", {"x": 10**5, "q": 10**4, "r": 30.0, "q_low": "auto", "n_shift": 2}),
+        ("bdh", {"x": 10**4, "q": 10**3}),
+    ],
+    "quick": [
+        ("constants", {"prime_cutoff": 10**5}),
+        ("theorem3", {"x": 10**4, "r": 10.0, "v_list": [1, 2, 3, 5, 6], "n_shift": 1}),
+        ("vaughan", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto"}),
+        ("theorem5", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto"}),
+        ("theorem4", {"x": 10**4, "q": 2000, "r": 10.0, "q_low": "auto", "n_shift": 2}),
+        ("bdh", {"x": 10**3, "q": 100}),
+    ],
+}
 
 
 def _run_suite(cfg: ExperimentConfig) -> RunManifest:
+    # The plan's runs share the suite's cutoff and threads: check them before any directory is made.
+    _resolve_cutoff(cfg)
+    _resolve_threads(cfg)
     out = _out_dir(cfg)
-    plan = _SUITE_QUICK if cfg.scale == "quick" else _SUITE_DESK
     manifest_paths = []
-    for command, overrides in plan:
+    for command, overrides in _SUITES[cfg.scale]:
         # Q and R come from the plan alone, never from the suite's own config
         fields = {"q": None, "b_exp": None, "r": None, "g_exp": None, **overrides}
         run(dataclasses.replace(cfg, command=command, output_dir=str(out / command), **fields))
         manifest_paths.append(str(out / command / "manifest.json"))
     text = report(manifest_paths)
     (out / "report.txt").write_text(text)
-    manifest = RunManifest(
-        config=dataclasses.asdict(cfg),
-        derived={"runs": list(manifest_paths)},
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        checksums={},
-        results=["report.txt"] + manifest_paths,
-    )
-    (out / "manifest.json").write_text(manifest.to_json() + "\n")
+    manifest = _write_manifest(out, cfg, {"runs": list(manifest_paths)}, {}, ["report.txt"] + manifest_paths)
     print(text)
     return manifest
 
@@ -603,81 +622,30 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vaughanlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, need_x=True):
+    meta = {f.name: f.metadata for f in dataclasses.fields(ExperimentConfig)}
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-        if need_x:
-            p.add_argument("--x", type=int, default=None)
-        p.add_argument("--cutoff", dest="prime_cutoff", type=int, default=None, help="prime cutoff for constants")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", dest="output_dir", type=str, default=None)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
-
-    p = sub.add_parser("constants", help="print the constant table")
-    add_common(p, need_x=False)
-
-    p = sub.add_parser("fr-table", help="dump n, Lambda, F_R, delta for n <= x")
-    add_common(p)
-    p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument("--G", dest="g_exp", type=float, default=None)
-
-    p = sub.add_parser("theorem3", help="progression second moments of the residual")
-    add_common(p)
-    p.add_argument("--R", dest="r", type=float, default=None)
-    p.add_argument("--G", dest="g_exp", type=float, default=None)
-    p.add_argument("--v", dest="v_list", type=str, default=None, help="comma-separated moduli")
-    p.add_argument("--N", dest="n_shift", type=int, default=None)
-
-    for name, helptext in [
-        ("vaughan", "banded variance over all residues"),
-        ("theorem5", "banded variance over reduced residues"),
-        ("theorem4", "banded variance over shifted-coprime residues"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        add_common(p)
-        p.add_argument("--Q", dest="q", type=int, default=None)
-        p.add_argument("--B", dest="b_exp", type=float, default=None)
-        p.add_argument("--R", dest="r", type=float, default=None)
-        p.add_argument("--G", dest="g_exp", type=float, default=None)
-        p.add_argument("--q-low", dest="q_low", type=str, default=None, help="number or 'auto' (= x/R)")
-        p.add_argument("--weight", choices=["theta", "psi"], default=None)
-        if name == "theorem4":
-            p.add_argument("--N", dest="n_shift", type=int, default=None)
-
-    p = sub.add_parser("bdh", help="classical variance against x/phi(d)")
-    add_common(p)
-    p.add_argument("--Q", dest="q", type=int, default=None)
-    p.add_argument("--B", dest="b_exp", type=float, default=None)
-    p.add_argument("--weight", choices=["theta", "psi"], default=None)
-
-    p = sub.add_parser("suite", help="desk-scale battery with a merged report")
-    add_common(p, need_x=False)
-    p.add_argument("--scale", choices=["desk", "quick"], default=None)
-
+        for key in command.settings:
+            m = meta[key]
+            p.add_argument(m["flag"], dest=key, type=m["parse"], choices=m["choices"], default=None, help=m["help"])
     p = sub.add_parser("report", help="merge manifests into a comparison report")
     p.add_argument("manifests", nargs="+")
-
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base = ExperimentConfig()
-    if getattr(args, "config", None):
+    cfg = ExperimentConfig()
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise UsageError(f"config file not found: {args.config}")
-        base = config_from_text(path.read_text())
-    base.command = args.command
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name == "command":
-            continue
-        if hasattr(args, f.name):
-            val = getattr(args, f.name)
-            if val is not None:
-                if f.name == "v_list" and isinstance(val, str):
-                    val = _parse_field("v_list", val)
-                setattr(base, f.name, val)
-    return base
+        cfg = config_from_text(path.read_text())
+    cfg.command = args.command
+    for key in _COMMANDS[args.command].settings:
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -198,19 +198,14 @@ def _bucket_band_sum(
     """The band one modulus at a time: an O(x) bucket pass per d, over threads (0: one per core)."""
     threads = threads or os.cpu_count() or 1
 
-    def chunk_contribs(chunk: list[int]) -> list[float]:
-        return [_modulus_contribution(d, x, diff, restriction, phi) for d in chunk]
+    def contribution(d: int) -> float:
+        return _modulus_contribution(d, x, diff, restriction, phi)
 
-    ds = list(moduli)
-    if threads <= 1 or len(ds) < 2:
-        contribs = chunk_contribs(ds)
+    if threads <= 1 or len(moduli) < 2:
+        contribs = [contribution(d) for d in moduli]
     else:
-        size = max(1, len(ds) // (threads * 8))
-        chunks = [ds[i : i + size] for i in range(0, len(ds), size)]
-        contribs = []
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for part in ex.map(chunk_contribs, chunks):
-                contribs.extend(part)
+            contribs = list(ex.map(contribution, moduli))
     # fsum is exactly rounded, so the reduction order cannot matter; contribs
     # are nevertheless kept in ascending-d order.
     return math.fsum(contribs)

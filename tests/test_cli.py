@@ -1,6 +1,8 @@
 """Command-line front end tests: parsing, file outputs, determinism, reports."""
 
+import argparse
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -67,6 +69,13 @@ def test_config_parse_errors():
         config_from_text("just a line\n")
     cfg = config_from_text("# comment\n\nx = 100\nv_list = 1,2,3\nr = 2.5\n")
     assert cfg.x == 100 and cfg.v_list == [1, 2, 3] and cfg.r == 2.5
+
+
+def test_run_checks_the_choices_of_a_config_built_in_code(tmp_path):
+    for bad in ({"command": "suite", "scale": "huge"}, {"command": "constants", "format": "xml"}):
+        with raises(UsageError):
+            cli.run(ExperimentConfig(**bad, prime_cutoff=1000, output_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_q_and_r_resolution():
@@ -207,6 +216,9 @@ def test_bdh_command_matches_library(tmp_path, capsys):
     header, rows = read_csv(tmp_path / "results.csv")
     want = bdh_variance(1000, 100, build_tables(build_sieve(1000))).empirical
     assert float(rows[0][header.index("empirical")]) == approx(want, rel=1e-11)
+    assert rows[0][header.index("empirical")] == f"{want:.12g}"
+    # results.json carries the full double, not the CSV's 12 digits
+    assert json.loads((tmp_path / "results.json").read_text())["rows"][0]["empirical"] == want
     assert rows[0][header.index("mode")] == "bdh"
     assert rows[0][header.index("predicted_coupled")] == ""
 
@@ -308,7 +320,12 @@ def test_cli_frees_the_tables_of_an_earlier_x(tmp_path, capsys):
     assert first_tables() is None
 
 
-CONFIG_FILE = "<config x = abc>"
+def config_file(text: str) -> str:
+    """An argv placeholder for a config file that holds the one line `text`."""
+    return f"<config {text}>"
+
+
+CONFIG_FILE = config_file("x = abc")
 BAD_VALUES = [
     ("vaughan", "--x", "1000", "--Q", "0", "--R", "10"),
     ("vaughan", "--x", "1000", "--Q", "1001", "--R", "10"),
@@ -328,6 +345,9 @@ BAD_VALUES = [
     ("theorem5", "--x", "1000", "--Q", "50", "--R", "10", "--q-low", "auto"),  # Q_low = 100 >= Q
     ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "1009", "--cutoff", "1000"),
     ("vaughan", "--x", "3000000000", "--Q", "100", "--R", "10"),  # beyond the int32 sieve
+    ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--config", config_file("format = xml")),
+    ("suite", "--config", config_file("scale = huge")),
+    ("suite", "--threads", "-3"),
 ]
 
 
@@ -340,8 +360,68 @@ def test_bad_values_exit_2_before_any_table(argv, tmp_path, monkeypatch, capsys)
     cli._tables_for.cache_clear()
     cli._fr_for.cache_clear()
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("x = abc\n")
-    argv = [str(cfg_file) if a == CONFIG_FILE else a for a in argv]
-    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    for a in argv:
+        if a.startswith("<config "):
+            cfg_file.write_text(a.removeprefix("<config ").removesuffix(">") + "\n")
+    argv = [str(cfg_file) if a.startswith("<config ") else a for a in argv]
+    out = tmp_path / "fresh" / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2, err
     assert json.loads(err)["error"] == "usage"
+    assert not (tmp_path / "fresh").exists()  # no output directory is made on a usage error
+
+
+# Each subcommand's flags, written out by hand as a record of the parser's
+# interface independent of the ExperimentConfig field metadata it is built from.
+SUBCOMMAND_FLAGS = {
+    "constants": {"--config", "--cutoff", "--threads", "--out", "--format"},
+    "fr-table": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--R", "--G"},
+    "theorem3": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--R", "--G", "--v", "--N"},
+    "vaughan": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
+                "--Q", "--B", "--R", "--G", "--q-low", "--weight"},
+    "theorem5": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
+                 "--Q", "--B", "--R", "--G", "--q-low", "--weight"},
+    "theorem4": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
+                 "--Q", "--B", "--R", "--G", "--q-low", "--weight", "--N"},
+    "bdh": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--Q", "--B", "--weight"},
+    "suite": {"--config", "--cutoff", "--threads", "--out", "--format", "--scale"},
+    "report": set(),
+}
+
+# Config-file key for each flag, with a value both accept (as documented in the README).
+FLAG_KEYS = {
+    "--x": ("x", "1000"),
+    "--Q": ("q", "100"),
+    "--B": ("b_exp", "1.5"),
+    "--R": ("r", "10"),
+    "--G": ("g_exp", "2"),
+    "--N": ("n_shift", "3"),
+    "--v": ("v_list", "1,2,6"),
+    "--cutoff": ("prime_cutoff", "1000"),
+    "--q-low": ("q_low", "auto"),
+    "--weight": ("weight", "psi"),
+    "--threads": ("threads", "2"),
+    "--scale": ("scale", "quick"),
+    "--out": ("output_dir", "somewhere"),
+    "--format": ("format", "json"),
+}
+
+
+def test_config_keys_are_field_names_and_flags_are_unchanged():
+    text = "command = vaughan\n" + "".join(f"{key} = {val}\n" for key, val in FLAG_KEYS.values())
+    cfg = config_from_text(text)
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {"command", *(k for k, _ in FLAG_KEYS.values())}
+    assert cfg == ExperimentConfig(
+        command="vaughan", x=1000, q=100, b_exp=1.5, r=10.0, g_exp=2.0, n_shift=3, v_list=[1, 2, 6],
+        prime_cutoff=1000, q_low="auto", weight="psi", threads=2, scale="quick", output_dir="somewhere", format="json",
+    )
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        flags = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags == SUBCOMMAND_FLAGS[name], name
+        for flag in flags - {"--config"}:
+            key, val = FLAG_KEYS[flag]
+            from_flag = cli._config_from_args(parser.parse_args([name, flag, val]))
+            assert from_flag == dataclasses.replace(config_from_text(f"{key} = {val}\n"), command=name), flag
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
