@@ -5,10 +5,12 @@ Provides:
   struck in cache-sized segments, with the array of the primes it found
 - prime_array: the primes <= cutoff from an odd-only sieve, for the prime sums
   and products of the constants layer
-- ArithTables / build_tables: von Mangoldt, Mobius, totient and prime-log arrays
-  from the sieve's spf table and primes; mu and phi built in ascending blocks
-  of n by one recurrence from n / spf(n), on the sieve's segment grid, Lambda
-  copied from the prime-log array plus its prime powers
+- ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
+  sieve's spf table and primes; mu and phi built in ascending blocks of n by
+  one recurrence from n / spf(n), on the sieve's segment grid, Lambda stored
+  with the sorted prime powers p^k, k >= 2, where it is log p; the prime-log
+  weight theta is not stored but derived from Lambda, a fresh array on each
+  access of ArithTables.theta
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -165,20 +167,32 @@ class ArithTables:
         lam: von Mangoldt Lambda(n) as float64 (log p at prime powers, else 0).
         mu: Mobius mu(n) as int8.
         phi: Euler totient phi(n) as int64.
-        theta: log n at primes, else 0 (the weight used by theta sums).
+        prime_powers: the p^k <= limit with k >= 2, ascending, as int64; the
+            only n where Lambda and theta differ.
         sieve: the FactorSieve the tables were built from.
+
+    theta, log n at primes and 0 elsewhere (the weight of the theta sums), is
+    not stored: the property derives it from lam, allocating limit + 1
+    float64s on every access.
     """
 
     limit: int
     lam: np.ndarray
     mu: np.ndarray
     phi: np.ndarray
-    theta: np.ndarray
+    prime_powers: np.ndarray
     sieve: FactorSieve
+
+    @property
+    def theta(self) -> np.ndarray:
+        """A fresh copy of lam with the prime powers p^k, k >= 2, set to 0."""
+        theta = self.lam.copy()
+        theta[self.prime_powers] = 0.0
+        return theta
 
 
 def build_tables(sieve: FactorSieve) -> ArithTables:
-    """Build Lambda, mu, phi and the prime-log weight from a factor sieve.
+    """Build Lambda, mu and phi from a factor sieve.
 
     mu and phi come from one recurrence on the smallest prime factor.  For
     n >= 2 let p = spf[n], m = n // p and again = (spf[m] == p), which holds
@@ -189,22 +203,26 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
 
     m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + _SEGMENT)),
     each a vectorised gather from blocks already built.  The primes are the
-    sieve's own, sieve.primes().  Lambda is a copy of the prime-log weight
-    plus one store of log p at each p^k <= limit with k >= 2
-    (p <= sqrt(limit)), so every power of p carries the same float.
+    sieve's own, sieve.primes().  Lambda holds log p at each prime p and one
+    store of that float at each p^k <= limit with k >= 2 (p <= sqrt(limit)),
+    so every power of p carries the same float; those p^k are kept, sorted,
+    as the tables' prime_powers (555 at 10^7), from which theta is
+    derived.
     """
     limit = sieve.limit
     spf = sieve.spf
     primes = sieve.primes()
 
-    theta = np.zeros(limit + 1, dtype=np.float64)
-    theta[primes] = np.log(primes.astype(np.float64))
-    lam = theta.copy()
+    lam = np.zeros(limit + 1, dtype=np.float64)
+    lam[primes] = np.log(primes.astype(np.float64))
+    powers = []
     for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
         pk = p * p
         while pk <= limit:
-            lam[pk] = theta[p]
+            lam[pk] = lam[p]
+            powers.append(pk)
             pk *= p
+    prime_powers = np.sort(np.array(powers, dtype=np.int64))
     mu = np.zeros(limit + 1, dtype=np.int8)
     phi = np.zeros(limit + 1, dtype=np.int64)
     mu[1] = phi[1] = 1
@@ -219,7 +237,7 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
         mu[lo:hi] = np.where(again, 0, -mu[m])
         lo = hi
 
-    return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)
+    return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, prime_powers=prime_powers, sieve=sieve)
 
 
 def _norm_residue(b: int, d: int) -> int:
@@ -241,10 +259,17 @@ def theta_progression(x: int, d: int, b: int, tables: ArithTables) -> float:
     """Sum of log p over primes p <= x with p = b (mod d).
 
     The residue b may be given in [0, d]; b = d is reduced to 0.
+    Only Lambda is stored: the class's x/d entries of it are copied and its
+    prime powers p^k, k >= 2, set to 0 before the sum, which equals the sum
+    over the same entries of the theta table bit for bit.
     """
     b = _norm_residue(b, d)
     _check_x(x, tables)
-    return float(tables.theta[: x + 1][b::d].sum())
+    row = tables.lam[b : x + 1 : d].copy()
+    pp = tables.prime_powers
+    pp = pp[(pp <= x) & (pp % d == b)]
+    row[(pp - b) // d] = 0.0
+    return float(row.sum())
 
 
 def psi_progression(x: int, d: int, b: int, tables: ArithTables) -> float:

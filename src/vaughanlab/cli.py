@@ -334,6 +334,12 @@ def _sha256(arr) -> str:
     return hashlib.sha256(memoryview(np.ascontiguousarray(arr))).hexdigest()
 
 
+def _table_bytes(held: list) -> int:
+    """Summed nbytes of the numpy arrays in the dataclass fields of the held objects."""
+    arrays = (getattr(obj, f.name) for obj in held for f in dataclasses.fields(obj))
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
 def _set_up(derived: dict, x: int, r: float | None = None) -> tuple[ArithTables, FRConfig | None]:
     """The tables for x and, given R, the F_R config, timed into derived["tables_s"]."""
     t0 = time.perf_counter()
@@ -424,15 +430,43 @@ def _constants_rows(cut: int) -> list[dict]:
     return rows
 
 
+def _column_text(rows: list[dict], column: str) -> list[str]:
+    """_fmt of one column's values; a column of plain floats or ints is formatted by one map."""
+    vals = [row.get(column) for row in rows]
+    kinds = set(map(type, vals))
+    if kinds == {float}:
+        return list(map("{:.12g}".format, vals))
+    return list(map(str if kinds == {int} else _fmt, vals))
+
+
 def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
     w = csv.writer(stream)
     w.writerow(columns)
-    for row in rows:
-        w.writerow([_fmt(row.get(c)) for c in columns])
+    w.writerows(zip(*(_column_text(rows, c) for c in columns)))
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n")
+def _rows_json(rows: list[dict], depth: int) -> str:
+    """json.dumps(rows, indent=2, sort_keys=True, default=_fmt) nested depth levels deep.
+
+    The indenting encoder is pure Python, so the rows go through the C
+    encoder in one call, with the row items' indented separator between all
+    items, and the row boundaries are then re-indented.  The rows are flat
+    and an encoded string holds no raw newline, so "}," followed by that
+    separator and "{" occurs only between two rows.
+    """
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    item = pad + "  "
+    text = json.JSONEncoder(sort_keys=True, default=_fmt, separators=("," + item, ": ")).encode(rows)
+    body = text[2:-2].replace("}," + item + "{", pad + "}," + pad + "{" + item)
+    return "[" + pad + "{" + item + body + pad + "}\n" + "  " * depth + "]"
+
+
+def _write_json(path: Path, command: str, columns: list[str], rows: list[dict]) -> None:
+    """The indented, key-sorted results.json; "rows" sorts last, after "columns" and "command"."""
+    head = json.dumps({"columns": columns, "command": command}, indent=2, sort_keys=True)
+    path.write_text(head[:-2] + ',\n  "rows": ' + _rows_json(rows, 1) + "\n}\n")
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, derived: dict, checksums: dict, results: list[str]) -> RunManifest:
@@ -470,12 +504,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     elif cfg.command == "fr-table":
         x, r = _require_x(cfg), _resolve_r(cfg)
         tables, fr = _set_up(derived, x, r)
-        lam, t = tables.lam, fr.table()
+        lam, t = tables.lam[1 : x + 1].tolist(), fr.table()[1 : x + 1].tolist()
         columns = ["n", "lambda", "fr", "delta"]
-        rows = [
-            {"n": n, "lambda": float(lam[n]), "fr": float(t[n]), "delta": float(lam[n] - t[n])}
-            for n in range(1, x + 1)
-        ]
+        rows = [{"n": n, "lambda": a, "fr": b, "delta": a - b} for n, a, b in zip(range(1, x + 1), lam, t)]
     elif cfg.command == "theorem3":
         x, r = _require_x(cfg), _resolve_r(cfg)
         if r > x ** (1.0 / 3.0) * (1 + 1e-12):
@@ -505,20 +536,22 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         columns, rows = RESULT_COLUMNS, [_variance_row(vrun)]
 
     if tables is None:
-        checksums = {"primes_sha256": _sha256(prime_array(cut))}
+        checksums, held = {"primes_sha256": _sha256(prime_array(cut))}, []
     else:
-        checksums = {"lambda_sha256": _sha256(tables.lam)}
+        checksums, held = {"lambda_sha256": _sha256(tables.lam)}, [tables, tables.sieve]
     if fr is not None:
         checksums["fr_sha256"] = _sha256(fr.table())
+        held.append(fr)
     # ru_maxrss is in KiB on Linux; the peak of the whole process so far.
     derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    derived["table_bytes"] = _table_bytes(held)
     out = _out_dir(cfg)
     with (out / "results.csv").open("w", newline="") as fh:
         _write_csv(fh, columns, rows)
-    _write_json(out / "results.json", {"command": cfg.command, "columns": columns, "rows": rows})
+    _write_json(out / "results.json", cfg.command, columns, rows)
     manifest = _write_manifest(out, cfg, derived, checksums, ["results.csv", "results.json"])
     if cfg.format == "json":
-        print(json.dumps(rows, indent=2, sort_keys=True, default=_fmt))
+        print(_rows_json(rows, 0))
     else:
         _write_csv(sys.stdout, columns, rows)
     return manifest

@@ -141,8 +141,25 @@ class ProgressionAccumulator:
     rho_buckets: np.ndarray
 
 
-def _weight_array(weight: Weight, tables: ArithTables) -> np.ndarray:
-    return tables.theta if weight is Weight.THETA else tables.lam
+def _weight_array(
+    weight: Weight, tables: ArithTables, x: int, model: np.ndarray | None = None
+) -> np.ndarray:
+    """The weight over [0, x], less model[: x + 1] when a model is given.
+
+    Only Lambda is stored.  The theta weight is Lambda with the prime powers
+    p^k, k >= 2, set to 0, so a theta array is Lambda's slice (minus the
+    model) with 0 (0.0 - model) stored at those few entries: one x-sized
+    array, bit for bit the stored-theta one, signed zeros included.  The psi
+    weight with no model is a view of tables.lam.
+    """
+    lam = tables.lam[: x + 1]
+    if model is None and weight is Weight.PSI:
+        return lam
+    w = lam.copy() if model is None else lam - model[: x + 1]
+    if weight is Weight.THETA:
+        pp = tables.prime_powers[tables.prime_powers <= x]
+        w[pp] = 0.0 if model is None else np.subtract(0.0, model[pp])
+    return w
 
 
 def _bucket_sums(arr: np.ndarray, x: int, d: int) -> np.ndarray:
@@ -164,7 +181,7 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     _check_x(x, cfg.tables)
-    w = _weight_array(weight, cfg.tables)
+    w = _weight_array(weight, cfg.tables, x)
     return ProgressionAccumulator(
         d=d,
         theta_buckets=_bucket_sums(w, x, d),
@@ -407,8 +424,7 @@ def variance_sum(
         raise ValueError("BDH mode is served by bdh_variance")
 
     t0 = time.perf_counter()
-    w = _weight_array(weight, cfg.tables)
-    diff = w[: x + 1] - cfg.table()[: x + 1]
+    diff = _weight_array(weight, cfg.tables, x, cfg.table())
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
     empirical = _run_moduli(moduli, x, diff, restriction, cfg.tables, threads)
     wall_ms = (time.perf_counter() - t0) * 1e3
@@ -504,16 +520,19 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     return Prediction(terms=terms, total=total, error_budget=_theorem3_budget(x, v, R, phi_v))
 
 
-def _theorem3_budget(x: int, v: int, R: float, phi_v: int) -> str:
+def _theorem3_budget(x: int, v: int, R: float, phi_v: int | None) -> str:
+    """The theorem-3 O-terms at these parameters; phi_v None leaves out x/(phi(v)*sqrt(R)),
+    which theorem3_refined_prediction's budget does not carry."""
     tau_v = _tau_small(v)
-    return (
-        "O-terms at these parameters: "
-        f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(R)):.3e}; "
-        f"x/(phi(v)*sqrt(R)) = {x / (phi_v * math.sqrt(R)):.3e}; "
-        f"R^2*log(R) = {R * R * math.log(R):.3e}; "
-        f"tau(v)*R = {tau_v * R:.3e}; "
-        "x*exp(-c*sqrt(log x)) with ineffective c"
-    )
+    terms = [f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(R)):.3e}"]
+    if phi_v is not None:
+        terms.append(f"x/(phi(v)*sqrt(R)) = {x / (phi_v * math.sqrt(R)):.3e}")
+    terms += [
+        f"R^2*log(R) = {R * R * math.log(R):.3e}",
+        f"tau(v)*R = {tau_v * R:.3e}",
+        "x*exp(-c*sqrt(log x)) with ineffective c",
+    ]
+    return "O-terms at these parameters: " + "; ".join(terms)
 
 
 def theorem3_refined_prediction(
@@ -536,14 +555,6 @@ def theorem3_refined_prediction(
     pairs, with no tables, is theorem3_coupled_prediction.
     """
     _check_theorem3_args(x, v, cfg.R)
-    tau_v = _tau_small(v)
-    budget = (
-        "O-terms at these parameters: "
-        f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(cfg.R)):.3e}; "
-        f"R^2*log(R) = {cfg.R * cfg.R * math.log(cfg.R):.3e}; "
-        f"tau(v)*R = {tau_v * cfg.R:.3e}; "
-        "x*exp(-c*sqrt(log x)) with ineffective c"
-    )
     b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
     inv_phi = 1.0 / cfg.tables.phi[b]
     coprime = np.gcd(b, v) == 1
@@ -552,7 +563,7 @@ def theorem3_refined_prediction(
     def g(y: float) -> float:
         return math.fsum(kept[: bisect.bisect_right(b, y)])
 
-    return _crt_mean_prediction(x, v, N, cfg.R, math.fsum(inv_phi), g, budget)
+    return _crt_mean_prediction(x, v, N, cfg.R, math.fsum(inv_phi), g, _theorem3_budget(x, v, cfg.R, None))
 
 
 def _crt_mean_prediction(
@@ -727,7 +738,7 @@ def bdh_variance(
     if q < 1 or q > x:
         raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={q}, x={x}")
     t0 = time.perf_counter()
-    w = _weight_array(weight, tables)
+    w = _weight_array(weight, tables, x)
     empirical = _run_moduli(
         range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables, threads
     )

@@ -1,6 +1,8 @@
 """Sieve, table, and progression-sum tests."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -19,7 +21,7 @@ from vaughanlab import (
     theta_progression,
 )
 from vaughanlab import arith
-from vaughanlab.arith import ArithTables, mu_of, phi_of, prime_array
+from vaughanlab.arith import mu_of, phi_of, prime_array
 from vaughanlab.constants import constant_set
 from vaughanlab.constants import prime_array as constants_prime_array
 
@@ -279,7 +281,7 @@ def _strike_tables(sieve):
     np.multiply(phi, rem, out=phi, where=big)
     del rem, big
 
-    return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, theta=theta, sieve=sieve)
+    return SimpleNamespace(lam=lam, mu=mu, phi=phi, theta=theta)
 
 
 def _assert_tables_match_strike_loop(limit):
@@ -344,3 +346,37 @@ def test_build_sieve_adds_no_prime_array_cutoff():
     constant_set(10**6)
     # One miss, for the constants cutoff.
     assert prime_array.cache_info().misses == 1
+
+
+def test_theta_is_lambda_off_the_prime_powers(tables_small):
+    t = tables_small
+    n = np.arange(t.limit + 1)
+    stored = np.where(t.sieve.spf == n, t.lam, 0.0)
+    assert t.theta.tobytes() == stored.tobytes()
+    assert t.theta is not t.theta
+    factors = [factorize(n, t.sieve) for n in range(2, t.limit + 1)]
+    powers = [p**e for ((p, e),) in (f for f in factors if len(f) == 1) if e > 1]
+    assert t.prime_powers.dtype == np.int64 and t.prime_powers.tolist() == sorted(powers)
+    # x at the prime powers 1024, 729 and 1369 = 37^2 and one below each
+    for x in (1024, 1023, 729, 728, 1369, 1368):
+        for d in range(1, 13):
+            for b in range(d):
+                want = float(stored[: x + 1][b::d].sum())
+                assert theta_progression(x, d, b, t).hex() == want.hex(), (x, d, b)
+
+
+def test_build_tables_keeps_17_bytes_per_n():
+    # spf and the primes belong to the sieve, built before tracing; the tables
+    # keep Lambda (8), mu (1) and phi (8) bytes per n, and the recurrence's
+    # block temporaries set the peak.
+    limit = 2**20
+    sieve = build_sieve(limit)
+    tracemalloc.start()
+    try:
+        tables = build_tables(sieve)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept / (limit + 1) <= 17.01
+    assert peak / (limit + 1) < 26
+    assert tables.limit == limit

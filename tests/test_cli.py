@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import gc
 import hashlib
+import io
 import json
 import math
 import weakref
@@ -142,6 +143,66 @@ def test_fr_table_command(tmp_path, capsys):
     assert int(first[0]) == 1
     assert float(first[2]) == approx(mu2_over_phi_sum(10.0, tables), rel=1e-11)
     assert float(first[3]) == approx(-float(first[2]), rel=1e-11)
+
+
+def _per_field_csv(columns, rows):
+    """The per-field CSV writer the CLI had before it formatted by column, kept as its oracle."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt(row.get(c)) for c in columns])
+    return buf.getvalue()
+
+
+# No rows; plain float and int columns; columns of mixed types, numpy scalars
+# (json's default hook), values the CSV must quote, a string that spells a row
+# boundary, and non-finite floats.
+WRITER_ROWS = [
+    [],
+    [{"n": n, "lambda": math.log(n) / 3, "fr": 1e-20 * n, "delta": -0.5 * n} for n in range(1, 6)],
+    [
+        {"n": 1, "lambda": 2.5, "fr": "", "delta": None, "mode": "all", "v": np.int64(3)},
+        {"n": "", "lambda": 7, "fr": np.float64(0.1), "delta": float("inf"), "mode": 'a,b},\n      {"c', "v": True},
+        {"n": 2**70, "lambda": float("nan"), "fr": -0.0, "delta": 1e300, "mode": 'q"', "v": None},
+    ],
+]
+
+
+@pytest.mark.parametrize("rows", WRITER_ROWS, ids=["empty", "floats", "mixed"])
+def test_writers_match_per_field_and_indenting_encoders(tmp_path, rows):
+    columns = list(rows[0]) if rows else ["n", "lambda"]
+    buf = io.StringIO()
+    cli._write_csv(buf, columns, rows)
+    assert buf.getvalue() == _per_field_csv(columns, rows)
+    cli._write_json(tmp_path / "results.json", "fr-table", columns, rows)
+    payload = {"command": "fr-table", "columns": columns, "rows": rows}
+    want = json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n"
+    assert (tmp_path / "results.json").read_text() == want
+    assert cli._rows_json(rows, 0) == json.dumps(rows, indent=2, sort_keys=True, default=_fmt)
+
+
+def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
+    runs = {
+        "constants": ("--cutoff", "1000"),
+        "bdh": ("--x", "3000", "--Q", "20"),
+        "theorem3": ("--x", "3000", "--R", "10", "--v", "1,6"),
+    }
+    for command, argv in runs.items():
+        code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path / command))
+        assert code == 0, err
+    derived = {c: json.loads((tmp_path / c / "manifest.json").read_text())["derived"] for c in runs}
+    assert derived["constants"]["table_bytes"] == 0
+    tables = cli._tables_for(3000)
+    sieve_and_tables = sum(
+        a.nbytes for a in (tables.sieve.spf, tables.sieve.primes(), tables.lam, tables.mu, tables.phi, tables.prime_powers)
+    )
+    assert derived["bdh"]["table_bytes"] == sieve_and_tables
+    fr = cli._fr_for(3000, 10.0)
+    # theorem3 holds the F_R weights, the F_R table and the residual square too
+    assert derived["theorem3"]["table_bytes"] == sieve_and_tables + sum(
+        a.nbytes for a in (fr._coef, fr.table(), fr._delta_sq_table())
+    )
 
 
 def test_theorem3_hypothesis_guard(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Variance accumulation and main-term prediction tests."""
 
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -16,6 +17,8 @@ from vaughanlab import (
     Weight,
     accumulate_modulus,
     bdh_variance,
+    build_sieve,
+    build_tables,
     delta_sq_progression,
     mu2_over_phi_sum,
     restricted_product,
@@ -43,6 +46,7 @@ from vaughanlab.variance import (
     _lag_route,
     _lag_weights,
     _restricted_main_terms,
+    _run_moduli,
     _weight_array,
 )
 
@@ -156,7 +160,7 @@ VARIANCE_SUM_MODES = [r for r in LAG_ORACLE_MODES if r.mode is not Mode.BDH]
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
 def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     x = 2_000
-    w = _weight_array(weight, cfg10_small.tables)
+    w = _weight_array(weight, cfg10_small.tables, x)
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     for q_low, q in LAG_ORACLE_BANDS:
         moduli = range(math.floor(q_low) + 1, q + 1)
@@ -697,3 +701,67 @@ def test_run_metadata(cfg20_1e4):
     assert run.mode is Mode.ALL and run.weight is Weight.THETA
     assert run.wall_time_ms >= 0.0
     assert run.modulus_range == (0.0, 50)
+
+
+# x at the prime powers 2^20 and 3^12, where the last entry is one the theta
+# weight zeroes, and one below each.
+STORED_THETA_X = (2**20, 2**20 - 1, 3**12, 3**12 - 1)
+# Classes holding prime powers: 4, 8, 16, ... in 0 mod 4, 9, 27, ... in 0 mod
+# 9, and 8, 64, 169, ... in 1 mod 7.
+STORED_THETA_CLASSES = ((4, 0), (9, 0), (7, 1))
+# A COPRIME band of ten moduli goes to the bucket route and an ALL band of 400
+# to the lag route; BDH over d <= 100 to the bucket route, over d <= 150 to
+# the lag route.
+STORED_THETA_BANDS = ((90.0, 100, RestrictionMode(Mode.COPRIME)), (0.0, 400, RestrictionMode(Mode.ALL)))
+STORED_THETA_BDH_Q = (100, 150)
+
+
+@pytest.fixture(scope="module")
+def cfg10_2e20():
+    cfg = FRConfig(R=10.0, tables=build_tables(build_sieve(2**20)))
+    cfg.table()
+    return cfg
+
+
+def _stored_theta(tables):
+    """theta as the tables once stored it: Lambda at the primes (spf(n) = n), 0 elsewhere."""
+    n = np.arange(tables.limit + 1)
+    return np.where(tables.sieve.spf == n, tables.lam, 0.0)
+
+
+@pytest.mark.parametrize("x", STORED_THETA_X)
+def test_theta_consumers_match_stored_theta_bits(cfg10_2e20, x):
+    tables = cfg10_2e20.tables
+    theta = _stored_theta(tables)
+    assert tables.theta.tobytes() == theta.tobytes()
+    weights = {Weight.THETA: theta, Weight.PSI: tables.lam}
+    for q_low, q, restriction in STORED_THETA_BANDS:
+        moduli = range(math.floor(q_low) + 1, q + 1)
+        for weight, w in weights.items():
+            diff = w[: x + 1] - cfg10_2e20.table()[: x + 1]
+            want = _run_moduli(moduli, x, diff, restriction, tables, 1)
+            got = variance_sum(x, q, cfg10_2e20, restriction, weight=weight, q_low=q_low, threads=1).empirical
+            assert got.hex() == want.hex(), (weight, q_low, q)
+    for q in STORED_THETA_BDH_Q:
+        want = _run_moduli(range(1, q + 1), x, theta, RestrictionMode(Mode.BDH), tables, 1)
+        assert bdh_variance(x, q, tables, threads=1).empirical.hex() == want.hex(), q
+    routes = [_lag_route(q - math.floor(q_low), x) for q_low, q, _ in STORED_THETA_BANDS]
+    assert routes + [_lag_route(q, x) for q in STORED_THETA_BDH_Q] == [False, True] * 2
+    for d, b in STORED_THETA_CLASSES:
+        got = accumulate_modulus(d, x, cfg10_2e20).theta_buckets
+        assert got.tobytes() == _bucket_sums(theta, x, d).tobytes(), d
+        assert theta_progression(x, d, b, tables).hex() == float(theta[: x + 1][b::d].sum()).hex(), (d, b)
+
+
+def test_theta_variance_sum_holds_one_residual(cfg10_2e20):
+    # The F_R table is built by the fixture; a bucket-route band of small
+    # moduli allocates little beyond the x-sized residual itself.
+    x = 2**20
+    for weight in Weight:
+        tracemalloc.start()
+        try:
+            variance_sum(x, 100, cfg10_2e20, RestrictionMode(Mode.COPRIME), weight=weight, q_low=90.0, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (x + 1) <= 8.1, weight
