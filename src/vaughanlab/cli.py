@@ -50,7 +50,7 @@ from .arith import ArithTables, build_sieve, build_tables, prime_array
 from .constants import (
     ConstantSet,
     ProductKind,
-    _small_factorization,
+    _primes_of_n,
     constant_set,
     restricted_product,
     t_of_n,
@@ -61,6 +61,7 @@ from .variance import (
     RestrictionMode,
     VarianceRun,
     Weight,
+    _check_theorem3_args,
     bdh_variance,
     delta_sq_progression,
     theorem3_coupled_prediction,
@@ -269,17 +270,27 @@ def _resolve_n(cfg: ExperimentConfig, least: int) -> int:
     return cfg.n_shift
 
 
+def _usage(check, *args):
+    """check(*args), with a ValueError it raises turned into a usage error."""
+    try:
+        return check(*args)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
 def _resolve_shift(cfg: ExperimentConfig) -> int:
+    """The theorem4 N, by restricted_product's own check: below 2^63, no prime factor above the cutoff."""
     n = _resolve_n(cfg, 1)
-    if any(p > cfg.prime_cutoff for p, _ in _small_factorization(n)):
-        raise UsageError(f"N = {n} has a prime factor above the prime cutoff {cfg.prime_cutoff}")
+    _usage(_primes_of_n, n, cfg.prime_cutoff)
     return n
 
 
-def _resolve_v_list(cfg: ExperimentConfig, x: int) -> list[int]:
+def _resolve_v_list(cfg: ExperimentConfig, x: int, r: float) -> list[int]:
+    """The theorem3 moduli: each at most x, and squarefree by the theorem-3 forms' own check."""
     for v in cfg.v_list:
-        if not 1 <= v <= x or any(e > 1 for _, e in _small_factorization(v)):
-            raise UsageError(f"each v must be squarefree with 1 <= v <= x, got v = {v}, x = {x}")
+        if v > x:
+            raise UsageError(f"each v must satisfy 1 <= v <= x, got v = {v}, x = {x}")
+        _usage(_check_theorem3_args, x, v, r)
     return cfg.v_list
 
 
@@ -316,10 +327,7 @@ def _resolve_cutoff(cfg: ExperimentConfig) -> int:
 
 
 def _resolve_weight(cfg: ExperimentConfig) -> Weight:
-    try:
-        return Weight(cfg.weight)
-    except ValueError as e:
-        raise UsageError(f"weight must be 'theta' or 'psi', got {cfg.weight!r}") from e
+    return _usage(Weight, cfg.weight)
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -463,10 +471,15 @@ def _rows_json(rows: list[dict], depth: int) -> str:
     return "[" + pad + "{" + item + body + pad + "}\n" + "  " * depth + "]"
 
 
-def _write_json(path: Path, command: str, columns: list[str], rows: list[dict]) -> None:
-    """The indented, key-sorted results.json; "rows" sorts last, after "columns" and "command"."""
+def _write_json(path: Path, command: str, columns: list[str], rows: list[dict]) -> str:
+    """The indented, key-sorted results.json; "rows" sorts last, after "columns" and "command".
+
+    Returns the rows as they stand in the file, _rows_json(rows, 1), for the --format json echo.
+    """
     head = json.dumps({"columns": columns, "command": command}, indent=2, sort_keys=True)
-    path.write_text(head[:-2] + ',\n  "rows": ' + _rows_json(rows, 1) + "\n}\n")
+    rows_json = _rows_json(rows, 1)
+    path.write_text(head[:-2] + ',\n  "rows": ' + rows_json + "\n}\n")
+    return rows_json
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, derived: dict, checksums: dict, results: list[str]) -> RunManifest:
@@ -513,7 +526,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             raise UsageError(
                 f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
             )
-        v_list, n_shift = _resolve_v_list(cfg, x), _resolve_n(cfg, 0)
+        v_list, n_shift = _resolve_v_list(cfg, x, r), _resolve_n(cfg, 0)
         tables, fr = _set_up(derived, x, r)
         columns, rows = RESULT_COLUMNS, _theorem3_rows(x, r, v_list, n_shift, fr, constant_set(cut))
     elif mode is Mode.BDH:
@@ -542,19 +555,20 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if fr is not None:
         checksums["fr_sha256"] = _sha256(fr.table())
         held.append(fr)
-    # ru_maxrss is in KiB on Linux; the peak of the whole process so far.
-    derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     derived["table_bytes"] = _table_bytes(held)
     out = _out_dir(cfg)
     with (out / "results.csv").open("w", newline="") as fh:
         _write_csv(fh, columns, rows)
-    _write_json(out / "results.json", cfg.command, columns, rows)
-    manifest = _write_manifest(out, cfg, derived, checksums, ["results.csv", "results.json"])
+    rows_json = _write_json(out / "results.json", cfg.command, columns, rows)
     if cfg.format == "json":
-        print(_rows_json(rows, 0))
+        # one level out: each line break of rows_json is followed by at least
+        # its two-space indent, and an encoded string holds no raw newline
+        print(rows_json.replace("\n  ", "\n"))
     else:
         _write_csv(sys.stdout, columns, rows)
-    return manifest
+    # ru_maxrss is in KiB on Linux; the peak of the whole process, the writers included.
+    derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return _write_manifest(out, cfg, derived, checksums, ["results.csv", "results.json"])
 
 
 _SUITES = {

@@ -19,7 +19,8 @@ Main entries:
 - constant_set(cutoff): the linked constants c0 = 1 + gamma + logp_sum,
   c1 = 2 c0 - 1, c2 = c0 - 1, plus 6/pi^2
 - restricted_product(kind, N, cutoff): prod_{p <= cutoff, p not| N} of
-  (1 - 1/(p(p-1))), (1 - 1/(p-1)^2), or (1 - 1/p^2)
+  (1 - 1/(p(p-1))), (1 - 1/(p-1)^2), or (1 - 1/p^2), with the primes of N
+  found among the same primes (_primes_of_n)
 - t_of_n(N): truncation exponent 2 - P_ZETA / P_PM1(N), with a flag recording
   whether the computed value reaches 1
 """
@@ -194,21 +195,23 @@ def _factor_values(kind: ProductKind, p: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, d, out=d)
 
 
-def _small_factorization(n: int) -> list[tuple[int, int]]:
-    """[(p, exponent)] with p ascending, by trial division; for callers without a sieve."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+def _primes_of_n(N: int, prime_cutoff: int) -> list[int]:
+    """The primes of N, ascending, taken from prime_array(prime_cutoff).
+
+    N must lie in [1, 2^63), the int64 range of the band kernels, and have no
+    prime factor above prime_cutoff.  The primes <= min(N, prime_cutoff) that
+    divide N are found by one array remainder; N has no other prime exactly
+    when it divides the 63rd power of their product, since no exponent of an
+    N < 2^63 reaches 63 (the cofactor left by stripping them is 1).
+    """
+    if not 1 <= N < 2**63:
+        raise ValueError(f"N must satisfy 1 <= N < 2^63, got {N}")
+    p = prime_array(prime_cutoff)
+    p = p[: np.searchsorted(p, min(N, prime_cutoff), side="right")]
+    pf = p[N % p == 0].tolist()
+    if pow(math.prod(pf), 63, N):
+        raise ValueError(f"N = {N} has a prime factor above the prime cutoff {prime_cutoff}")
+    return pf
 
 
 @functools.lru_cache
@@ -222,13 +225,7 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> 
     product with odd N vanishes identically); it and P_ZETA drop the primes
     of N from the prime array by index before the factors are formed.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    pf = [p for p, _ in _small_factorization(N)]
-    if pf and max(pf) > prime_cutoff:
-        raise ValueError(
-            f"prime_cutoff = {prime_cutoff} is below the largest prime factor {max(pf)} of N = {N}"
-        )
+    pf = _primes_of_n(N, prime_cutoff)
     if kind is ProductKind.P_PM1:
         if pf:
             value = restricted_product(kind, 1, prime_cutoff).value

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTables, _check_x
-from .constants import ConstantSet, ProductKind, _small_factorization, restricted_product
+from .constants import ConstantSet, ProductKind, restricted_product
 from .frmodel import FRConfig, _class_start, delta_indicator
 
 __all__ = [
@@ -90,6 +90,8 @@ class RestrictionMode:
     def __post_init__(self) -> None:
         if self.mode is Mode.SHIFT_COPRIME and self.N < 1:
             raise ValueError("SHIFT_COPRIME requires N >= 1")
+        if self.N >= 2**63:
+            raise ValueError(f"N must be below 2^63, the int64 range of the band kernels, got {self.N}")
 
     @property
     def shift(self) -> int | None:
@@ -342,16 +344,16 @@ def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarra
     return math.fsum(np.concatenate(parts))
 
 
-def _coprime_first_moments(w: np.ndarray, q: int, phi: np.ndarray) -> np.ndarray:
+def _coprime_first_moments(w: np.ndarray, q: int, primes: np.ndarray) -> np.ndarray:
     """F(d) = sum of w[n] over n coprime to d, at index d <= q, for w carried by prime powers.
 
     The n that meet d are the powers of the primes p | d, so
-    F(d) = sum w - sum_{p | d} sum_k w[p^k].
+    F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from primes,
+    the ascending primes up to q at least (a sieve's primes()).
     """
     x = len(w) - 1
     first = np.full(q + 1, math.fsum(w))
-    for p in np.flatnonzero(phi[: q + 1] == np.arange(-1, q)):  # phi(p) = p - 1
-        p = int(p)
+    for p in primes[: np.searchsorted(primes, q, side="right")].tolist():
         powers = []
         pk = p
         while pk <= x:
@@ -375,7 +377,7 @@ def _lag_band_sum(
     # BDH: a holds the raw weight; the phi(d) reduced classes give
     # sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d)
     approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
-    first = _coprime_first_moments(a, hi, tables.phi)[lo + 1 :]
+    first = _coprime_first_moments(a, hi, tables.sieve.primes())[lo + 1 :]
     return math.fsum((band, math.fsum(approx * (x - 2.0 * first))))
 
 
@@ -474,21 +476,26 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     return float(np.sum(cfg._delta_sq_table()[start : x + 1 : v]))
 
 
-def _phi_small(v: int) -> int:
-    return math.prod((p - 1) * p ** (e - 1) for p, e in _small_factorization(v))
+def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
+    """Check the theorem-3 arguments; return the primes of the squarefree v, ascending.
 
-
-def _tau_small(v: int) -> int:
-    return math.prod(e + 1 for _, e in _small_factorization(v))
-
-
-def _check_theorem3_args(x: int, v: int, R: float) -> None:
+    v is factored once, by trial division, and a square factor is an error:
+    every theorem-3 form sums over the squarefree divisors of v.
+    """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    primes, m = [], v
+    for p in range(2, math.isqrt(v) + 1):
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                raise ValueError(f"v must be squarefree, got {v}")
+            primes.append(p)
+    return primes + [m] if m > 1 else primes
 
 
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:
@@ -505,9 +512,9 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     command reports it as predicted_total); theorem3_coupled_prediction is the
     closed form that keeps the coupled pairs (predicted_coupled).
     """
-    _check_theorem3_args(x, v, R)
+    primes = _check_theorem3_args(x, v, R)
     ind = delta_indicator(N, v)
-    phi_v = _phi_small(v)
+    phi_v = math.prod(p - 1 for p in primes)
     lx = math.log(x)
     lr = math.log(R)
     terms = {
@@ -517,15 +524,15 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
         "neg_term": -x / phi_v,
     }
     total = math.fsum(terms.values())
-    return Prediction(terms=terms, total=total, error_budget=_theorem3_budget(x, v, R, phi_v))
+    return Prediction(terms=terms, total=total, error_budget=_theorem3_budget(x, primes, R, True))
 
 
-def _theorem3_budget(x: int, v: int, R: float, phi_v: int | None) -> str:
-    """The theorem-3 O-terms at these parameters; phi_v None leaves out x/(phi(v)*sqrt(R)),
-    which theorem3_refined_prediction's budget does not carry."""
-    tau_v = _tau_small(v)
+def _theorem3_budget(x: int, primes: list[int], R: float, phi_term: bool) -> str:
+    """The theorem-3 O-terms at these parameters for the v with these primes; phi_term False
+    leaves out x/(phi(v)*sqrt(R)), which theorem3_refined_prediction's budget does not carry."""
+    v, phi_v, tau_v = math.prod(primes), math.prod(p - 1 for p in primes), 2 ** len(primes)
     terms = [f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(R)):.3e}"]
-    if phi_v is not None:
+    if phi_term:
         terms.append(f"x/(phi(v)*sqrt(R)) = {x / (phi_v * math.sqrt(R)):.3e}")
     terms += [
         f"R^2*log(R) = {R * R * math.log(R):.3e}",
@@ -554,7 +561,7 @@ def theorem3_refined_prediction(
     the oracle the tests hold it to.  The closed form that keeps the coupled
     pairs, with no tables, is theorem3_coupled_prediction.
     """
-    _check_theorem3_args(x, v, cfg.R)
+    primes = _check_theorem3_args(x, v, cfg.R)
     b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
     inv_phi = 1.0 / cfg.tables.phi[b]
     coprime = np.gcd(b, v) == 1
@@ -563,17 +570,19 @@ def theorem3_refined_prediction(
     def g(y: float) -> float:
         return math.fsum(kept[: bisect.bisect_right(b, y)])
 
-    return _crt_mean_prediction(x, v, N, cfg.R, math.fsum(inv_phi), g, _theorem3_budget(x, v, cfg.R, None))
+    return _crt_mean_prediction(x, primes, N, cfg.R, math.fsum(inv_phi), g, _theorem3_budget(x, primes, cfg.R, False))
 
 
 def _crt_mean_prediction(
-    x: int, v: int, N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
+    x: int, primes: list[int], N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
 ) -> Prediction:
-    """The three theorem-3 terms around the CRT class mean M (_crt_class_mean) with g as G_v;
-    cross_sum stands for sum_{r <= R} mu(r)^2/phi(r) in the cross term."""
+    """The three theorem-3 terms around the CRT class mean M (_crt_class_mean) with g as G_v,
+    for the squarefree v with these primes; cross_sum stands for sum_{r <= R} mu(r)^2/phi(r)
+    in the cross term."""
+    v = math.prod(primes)
     ind = delta_indicator(N, v)
-    phi_v = _phi_small(v)
-    mean = _crt_class_mean(v, N, R, g)
+    phi_v = math.prod(p - 1 for p in primes)
+    mean = _crt_class_mean(primes, N, R, g)
     terms = {
         "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
         "cross_term": -2.0 * ind * (x / phi_v) * cross_sum,
@@ -582,8 +591,8 @@ def _crt_mean_prediction(
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
-def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> float:
-    """Class mean of F_R(n)^2 on n = N (mod v) by the CRT split of each modulus.
+def _crt_class_mean(primes: list[int], N: int, R: float, g: Callable[[float], float]) -> float:
+    """Class mean of F_R(n)^2 on n = N (mod v) by the CRT split of each modulus, v given by its primes.
 
     Writing r = a*b with a = gcd(r, v) and b coprime to v gives
     C_r(n) = C_a(N) C_b(n) on the class, and C_b, C_b1 average to
@@ -595,12 +604,14 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
 
     over squarefree a, a1, with G_v(y) = sum_{b <= y, (b, v) = 1}
     mu(b)^2/phi(b) supplied as g(y) and taken as 0 for y < 1.  g is called
-    once per distinct max(a, a1), i.e. tau(v) times for squarefree v.
+    once per distinct max(a, a1), i.e. tau(v) times for squarefree v.  F_R
+    sums over squarefree moduli only, so the class mean for v is the one for
+    the product of its primes.
     """
     # w_a is multiplicative in a: its factor at p is -1 when p | N
     # (C_p(N) = p - 1) and 1/(p - 1) otherwise (C_p(N) = -1)
     wts = [(1, 1.0)]
-    for p, _ in _small_factorization(v):
+    for p in primes:
         w_p = -1.0 if N % p == 0 else 1.0 / (p - 1)
         wts += [(a * p, w_a * w_p) for a, w_a in wts]
     g_at = {a: g(R / a) for a, _ in wts if R / a >= 1.0}
@@ -613,14 +624,10 @@ def _crt_class_mean(v: int, N: int, R: float, g: Callable[[float], float]) -> fl
     return math.fsum(parts)
 
 
-def _coprime_mu2_over_phi_main_terms(v: int, c2: float) -> Callable[[float], float]:
-    """y -> (phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y).
-
-    v is factorised once here, not once per evaluation.
-    """
-    ps = [p for p, _ in _small_factorization(v)]
-    density = math.prod((p - 1) / p for p in ps)
-    log_sum = math.fsum(math.log(p) / p for p in ps)
+def _coprime_mu2_over_phi_main_terms(primes: list[int], c2: float) -> Callable[[float], float]:
+    """y -> (phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y), v given by its primes."""
+    density = math.prod((p - 1) / p for p in primes)
+    log_sum = math.fsum(math.log(p) / p for p in primes)
     return lambda y: density * (math.log(y) + c2 + log_sum)
 
 
@@ -635,10 +642,10 @@ def theorem3_coupled_prediction(
     Costs O(tau(v)^2) and needs no tables.  At v = 1 it collapses to
     x (log(x/R) - c0), like theorem3_prediction.
     """
-    _check_theorem3_args(x, v, R)
+    primes = _check_theorem3_args(x, v, R)
     c2 = constants.c2
-    budget = _theorem3_budget(x, v, R, _phi_small(v))
-    return _crt_mean_prediction(x, v, N, R, math.log(R) + c2, _coprime_mu2_over_phi_main_terms(v, c2), budget)
+    g = _coprime_mu2_over_phi_main_terms(primes, c2)
+    return _crt_mean_prediction(x, primes, N, R, math.log(R) + c2, g, _theorem3_budget(x, primes, R, True))
 
 
 def _banded(q: int, q_low: float) -> float:

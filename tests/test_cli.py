@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import time
 import weakref
 from pathlib import Path
 
@@ -369,6 +370,43 @@ def test_json_echo_format(tmp_path, capsys):
     assert len(rows) == 10 and rows[0]["n"] == 1
 
 
+def test_json_rows_are_encoded_once_and_the_peak_read_after_the_writers(tmp_path, capsys, monkeypatch):
+    encodings, peak_reads = [], []
+    rows_json, getrusage = cli._rows_json, cli.resource.getrusage
+    monkeypatch.setattr(cli, "_rows_json", lambda rows, depth: encodings.append(depth) or rows_json(rows, depth))
+    monkeypatch.setattr(
+        cli.resource, "getrusage", lambda who: peak_reads.append((tmp_path / "results.json").exists()) or getrusage(who)
+    )
+    code, out, err = run_cli(
+        capsys, "fr-table", "--x", "50", "--R", "3", "--format", "json", "--out", str(tmp_path)
+    )
+    assert code == 0, err
+    assert len(encodings) == 1  # one encoding serves results.json and the echo
+    assert peak_reads == [True]
+    rows = json.loads((tmp_path / "results.json").read_text())["rows"]
+    assert len(rows) == 50
+    assert out == json.dumps(rows, indent=2, sort_keys=True, default=_fmt) + "\n"
+
+
+def test_theorem4_shift_beyond_the_kernels_exits_2_quickly(tmp_path, capsys):
+    # 2^61 - 1 is prime, far above the cutoff; 10^20 is beyond int64
+    for n in (2**61 - 1, 10**20):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(
+            capsys, "theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", str(n), "--out", str(tmp_path / "bad")
+        )
+        assert time.perf_counter() - t0 < 2.0, n
+        assert code == 2, err
+        assert json.loads(err)["error"] == "usage"
+    assert not (tmp_path / "bad").exists()
+    code, _, err = run_cli(
+        capsys, "theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", str(2**40), "--out", str(tmp_path / "ok")
+    )
+    assert code == 0, err
+    header, rows = read_csv(tmp_path / "ok" / "results.csv")
+    assert rows[0][header.index("N")] == str(2**40)
+
+
 def test_cli_frees_the_tables_of_an_earlier_x(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fr-table", "--x", "60", "--R", "5", "--out", str(tmp_path / "a"))
     assert code == 0, err
@@ -405,6 +443,8 @@ BAD_VALUES = [
     ("fr-table", "--x", "100", "--R", "101"),
     ("theorem5", "--x", "1000", "--Q", "50", "--R", "10", "--q-low", "auto"),  # Q_low = 100 >= Q
     ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "1009", "--cutoff", "1000"),
+    ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "2305843009213693951"),  # 2^61 - 1, prime
+    ("theorem4", "--x", "1000", "--Q", "100", "--R", "10", "--N", "100000000000000000000"),  # beyond int64
     ("vaughan", "--x", "3000000000", "--Q", "100", "--R", "10"),  # beyond the int32 sieve
     ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--config", config_file("format = xml")),
     ("suite", "--config", config_file("scale = huge")),

@@ -14,14 +14,14 @@ from vaughanlab import (
     t_of_n,
     zeta2_inv,
 )
-from vaughanlab.arith import build_sieve, divisors, factorize, phi_of
+from vaughanlab.arith import build_sieve, factorize
 from vaughanlab.constants import (
-    _small_factorization,
+    _primes_of_n,
     euler_gamma_bessel,
     euler_gamma_harmonic,
     prime_array,
 )
-from vaughanlab.variance import _phi_small, _tau_small
+from vaughanlab.variance import _check_theorem3_args
 
 # 20-digit reference, rounded to the nearest double.
 GAMMA_REF = 0.5772156649015328606
@@ -147,13 +147,42 @@ def test_c2_matches_gamma_plus_logp(cs):
     assert cs.c1 == approx(1.0 + 2.0 * (cs.gamma + cs.logp_sum), rel=1e-14)
 
 
-def test_small_factorization_matches_sieve():
-    # the closed forms factor without tables; the sieve-backed factorize is the oracle
+def test_v_and_n_factor_helpers_match_sieve():
+    # the theorem-3 check of v and the N check of restricted_product factor
+    # without tables; the sieve-backed factorize is the oracle
     sieve = build_sieve(20_000)
-    for n in range(1, 20_001):
-        assert _small_factorization(n) == factorize(n, sieve), n
-        assert _phi_small(n) == phi_of(n, sieve), n
-        assert _tau_small(n) == len(divisors(n, sieve)), n
+    factors = {n: factorize(n, sieve) for n in range(1, 20_001)}
+    for n, fac in factors.items():
+        primes = [p for p, _ in fac]
+        if all(e == 1 for _, e in fac):
+            assert _check_theorem3_args(2, n, 1.0) == primes, n
+        else:
+            with raises(ValueError, match="squarefree"):
+                _check_theorem3_args(2, n, 1.0)
+        assert _primes_of_n(n, 20_000) == primes, n
+    # one cutoff per loop: prime_array keeps one cutoff
+    for n, fac in factors.items():
+        if fac and fac[-1][0] > 100:
+            with raises(ValueError, match="prime cutoff 100"):
+                _primes_of_n(n, 100)
+        else:
+            assert _primes_of_n(n, 100) == [p for p, _ in fac], n
+
+
+def test_n_check_at_large_n():
+    # N = 2^63 - 1 = 7^2 73 127 337 92737 649657 is the largest N the int64 kernels take
+    assert _primes_of_n(2**63 - 1, 10**6) == [7, 73, 127, 337, 92737, 649657]
+    assert _primes_of_n(2**40, 10**6) == [2]
+    assert _primes_of_n(3**30, 10**6) == [3]
+    assert _primes_of_n(9699690, 10**6) == [2, 3, 5, 7, 11, 13, 17, 19]
+    for n in (2**61 - 1, 10**14 + 31, 649657 * 1_000_003):
+        with raises(ValueError, match="prime factor above"):
+            _primes_of_n(n, 10**6)
+    for n in (0, -5, 2**63, 10**20):
+        with raises(ValueError, match="2\\^63"):
+            _primes_of_n(n, 10**6)
+        with raises(ValueError):
+            restricted_product(ProductKind.P_PM1, n, 10**6)
 
 
 def _bit_sieve_primes(cutoff):
@@ -189,9 +218,10 @@ def test_constants_bitwise_against_direct_formulas():
         ProductKind.P_ZETA: lambda q: 1.0 - 1.0 / (q * q),
     }
     pm1_base = float(np.multiply.reduce(factors[ProductKind.P_PM1](p)))
+    sieve = build_sieve(2310)
     for kind, factor in factors.items():
         for n in (1, 2, 3, 4, 6, 12, 30, 2310):
-            pf = [q for q, _ in _small_factorization(n)]
+            pf = [q for q, _ in factorize(n, sieve)]
             if kind is ProductKind.P_PM1:
                 want = pm1_base
                 for q in pf:

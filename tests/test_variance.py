@@ -20,6 +20,7 @@ from vaughanlab import (
     build_sieve,
     build_tables,
     delta_sq_progression,
+    factorize,
     mu2_over_phi_sum,
     restricted_product,
     rho,
@@ -206,7 +207,7 @@ def _per_e_lag_band_sum(moduli, x, arr, restriction, tables):
     if restriction.mode is not Mode.BDH:
         return band
     approx_ = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
-    first = _coprime_first_moments(a, hi, tables.phi)[lo + 1 :]
+    first = _coprime_first_moments(a, hi, tables.sieve.primes())[lo + 1 :]
     return math.fsum((band, math.fsum(approx_ * (x - 2.0 * first))))
 
 
@@ -414,6 +415,25 @@ def test_progression_prediction_validation(cs):
         theorem3_prediction(100, 1, 0, 0.5, cs)
 
 
+def test_restriction_mode_rejects_n_beyond_int64():
+    assert RestrictionMode(Mode.SHIFT_COPRIME, 2**63 - 1).shift == 2**63 - 1
+    for mode in Mode:
+        with raises(ValueError, match="2\\^63"):
+            RestrictionMode(mode, 2**63)
+
+
+def test_theorem3_forms_reject_non_squarefree_v(cfg20_1e4, cs):
+    # each form sums over the squarefree divisors of v, so a square factor is
+    # an error, as in delta_sq_progression
+    for v in (4, 12, 18):
+        with raises(ValueError, match="squarefree"):
+            theorem3_prediction(10**6, v, 1, 50.0, cs)
+        with raises(ValueError, match="squarefree"):
+            theorem3_coupled_prediction(10**6, v, 1, 50.0, cs)
+        with raises(ValueError, match="squarefree"):
+            theorem3_refined_prediction(10_000, v, 1, cfg20_1e4, cs)
+
+
 def test_refined_progression_prediction(cfg20_1e4, cs, tables_1e4):
     pred = theorem3_refined_prediction(10_000, 6, 1, cfg20_1e4, cs)
     assert set(pred.terms) == {"lambda_sq_term", "cross_term", "mean_sq_term"}
@@ -428,6 +448,11 @@ def test_refined_progression_prediction(cfg20_1e4, cs, tables_1e4):
     # x * (mu2_over_phi_sum(R) - (log R + c2)), bounded by 3x/sqrt(R)
     closed = theorem3_prediction(x, 1, 0, 20.0, cs).total
     assert abs(v1.total - closed) <= 3.0 * x / math.sqrt(20.0)
+
+
+def _primes(v):
+    """The primes of v, ascending, by the sieve-backed factorize."""
+    return [p for p, _ in factorize(v, build_sieve(max(v, 2)))]
 
 
 def _coprime_partial_sums(v, tables, ymax):
@@ -446,11 +471,11 @@ def test_coupled_g_asymptotic_within_partial_sum_bound(tables_1e5, cs):
     for v in (1, 2, 3, 5, 6, 7, 10, 30, 210):
         exact = _coprime_partial_sums(v, tables_1e5, ymax)
         # the main terms are affine in log y with slope phi(v)/v
-        base = _coprime_mu2_over_phi_main_terms(v, cs.c2)(1.0)
-        slope = _coprime_mu2_over_phi_main_terms(v, cs.c2)(math.e) - base
+        base = _coprime_mu2_over_phi_main_terms(_primes(v), cs.c2)(1.0)
+        slope = _coprime_mu2_over_phi_main_terms(_primes(v), cs.c2)(math.e) - base
         assert slope == approx(tables_1e5.phi[v] / v, rel=1e-12)
         for y in (2.5, 300.0, 4e4):
-            assert _coprime_mu2_over_phi_main_terms(v, cs.c2)(y) == approx(
+            assert _coprime_mu2_over_phi_main_terms(_primes(v), cs.c2)(y) == approx(
                 base + slope * math.log(y), rel=1e-12
             )
         at_k = np.abs(exact - (base + slope * np.log(k))) * np.sqrt(k)
@@ -467,7 +492,7 @@ def test_coupled_crt_sum_matches_pair_sweep(tables_small):
     for v in (1, 2, 3, 5, 6, 7, 10, 30, 4, 12):
         exact = _coprime_partial_sums(v, tables_small, int(R))
         for N in range(1, v + 1):
-            got = _crt_class_mean(v, N, R, lambda y: exact[int(y) - 1])
+            got = _crt_class_mean(_primes(v), N, R, lambda y: exact[int(y) - 1])
             assert got == approx(fr_square_progression_mean(v, N, cfg), rel=1e-12), (v, N)
     assert _coprime_partial_sums(1, tables_small, 50)[-1] == approx(
         mu2_over_phi_sum(50.0, tables_small), rel=1e-12
@@ -489,7 +514,7 @@ def test_coprime_g_matches_partial_sums(tables_small):
 def test_crt_class_mean_calls_g_once_per_divisor():
     for v, R, want in ((1, 50.0, 1), (6, 50.0, 4), (30, 100.0, 8), (210, 100.0, 14)):
         calls = []
-        _crt_class_mean(v, 1, R, lambda y: calls.append(y) or 1.0)
+        _crt_class_mean(_primes(v), 1, R, lambda y: calls.append(y) or 1.0)
         # one call per divisor a <= R of v; for v = 210 that leaves out 105 and 210
         assert len(calls) == len(set(calls)) == want, (v, calls)
 
@@ -497,10 +522,12 @@ def test_crt_class_mean_calls_g_once_per_divisor():
 @pytest.mark.parametrize("R", [20.0, 50.0])
 def test_refined_mean_matches_pair_sweep(tables_small, cs, R):
     # the refined prediction's class mean (CRT route) against the independent
-    # pair sweep, for every class of each v, non-squarefree 4 and 12 included
+    # pair sweep, for every class of each v; the refined prediction takes
+    # squarefree v only, and test_coupled_crt_sum_matches_pair_sweep holds the
+    # CRT split to the pair sweep at the non-squarefree 4 and 12
     x = 10**6
     cfg = FRConfig(R=R, tables=tables_small)
-    for v in (1, 2, 3, 5, 6, 7, 10, 30, 4, 12):
+    for v in (1, 2, 3, 5, 6, 7, 10, 30):
         for N in range(1, v + 1):
             got = theorem3_refined_prediction(x, v, N, cfg, cs).terms["mean_sq_term"]
             want = (x / v) * fr_square_progression_mean(v, N, cfg)
@@ -515,12 +542,12 @@ def test_refined_prediction_bits_match_coprime_g(tables_small, cs, R):
     # a kept b = R / a (30 for v = 1, 15 for v = 2), which G_v includes
     x = 10**6
     cfg = FRConfig(R=R, tables=tables_small)
-    for v in (1, 2, 3, 6, 7, 30, 210, 4, 12):
+    for v in (1, 2, 3, 6, 7, 30, 210):
         for N in range(v + 2):
             got = theorem3_refined_prediction(x, v, N, cfg, cs)
             want = variance._crt_mean_prediction(
                 x,
-                v,
+                _primes(v),
                 N,
                 R,
                 mu2_over_phi_sum(R, tables_small),
