@@ -100,6 +100,12 @@ def prime_array(cutoff: int) -> np.ndarray:
     return primes
 
 
+def _check_limit(limit: int) -> None:
+    """The range of the sieve and the tables: 2 <= limit < 2^31, the int32 spf table."""
+    if not 2 <= limit < 2**31:
+        raise ValueError(f"x must satisfy 2 <= x < 2^31 (the int32 sieve), got {limit}")
+
+
 # Length of one segment of the sieve and of the F_R table, and the largest block
 # of the build_tables recurrence: an int32 segment is 1 MB and stays in L2 while
 # every sieving prime (or divisor) strikes it, where one strided pass per prime
@@ -121,15 +127,12 @@ def build_sieve(limit: int) -> FactorSieve:
     <= sqrt(limit) among them), are kept read-only for FactorSieve.primes.
 
     Args:
-        limit: inclusive upper bound, at least 2.
+        limit: inclusive upper bound, in [2, 2^31) (_check_limit).
 
     Returns:
         FactorSieve with spf filled for every n in [2, limit] and its primes kept.
     """
-    if limit < 2:
-        raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    if limit >= 2**31:
-        raise ValueError(f"sieve limit {limit} too large for int32 table")
+    _check_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     hi = min(max(_SEGMENT, root + 1), limit + 1)

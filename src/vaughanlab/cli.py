@@ -46,22 +46,25 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .arith import ArithTables, build_sieve, build_tables, prime_array
+from .arith import ArithTables, _check_limit, build_sieve, build_tables, prime_array
 from .constants import (
     ConstantSet,
     ProductKind,
+    _check_cutoff,
     _primes_of_n,
     constant_set,
     restricted_product,
     t_of_n,
 )
-from .frmodel import FRConfig
+from .frmodel import FRConfig, _check_class, _check_r
 from .variance import (
     Mode,
     RestrictionMode,
     VarianceRun,
     Weight,
+    _check_band,
     _check_theorem3_args,
+    _thread_count,
     bdh_variance,
     delta_sq_progression,
     theorem3_coupled_prediction,
@@ -244,32 +247,6 @@ def _fr_for(limit: int, r: float) -> FRConfig:
     return FRConfig(R=r, tables=_tables_for(limit))
 
 
-def _resolve_q(cfg: ExperimentConfig) -> int:
-    if (cfg.q is None) == (cfg.b_exp is None):
-        raise UsageError("give exactly one of Q (--Q) or B (--B)")
-    x = _require_x(cfg)
-    q = cfg.q if cfg.q is not None else int(math.floor(x * math.log(x) ** (-cfg.b_exp)))
-    if not 1 <= q <= x:
-        raise UsageError(f"Q must satisfy 1 <= Q <= x, got Q = {q}, x = {x}")
-    return q
-
-
-def _resolve_r(cfg: ExperimentConfig) -> float:
-    if (cfg.r is None) == (cfg.g_exp is None):
-        raise UsageError("give exactly one of R (--R) or G (--G)")
-    x = _require_x(cfg)
-    r = float(cfg.r) if cfg.r is not None else math.log(x) ** cfg.g_exp
-    if not 1 <= r <= x:
-        raise UsageError(f"R must satisfy 1 <= R <= x, got R = {r:g}, x = {x}")
-    return r
-
-
-def _resolve_n(cfg: ExperimentConfig, least: int) -> int:
-    if cfg.n_shift < least:
-        raise UsageError(f"N must be >= {least} for {cfg.command}, got {cfg.n_shift}")
-    return cfg.n_shift
-
-
 def _usage(check, *args):
     """check(*args), with a ValueError it raises turned into a usage error."""
     try:
@@ -278,51 +255,81 @@ def _usage(check, *args):
         raise UsageError(str(e)) from e
 
 
-def _resolve_shift(cfg: ExperimentConfig) -> int:
-    """The theorem4 N, by restricted_product's own check: below 2^63, no prime factor above the cutoff."""
-    n = _resolve_n(cfg, 1)
-    _usage(_primes_of_n, n, cfg.prime_cutoff)
-    return n
-
-
-def _resolve_v_list(cfg: ExperimentConfig, x: int, r: float) -> list[int]:
-    """The theorem3 moduli: each at most x, and squarefree by the theorem-3 forms' own check."""
-    for v in cfg.v_list:
-        if v > x:
-            raise UsageError(f"each v must satisfy 1 <= v <= x, got v = {v}, x = {x}")
-        _usage(_check_theorem3_args, x, v, r)
-    return cfg.v_list
-
-
-def _resolve_threads(cfg: ExperimentConfig) -> int:
-    if cfg.threads < 0:
-        raise UsageError(f"threads must be >= 0, got {cfg.threads}")
-    return cfg.threads or (os.cpu_count() or 1)
+# Each resolver works out its value and hands it to the check of the library
+# layer that owns the bound, so the CLI and the library accept the same values.
 
 
 def _require_x(cfg: ExperimentConfig) -> int:
     if cfg.x is None:
         raise UsageError(f"command {cfg.command!r} requires --x")
-    if not 2 <= cfg.x < 2**31:
-        raise UsageError(f"x must satisfy 2 <= x < 2^31 (the int32 sieve), got {cfg.x}")
+    _usage(_check_limit, cfg.x)
     return cfg.x
 
 
-def _resolve_q_low(cfg: ExperimentConfig, x: int, r: float) -> float:
-    if cfg.q_low == "auto":
-        return x / r
+def _log_power(x: int, e: float) -> float:
+    """(log x)^e, or inf where the double overflows, for the bound checks to reject."""
     try:
-        val = float(cfg.q_low)
-    except ValueError as e:
-        raise UsageError(f"q_low must be a number or 'auto', got {cfg.q_low!r}") from e
-    if val < 0:
-        raise UsageError(f"q_low must be >= 0, got {val}")
-    return val
+        return math.log(x) ** e
+    except OverflowError:
+        return math.inf
+
+
+def _resolve_q(cfg: ExperimentConfig) -> int:
+    """Q, given or floor(x (log x)^-B); a B that makes the float nan or inf reaches the check unfloored."""
+    if (cfg.q is None) == (cfg.b_exp is None):
+        raise UsageError("give exactly one of Q (--Q) or B (--B)")
+    x = _require_x(cfg)
+    q = cfg.q
+    if q is None:
+        q = x * _log_power(x, -cfg.b_exp)
+        if math.isfinite(q):
+            q = int(math.floor(q))
+    _usage(_check_band, x, q)
+    return q
+
+
+def _resolve_r(cfg: ExperimentConfig) -> float:
+    """R, given or (log x)^G, a truncation level over the tables to x."""
+    if (cfg.r is None) == (cfg.g_exp is None):
+        raise UsageError("give exactly one of R (--R) or G (--G)")
+    x = _require_x(cfg)
+    r = float(cfg.r) if cfg.r is not None else _log_power(x, cfg.g_exp)
+    _usage(_check_r, r, x)
+    return r
+
+
+def _resolve_q_low(cfg: ExperimentConfig, x: int, q: int, r: float) -> float:
+    if cfg.q_low == "auto":
+        q_low = x / r
+    else:
+        try:
+            q_low = float(cfg.q_low)
+        except ValueError as e:
+            raise UsageError(f"q_low must be a number or 'auto', got {cfg.q_low!r}") from e
+    _usage(_check_band, x, q, q_low)
+    return q_low
+
+
+def _resolve_shift(cfg: ExperimentConfig) -> int:
+    """The theorem4 N, by restricted_product's own check: 1 <= N < 2^63, no prime factor above the cutoff."""
+    _usage(_primes_of_n, cfg.n_shift, cfg.prime_cutoff)
+    return cfg.n_shift
+
+
+def _resolve_v_list(cfg: ExperimentConfig, x: int, r: float) -> list[int]:
+    """The theorem3 classes N mod v: 1 <= v <= x and N >= 0, each v squarefree by the theorem-3 forms' check."""
+    for v in cfg.v_list:
+        _usage(_check_class, v, cfg.n_shift, x)
+        _usage(_check_theorem3_args, x, v, r)
+    return cfg.v_list
+
+
+def _resolve_threads(cfg: ExperimentConfig) -> int:
+    return _usage(_thread_count, cfg.threads)
 
 
 def _resolve_cutoff(cfg: ExperimentConfig) -> int:
-    if cfg.prime_cutoff < 10:
-        raise UsageError(f"prime cutoff must be >= 10, got {cfg.prime_cutoff}")
+    _usage(_check_cutoff, cfg.prime_cutoff)
     return cfg.prime_cutoff
 
 
@@ -526,7 +533,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             raise UsageError(
                 f"theorem3 requires the hypothesis R <= x^(1/3): got R = {r:g}, x^(1/3) = {x ** (1/3):.6g}"
             )
-        v_list, n_shift = _resolve_v_list(cfg, x, r), _resolve_n(cfg, 0)
+        v_list, n_shift = _resolve_v_list(cfg, x, r), cfg.n_shift
         tables, fr = _set_up(derived, x, r)
         columns, rows = RESULT_COLUMNS, _theorem3_rows(x, r, v_list, n_shift, fr, constant_set(cut))
     elif mode is Mode.BDH:
@@ -537,9 +544,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         columns, rows = RESULT_COLUMNS, [_variance_row(vrun)]
     else:
         x, q, weight, r = _require_x(cfg), _resolve_q(cfg), _resolve_weight(cfg), _resolve_r(cfg)
-        q_low = _resolve_q_low(cfg, x, r)
-        if q_low >= q:
-            raise UsageError(f"Q_low must be below Q = {q}, got {q_low:g}")
+        q_low = _resolve_q_low(cfg, x, q, r)
         restriction = RestrictionMode(mode, _resolve_shift(cfg) if mode is Mode.SHIFT_COPRIME else 0)
         derived.update(Q=q, Q_low=q_low)
         tables, fr = _set_up(derived, x, r)

@@ -53,6 +53,15 @@ __all__ = [
 ]
 
 
+def _check_cutoff(prime_cutoff: int) -> None:
+    """The prime cutoff: at least 10, where the tail bounds hold, and below 2^31 like the sieve limit.
+
+    The cap bounds the odd-only sieve of prime_array by 1 GiB.
+    """
+    if not 10 <= prime_cutoff < 2**31:
+        raise ValueError(f"prime cutoff must satisfy 10 <= cutoff < 2^31, got {prime_cutoff}")
+
+
 def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
     """A fresh float64 copy of the primes <= cutoff, less the primes in omit (all <= cutoff)."""
     p = prime_array(cutoff)
@@ -111,8 +120,7 @@ def logp_sum(prime_cutoff: int) -> tuple[float, float]:
     The tail over p > cutoff is majorized by the same sum over all integers
     n > cutoff, which is below 2 log(cutoff)/cutoff for cutoff >= 10.
     """
-    if prime_cutoff < 10:
-        raise ValueError(f"prime_cutoff must be >= 10, got {prime_cutoff}")
+    _check_cutoff(prime_cutoff)
     p = _float_primes(prime_cutoff, [])
     terms = p - 1.0
     terms *= p
@@ -199,13 +207,15 @@ def _primes_of_n(N: int, prime_cutoff: int) -> list[int]:
     """The primes of N, ascending, taken from prime_array(prime_cutoff).
 
     N must lie in [1, 2^63), the int64 range of the band kernels, and have no
-    prime factor above prime_cutoff.  The primes <= min(N, prime_cutoff) that
-    divide N are found by one array remainder; N has no other prime exactly
-    when it divides the 63rd power of their product, since no exponent of an
-    N < 2^63 reaches 63 (the cofactor left by stripping them is 1).
+    prime factor above prime_cutoff, itself checked by _check_cutoff.  The
+    primes <= min(N, prime_cutoff) that divide N are found by one array
+    remainder; N has no other prime exactly when it divides the 63rd power
+    of their product, since no exponent of an N < 2^63 reaches 63 (the
+    cofactor left by stripping them is 1).
     """
     if not 1 <= N < 2**63:
         raise ValueError(f"N must satisfy 1 <= N < 2^63, got {N}")
+    _check_cutoff(prime_cutoff)
     p = prime_array(prime_cutoff)
     p = p[: np.searchsorted(p, min(N, prime_cutoff), side="right")]
     pf = p[N % p == 0].tolist()

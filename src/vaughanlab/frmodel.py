@@ -93,6 +93,14 @@ def ramanujan_sum_oracle(r: int, n: int) -> complex:
     return total
 
 
+def _check_r(R: float, limit: int) -> None:
+    """A truncation level over tables to limit: R finite and >= 1, floor(R) <= limit."""
+    if not 1 <= R < math.inf:
+        raise ValueError(f"R must be finite and >= 1, got {R}")
+    if math.floor(R) > limit:
+        raise TableRangeError(f"floor(R) = {math.floor(R)} exceeds table limit {limit}")
+
+
 @dataclass
 class FRConfig:
     """Precomputed state for one truncation level R over one table set.
@@ -113,12 +121,7 @@ class FRConfig:
     _delta_sq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.R >= 1:
-            raise ValueError(f"R must be >= 1, got {self.R}")
-        if math.floor(self.R) > self.tables.limit:
-            raise TableRangeError(
-                f"floor(R) = {math.floor(self.R)} exceeds table limit {self.tables.limit}"
-            )
+        _check_r(self.R, self.tables.limit)
         self.R = float(self.R)
         self._coef = self._build_coef()
 
@@ -237,13 +240,20 @@ def rho(x: int, d: int, b: int, cfg: FRConfig) -> float:
     return float(t[: x + 1][b::d].sum())
 
 
-def _class_start(x: int, v: int, N: int, tables: ArithTables) -> int:
-    """The least n >= 1 with n = N (mod v), once x <= limit, squarefree v and N >= 0 are checked."""
-    _check_x(x, tables)
-    if v < 1 or v > tables.limit or tables.mu[v] == 0:
-        raise ValueError(f"v must be a squarefree modulus within the tables, got {v}")
+def _check_class(v: int, N: int, limit: int) -> None:
+    """The class n = N (mod v) over tables to limit: 1 <= v <= limit and N >= 0."""
+    if not 1 <= v <= limit:
+        raise ValueError(f"v must satisfy 1 <= v <= {limit}, got {v}")
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
+
+
+def _class_start(x: int, v: int, N: int, tables: ArithTables) -> int:
+    """The least n >= 1 with n = N (mod v), once x <= limit, the class and a squarefree v are checked."""
+    _check_x(x, tables)
+    _check_class(v, N, tables.limit)
+    if tables.mu[v] == 0:
+        raise ValueError(f"v must be squarefree, got {v}")
     return N % v or v
 
 
@@ -342,11 +352,7 @@ def mu2_over_phi_sum(R: float, tables: ArithTables) -> float:
 
     Grows like log R + gamma + sum_p log p / (p(p-1)) with an O(R^{-1/2}) tail.
     """
-    if not R >= 1:
-        raise ValueError(f"R must be >= 1, got {R}")
-    r_int = int(math.floor(R))
-    if r_int > tables.limit:
-        raise TableRangeError(f"floor(R) = {r_int} exceeds table limit {tables.limit}")
+    _check_r(R, tables.limit)
     return _coprime_mu2_over_phi(R, 1, tables)
 
 

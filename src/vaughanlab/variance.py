@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import numbers
 import os
 import time
 from collections.abc import Callable
@@ -214,8 +215,7 @@ def _bucket_band_sum(
     phi: np.ndarray,
     threads: int,
 ) -> float:
-    """The band one modulus at a time: an O(x) bucket pass per d, over threads (0: one per core)."""
-    threads = threads or os.cpu_count() or 1
+    """The band one modulus at a time: an O(x) bucket pass per d, over threads >= 1 workers (_thread_count)."""
 
     def contribution(d: int) -> float:
         return _modulus_contribution(d, x, diff, restriction, phi)
@@ -389,17 +389,58 @@ def _lag_route(n_moduli: int, x: int) -> bool:
     return n_moduli > _LAG_MODULI_PER_LOG2_X * math.log2(x)
 
 
-def _run_moduli(
-    moduli: range,
+def _check_band(x: int, q: int, q_low: float = 0.0) -> None:
+    """The band Q_low < d <= Q: 1 <= Q <= x and 0 <= Q_low < Q."""
+    if not 1 <= q <= x:
+        raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q = {q}, x = {x}")
+    if not 0 <= q_low < q:
+        raise ValueError(f"Q_low must satisfy 0 <= Q_low < Q, got Q_low = {q_low}, Q = {q}")
+
+
+def _thread_count(threads: int) -> int:
+    """The worker threads of a bucket-route band: threads, an integer >= 0, with 0 meaning one per core."""
+    if not isinstance(threads, numbers.Integral) or threads < 0:
+        raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
+    return threads or os.cpu_count() or 1
+
+
+def _band_run(
     x: int,
-    diff: np.ndarray,
+    q: int,
+    q_low: float,
     restriction: RestrictionMode,
-    tables: ArithTables,
+    weight: Weight,
     threads: int,
-) -> float:
+    tables: ArithTables,
+    cfg: FRConfig | None = None,
+) -> VarianceRun:
+    """The band Q_low < d <= Q of the weight less cfg's F_R model, or of the raw weight with no cfg (BDH).
+
+    Every bound is checked before the residual is built; the band width
+    picks the route (_lag_route), and the timer covers the residual and the
+    band.
+    """
+    _check_x(x, tables)
+    _check_band(x, q, q_low)
+    threads = _thread_count(threads)
+    t0 = time.perf_counter()
+    diff = _weight_array(weight, tables, x, None if cfg is None else cfg.table())
+    moduli = range(int(math.floor(q_low)) + 1, q + 1)
     if _lag_route(len(moduli), x):
-        return _lag_band_sum(moduli, x, diff, restriction, tables)
-    return _bucket_band_sum(moduli, x, diff, restriction, tables.phi, threads)
+        empirical = _lag_band_sum(moduli, x, diff, restriction, tables)
+    else:
+        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables.phi, threads)
+    return VarianceRun(
+        x=x,
+        q=q,
+        q_low=q_low,
+        r=0.0 if cfg is None else cfg.R,
+        mode=restriction.mode,
+        n_shift=restriction.N,
+        weight=weight,
+        empirical=empirical,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+    )
 
 
 def variance_sum(
@@ -417,31 +458,9 @@ def variance_sum(
     With constants supplied, the main-term prediction of the restriction's
     shift (None: all classes) is attached, scaled to the band by (Q - Q_low).
     """
-    _check_x(x, cfg.tables)
-    if q < 1 or q > x:
-        raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={q}, x={x}")
-    if not 0 <= q_low < q:
-        raise ValueError(f"Q_low must satisfy 0 <= Q_low < Q, got {q_low}")
     if restriction.mode is Mode.BDH:
         raise ValueError("BDH mode is served by bdh_variance")
-
-    t0 = time.perf_counter()
-    diff = _weight_array(weight, cfg.tables, x, cfg.table())
-    moduli = range(int(math.floor(q_low)) + 1, q + 1)
-    empirical = _run_moduli(moduli, x, diff, restriction, cfg.tables, threads)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-
-    run = VarianceRun(
-        x=x,
-        q=q,
-        q_low=q_low,
-        r=cfg.R,
-        mode=restriction.mode,
-        n_shift=restriction.N,
-        weight=weight,
-        empirical=empirical,
-        wall_time_ms=wall_ms,
-    )
+    run = _band_run(x, q, q_low, restriction, weight, threads, cfg.tables, cfg)
     if constants is not None:
         if restriction.shift is None:
             pred = vaughan_prediction(x, q, cfg.R, constants, q_low=q_low)
@@ -741,29 +760,10 @@ def bdh_variance(
     The leading term is Q x log Q; the secondary constant is out of scope, so
     the fitted C = (empirical - Q x log Q)/(Q x) is reported as a diagnostic.
     """
-    _check_x(x, tables)
-    if q < 1 or q > x:
-        raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q={q}, x={x}")
-    t0 = time.perf_counter()
-    w = _weight_array(weight, tables, x)
-    empirical = _run_moduli(
-        range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables, threads
-    )
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    run = _band_run(x, q, 0.0, RestrictionMode(Mode.BDH), weight, threads, tables)
     leading = q * x * math.log(q) if q > 1 else 0.0
-    run = VarianceRun(
-        x=x,
-        q=q,
-        q_low=0.0,
-        r=0.0,
-        mode=Mode.BDH,
-        n_shift=0,
-        weight=weight,
-        empirical=empirical,
-        wall_time_ms=wall_ms,
-    )
     pred = Prediction(
-        terms={"leading": leading, "fitted_C": (empirical - leading) / (q * x)},
+        terms={"leading": leading, "fitted_C": (run.empirical - leading) / (q * x)},
         total=leading,
         error_budget="secondary constant intentionally unmodeled; fitted_C reported",
     )

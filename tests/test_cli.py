@@ -17,7 +17,11 @@ import pytest
 from pytest import approx, raises
 
 import vaughanlab.cli as cli
+from vaughanlab import arith, constants, frmodel, variance
 from vaughanlab import (
+    FRConfig,
+    Mode,
+    RestrictionMode,
     bdh_variance,
     build_sieve,
     build_tables,
@@ -25,6 +29,7 @@ from vaughanlab import (
     mu2_over_phi_sum,
     theorem3_coupled_prediction,
     theorem3_prediction,
+    variance_sum,
 )
 from vaughanlab.cli import (
     CONSTANT_COLUMNS,
@@ -94,11 +99,11 @@ def test_q_and_r_resolution():
         math.log(10_000) ** 2, rel=1e-15
     )
     cfg = ExperimentConfig(command="vaughan", x=10_000, q_low="auto")
-    assert _resolve_q_low(cfg, 10_000, 50.0) == approx(200.0, rel=1e-15)
+    assert _resolve_q_low(cfg, 10_000, 1_000, 50.0) == approx(200.0, rel=1e-15)
     with raises(UsageError):
-        _resolve_q_low(ExperimentConfig(q_low="-3"), 100, 5.0)
+        _resolve_q_low(ExperimentConfig(q_low="-3"), 100, 10, 5.0)
     with raises(UsageError):
-        _resolve_q_low(ExperimentConfig(q_low="soon"), 100, 5.0)
+        _resolve_q_low(ExperimentConfig(q_low="soon"), 100, 10, 5.0)
     with raises(UsageError):
         _resolve_weight(ExperimentConfig(weight="chi"))
 
@@ -449,6 +454,13 @@ BAD_VALUES = [
     ("vaughan", "--x", "1000", "--Q", "100", "--R", "10", "--config", config_file("format = xml")),
     ("suite", "--config", config_file("scale = huge")),
     ("suite", "--threads", "-3"),
+    ("theorem5", "--x", "1000", "--Q", "100", "--R", "10", "--q-low", "nan"),
+    ("vaughan", "--x", "1000", "--B", "nan", "--R", "10"),
+    ("vaughan", "--x", "1000", "--B=-inf", "--R", "10"),
+    ("vaughan", "--x", "1000", "--B=-1000", "--R", "10"),  # (log x)^1000 overflows the double
+    ("vaughan", "--x", "1000", "--Q", "100", "--G", "1000"),
+    ("constants", "--cutoff", "100000000000"),  # a 50 GB odd-only sieve
+    ("suite", "--cutoff", "2147483648"),
 ]
 
 
@@ -457,7 +469,14 @@ def test_bad_values_exit_2_before_any_table(argv, tmp_path, monkeypatch, capsys)
     def no_sieve(limit):
         pytest.fail(f"build_sieve({limit}) ran before the values were checked")
 
+    def small_primes(cutoff):
+        if cutoff >= 2**31:
+            pytest.fail(f"prime_array({cutoff}) ran before the cutoff was checked")
+        return arith.prime_array(cutoff)
+
     monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    monkeypatch.setattr(cli, "prime_array", small_primes)
+    monkeypatch.setattr(constants, "prime_array", small_primes)
     cli._tables_for.cache_clear()
     cli._fr_for.cache_clear()
     cfg_file = tmp_path / "bad.cfg"
@@ -470,6 +489,108 @@ def test_bad_values_exit_2_before_any_table(argv, tmp_path, monkeypatch, capsys)
     assert code == 2, err
     assert json.loads(err)["error"] == "usage"
     assert not (tmp_path / "fresh").exists()  # no output directory is made on a usage error
+
+
+class _Reached(Exception):
+    """Raised in place of the work that follows the bound checks."""
+
+
+def _reached(*args):
+    raise _Reached
+
+
+@pytest.fixture(scope="module")
+def fr_1000():
+    return FRConfig(R=10.0, tables=build_tables(build_sieve(1000)))
+
+
+# Each quantity with a bound: its CLI command (the value goes in {}), the
+# library module and private check that own the bound, and the library entry
+# that calls that check, given the value and an F_R config over [0, 1000].
+BOUNDED = {
+    "x": (
+        "vaughan --x={} --Q 1 --R 1",
+        arith, "_check_limit", lambda v, fr: build_sieve(v),
+    ),
+    "Q": (
+        "vaughan --x 1000 --Q={} --R 10",
+        variance, "_check_band", lambda v, fr: variance_sum(1000, v, fr, RestrictionMode(Mode.ALL)),
+    ),
+    "bdh Q": (
+        "bdh --x 1000 --Q={}",
+        variance, "_check_band", lambda v, fr: bdh_variance(1000, v, fr.tables),
+    ),
+    "Q_low": (
+        "theorem5 --x 1000 --Q 100 --R 10 --q-low={}",
+        variance, "_check_band", lambda v, fr: variance_sum(1000, 100, fr, RestrictionMode(Mode.COPRIME), q_low=v),
+    ),
+    "R": (
+        "fr-table --x 1000 --R={}",
+        frmodel, "_check_r", lambda v, fr: FRConfig(R=v, tables=fr.tables),
+    ),
+    "cutoff": (
+        "constants --cutoff={}",
+        constants, "_check_cutoff", lambda v, fr: constant_set(v),
+    ),
+    "threads": (
+        "vaughan --x 1000 --Q 100 --R 10 --threads={}",
+        variance, "_thread_count", lambda v, fr: variance_sum(1000, 100, fr, RestrictionMode(Mode.ALL), threads=v),
+    ),
+}
+
+NON_FINITE = ["nan", "inf", "-inf"]
+# Per quantity, the values both sides accept and those they reject: each
+# bound, its neighbours, NaN, +-inf and -0.0.
+BOUNDARY_VALUES = {
+    "x": (["2", "3", "2147483647"], ["1", "2147483648", "2147483649", *NON_FINITE, "-0.0"]),
+    "Q": (["1", "2", "999", "1000"], ["0", "1001", *NON_FINITE, "-0.0"]),
+    "bdh Q": (["1", "2", "999", "1000"], ["0", "1001", *NON_FINITE, "-0.0"]),
+    "Q_low": (["0", "-0.0", "1", "99"], ["-1", "100", "101", *NON_FINITE]),
+    "R": (["1", "2", "1000", "1000.5"], ["0", "1001", *NON_FINITE, "-0.0"]),
+    "cutoff": (["10", "11", "2147483647"], ["9", "2147483648", "2147483649", *NON_FINITE, "-0.0"]),
+    "threads": (["0", "1"], ["-1", *NON_FINITE, "-0.0"]),
+}
+BOUNDARY_CASES = [
+    (quantity, text, accepted)
+    for quantity, (good, bad) in BOUNDARY_VALUES.items()
+    for accepted, texts in ((True, good), (False, bad))
+    for text in texts
+]
+
+
+@pytest.mark.parametrize("quantity, text, accepted", BOUNDARY_CASES, ids=[f"{k}={v}" for k, v, _ in BOUNDARY_CASES])
+def test_cli_and_library_share_each_bound(quantity, text, accepted, fr_1000, tmp_path, monkeypatch, capsys):
+    """The CLI exits 2 before any table exactly where the library entry raises ValueError.
+
+    The CLI's table builds and the library's work after its check both raise
+    _Reached, so no large value is ever built; the library value is the text
+    as an int where it parses as one, else as a float.
+    """
+    argv, module, check_name, entry = BOUNDED[quantity]
+    monkeypatch.setattr(cli, "build_sieve", _reached)
+    monkeypatch.setattr(cli, "prime_array", _reached)
+    monkeypatch.setattr(constants, "prime_array", _reached)
+    cli._tables_for.cache_clear()
+    cli._fr_for.cache_clear()
+    out = tmp_path / "fresh" / "out"
+    code, _, err = run_cli(capsys, *argv.format(text).split(), "--out", str(out))
+    assert (code, json.loads(err)["error"]) == ((1, "_Reached") if accepted else (2, "usage")), err
+    assert not (tmp_path / "fresh").exists()
+
+    check = getattr(module, check_name)
+
+    def check_then_stop(*args):
+        check(*args)
+        raise _Reached
+
+    monkeypatch.setattr(module, check_name, check_then_stop)
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    with raises((ValueError, _Reached)) as caught:
+        entry(value, fr_1000)
+    assert (caught.type is _Reached) == accepted, caught.value
 
 
 # Each subcommand's flags, written out by hand as a record of the parser's

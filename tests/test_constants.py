@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from pytest import approx, raises
 
 from vaughanlab import (
@@ -14,6 +15,7 @@ from vaughanlab import (
     t_of_n,
     zeta2_inv,
 )
+from vaughanlab import constants
 from vaughanlab.arith import build_sieve, factorize
 from vaughanlab.constants import (
     _primes_of_n,
@@ -122,6 +124,23 @@ def test_restriction_divides_out_exactly():
 def test_restricted_product_validation():
     with raises(ValueError):
         restricted_product(ProductKind.P_PM1, 0)
+
+
+def test_prime_cutoff_is_capped_before_any_sieve(monkeypatch):
+    def no_sieve(cutoff):
+        pytest.fail(f"prime_array({cutoff}) ran before the cutoff was checked")
+
+    monkeypatch.setattr(constants, "prime_array", no_sieve)
+    for cutoff in (9, 2**31, 10**11):
+        with raises(ValueError, match="2\\^31"):
+            logp_sum(cutoff)
+        with raises(ValueError, match="2\\^31"):
+            constant_set(cutoff)
+        for kind in ProductKind:
+            with raises(ValueError, match="2\\^31"):
+                restricted_product(kind, 2, cutoff)
+        with raises(ValueError, match="2\\^31"):
+            t_of_n(2, cutoff)
 
 
 def test_t_of_n_frozen_and_flags():

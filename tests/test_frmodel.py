@@ -298,3 +298,8 @@ def test_config_validation(tables_small):
         FRConfig(R=0.5, tables=tables_small)
     with raises(TableRangeError):
         FRConfig(R=1e7, tables=tables_small)
+    for R in (math.inf, -math.inf, math.nan):  # checked before R is floored, which overflows at inf
+        with raises(ValueError, match="finite"):
+            FRConfig(R=R, tables=tables_small)
+        with raises(ValueError, match="finite"):
+            mu2_over_phi_sum(R, tables_small)

@@ -47,7 +47,6 @@ from vaughanlab.variance import (
     _lag_route,
     _lag_weights,
     _restricted_main_terms,
-    _run_moduli,
     _weight_array,
 )
 
@@ -356,6 +355,11 @@ def test_validation_errors(cfg10_small):
         RestrictionMode(Mode.SHIFT_COPRIME, 0)
     with raises(ValueError):
         bdh_variance(100, 200, cfg10_small.tables)
+    for threads in (-3, -1, 1.0, math.nan):  # the CLI rejects --threads -3 alike
+        with raises(ValueError, match="threads"):
+            variance_sum(2_000, 50, cfg10_small, RestrictionMode(Mode.ALL), threads=threads)
+        with raises(ValueError, match="threads"):
+            bdh_variance(2_000, 50, cfg10_small.tables, threads=threads)
 
 
 def test_prediction_attached_by_mode(cfg20_1e4, cs):
@@ -750,6 +754,13 @@ def cfg10_2e20():
     return cfg
 
 
+def _routed_band(moduli, x, diff, restriction, tables):
+    """The band by the route _lag_route picks for its width, one thread on the bucket route."""
+    if _lag_route(len(moduli), x):
+        return _lag_band_sum(moduli, x, diff, restriction, tables)
+    return _bucket_band_sum(moduli, x, diff, restriction, tables.phi, 1)
+
+
 def _stored_theta(tables):
     """theta as the tables once stored it: Lambda at the primes (spf(n) = n), 0 elsewhere."""
     n = np.arange(tables.limit + 1)
@@ -766,11 +777,11 @@ def test_theta_consumers_match_stored_theta_bits(cfg10_2e20, x):
         moduli = range(math.floor(q_low) + 1, q + 1)
         for weight, w in weights.items():
             diff = w[: x + 1] - cfg10_2e20.table()[: x + 1]
-            want = _run_moduli(moduli, x, diff, restriction, tables, 1)
+            want = _routed_band(moduli, x, diff, restriction, tables)
             got = variance_sum(x, q, cfg10_2e20, restriction, weight=weight, q_low=q_low, threads=1).empirical
             assert got.hex() == want.hex(), (weight, q_low, q)
     for q in STORED_THETA_BDH_Q:
-        want = _run_moduli(range(1, q + 1), x, theta, RestrictionMode(Mode.BDH), tables, 1)
+        want = _routed_band(range(1, q + 1), x, theta, RestrictionMode(Mode.BDH), tables)
         assert bdh_variance(x, q, tables, threads=1).empirical.hex() == want.hex(), q
     routes = [_lag_route(q - math.floor(q_low), x) for q_low, q, _ in STORED_THETA_BANDS]
     assert routes + [_lag_route(q, x) for q in STORED_THETA_BDH_Q] == [False, True] * 2
