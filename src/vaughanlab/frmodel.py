@@ -93,11 +93,11 @@ def ramanujan_sum_oracle(r: int, n: int) -> complex:
     return total
 
 
-def _check_r(R: float, limit: int) -> None:
-    """A truncation level over tables to limit: R finite and >= 1, floor(R) <= limit."""
+def _check_r(R: float, limit: int | None = None) -> None:
+    """A truncation level: R finite and >= 1, and floor(R) <= limit when it reads tables to limit."""
     if not 1 <= R < math.inf:
         raise ValueError(f"R must be finite and >= 1, got {R}")
-    if math.floor(R) > limit:
+    if limit is not None and math.floor(R) > limit:
         raise TableRangeError(f"floor(R) = {math.floor(R)} exceeds table limit {limit}")
 
 

@@ -22,7 +22,10 @@ sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the autocorrelation of
 the residual, so the whole band costs one FFT; the restricted modes add, by
 Moebius inversion, the autocorrelations of the rows a[shift mod e :: e] of
 every squarefree e <= Q, batched by FFT size so that a block of rows shares
-one transform.  The band width alone picks the route (_lag_route); the bucket
+one transform.  BDH's raw weight lives on the prime powers, so its ladder
+keeps e = 1 and the primes with a nonzero higher power (none for theta);
+every other prime row is one entry, summed in closed form, and the composite
+rows are zero.  The band width alone picks the route (_lag_route); the bucket
 route stays as the oracle the tests compare the lag route against.
 
 Determinism: on the bucket route each modulus contributes a float computed by
@@ -30,7 +33,10 @@ a fixed sequence of array operations, worker threads never share
 accumulators, and the final reduction is an exactly rounded fsum.  The lag
 route is single threaded: a fixed sequence of array operations, numpy
 pairwise sums along each row and one fsum over the rows.  Either way results
-are bit-identical for any thread count.
+are bit-identical for any thread count.  The lag weights c(j) and BDH's
+first moments are exact integer counts and exactly rounded sums, so only the
+transforms round; a row alone in its block takes the least 5-smooth FFT
+size, a batch of rows a power of two.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 
 from .arith import ArithTables, _check_x
 from .constants import ConstantSet, ProductKind, restricted_product
-from .frmodel import FRConfig, _class_start, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
 __all__ = [
     "Mode",
@@ -251,7 +257,7 @@ def _lag_weights(n: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray, width: int) 
     Each (row, f) pair with f_lo < f <= min(f_hi, n - 1) adds 1 at its
     m = (n - 1) // f >= 1 multiples f k.  A chunk of pairs lays them out as
     running sums of f, restarted at each pair's first multiple, and counts
-    them with np.add.at.
+    them with np.bincount.
     """
     n_f = np.minimum(f_hi, n - 1) - f_lo
     row = np.repeat(np.arange(len(n)), n_f)
@@ -268,9 +274,43 @@ def _lag_weights(n: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray, width: int) 
         m = mult[p0:p1]
         steps = np.repeat(f[p0:p1], m)
         steps[np.cumsum(m) - m] = first[p0:p1] - np.concatenate(([0], last[p0 : p1 - 1]))
-        np.add.at(c, np.cumsum(steps), 1.0)
+        c += np.bincount(np.cumsum(steps), minlength=c.size)
         p0 = p1
     return c.reshape(len(n), width)
+
+
+def _row_weights(n: int, f_lo: int, f_hi: int) -> np.ndarray:
+    """c[j] = #{f_lo < f <= f_hi : f | j} for 1 <= j < n, c[0] = 0, by the hyperbola split.
+
+    With s = isqrt(n - 1), each f <= s adds 1 on its slice of multiples; a
+    larger f has cofactor k = j / f <= (n - 1) // (s + 1), so each such k
+    adds 1 on the slice k f over f_lo, s < f <= min(f_hi, (n - 1) // k).
+    About 2 sqrt(n) strided adds; the counts equal _lag_weights'.
+    """
+    c = np.zeros(n)
+    m = n - 1
+    s = math.isqrt(m)
+    for f in range(f_lo + 1, min(f_hi, s) + 1):
+        c[f::f] += 1.0
+    f0 = max(f_lo, s) + 1
+    for k in range(1, m // f0 + 1):
+        f1 = min(f_hi, m // k)
+        if f1 >= f0:
+            c[k * f0 : k * f1 + 1 : k] += 1.0
+    return c
+
+
+def _smooth_size(m: int) -> int:
+    """The least 5-smooth integer >= m >= 1, an FFT length of radix-2, 3 and 5 passes only."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _autocorrelations(block: np.ndarray, size: int) -> np.ndarray:
@@ -298,36 +338,39 @@ def _lag_rows(
     """(f_hi - f_lo) A(0) + 2 sum_{j >= 1} c(j) A(j) for each row a[start :: step] of length n.
 
     A(0) is the pairwise sum of the row's squares; the other lags come from
-    one batched FFT of length size, weighted in place.
+    one batched FFT of length size, weighted in place.  A row alone takes its
+    weights from _row_weights, a batch from _lag_weights.
     """
-    width = int(n.max())
     if len(n) == 1:
         block = a[int(start[0]) :: int(step[0])][None, :]
+        weights = _row_weights(int(n[0]), int(f_lo[0]), int(f_hi[0]))
     else:
+        width = int(n.max())
         i = np.arange(width)
         block = a[np.minimum(start[:, None] + step[:, None] * i, len(a) - 1)]
         block *= i < n[:, None]  # zero each row past its own length
+        weights = _lag_weights(n, f_lo, f_hi, width)
     zero_lag = np.sum(block * block, axis=1)
     acf = _autocorrelations(block, size)
-    acf *= _lag_weights(n, f_lo, f_hi, width)
+    acf *= weights
     return (f_hi - f_lo) * zero_lag + 2.0 * np.sum(acf, axis=1)
 
 
-def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarray) -> float:
-    """sum_{lo < d <= hi} sum_{b mod d, (shift - b, d) = 1} S_b(d)^2 by Moebius inversion.
+def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int, e: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+    """mu(e) times the all-class band floor(lo/e) < f <= floor(hi/e) of each row a[shift mod e :: e].
 
-    [gcd(shift - b, d) = 1] = sum_{e | shift - b, e | d} mu(e); with d = e f the
-    classes b = shift (mod e) of d are the classes of f on the row
-    a[shift mod e :: e], so each squarefree e <= min(hi, len(mu) - 1) adds
-    mu(e) times the all-class band floor(lo/e) < f <= floor(hi/e) of its row.
-    The classes of f pair every m with every m' = m (mod f), so that band is
-    (f_hi - f_lo) A(0) + 2 sum_{j >= 1} c(j) A(j), with A the row's
-    autocorrelation and c(j) = #{f_lo < f <= f_hi : f | j}.  The rows are
-    batched by FFT size into blocks of at most _BLOCK_ELEMENTS, one rfft/irfft
-    per block; the parts are summed by one fsum.
+    The rows e (ascending, 1 among them) are the terms of a Moebius ladder:
+    [gcd(shift - b, d) = 1] = sum_{e | shift - b, e | d} mu(e), and with
+    d = e f the classes b = shift (mod e) of d are the classes of f on the
+    row.  The classes of f pair every m with every m' = m (mod f), so a
+    row's band is (f_hi - f_lo) A(0) + 2 sum_{j >= 1} c(j) A(j), with A its
+    autocorrelation and c(j) = #{f_lo < f <= f_hi : f | j}.  Rows with
+    f_lo = f_hi add nothing and are dropped.  The rows are batched by FFT
+    size 2^k into blocks of at most _BLOCK_ELEMENTS, one rfft/irfft per
+    block; a row alone in its block takes the least 5-smooth size instead.
+    Returns one array of signed parts per block, in row order.
     """
     x = len(a) - 1
-    e = np.flatnonzero(mu[1 : hi + 1]) + 1
     e = e[hi // e > lo // e]
     f_lo, f_hi = lo // e, hi // e
     start = shift % e
@@ -339,9 +382,9 @@ def _lag_band_coprime(a: np.ndarray, lo: int, hi: int, shift: int, mu: np.ndarra
         per_block = max(1, _BLOCK_ELEMENTS >> k)
         for b in range(0, len(group), per_block):
             r = group[b : b + per_block]
-            band = _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], 1 << k)
-            parts.append(mu[e[r]] * band)
-    return math.fsum(np.concatenate(parts))
+            size = 1 << k if len(r) > 1 else _smooth_size(2 * int(n[r[0]]) - 1)
+            parts.append(mu[e[r]] * _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], size))
+    return parts
 
 
 def _coprime_first_moments(w: np.ndarray, q: int, primes: np.ndarray) -> np.ndarray:
@@ -349,18 +392,57 @@ def _coprime_first_moments(w: np.ndarray, q: int, primes: np.ndarray) -> np.ndar
 
     The n that meet d are the powers of the primes p | d, so
     F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from primes,
-    the ascending primes up to q at least (a sieve's primes()).
+    the ascending primes up to q at least (a sieve's primes()).  A prime
+    above sqrt(x) has no higher power, and d <= q has at most one prime
+    factor above sqrt(q): the p <= sqrt(q) subtract one slice each, then
+    each cofactor k gathers the d = k p with p above sqrt(q), so every d
+    subtracts its primes in ascending order.
     """
     x = len(w) - 1
-    first = np.full(q + 1, math.fsum(w))
-    for p in primes[: np.searchsorted(primes, q, side="right")].tolist():
+    first = np.full(q + 1, math.fsum(w[w != 0]))
+    p = primes[: np.searchsorted(primes, q, side="right")]
+    sub = w[p]
+    for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
         powers = []
-        pk = p
+        pk = pi
         while pk <= x:
             powers.append(w[pk])
-            pk *= p
-        first[p::p] -= math.fsum(powers)
+            pk *= pi
+        sub[i] = math.fsum(powers)
+    small = int(np.searchsorted(p, math.isqrt(q), side="right"))
+    for pi, s in zip(p[:small].tolist(), sub[:small]):
+        first[pi::pi] -= s
+    big, big_sub = p[small:], sub[small:]
+    for k in range(1, q // (math.isqrt(q) + 1) + 1):
+        m = np.searchsorted(big, q // k, side="right")
+        first[k * big[:m]] -= big_sub[:m]
     return first
+
+
+def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float:
+    """The BDH band of the raw weight a, carried by the prime powers, on the lag route.
+
+    On the coprime ladder the row a[0 :: e] is zero for a composite
+    squarefree e, and for a prime p holds a[p^k] at index p^(k - 1).  Only
+    e = 1 and the primes with a nonzero a[p^k], k >= 2 (none for theta,
+    p <= sqrt(x) for psi) take the kernel; any other prime row holds a[p]
+    alone, at index 1, so it has no lag j >= 1 and adds
+    mu(p) (hi//p - lo//p) a[p]^2.  The phi(d) reduced classes then give
+    sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d).
+    """
+    x = len(a) - 1
+    primes = tables.sieve.primes()
+    pp = tables.prime_powers[tables.prime_powers <= x]
+    powered = np.unique(tables.sieve.spf[pp[a[pp] != 0]]).astype(np.int64)
+    e = np.concatenate(([1], powered[powered <= hi]))
+    lone = primes[: np.searchsorted(primes, hi, side="right")]
+    lone = lone[~np.isin(lone, powered)]
+    parts = _lag_band_rows(a, lo, hi, 0, e, tables.mu)
+    parts.append(tables.mu[lone] * (hi // lone - lo // lone) * (a[lone] * a[lone]))
+    band = math.fsum(np.concatenate(parts))
+    approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
+    first = _coprime_first_moments(a, hi, primes)[lo + 1 :]
+    return math.fsum((band, math.fsum(approx * (x - 2.0 * first))))
 
 
 def _lag_band_sum(
@@ -369,16 +451,13 @@ def _lag_band_sum(
     """The band by the batched lag kernel; single threaded."""
     lo, hi = moduli.start - 1, moduli.stop - 1
     a = diff[: x + 1]
+    if restriction.mode is Mode.BDH:  # a holds the raw weight
+        return _lag_band_bdh(a, lo, hi, tables)
     if restriction.shift is None:  # every class: the e = 1 row alone
-        return _lag_band_coprime(a, lo, hi, 0, tables.mu[:2])
-    band = _lag_band_coprime(a, lo, hi, restriction.shift, tables.mu)
-    if restriction.mode is not Mode.BDH:
-        return band
-    # BDH: a holds the raw weight; the phi(d) reduced classes give
-    # sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d)
-    approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
-    first = _coprime_first_moments(a, hi, tables.sieve.primes())[lo + 1 :]
-    return math.fsum((band, math.fsum(approx * (x - 2.0 * first))))
+        e = np.array([1])
+    else:
+        e = np.flatnonzero(tables.mu[1 : hi + 1]) + 1
+    return math.fsum(np.concatenate(_lag_band_rows(a, lo, hi, restriction.shift or 0, e, tables.mu)))
 
 
 def _lag_route(n_moduli: int, x: int) -> bool:
@@ -499,14 +578,14 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     """Check the theorem-3 arguments; return the primes of the squarefree v, ascending.
 
     v is factored once, by trial division, and a square factor is an error:
-    every theorem-3 form sums over the squarefree divisors of v.
+    every theorem-3 form sums over the squarefree divisors of v.  R goes
+    through _check_r with no table limit, since the closed forms read none.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if not R >= 1:
-        raise ValueError(f"R must be >= 1, got {R}")
+    _check_r(R)
     primes, m = [], v
     for p in range(2, math.isqrt(v) + 1):
         if m % p == 0:

@@ -1,5 +1,6 @@
 """Variance accumulation and main-term prediction tests."""
 
+import copy
 import math
 import tracemalloc
 
@@ -47,6 +48,8 @@ from vaughanlab.variance import (
     _lag_route,
     _lag_weights,
     _restricted_main_terms,
+    _row_weights,
+    _smooth_size,
     _weight_array,
 )
 
@@ -206,8 +209,22 @@ def _per_e_lag_band_sum(moduli, x, arr, restriction, tables):
     if restriction.mode is not Mode.BDH:
         return band
     approx_ = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
-    first = _coprime_first_moments(a, hi, tables.sieve.primes())[lo + 1 :]
+    first = _coprime_first_moments_loop(a, hi, tables.sieve.primes())[lo + 1 :]
     return math.fsum((band, math.fsum(approx_ * (x - 2.0 * first))))
+
+
+def _coprime_first_moments_loop(w, q, primes):
+    """F(d) = sum of w over n coprime to d, d <= q: a power loop and a slice per prime p <= q (the oracle)."""
+    x = len(w) - 1
+    first = np.full(q + 1, math.fsum(w))
+    for p in primes[: np.searchsorted(primes, q, side="right")].tolist():
+        powers = []
+        pk = p
+        while pk <= x:
+            powers.append(w[pk])
+            pk *= p
+        first[p::p] -= math.fsum(powers)
+    return first
 
 
 @pytest.mark.parametrize("block_elements", [None, 256])
@@ -238,6 +255,77 @@ def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_
         want = _per_e_lag_band_sum(moduli, x, arr, restriction, tables)
         got = _lag_band_sum(moduli, x, arr, restriction, tables)
         assert got == approx(want, rel=1e-12), (q_low, q)
+
+
+# Bands at x = 2000 for the BDH rows: from lo = 0 and from lo > 0, with Q
+# below, near and at x.
+BDH_ROW_BANDS = ((0, 300), (0, 2_000), (333, 700), (850, 1_400), (1_000, 2_000))
+
+
+@pytest.mark.parametrize("weight", list(Weight))
+def test_bdh_rows_match_per_e_route(cfg10_small, weight, monkeypatch):
+    # BDH's array is the raw weight, carried by the prime powers: the kernel
+    # takes e = 1 and the primes with a nonzero higher power (none for theta,
+    # p <= sqrt(x) for psi), every other prime row is one entry in closed form
+    x = 2_000
+    tables = cfg10_small.tables
+    arr = _weight_array(weight, tables, x)
+    steps = []
+    kernel = variance._lag_rows
+
+    def recording(a, start, step, *rest):
+        steps.extend(step.tolist())
+        return kernel(a, start, step, *rest)
+
+    monkeypatch.setattr(variance, "_lag_rows", recording)
+    primes = tables.sieve.primes()
+    for lo, hi in BDH_ROW_BANDS:
+        steps.clear()
+        moduli = range(lo + 1, hi + 1)
+        want = _per_e_lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
+        got = _lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
+        assert got == approx(want, rel=1e-12), (lo, hi)
+        powered = [p for p in primes[primes * primes <= x].tolist() if hi // p > lo // p]
+        assert sorted(steps) == [1] + (powered if weight is Weight.PSI else []), (lo, hi)
+
+
+def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
+    # theta, psi and random values on the prime powers; q at a square, past
+    # sqrt(x) and at x, so primes between sqrt(q) and sqrt(x) carry powers
+    x = 10_000
+    pp = tables_1e4.lam[: x + 1] != 0
+    noise = np.where(pp, np.random.default_rng(7).standard_normal(x + 1) * 1e3, 0.0)
+    primes = tables_1e4.sieve.primes()
+    for w in (_weight_array(Weight.THETA, tables_1e4, x), tables_1e4.lam[: x + 1], noise):
+        for q in (1, 2, 3, 4, 49, 120, 2_500, 2_501, 9_999, x):
+            got = _coprime_first_moments(w, q, primes)
+            assert got.tobytes() == _coprime_first_moments_loop(w, q, primes).tobytes(), q
+
+
+def test_row_weights_match_divisor_count():
+    # f_lo = 0; f_lo at and past sqrt(n); f_hi at, past and far past n - 1;
+    # n <= 3; empty bands
+    rows = [(1, 0, 1), (1, 0, 5), (2, 0, 1), (2, 0, 2), (3, 0, 2), (3, 1, 9), (3, 2, 3),
+            (100, 0, 30), (100, 0, 99), (100, 0, 1_000), (100, 9, 60), (100, 10, 99),
+            (100, 50, 200), (100, 98, 99), (100, 99, 150), (101, 9, 10), (10_007, 0, 700),
+            (10_007, 100, 10_006), (10_007, 3_000, 9_000), (10_007, 5_003, 5_004)]
+    for n, f_lo, f_hi in rows:
+        want = np.zeros(n)
+        for f in range(f_lo + 1, f_hi + 1):
+            want[f:n:f] += 1.0
+        assert np.array_equal(_row_weights(n, f_lo, f_hi), want), (n, f_lo, f_hi)
+
+
+def test_smooth_size_is_least_5_smooth():
+    def smooth(k):
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for m in range(1, 5_001):
+        assert _smooth_size(m) == next(k for k in range(m, 2 * m + 1) if smooth(k)), m
+    assert _smooth_size(200_001) == 202_500  # the e = 1 row at x = 10^5
 
 
 def test_lag_weights_match_divisor_count():
@@ -628,6 +716,21 @@ def test_coupled_prediction_validation(cs):
             call(100, 1, 0, 0.5, cs)
         with raises(ValueError):
             call(100, 2, -1, 10.0, cs)
+
+
+@pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+def test_theorem3_forms_reject_non_finite_r(cfg20_1e4, cs, R):
+    # the closed forms check R by frmodel._check_r with no table limit; the
+    # refined form reads R from its config, which rejects it on construction
+    for call in (theorem3_prediction, theorem3_coupled_prediction):
+        with raises(ValueError, match="finite"):
+            call(1_000, 2, 1, R, cs)
+    with raises(ValueError, match="finite"):
+        FRConfig(R=R, tables=cfg20_1e4.tables)
+    bad = copy.copy(cfg20_1e4)
+    bad.R = R
+    with raises(ValueError, match="finite"):
+        theorem3_refined_prediction(1_000, 2, 1, bad, cs)
 
 
 def test_all_residue_prediction_shape(cs):
