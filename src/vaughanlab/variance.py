@@ -23,10 +23,10 @@ the residual, so the whole band costs one FFT; the restricted modes add, by
 Moebius inversion, the autocorrelations of the rows a[shift mod e :: e] of
 every squarefree e <= Q, batched by FFT size so that a block of rows shares
 one transform.  BDH's raw weight lives on the prime powers, so its ladder
-keeps e = 1 and the primes with a nonzero higher power (none for theta);
-every other prime row is one entry, summed in closed form, and the composite
-rows are zero.  The band width alone picks the route (_lag_route); the bucket
-route stays as the oracle the tests compare the lag route against.
+transforms only e = 1: the composite rows are zero, and a prime row holds
+only the powers of p, so its band is an exact sum over pairs of them.  The
+band width alone picks the route (_lag_route); the bucket route stays as the
+oracle the tests compare the lag route against.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -35,8 +35,8 @@ route is single threaded: a fixed sequence of array operations, numpy
 pairwise sums along each row and one fsum over the rows.  Either way results
 are bit-identical for any thread count.  The lag weights c(j) and BDH's
 first moments are exact integer counts and exactly rounded sums, so only the
-transforms round; a row alone in its block takes the least 5-smooth FFT
-size, a batch of rows a power of two.
+transforms and BDH's prime-row terms round; a row alone in its block takes
+the least 5-smooth FFT size, a batch of rows a power of two.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, _check_x
+from .arith import ArithTables, _check_x, divisors
 from .constants import ConstantSet, ProductKind, restricted_product
 from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
@@ -236,10 +236,11 @@ def _bucket_band_sum(
     return math.fsum(contribs)
 
 
-# Element budget of one batched block of the lag kernel (rows times FFT size)
-# and of one chunk of divisor multiples in _lag_weights.  A block's
-# temporaries are a few arrays of 8 or 16 bytes per element, about 2 MB here,
-# less than the one-row transform of the whole residual needs at x = 10^5.
+# Element budget of one batched block of the lag kernel (rows times FFT size).
+# A block's temporaries are a few arrays of 8 or 16 bytes per element, about
+# 2 MB here, less than the one-row transform of the whole residual needs at
+# x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
+# at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
@@ -255,28 +256,18 @@ def _lag_weights(n: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray, width: int) 
     """c[r, j] = #{f_lo[r] < f <= f_hi[r] : f | j} for 1 <= j < n[r], else 0; needs f_lo < n.
 
     Each (row, f) pair with f_lo < f <= min(f_hi, n - 1) adds 1 at its
-    m = (n - 1) // f >= 1 multiples f k.  A chunk of pairs lays them out as
-    running sums of f, restarted at each pair's first multiple, and counts
-    them with np.bincount.
+    m = (n - 1) // f >= 1 multiples f k.  The pairs lay them out as running
+    sums of f, restarted at each pair's first multiple, and one np.bincount
+    counts them: a batched block holds at most _BLOCK_ELEMENTS // 2 cells.
     """
     n_f = np.minimum(f_hi, n - 1) - f_lo
     row = np.repeat(np.arange(len(n)), n_f)
     f = np.arange(len(row)) - np.repeat(np.cumsum(n_f) - n_f, n_f) + f_lo[row] + 1
     mult = (n[row] - 1) // f
     first = row * width + f
-    last = first + f * (mult - 1)
-    ends = np.cumsum(mult)
-    c = np.zeros(len(n) * width)
-    p0 = 0
-    while p0 < len(f):
-        # pairs p0 .. p1 - 1 hold at most _BLOCK_ELEMENTS multiples, or are one pair
-        p1 = max(p0 + 1, int(np.searchsorted(ends, ends[p0] - mult[p0] + _BLOCK_ELEMENTS, "right")))
-        m = mult[p0:p1]
-        steps = np.repeat(f[p0:p1], m)
-        steps[np.cumsum(m) - m] = first[p0:p1] - np.concatenate(([0], last[p0 : p1 - 1]))
-        c += np.bincount(np.cumsum(steps), minlength=c.size)
-        p0 = p1
-    return c.reshape(len(n), width)
+    steps = np.repeat(f, mult)
+    steps[np.cumsum(mult) - mult] = first - np.concatenate(([0], first + f * (mult - 1)))[:-1]
+    return np.bincount(np.cumsum(steps), minlength=len(n) * width).reshape(len(n), width)
 
 
 def _row_weights(n: int, f_lo: int, f_hi: int) -> np.ndarray:
@@ -356,10 +347,11 @@ def _lag_rows(
     return (f_hi - f_lo) * zero_lag + 2.0 * np.sum(acf, axis=1)
 
 
-def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int, e: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.ndarray) -> list[np.ndarray]:
     """mu(e) times the all-class band floor(lo/e) < f <= floor(hi/e) of each row a[shift mod e :: e].
 
-    The rows e (ascending, 1 among them) are the terms of a Moebius ladder:
+    shift None takes the row e = 1 alone (every class); any other shift the
+    squarefree e <= hi, the terms of a Moebius ladder:
     [gcd(shift - b, d) = 1] = sum_{e | shift - b, e | d} mu(e), and with
     d = e f the classes b = shift (mod e) of d are the classes of f on the
     row.  The classes of f pair every m with every m' = m (mod f), so a
@@ -371,9 +363,10 @@ def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int, e: np.ndarray, m
     Returns one array of signed parts per block, in row order.
     """
     x = len(a) - 1
+    e = np.array([1]) if shift is None else np.flatnonzero(mu[1 : hi + 1]) + 1
     e = e[hi // e > lo // e]
     f_lo, f_hi = lo // e, hi // e
-    start = shift % e
+    start = (shift or 0) % e
     n = (x - start) // e + 1
     bits = np.frexp(2 * n - 2)[1]  # (2 n - 2).bit_length(): FFT size 1 << bits >= 2 n - 1
     parts = []
@@ -423,22 +416,35 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     """The BDH band of the raw weight a, carried by the prime powers, on the lag route.
 
     On the coprime ladder the row a[0 :: e] is zero for a composite
-    squarefree e, and for a prime p holds a[p^k] at index p^(k - 1).  Only
-    e = 1 and the primes with a nonzero a[p^k], k >= 2 (none for theta,
-    p <= sqrt(x) for psi) take the kernel; any other prime row holds a[p]
-    alone, at index 1, so it has no lag j >= 1 and adds
-    mu(p) (hi//p - lo//p) a[p]^2.  The phi(d) reduced classes then give
+    squarefree e, so only e = 1 takes the kernel.  A prime p's row holds
+    a[p^k] at index p^(k - 1), k = 1 .. K, and adds
+    mu(p) sum_{i, j} c(|p^(i - 1) - p^(j - 1)|) a[p^i] a[p^j], where
+    c(m) = #{lo//p < f <= hi//p : f | m} and c(0) = hi//p - lo//p, summed
+    exactly term by term.  A prime above sqrt(x) has K = 1, and all of them
+    take one vectorised step; each p <= sqrt(x) walks its powers and sums
+    the pairs of its nonzero entries (for theta, a[p] alone), with c(m)
+    read off divisors(m).  The phi(d) reduced classes then give
     sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d).
     """
     x = len(a) - 1
     primes = tables.sieve.primes()
-    pp = tables.prime_powers[tables.prime_powers <= x]
-    powered = np.unique(tables.sieve.spf[pp[a[pp] != 0]]).astype(np.int64)
-    e = np.concatenate(([1], powered[powered <= hi]))
-    lone = primes[: np.searchsorted(primes, hi, side="right")]
-    lone = lone[~np.isin(lone, powered)]
-    parts = _lag_band_rows(a, lo, hi, 0, e, tables.mu)
-    parts.append(tables.mu[lone] * (hi // lone - lo // lone) * (a[lone] * a[lone]))
+    p = primes[: np.searchsorted(primes, hi, side="right")]
+    small = int(np.searchsorted(p, math.isqrt(x), side="right"))
+    big = p[small:]
+    parts = _lag_band_rows(a, lo, hi, None, tables.mu)
+    parts.append(tables.mu[big] * (hi // big - lo // big) * (a[big] * a[big]))
+    terms = []
+    for pi in p[:small].tolist():
+        f_lo, f_hi = lo // pi, hi // pi
+        pk = [pi]
+        while pk[-1] * pi <= x:
+            pk.append(pk[-1] * pi)
+        row = [(q // pi, a[q]) for q in pk if a[q]]  # (index p^(k - 1), a[p^k]), ascending
+        for j, (n, v) in enumerate(row):
+            for m, u in row[: j + 1]:
+                c = f_hi - f_lo if m == n else sum(f_lo < f <= f_hi for f in divisors(n - m, tables.sieve))
+                terms.append(-(1 + (m < n)) * c * (u * v))  # mu(p) = -1; m < n stands for both orders
+    parts.append(np.array(terms))
     band = math.fsum(np.concatenate(parts))
     approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
     first = _coprime_first_moments(a, hi, primes)[lo + 1 :]
@@ -453,11 +459,7 @@ def _lag_band_sum(
     a = diff[: x + 1]
     if restriction.mode is Mode.BDH:  # a holds the raw weight
         return _lag_band_bdh(a, lo, hi, tables)
-    if restriction.shift is None:  # every class: the e = 1 row alone
-        e = np.array([1])
-    else:
-        e = np.flatnonzero(tables.mu[1 : hi + 1]) + 1
-    return math.fsum(np.concatenate(_lag_band_rows(a, lo, hi, restriction.shift or 0, e, tables.mu)))
+    return math.fsum(np.concatenate(_lag_band_rows(a, lo, hi, restriction.shift, tables.mu)))
 
 
 def _lag_route(n_moduli: int, x: int) -> bool:
@@ -577,14 +579,15 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
 def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     """Check the theorem-3 arguments; return the primes of the squarefree v, ascending.
 
-    v is factored once, by trial division, and a square factor is an error:
-    every theorem-3 form sums over the squarefree divisors of v.  R goes
-    through _check_r with no table limit, since the closed forms read none.
+    v is bounded by x before it is factored once, by trial division, and a
+    square factor is an error: every theorem-3 form sums over the squarefree
+    divisors of v.  R goes through _check_r with no table limit, since the
+    closed forms read none.
     """
     if x < 2:
         raise ValueError(f"x must be >= 2, got {x}")
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    if not 1 <= v <= x:
+        raise ValueError(f"v must satisfy 1 <= v <= x, got v = {v}, x = {x}")
     _check_r(R)
     primes, m = [], v
     for p in range(2, math.isqrt(v) + 1):

@@ -174,10 +174,10 @@ def test_v_and_n_factor_helpers_match_sieve():
     for n, fac in factors.items():
         primes = [p for p, _ in fac]
         if all(e == 1 for _, e in fac):
-            assert _check_theorem3_args(2, n, 1.0) == primes, n
+            assert _check_theorem3_args(20_000, n, 1.0) == primes, n
         else:
             with raises(ValueError, match="squarefree"):
-                _check_theorem3_args(2, n, 1.0)
+                _check_theorem3_args(20_000, n, 1.0)
         assert _primes_of_n(n, 20_000) == primes, n
     # one cutoff per loop: prime_array keeps one cutoff
     for n, fac in factors.items():

@@ -231,8 +231,8 @@ def _coprime_first_moments_loop(w, q, primes):
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
 def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_elements, monkeypatch):
     # at x = 2000 every group fits one block of the default budget; a budget
-    # of 256 splits the small sizes into several blocks, makes every row of
-    # size >= 512 a block alone and cuts the weight counts into many chunks
+    # of 256 splits the small sizes into several blocks and makes every row
+    # of size >= 256 a block alone
     if block_elements:
         monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
     x = 2_000
@@ -258,18 +258,36 @@ def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_
 
 
 # Bands at x = 2000 for the BDH rows: from lo = 0 and from lo > 0, with Q
-# below, near and at x.
-BDH_ROW_BANDS = ((0, 300), (0, 2_000), (333, 700), (850, 1_400), (1_000, 2_000))
+# below, near and at x; (7, 31) and (20, 120) are narrow bands with lo > 0
+# in which a prime row has lags m with c(m) >= 2.
+BDH_ROW_BANDS = ((0, 300), (0, 2_000), (7, 31), (20, 120), (333, 700), (850, 1_400), (1_000, 2_000))
 
 
-@pytest.mark.parametrize("weight", list(Weight))
+def _bdh_row_weight(weight, tables, x):
+    """The weight's array over [0, x], or for "noise" a random weight on the prime powers up to x."""
+    if weight != "noise":
+        return _weight_array(weight, tables, x)
+    return np.where(tables.lam[: x + 1] != 0, np.random.default_rng(19).standard_normal(x + 1), 0.0)
+
+
+def _max_prime_row_weight(x, lo, hi, primes):
+    """max c(m) = #{lo//p < f <= hi//p : f | m} over the lags m = p^j - p^i, 0 <= i < j, of the rows p^2 <= x."""
+    best = 0
+    for p in primes[primes * primes <= x].tolist():
+        idx = [p**k for k in range(int(math.log(x, p)) + 1) if p ** (k + 1) <= x]
+        for m in (b - a for i, a in enumerate(idx) for b in idx[i + 1 :]):
+            best = max(best, sum(m % f == 0 for f in range(lo // p + 1, hi // p + 1)))
+    return best
+
+
+@pytest.mark.parametrize("weight", [*Weight, "noise"])
 def test_bdh_rows_match_per_e_route(cfg10_small, weight, monkeypatch):
-    # BDH's array is the raw weight, carried by the prime powers: the kernel
-    # takes e = 1 and the primes with a nonzero higher power (none for theta,
-    # p <= sqrt(x) for psi), every other prime row is one entry in closed form
+    # BDH's array is carried by the prime powers: only e = 1 takes the
+    # kernel, for every weight, and each prime row p is an exact sum over
+    # the pairs of its entries a[p^k] at p^(k - 1), weighted by c(m)
     x = 2_000
     tables = cfg10_small.tables
-    arr = _weight_array(weight, tables, x)
+    arr = _bdh_row_weight(weight, tables, x)
     steps = []
     kernel = variance._lag_rows
 
@@ -278,15 +296,15 @@ def test_bdh_rows_match_per_e_route(cfg10_small, weight, monkeypatch):
         return kernel(a, start, step, *rest)
 
     monkeypatch.setattr(variance, "_lag_rows", recording)
-    primes = tables.sieve.primes()
     for lo, hi in BDH_ROW_BANDS:
         steps.clear()
         moduli = range(lo + 1, hi + 1)
         want = _per_e_lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
         got = _lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
         assert got == approx(want, rel=1e-12), (lo, hi)
-        powered = [p for p in primes[primes * primes <= x].tolist() if hi // p > lo // p]
-        assert sorted(steps) == [1] + (powered if weight is Weight.PSI else []), (lo, hi)
+        assert steps == [1], (lo, hi)
+    primes = tables.sieve.primes()
+    assert all(_max_prime_row_weight(x, lo, hi, primes) >= 2 for lo, hi in ((7, 31), (20, 120)))
 
 
 def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
@@ -328,10 +346,31 @@ def test_smooth_size_is_least_5_smooth():
     assert _smooth_size(200_001) == 202_500  # the e = 1 row at x = 10^5
 
 
+@pytest.mark.parametrize("block_elements", [None, 256])
+def test_lag_weights_blocks_fill_half_the_budget(cfg10_small, block_elements, monkeypatch):
+    # a batched block's rows fill at most half its FFT size, so one bincount
+    # over at most _BLOCK_ELEMENTS // 2 cells counts each batch's weights
+    if block_elements:
+        monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
+    cells = []
+    counter = variance._lag_weights
+
+    def recording(n, f_lo, f_hi, width):
+        cells.append(len(n) * width)
+        return counter(n, f_lo, f_hi, width)
+
+    monkeypatch.setattr(variance, "_lag_weights", recording)
+    x = 2_000
+    arr = cfg10_small.tables.lam[: x + 1] - cfg10_small.table()[: x + 1]
+    for restriction in (RestrictionMode(Mode.COPRIME), RestrictionMode(Mode.SHIFT_COPRIME, 7)):
+        _lag_band_sum(range(1, x + 1), x, arr, restriction, cfg10_small.tables)
+    assert cells and max(cells) <= variance._BLOCK_ELEMENTS // 2
+
+
 def test_lag_weights_match_divisor_count():
     # f_lo = 0, f_hi at and past n - 1 (the kernel meets f_hi = n, e.g.
-    # x = 1920, N = 7, e = 5), and two rows of 10^5 whose multiples fill
-    # several chunks
+    # x = 1920, N = 7, e = 5), and two rows of 10^5 with about 5 * 10^5
+    # multiples, all in one count
     rows = [(1, 0, 1), (2, 0, 2), (383, 0, 383), (384, 0, 384), (384, 100, 900),
             (385, 7, 200), (700, 0, 50), (700, 349, 350), (700, 650, 1_000),
             (100_000, 0, 30), (100_000, 3_000, 9_000)]
@@ -524,6 +563,20 @@ def test_theorem3_forms_reject_non_squarefree_v(cfg20_1e4, cs):
             theorem3_coupled_prediction(10**6, v, 1, 50.0, cs)
         with raises(ValueError, match="squarefree"):
             theorem3_refined_prediction(10_000, v, 1, cfg20_1e4, cs)
+
+
+def test_theorem3_forms_reject_v_beyond_x_before_factoring(cfg20_1e4, cs):
+    # v = 2^61 - 1 is prime: trial division up to sqrt(v) would run for
+    # minutes, so the bound v <= x must reject it first
+    v = 2**61 - 1
+    for call in (theorem3_prediction, theorem3_coupled_prediction):
+        with raises(ValueError, match="v <= x"):
+            call(10**6, v, 1, 50.0, cs)
+    with raises(ValueError, match="v <= x"):
+        theorem3_refined_prediction(10_000, v, 1, cfg20_1e4, cs)
+    with raises(ValueError, match="v <= x"):
+        theorem3_prediction(10**6, 10**6 + 1, 1, 50.0, cs)
+    assert math.isfinite(theorem3_prediction(30, 30, 1, 2.0, cs).total)  # v = x is allowed
 
 
 def test_refined_progression_prediction(cfg20_1e4, cs, tables_1e4):
