@@ -368,7 +368,7 @@ def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.nd
     f_lo, f_hi = lo // e, hi // e
     start = (shift or 0) % e
     n = (x - start) // e + 1
-    bits = np.frexp(2 * n - 2)[1]  # (2 n - 2).bit_length(): FFT size 1 << bits >= 2 n - 1
+    bits = np.frexp(2 * n - 1)[1]  # (2 n - 1).bit_length(): FFT size 1 << bits >= 2 n, at least 2
     parts = []
     for k in range(int(bits.max()) + 1):
         group = np.flatnonzero(bits == k)

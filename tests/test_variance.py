@@ -232,20 +232,29 @@ def _coprime_first_moments_loop(w, q, primes):
 def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_elements, monkeypatch):
     # at x = 2000 every group fits one block of the default budget; a budget
     # of 256 splits the small sizes into several blocks and makes every row
-    # of size >= 256 a block alone
+    # of size >= 256 a block alone.  A batch's rows fill at most half its
+    # FFT size, so _lag_weights counts at most _BLOCK_ELEMENTS // 2 cells.
     if block_elements:
         monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
+    cells = []
+    counter = variance._lag_weights
+
+    def recording(n, f_lo, f_hi, width):
+        cells.append(len(n) * width)
+        return counter(n, f_lo, f_hi, width)
+
+    monkeypatch.setattr(variance, "_lag_weights", recording)
     x = 2_000
     tables = cfg10_small.tables
     w = tables.theta
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     # Rows a[s :: e] of the squarefree e <= x have lengths n_e ~ x/e.  The
-    # batch groups them by FFT size 1 << (2 n_e - 2).bit_length(): e = 1 is a
+    # batch groups them by FFT size 1 << (2 n_e - 1).bit_length(): e = 1 is a
     # group of one row, and the group of e = 5, 6, 7 (size 1024) has rows of
     # three lengths, so each is zeroed past its own end.
     e = np.flatnonzero(tables.mu[1 : x + 1]) + 1
     n = (x - restriction.N % e) // e + 1
-    size = [1 << (2 * int(k) - 2).bit_length() for k in n]
+    size = [1 << (2 * int(k) - 1).bit_length() for k in n]
     assert len(set(size)) >= 3 and size.count(size[0]) == 1
     assert len({int(k) for k, s in zip(n, size) if s == 1024}) == 3
     # (850.5, 1_400] has squarefree e with floor(lo/e) = floor(hi/e), which add nothing
@@ -255,6 +264,8 @@ def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_
         want = _per_e_lag_band_sum(moduli, x, arr, restriction, tables)
         got = _lag_band_sum(moduli, x, arr, restriction, tables)
         assert got == approx(want, rel=1e-12), (q_low, q)
+    assert max(cells, default=0) <= variance._BLOCK_ELEMENTS // 2
+    assert bool(cells) == (restriction.mode in (Mode.COPRIME, Mode.SHIFT_COPRIME))
 
 
 # Bands at x = 2000 for the BDH rows: from lo = 0 and from lo > 0, with Q
@@ -344,27 +355,6 @@ def test_smooth_size_is_least_5_smooth():
     for m in range(1, 5_001):
         assert _smooth_size(m) == next(k for k in range(m, 2 * m + 1) if smooth(k)), m
     assert _smooth_size(200_001) == 202_500  # the e = 1 row at x = 10^5
-
-
-@pytest.mark.parametrize("block_elements", [None, 256])
-def test_lag_weights_blocks_fill_half_the_budget(cfg10_small, block_elements, monkeypatch):
-    # a batched block's rows fill at most half its FFT size, so one bincount
-    # over at most _BLOCK_ELEMENTS // 2 cells counts each batch's weights
-    if block_elements:
-        monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
-    cells = []
-    counter = variance._lag_weights
-
-    def recording(n, f_lo, f_hi, width):
-        cells.append(len(n) * width)
-        return counter(n, f_lo, f_hi, width)
-
-    monkeypatch.setattr(variance, "_lag_weights", recording)
-    x = 2_000
-    arr = cfg10_small.tables.lam[: x + 1] - cfg10_small.table()[: x + 1]
-    for restriction in (RestrictionMode(Mode.COPRIME), RestrictionMode(Mode.SHIFT_COPRIME, 7)):
-        _lag_band_sum(range(1, x + 1), x, arr, restriction, cfg10_small.tables)
-    assert cells and max(cells) <= variance._BLOCK_ELEMENTS // 2
 
 
 def test_lag_weights_match_divisor_count():
