@@ -43,11 +43,10 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def second_coprime(v: int) -> int:
-    for k in range(2, v):
-        if math.gcd(k, v) == 1:
-            return k
-    return v + 1
+def class_cases(v: int) -> list[int]:
+    """The classes N mod v of the table as distinct residues in 1..v: N = 1, the
+    least other N coprime to v when there is one, and N = v, the class of 0."""
+    return sorted({1, v, next((k for k in range(2, v) if math.gcd(k, v) == 1), 1)})
 
 
 def main() -> None:
@@ -61,8 +60,7 @@ def main() -> None:
         f"{'exact-mean dev':>16}"
     )
     for v in moduli:
-        cases = [1] if v == 1 else sorted({1, second_coprime(v), v})
-        for n_shift in cases:
+        for n_shift in class_cases(v):
             emp = delta_sq_progression(args.x, v, n_shift, cfg)
             closed = theorem3_prediction(args.x, v, n_shift, args.R, cs)
             coupled = theorem3_coupled_prediction(args.x, v, n_shift, args.R, cs)

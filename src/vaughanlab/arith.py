@@ -21,6 +21,7 @@ freely across threads.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -117,13 +118,16 @@ _SEGMENT = 2**18
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
 
-    Each prime p <= sqrt(limit) writes p into the still-empty entries among its
-    multiples from p^2 on; entries left empty are prime.  The strikes run over
-    ascending segments [lo, lo + _SEGMENT), every sieving prime in ascending
-    order within each, so an entry gets the same first writer as in one pass
-    per prime over the whole table.  The first segment reaches past sqrt(limit)
-    and is sieved first; its empty entries up to sqrt(limit) are the sieving
-    primes.  The entries left empty at the end, the primes <= limit (those
+    Each prime p <= sqrt(limit) strikes its multiples from p^2 on, and an entry
+    ends as the smallest prime that strikes it; entries left empty are prime.
+    The strikes run over ascending segments [lo, lo + _SEGMENT).  The first
+    segment reaches past sqrt(limit) and is sieved first, each prime in
+    ascending order writing only the still-empty entries among its multiples;
+    its empty entries up to sqrt(limit) are the sieving primes.  Each later
+    segment is struck by its sieving primes in descending order, with plain
+    stores and no mask, so the smallest prime dividing an entry writes it
+    last.  Either way an entry ends as in one pass per prime over the whole
+    table.  The entries left empty at the end, the primes <= limit (those
     <= sqrt(limit) among them), are kept read-only for FactorSieve.primes.
 
     Args:
@@ -142,16 +146,12 @@ def build_sieve(limit: int) -> FactorSieve:
             primes.append(p)
             seg = spf[p * p : hi : p]
             seg[seg == 0] = p
+    squares = [p * p for p in primes]
     for lo in range(hi, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
-        for p in primes:
-            # p^2 >= hi: neither p nor any later prime has a multiple from its
-            # square on in [lo, hi).  A prime whose multiples all miss a short
-            # last segment does not end the loop: a later one may still hit it.
-            if p * p >= hi:
-                break
-            seg = spf[max(p * p, -(-lo // p) * p) : hi : p]
-            seg[seg == 0] = p
+        # Only the primes with p^2 < hi have a multiple from their square on in [lo, hi).
+        for p in reversed(primes[: bisect.bisect_left(squares, hi)]):
+            spf[max(p * p, -(-lo // p) * p) : hi : p] = p
     # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest

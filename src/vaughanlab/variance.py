@@ -41,13 +41,15 @@ the least 5-smooth FFT size, a batch of rows a power of two.
 
 from __future__ import annotations
 
-import bisect
 import enum
+import functools
 import math
 import numbers
 import os
+import threading
 import time
-from collections.abc import Callable
+import weakref
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -55,7 +57,7 @@ import numpy as np
 
 from .arith import ArithTables, _check_x, divisors
 from .constants import ConstantSet, ProductKind, restricted_product
-from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, _coprime_mu2_over_phi, delta_indicator
 
 __all__ = [
     "Mode",
@@ -599,6 +601,24 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
+# Moduli kept by each cache of the theorem-3 forms' work that does not depend
+# on the class N: the lru caches below and _REFINED_G.
+_MODULUS_CACHE = 128
+
+
+@functools.lru_cache(maxsize=_MODULUS_CACHE, typed=True)
+def _theorem3_modulus(x: int, v: int, R: float) -> tuple[tuple[int, ...], str, str]:
+    """(primes of v, budget, budget without the phi(v) term) for the theorem-3 forms.
+
+    The arguments are checked and v factored by _check_theorem3_args, and the
+    budgets formatted by _theorem3_budget, once per (x, v, R) rather than once
+    per class.  lru_cache keeps no exception, so a bad argument raises on
+    every call; typed keys keep a float v from reaching a cached int one.
+    """
+    primes = tuple(_check_theorem3_args(x, v, R))
+    return primes, _theorem3_budget(x, primes, R, True), _theorem3_budget(x, primes, R, False)
+
+
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:
     """Closed form for the progression-restricted second moment, coupled pairs dropped.
 
@@ -611,9 +631,10 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     at x = 10^6, R = 50 the total is off the brute-force moment by up to 0.25
     of x log x / v.  It is kept frozen for comparison (the CLI theorem3
     command reports it as predicted_total); theorem3_coupled_prediction is the
-    closed form that keeps the coupled pairs (predicted_coupled).
+    closed form that keeps the coupled pairs (predicted_coupled).  The checks
+    and the budget come from _theorem3_modulus, once per (x, v, R).
     """
-    primes = _check_theorem3_args(x, v, R)
+    primes, budget, _ = _theorem3_modulus(x, v, R)
     ind = delta_indicator(N, v)
     phi_v = math.prod(p - 1 for p in primes)
     lx = math.log(x)
@@ -625,10 +646,10 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
         "neg_term": -x / phi_v,
     }
     total = math.fsum(terms.values())
-    return Prediction(terms=terms, total=total, error_budget=_theorem3_budget(x, primes, R, True))
+    return Prediction(terms=terms, total=total, error_budget=budget)
 
 
-def _theorem3_budget(x: int, primes: list[int], R: float, phi_term: bool) -> str:
+def _theorem3_budget(x: int, primes: Sequence[int], R: float, phi_term: bool) -> str:
     """The theorem-3 O-terms at these parameters for the v with these primes; phi_term False
     leaves out x/(phi(v)*sqrt(R)), which theorem3_refined_prediction's budget does not carry."""
     v, phi_v, tau_v = math.prod(primes), math.prod(p - 1 for p in primes), 2 ** len(primes)
@@ -654,28 +675,50 @@ def theorem3_refined_prediction(
     the coupled pairs (r = g*s, r1 = g*s1 with s, s1 | v) contribute at the same
     order, so here that mean is computed exactly and only the cross and
     squared-Lambda terms keep their closed forms.  The mean is the CRT class
-    mean M (_crt_class_mean) with the exact, table-backed G_v: the squarefree
-    b <= R and 1/phi(b) are gathered once per call, the cross sum is their
-    fsum and G_v(y) the fsum of the prefix b <= y of those coprime to v, so
-    each value equals _coprime_mu2_over_phi's bit for bit.  The pair sweep
+    mean M (_crt_class_mean) with the exact, table-backed G_v of
+    _coprime_mu2_over_phi, evaluated at R/a for the divisors a | v once per
+    tables, v and R (_refined_g), so a class pays only for its weights and
+    the tau(v)^2 products.  The pair sweep
     fr_square_progression_mean computes the same mean independently and is
     the oracle the tests hold it to.  The closed form that keeps the coupled
     pairs, with no tables, is theorem3_coupled_prediction.
     """
-    primes = _check_theorem3_args(x, v, cfg.R)
-    b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
-    inv_phi = 1.0 / cfg.tables.phi[b]
-    coprime = np.gcd(b, v) == 1
-    b, kept = b[coprime].tolist(), inv_phi[coprime].tolist()
+    primes, _, budget = _theorem3_modulus(x, v, cfg.R)
+    cross_sum, g = _refined_g(cfg, v, primes)
+    return _crt_mean_prediction(x, primes, N, cfg.R, cross_sum, g, budget)
 
-    def g(y: float) -> float:
-        return math.fsum(kept[: bisect.bisect_right(b, y)])
 
-    return _crt_mean_prediction(x, primes, N, cfg.R, math.fsum(inv_phi), g, _theorem3_budget(x, primes, cfg.R, False))
+# The refined form's G_v values by (id(tables), v, R), with a weak reference
+# to the tables: an entry neither keeps its tables alive nor serves a later
+# tables object that reuses the id.  The lock makes concurrent calls safe.
+_REFINED_G: dict[tuple[int, int, float], tuple[weakref.ref, float, Callable[[float], float]]] = {}
+_REFINED_G_LOCK = threading.Lock()
+
+
+def _refined_g(cfg: FRConfig, v: int, primes: tuple[int, ...]) -> tuple[float, Callable[[float], float]]:
+    """(G_1(R), G_v as a lookup at R/a for the divisors a <= R of v) for
+    theorem3_refined_prediction, from _REFINED_G.
+
+    A miss evaluates _coprime_mu2_over_phi up to tau(v) + 1 times; the cache
+    holds the _MODULUS_CACHE entries added last and drops the oldest first.
+    """
+    tables, R = cfg.tables, cfg.R
+    key = (id(tables), v, R)
+    with _REFINED_G_LOCK:
+        got = _REFINED_G.get(key)
+    if got is None or got[0]() is not tables:
+        g_at = {R / a: _coprime_mu2_over_phi(R / a, v, tables) for a in _crt_pairs(primes)[0] if R / a >= 1.0}
+        got = weakref.ref(tables), _coprime_mu2_over_phi(R, 1, tables), g_at.__getitem__
+        with _REFINED_G_LOCK:
+            _REFINED_G.pop(key, None)
+            while len(_REFINED_G) >= _MODULUS_CACHE:
+                del _REFINED_G[next(iter(_REFINED_G))]
+            _REFINED_G[key] = got
+    return got[1], got[2]
 
 
 def _crt_mean_prediction(
-    x: int, primes: list[int], N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
+    x: int, primes: Sequence[int], N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
 ) -> Prediction:
     """The three theorem-3 terms around the CRT class mean M (_crt_class_mean) with g as G_v,
     for the squarefree v with these primes; cross_sum stands for sum_{r <= R} mu(r)^2/phi(r)
@@ -692,7 +735,23 @@ def _crt_mean_prediction(
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
-def _crt_class_mean(primes: list[int], N: int, R: float, g: Callable[[float], float]) -> float:
+@functools.lru_cache(maxsize=_MODULUS_CACHE)
+def _crt_pairs(primes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The divisors a of the squarefree v with these primes, and for each ordered pair of them
+    the triple (i, j, k) with a_k = max(a_i, a_j).
+
+    Each prime p appends a*p for every divisor a listed so far, the order in
+    which _crt_class_mean multiplies up the weights w_a; the pairs run row by
+    row, the order of its products.
+    """
+    divs = [1]
+    for p in primes:
+        divs += [a * p for a in divs]
+    at = {a: k for k, a in enumerate(divs)}
+    return tuple(divs), tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
+
+
+def _crt_class_mean(primes: Sequence[int], N: int, R: float, g: Callable[[float], float]) -> float:
     """Class mean of F_R(n)^2 on n = N (mod v) by the CRT split of each modulus, v given by its primes.
 
     Writing r = a*b with a = gcd(r, v) and b coprime to v gives
@@ -705,27 +764,25 @@ def _crt_class_mean(primes: list[int], N: int, R: float, g: Callable[[float], fl
 
     over squarefree a, a1, with G_v(y) = sum_{b <= y, (b, v) = 1}
     mu(b)^2/phi(b) supplied as g(y) and taken as 0 for y < 1.  g is called
-    once per distinct max(a, a1), i.e. tau(v) times for squarefree v.  F_R
-    sums over squarefree moduli only, so the class mean for v is the one for
-    the product of its primes.
+    once per divisor a <= R, i.e. up to tau(v) times for squarefree v; the
+    theorem-3 forms pass a lookup of values computed once per v.  The
+    divisors and the index of max(a, a1) for each pair come from _crt_pairs,
+    once per v, so a call builds only the weights and the tau(v)^2 products.
+    F_R sums over squarefree moduli only, so the class mean for v is the one
+    for the product of its primes.
     """
+    divs, pairs = _crt_pairs(tuple(primes))
+    g_at = [g(R / a) if R / a >= 1.0 else None for a in divs]
     # w_a is multiplicative in a: its factor at p is -1 when p | N
     # (C_p(N) = p - 1) and 1/(p - 1) otherwise (C_p(N) = -1)
-    wts = [(1, 1.0)]
+    w = [1.0]
     for p in primes:
         w_p = -1.0 if N % p == 0 else 1.0 / (p - 1)
-        wts += [(a * p, w_a * w_p) for a, w_a in wts]
-    g_at = {a: g(R / a) for a, _ in wts if R / a >= 1.0}
-    parts = []
-    for a, w_a in wts:
-        for a1, w_a1 in wts:
-            top = max(a, a1)
-            if top in g_at:
-                parts.append(w_a * w_a1 * g_at[top])
-    return math.fsum(parts)
+        w += [w_a * w_p for w_a in w]
+    return math.fsum([w[i] * w[j] * g_at[k] for i, j, k in pairs if g_at[k] is not None])
 
 
-def _coprime_mu2_over_phi_main_terms(primes: list[int], c2: float) -> Callable[[float], float]:
+def _coprime_mu2_over_phi_main_terms(primes: Sequence[int], c2: float) -> Callable[[float], float]:
     """y -> (phi(v)/v)(log y + c2 + sum_{p | v} log p / p), the main terms of G_v(y), v given by its primes."""
     density = math.prod((p - 1) / p for p in primes)
     log_sum = math.fsum(math.log(p) / p for p in primes)
@@ -741,12 +798,13 @@ def theorem3_coupled_prediction(
     + (x/v) M, where M is the CRT class mean of F_R(n)^2 (_crt_class_mean)
     with G_v(y) replaced by (phi(v)/v)(log y + c2 + sum_{p | v} log p / p).
     Costs O(tau(v)^2) and needs no tables.  At v = 1 it collapses to
-    x (log(x/R) - c0), like theorem3_prediction.
+    x (log(x/R) - c0), like theorem3_prediction.  The checks and the budget
+    come from _theorem3_modulus, once per (x, v, R).
     """
-    primes = _check_theorem3_args(x, v, R)
+    primes, budget, _ = _theorem3_modulus(x, v, R)
     c2 = constants.c2
     g = _coprime_mu2_over_phi_main_terms(primes, c2)
-    return _crt_mean_prediction(x, primes, N, R, math.log(R) + c2, g, _theorem3_budget(x, primes, R, True))
+    return _crt_mean_prediction(x, primes, N, R, math.log(R) + c2, g, budget)
 
 
 def _banded(q: int, q_low: float) -> float:

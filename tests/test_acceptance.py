@@ -144,11 +144,9 @@ def test_criterion_05_constants(cs):
     assert ok, line
 
 
-def _second_coprime(v: int) -> int:
-    for k in range(2, v):
-        if math.gcd(k, v) == 1:
-            return k
-    return v + 1
+def _class_cases(v: int) -> list[int]:
+    """N = 1, the least other N coprime to v when there is one, and N = v, as distinct residues mod v."""
+    return sorted({1, v, next((k for k in range(2, v) if math.gcd(k, v) == 1), 1)})
 
 
 def test_criterion_06_progression_second_moment(cfg50_1e6, cs):
@@ -159,8 +157,7 @@ def test_criterion_06_progression_second_moment(cfg50_1e6, cs):
     worst_refined = 0.0
     print("  v   N   dev(uncoupled)   dev(coupled)   dev(exact-mean)")
     for v in (1, 2, 3, 5, 6, 7, 10):
-        cases = [1] if v == 1 else sorted({1, _second_coprime(v), v})
-        for N in cases:
+        for N in _class_cases(v):
             emp = delta_sq_progression(x, v, N, cfg50_1e6)
             uncoupled = theorem3_prediction(x, v, N, 50.0, cs)
             pred = theorem3_coupled_prediction(x, v, N, 50.0, cs)

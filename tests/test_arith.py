@@ -338,6 +338,31 @@ def test_segmented_sieve_matches_plain_sieve_in_tiny_segments(monkeypatch):
         _assert_sieve_matches_plain_sieve(limit)
 
 
+def _assert_sieve_and_primes_match_plain_sieve(limit):
+    sieve, want = build_sieve(limit), _plain_sieve(limit)
+    assert sieve.spf.tobytes() == want.tobytes(), limit
+    assert np.array_equal(sieve.primes(), np.flatnonzero(want[2:] == np.arange(2, limit + 1)) + 2), limit
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_descending_strikes_match_plain_sieve_around_segment_multiples(k):
+    # Past the first segment the sieving primes strike in descending order
+    # with plain stores; a limit one below, at or one past a multiple of the
+    # segment length leaves a last segment that is full, holds one entry
+    # less, or holds a single entry.
+    for limit in (k * arith._SEGMENT - 1, k * arith._SEGMENT, k * arith._SEGMENT + 1):
+        _assert_sieve_and_primes_match_plain_sieve(limit)
+
+
+def test_descending_strikes_match_plain_sieve_in_short_segments(monkeypatch):
+    # Segments of 16 give the limits below 2,500 up to 155 later segments,
+    # each struck by the primes whose squares lie below its end.
+    monkeypatch.setattr(arith, "_SEGMENT", 16)
+    for m in range(2, 156):
+        for limit in (16 * m - 1, 16 * m, 16 * m + 1):
+            _assert_sieve_and_primes_match_plain_sieve(limit)
+
+
 def test_build_sieve_adds_no_prime_array_cutoff():
     prime_array.cache_clear()
     build_tables(build_sieve(10**5))

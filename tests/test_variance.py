@@ -1,8 +1,13 @@
 """Variance accumulation and main-term prediction tests."""
 
+import bisect
 import copy
+import gc
 import math
 import tracemalloc
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import numpy as np
@@ -36,11 +41,12 @@ from vaughanlab import (
     vaughan_prediction,
 )
 from vaughanlab import variance
-from vaughanlab.frmodel import _coprime_mu2_over_phi, fr_square_progression_mean
+from vaughanlab.frmodel import _coprime_mu2_over_phi, delta_indicator, fr_square_progression_mean
 from vaughanlab.variance import (
     _LAG_MODULI_PER_LOG2_X,
     _bucket_band_sum,
     _bucket_sums,
+    _check_theorem3_args,
     _coprime_first_moments,
     _coprime_mu2_over_phi_main_terms,
     _crt_class_mean,
@@ -50,6 +56,7 @@ from vaughanlab.variance import (
     _restricted_main_terms,
     _row_weights,
     _smooth_size,
+    _theorem3_budget,
     _weight_array,
 )
 
@@ -691,6 +698,201 @@ def test_refined_prediction_bits_match_coprime_g(tables_small, cs, R):
             )
             assert got.total.hex() == want.total.hex(), (v, N)
             assert {k: t.hex() for k, t in got.terms.items()} == {k: t.hex() for k, t in want.terms.items()}
+
+
+def _crt_class_mean_loop(primes, N, R, g):
+    """The per-class CRT class mean the theorem-3 forms had before their v-only work was cached."""
+    wts = [(1, 1.0)]
+    for p in primes:
+        w_p = -1.0 if N % p == 0 else 1.0 / (p - 1)
+        wts += [(a * p, w_a * w_p) for a, w_a in wts]
+    g_at = {a: g(R / a) for a, _ in wts if R / a >= 1.0}
+    parts = []
+    for a, w_a in wts:
+        for a1, w_a1 in wts:
+            top = max(a, a1)
+            if top in g_at:
+                parts.append(w_a * w_a1 * g_at[top])
+    return math.fsum(parts)
+
+
+def _theorem3_loop(form, x, v, N, cfg, cs):
+    """(total, terms, budget) of one theorem-3 form by the per-class code it had before its
+    v-only work was cached, kept as the oracle of the cached forms: every call factors v,
+    formats the budget and gathers the squarefree b <= R anew."""
+    R = cfg.R
+    primes = _check_theorem3_args(x, v, R)
+    ind = delta_indicator(N, v)
+    phi_v = math.prod(p - 1 for p in primes)
+    if form == "closed":
+        lx, lr = math.log(x), math.log(R)
+        terms = {
+            "delta_main": ind * (x / phi_v) * (lx - 2.0 * lr - cs.c1),
+            "r_term": (x / v) * (lr + cs.c2),
+            "phi2_term": ind * x * v / (phi_v * phi_v),
+            "neg_term": -x / phi_v,
+        }
+        return math.fsum(terms.values()), terms, _theorem3_budget(x, primes, R, True)
+    if form == "coupled":
+        cross_sum, g = math.log(R) + cs.c2, _coprime_mu2_over_phi_main_terms(primes, cs.c2)
+        budget = _theorem3_budget(x, primes, R, True)
+    else:
+        b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
+        inv_phi = 1.0 / cfg.tables.phi[b]
+        coprime = np.gcd(b, v) == 1
+        kept_b, kept = b[coprime].tolist(), inv_phi[coprime].tolist()
+        cross_sum = math.fsum(inv_phi)
+        g = lambda y: math.fsum(kept[: bisect.bisect_right(kept_b, y)])  # noqa: E731
+        budget = _theorem3_budget(x, primes, R, False)
+    terms = {
+        "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
+        "cross_term": -2.0 * ind * (x / phi_v) * cross_sum,
+        "mean_sq_term": (x / v) * _crt_class_mean_loop(primes, N, R, g),
+    }
+    return math.fsum(terms.values()), terms, budget
+
+
+def _squarefree_up_to(v_max):
+    return [v for v in range(1, v_max + 1) if all(v % (p * p) for p in range(2, math.isqrt(v) + 1))]
+
+
+def _cached_form(form, x, v, N, cfg, cs):
+    if form == "refined":
+        return theorem3_refined_prediction(x, v, N, cfg, cs)
+    call = theorem3_prediction if form == "closed" else theorem3_coupled_prediction
+    return call(x, v, N, cfg.R, cs)
+
+
+@pytest.mark.parametrize("x, R, v_max", [(10**6, 100.0, 60), (10**5, 7.5, 60), (10**4, 20.0, 30)])
+def test_cached_theorem3_forms_match_per_class_loop_bitwise(tables_small, cs, x, R, v_max):
+    # every class N = 0..v of every squarefree v <= v_max, the moduli in
+    # ascending order as a class loop meets them, each form against its
+    # per-class oracle by .hex() of the total and of every term, and the budget
+    cfg = FRConfig(R=R, tables=tables_small)
+    for v in _squarefree_up_to(v_max):
+        for N in range(v + 1):
+            for form in ("closed", "coupled", "refined"):
+                got = _cached_form(form, x, v, N, cfg, cs)
+                total, terms, budget = _theorem3_loop(form, x, v, N, cfg, cs)
+                assert got.total.hex() == total.hex(), (form, v, N)
+                assert {k: t.hex() for k, t in got.terms.items()} == {k: t.hex() for k, t in terms.items()}
+                assert got.error_budget == budget, (form, v, N)
+
+
+def test_theorem3_forms_do_v_only_work_once_per_v(monkeypatch, tables_small, cs):
+    # across a loop over every class of every squarefree v <= 30, each v is
+    # factored once, and the refined form evaluates the exact G_v (which masks
+    # b <= y by gcd(b, v)) once per divisor a <= R of v, and G_1(R) for its
+    # cross sum once per v
+    variance._theorem3_modulus.cache_clear()
+    monkeypatch.setattr(variance, "_REFINED_G", {})
+    factored, g_calls = Counter(), Counter()
+    check, exact_g = variance._check_theorem3_args, variance._coprime_mu2_over_phi
+
+    def check_spy(x, v, R):
+        factored[v] += 1
+        return check(x, v, R)
+
+    def g_spy(y, v, tables):
+        g_calls[v, y] += 1
+        return exact_g(y, v, tables)
+
+    x, R = 10**5, 20.0
+    cfg = FRConfig(R=R, tables=tables_small)
+    monkeypatch.setattr(variance, "_check_theorem3_args", check_spy)
+    monkeypatch.setattr(variance, "_coprime_mu2_over_phi", g_spy)
+    moduli = _squarefree_up_to(30)
+    for v in moduli:
+        for N in range(1, v + 1):
+            for form in ("closed", "coupled", "refined"):
+                _cached_form(form, x, v, N, cfg, cs)
+    assert factored == Counter(moduli)
+    want = Counter({(v, R / a): 1 for v in moduli for a in range(1, v + 1) if v % a == 0 and a <= R})
+    want[1, R] += len(moduli)
+    assert g_calls == want
+
+
+def test_refined_g_cache_is_bounded_and_keyed_by_tables_and_r(monkeypatch, tables_small, tables_1e4, cs):
+    # with room for 4 entries the cache keeps the 4 added last, and a modulus
+    # dropped from it is recomputed to the same bits
+    monkeypatch.setattr(variance, "_MODULUS_CACHE", 4)
+    monkeypatch.setattr(variance, "_REFINED_G", {})
+    cfg = FRConfig(R=50.0, tables=tables_small)
+    moduli = _squarefree_up_to(30)
+    first = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total for v in moduli]
+    assert list(variance._REFINED_G) == [(id(tables_small), v, 50.0) for v in moduli[-4:]]
+    again = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total for v in moduli]
+    assert [t.hex() for t in again] == [t.hex() for t in first]
+    assert len(variance._REFINED_G) == 4
+    # a config with another R, or other tables, reads none of the entries
+    want = theorem3_refined_prediction(10**6, 30, 1, FRConfig(R=20.0, tables=tables_1e4), cs)
+    assert theorem3_refined_prediction(10**6, 30, 1, FRConfig(R=20.0, tables=tables_small), cs).total.hex() == want.total.hex()
+    assert (id(tables_small), 30, 20.0) in variance._REFINED_G
+
+
+def test_refined_g_cache_keeps_no_tables_alive(monkeypatch, cs):
+    monkeypatch.setattr(variance, "_REFINED_G", {})
+    tables = build_tables(build_sieve(1000))
+    want = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=tables), cs).total
+    ref = weakref.ref(tables)
+    del tables
+    gc.collect()
+    assert ref() is None
+    # a new tables object, at the old id or not, computes its own values
+    got = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=build_tables(build_sieve(1000))), cs).total
+    assert got.hex() == want.hex()
+
+
+def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
+    # four threads share one config and a cache with room for 2 entries, so
+    # they evict each other's entries all the time; every total matches
+    monkeypatch.setattr(variance, "_MODULUS_CACHE", 2)
+    monkeypatch.setattr(variance, "_REFINED_G", {})
+    cfg = FRConfig(R=30.0, tables=tables_small)
+    moduli = _squarefree_up_to(30)
+    want = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total.hex() for v in moduli]
+
+    def sweep(shift):
+        order = moduli[shift:] + moduli[:shift]
+        got = {v: theorem3_refined_prediction(10**6, v, 1, cfg, cs).total.hex() for _ in range(5) for v in order}
+        return [got[v] for v in moduli]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(sweep, range(4)))
+    assert results == [want] * 4
+    assert len(variance._REFINED_G) <= 2
+
+
+def test_theorem3_caches_keep_no_exception(cfg20_1e4, cs):
+    # a valid call for v = 6 fills every cache; each bad argument with the
+    # same v must still raise, on every call
+    for call in (theorem3_prediction, theorem3_coupled_prediction):
+        assert math.isfinite(call(10_000, 6, 1, 20.0, cs).total)
+        for _ in range(2):
+            # x below 2, R NaN or below 1, N < 0, and v > x
+            for args in (
+                (1, 6, 1, 20.0),
+                (10_000, 6, 1, math.nan),
+                (10_000, 6, 1, 0.5),
+                (10_000, 6, -1, 20.0),
+                (5, 6, 1, 20.0),
+            ):
+                with raises(ValueError):
+                    call(*args, cs)
+            with raises(TypeError):
+                call(10_000, 6.0, 1, 20.0, cs)  # a float v is not factored, cached int or not
+    assert math.isfinite(theorem3_refined_prediction(10_000, 6, 1, cfg20_1e4, cs).total)
+    bad = copy.copy(cfg20_1e4)
+    bad.R = math.nan
+    for _ in range(2):
+        with raises(ValueError, match="finite"):
+            theorem3_refined_prediction(10_000, 6, 1, bad, cs)
+        with raises(ValueError):
+            theorem3_refined_prediction(10_000, 6, -1, cfg20_1e4, cs)
+        with raises(ValueError, match="squarefree"):
+            theorem3_refined_prediction(10_000, 12, 1, cfg20_1e4, cs)
+        with raises(TypeError):
+            theorem3_refined_prediction(10_000, 6.0, 1, cfg20_1e4, cs)
 
 
 def test_delta_sq_progression_matches_fsum(tables_1e5):
