@@ -26,7 +26,9 @@ the pair sweep for the exact per-class mean of F_R(n)^2.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +42,6 @@ from .arith import (
     _check_x,
     _norm_residue,
     divisors,
-    factorize,
     is_squarefree,
     mu_of,
     phi_of,
@@ -101,17 +102,36 @@ def _check_r(R: float, limit: int | None = None) -> None:
         raise TableRangeError(f"floor(R) = {math.floor(R)} exceeds table limit {limit}")
 
 
-@dataclass
+# G_v(y) values, keyed by (y, v), that each config's lookup keeps.  The refined
+# theorem-3 form asks for up to tau(v) of them per modulus v, plus G_1(R), so this
+# holds the values of about 128 moduli of up to three primes, as many moduli as
+# variance keeps for the theorem-3 forms' other per-modulus work.
+_G_CACHE = 1024
+
+
+@dataclass(frozen=True)
 class FRConfig:
     """Precomputed state for one truncation level R over one table set.
 
-    The divisor-form weights coef[d] = d*mu(d)/phi(d) * g_R(d) are built once;
-    the dense value table over [0, tables.limit] is built lazily on first use
-    and cached (single-threaded build, read-shared afterwards).  So is the
-    read-only residual square (Lambda(n) - F_R(n))^2 over the same range,
-    which the per-class second moments sum by strided slices.  Each costs
-    8 bytes per n and lives as long as the config: 80 MB apiece at a limit
-    of 10^7, 800 MB at 10^8.
+    Frozen: R (normalised to float) and tables are fixed at construction, so
+    everything derived from them stays valid; dataclasses.replace builds a
+    fresh config with fresh arrays, and a copy or a pickle rebuilds one from
+    R and the tables.  It keeps:
+
+    - the divisor-form weights coef[d] = d*mu(d)/phi(d) * g_R(d), built at
+      construction, 8 bytes per d <= R;
+    - the dense value table over [0, tables.limit], built on first use by
+      table(), and the read-only residual square (Lambda(n) - F_R(n))^2 over
+      the same range, which the per-class second moments sum by strided
+      slices.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
+      800 MB at 10^8;
+    - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
+      G_v(y) = _coprime_mu2_over_phi(y, v, tables).  It refers to the tables,
+      not to the config, so dropping the config frees its arrays at once.
+
+    Thread safety: concurrent calls may share a config.  The lru cache is
+    thread-safe, and if two threads race on an unbuilt table each may build
+    one; the two are identical, and either is kept.
     """
 
     R: float
@@ -119,11 +139,17 @@ class FRConfig:
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _delta_sq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _coprime_g: Callable[[float, int], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_r(self.R, self.tables.limit)
-        self.R = float(self.R)
-        self._coef = self._build_coef()
+        object.__setattr__(self, "R", float(self.R))
+        object.__setattr__(self, "_coef", self._build_coef())
+        g = functools.partial(_coprime_mu2_over_phi, tables=self.tables)
+        object.__setattr__(self, "_coprime_g", functools.lru_cache(maxsize=_G_CACHE)(g))
+
+    def __reduce__(self):
+        return FRConfig, (self.R, self.tables)
 
     @property
     def r_int(self) -> int:
@@ -158,7 +184,7 @@ class FRConfig:
                 hi = min(lo + _SEGMENT, limit + 1)
                 for d, c in terms:
                     t[-(-max(lo, d) // d) * d : hi : d] += c
-            self._table = t
+            object.__setattr__(self, "_table", t)
         return self._table
 
     def _delta_sq_table(self) -> np.ndarray:
@@ -167,7 +193,7 @@ class FRConfig:
             sq = self.tables.lam - self.table()
             np.multiply(sq, sq, out=sq)
             sq.setflags(write=False)
-            self._delta_sq = sq
+            object.__setattr__(self, "_delta_sq", sq)
         return self._delta_sq
 
 
@@ -359,9 +385,9 @@ def mu2_over_phi_sum(R: float, tables: ArithTables) -> float:
 def _coprime_mu2_over_phi(y: float, v: int, tables: ArithTables) -> float:
     """G_v(y) = sum_{b <= y, gcd(b, v) = 1} mu(b)^2 / phi(b), compensated; 0 for y < 1.
 
-    The one exact home of G_v: the F_R weights g_R(d) = G_d(R/d) and the
-    squarefree partial sum G_1(R) read it, and the tests hold the prefix sums
-    of theorem3_refined_prediction's CRT class mean to it bit for bit.
+    The one exact home of G_v: the F_R weights g_R(d) = G_d(R/d), the
+    squarefree partial sum G_1(R) and, through FRConfig._coprime_g, the CRT
+    class mean of theorem3_refined_prediction read it.
     """
     b = np.nonzero(tables.mu[1 : int(math.floor(y)) + 1])[0] + 1
     return math.fsum(1.0 / tables.phi[b[np.gcd(b, v) == 1]])

@@ -46,9 +46,7 @@ import functools
 import math
 import numbers
 import os
-import threading
 import time
-import weakref
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -57,7 +55,7 @@ import numpy as np
 
 from .arith import ArithTables, _check_x, divisors
 from .constants import ConstantSet, ProductKind, restricted_product
-from .frmodel import FRConfig, _check_r, _class_start, _coprime_mu2_over_phi, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
 __all__ = [
     "Mode",
@@ -602,7 +600,8 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
 
 
 # Moduli kept by each cache of the theorem-3 forms' work that does not depend
-# on the class N: the lru caches below and _REFINED_G.
+# on the class N: the lru caches below.  The refined form's G_v values are
+# kept by its FRConfig (frmodel._G_CACHE).
 _MODULUS_CACHE = 128
 
 
@@ -675,46 +674,18 @@ def theorem3_refined_prediction(
     the coupled pairs (r = g*s, r1 = g*s1 with s, s1 | v) contribute at the same
     order, so here that mean is computed exactly and only the cross and
     squared-Lambda terms keep their closed forms.  The mean is the CRT class
-    mean M (_crt_class_mean) with the exact, table-backed G_v of
-    _coprime_mu2_over_phi, evaluated at R/a for the divisors a | v once per
-    tables, v and R (_refined_g), so a class pays only for its weights and
-    the tau(v)^2 products.  The pair sweep
-    fr_square_progression_mean computes the same mean independently and is
-    the oracle the tests hold it to.  The closed form that keeps the coupled
-    pairs, with no tables, is theorem3_coupled_prediction.
+    mean M (_crt_class_mean) with the exact, table-backed G_v(R/a) for the
+    divisors a | v, and G_1(R) for the cross sum, read from the config's
+    bounded lookup cfg._coprime_g, which computes each value once while it
+    is kept; so a class pays only for its weights and the tau(v)^2
+    products.  The pair sweep fr_square_progression_mean computes the same
+    mean independently and is the oracle the tests hold it to.  The closed
+    form that keeps the coupled pairs, with no tables, is
+    theorem3_coupled_prediction.
     """
     primes, _, budget = _theorem3_modulus(x, v, cfg.R)
-    cross_sum, g = _refined_g(cfg, v, primes)
-    return _crt_mean_prediction(x, primes, N, cfg.R, cross_sum, g, budget)
-
-
-# The refined form's G_v values by (id(tables), v, R), with a weak reference
-# to the tables: an entry neither keeps its tables alive nor serves a later
-# tables object that reuses the id.  The lock makes concurrent calls safe.
-_REFINED_G: dict[tuple[int, int, float], tuple[weakref.ref, float, Callable[[float], float]]] = {}
-_REFINED_G_LOCK = threading.Lock()
-
-
-def _refined_g(cfg: FRConfig, v: int, primes: tuple[int, ...]) -> tuple[float, Callable[[float], float]]:
-    """(G_1(R), G_v as a lookup at R/a for the divisors a <= R of v) for
-    theorem3_refined_prediction, from _REFINED_G.
-
-    A miss evaluates _coprime_mu2_over_phi up to tau(v) + 1 times; the cache
-    holds the _MODULUS_CACHE entries added last and drops the oldest first.
-    """
-    tables, R = cfg.tables, cfg.R
-    key = (id(tables), v, R)
-    with _REFINED_G_LOCK:
-        got = _REFINED_G.get(key)
-    if got is None or got[0]() is not tables:
-        g_at = {R / a: _coprime_mu2_over_phi(R / a, v, tables) for a in _crt_pairs(primes)[0] if R / a >= 1.0}
-        got = weakref.ref(tables), _coprime_mu2_over_phi(R, 1, tables), g_at.__getitem__
-        with _REFINED_G_LOCK:
-            _REFINED_G.pop(key, None)
-            while len(_REFINED_G) >= _MODULUS_CACHE:
-                del _REFINED_G[next(iter(_REFINED_G))]
-            _REFINED_G[key] = got
-    return got[1], got[2]
+    g = cfg._coprime_g
+    return _crt_mean_prediction(x, primes, N, cfg.R, g(cfg.R, 1), lambda y: g(y, v), budget)
 
 
 def _crt_mean_prediction(

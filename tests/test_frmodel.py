@@ -1,6 +1,9 @@
 """Model tests: Ramanujan sums, both F_R routes, exact identities, class means."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -303,3 +306,25 @@ def test_config_validation(tables_small):
             FRConfig(R=R, tables=tables_small)
         with raises(ValueError, match="finite"):
             mu2_over_phi_sum(R, tables_small)
+
+
+def test_config_is_frozen_and_replace_rebuilds(tables_small):
+    cfg50 = FRConfig(R=50, tables=tables_small)
+    assert type(cfg50.R) is float
+    with raises(dataclasses.FrozenInstanceError):
+        cfg50.R = 20.0
+    cfg50.table()  # built for R = 50; a replacement at another R builds its own
+    cfg20 = dataclasses.replace(cfg50, R=20.0)
+    fresh = FRConfig(R=20.0, tables=tables_small)
+    assert fr_value(30, cfg20) == fr_value(30, fresh) == approx(1.301388888888889, rel=1e-15)
+    assert cfg20.table()[30] == fresh.table()[30] == fr_value(30, fresh)
+    assert cfg20.table().tobytes() == fresh.table().tobytes()
+    assert cfg50.table()[30] == fr_value(30, cfg50) != fr_value(30, fresh)
+
+
+def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):
+    cfg50_small.table()
+    for other in (copy.copy(cfg50_small), copy.deepcopy(cfg50_small), pickle.loads(pickle.dumps(cfg50_small))):
+        assert other.R == 50.0 and other._table is None
+        assert other._coprime_g is not cfg50_small._coprime_g
+        assert other.table().tobytes() == cfg50_small.table().tobytes()

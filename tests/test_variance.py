@@ -2,8 +2,11 @@
 
 import bisect
 import copy
+import dataclasses
+import functools
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -40,7 +43,7 @@ from vaughanlab import (
     variance_sum,
     vaughan_prediction,
 )
-from vaughanlab import variance
+from vaughanlab import frmodel, variance
 from vaughanlab.frmodel import _coprime_mu2_over_phi, delta_indicator, fr_square_progression_mean
 from vaughanlab.variance import (
     _LAG_MODULI_PER_LOG2_X,
@@ -782,12 +785,12 @@ def test_cached_theorem3_forms_match_per_class_loop_bitwise(tables_small, cs, x,
 def test_theorem3_forms_do_v_only_work_once_per_v(monkeypatch, tables_small, cs):
     # across a loop over every class of every squarefree v <= 30, each v is
     # factored once, and the refined form evaluates the exact G_v (which masks
-    # b <= y by gcd(b, v)) once per divisor a <= R of v, and G_1(R) for its
-    # cross sum once per v
+    # b <= y by gcd(b, v)) once per divisor a <= R of v through its config's
+    # lookup; G_1(R) for its cross sum is the value at v = 1, a = 1, so it is
+    # evaluated once per config
     variance._theorem3_modulus.cache_clear()
-    monkeypatch.setattr(variance, "_REFINED_G", {})
     factored, g_calls = Counter(), Counter()
-    check, exact_g = variance._check_theorem3_args, variance._coprime_mu2_over_phi
+    check, exact_g = variance._check_theorem3_args, frmodel._coprime_mu2_over_phi
 
     def check_spy(x, v, R):
         factored[v] += 1
@@ -798,69 +801,100 @@ def test_theorem3_forms_do_v_only_work_once_per_v(monkeypatch, tables_small, cs)
         return exact_g(y, v, tables)
 
     x, R = 10**5, 20.0
-    cfg = FRConfig(R=R, tables=tables_small)
     monkeypatch.setattr(variance, "_check_theorem3_args", check_spy)
-    monkeypatch.setattr(variance, "_coprime_mu2_over_phi", g_spy)
+    monkeypatch.setattr(frmodel, "_coprime_mu2_over_phi", g_spy)
+    cfg = FRConfig(R=R, tables=tables_small)  # its lookup wraps the spy
+    g_calls.clear()  # the weights g_R(d) the config built
     moduli = _squarefree_up_to(30)
     for v in moduli:
         for N in range(1, v + 1):
             for form in ("closed", "coupled", "refined"):
                 _cached_form(form, x, v, N, cfg, cs)
     assert factored == Counter(moduli)
-    want = Counter({(v, R / a): 1 for v in moduli for a in range(1, v + 1) if v % a == 0 and a <= R})
-    want[1, R] += len(moduli)
-    assert g_calls == want
+    assert g_calls == Counter({(v, R / a): 1 for v in moduli for a in range(1, v + 1) if v % a == 0 and a <= R})
 
 
 def test_refined_g_cache_is_bounded_and_keyed_by_tables_and_r(monkeypatch, tables_small, tables_1e4, cs):
-    # with room for 4 entries the cache keeps the 4 added last, and a modulus
-    # dropped from it is recomputed to the same bits
-    monkeypatch.setattr(variance, "_MODULUS_CACHE", 4)
-    monkeypatch.setattr(variance, "_REFINED_G", {})
+    # with room for 4 values the config's lookup keeps the 4 asked for last,
+    # and a value dropped from it is recomputed to the same bits
+    monkeypatch.setattr(frmodel, "_G_CACHE", 4)
     cfg = FRConfig(R=50.0, tables=tables_small)
     moduli = _squarefree_up_to(30)
     first = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total for v in moduli]
-    assert list(variance._REFINED_G) == [(id(tables_small), v, 50.0) for v in moduli[-4:]]
+    info = cfg._coprime_g.cache_info()
+    assert (info.maxsize, info.currsize) == (4, 4)
+    # v = 30 asked last for G_30(50/a) at a = 5, 10, 15, 30
+    for a in (5, 10, 15, 30):
+        cfg._coprime_g(50.0 / a, 30)
+    assert cfg._coprime_g.cache_info()[:2] == (info.hits + 4, info.misses)
     again = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total for v in moduli]
     assert [t.hex() for t in again] == [t.hex() for t in first]
-    assert len(variance._REFINED_G) == 4
-    # a config with another R, or other tables, reads none of the entries
-    want = theorem3_refined_prediction(10**6, 30, 1, FRConfig(R=20.0, tables=tables_1e4), cs)
-    assert theorem3_refined_prediction(10**6, 30, 1, FRConfig(R=20.0, tables=tables_small), cs).total.hex() == want.total.hex()
-    assert (id(tables_small), 30, 20.0) in variance._REFINED_G
+    assert cfg._coprime_g.cache_info().misses > info.misses
+    # a config with another R, or other tables, starts with none of the values
+    # and leaves this config's lookup alone
+    info = cfg._coprime_g.cache_info()
+    totals = []
+    for other in (
+        dataclasses.replace(cfg, R=20.0),
+        FRConfig(R=20.0, tables=tables_1e4),
+        dataclasses.replace(cfg, tables=tables_1e4),
+    ):
+        assert other._coprime_g.cache_info().currsize == 0
+        totals.append(theorem3_refined_prediction(10**6, 30, 1, other, cs).total.hex())
+        assert other._coprime_g.cache_info().hits == 0
+    assert cfg._coprime_g.cache_info() == info
+    assert totals[0] == totals[1]
+    assert totals[2] == first[-1].hex()
 
 
-def test_refined_g_cache_keeps_no_tables_alive(monkeypatch, cs):
-    monkeypatch.setattr(variance, "_REFINED_G", {})
+def test_refined_g_cache_keeps_no_tables_alive(cs):
+    # the config's lookup refers to the tables, not to the config, so no
+    # cycle holds them: with the collector off, dropping the config and the
+    # tables frees both at once
     tables = build_tables(build_sieve(1000))
-    want = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=tables), cs).total
-    ref = weakref.ref(tables)
-    del tables
-    gc.collect()
-    assert ref() is None
-    # a new tables object, at the old id or not, computes its own values
+    cfg = FRConfig(R=20.0, tables=tables)
+    want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
+    delta_sq_progression(1000, 6, 1, cfg)  # builds the table and the residual square
+    refs = [weakref.ref(tables), weakref.ref(cfg), weakref.ref(cfg.table())]
+    gc.disable()
+    try:
+        del cfg, tables
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
     got = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=build_tables(build_sieve(1000))), cs).total
     assert got.hex() == want.hex()
 
 
 def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
-    # four threads share one config and a cache with room for 2 entries, so
-    # they evict each other's entries all the time; every total matches
-    monkeypatch.setattr(variance, "_MODULUS_CACHE", 2)
-    monkeypatch.setattr(variance, "_REFINED_G", {})
-    cfg = FRConfig(R=30.0, tables=tables_small)
+    # four threads share one config on which nothing has been built yet, with
+    # room for 2 G_v values, so they evict each other's all the time; each
+    # runs the class sums and the refined form over every class of every
+    # squarefree v <= 30, and every result matches a single-thread run
+    monkeypatch.setattr(frmodel, "_G_CACHE", 2)
     moduli = _squarefree_up_to(30)
-    want = [theorem3_refined_prediction(10**6, v, 1, cfg, cs).total.hex() for v in moduli]
+    x = tables_small.limit
 
-    def sweep(shift):
-        order = moduli[shift:] + moduli[:shift]
-        got = {v: theorem3_refined_prediction(10**6, v, 1, cfg, cs).total.hex() for _ in range(5) for v in order}
-        return [got[v] for v in moduli]
+    def sweep(cfg, shift=0):
+        got = {}
+        for v in moduli[shift:] + moduli[:shift]:
+            for N in range(v):
+                pred = theorem3_refined_prediction(x, v, N, cfg, cs)
+                terms = [t.hex() for t in pred.terms.values()]
+                got[v, N] = delta_sq_progression(x, v, N, cfg).hex(), pred.total.hex(), terms
+        return got
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(sweep, range(4)))
+    want = sweep(FRConfig(R=30.0, tables=tables_small))
+    cfg = FRConfig(R=30.0, tables=tables_small)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races on the builds show
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(functools.partial(sweep, cfg), range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert results == [want] * 4
-    assert len(variance._REFINED_G) <= 2
+    assert cfg._coprime_g.cache_info().currsize <= 2
 
 
 def test_theorem3_caches_keep_no_exception(cfg20_1e4, cs):
@@ -883,7 +917,7 @@ def test_theorem3_caches_keep_no_exception(cfg20_1e4, cs):
                 call(10_000, 6.0, 1, 20.0, cs)  # a float v is not factored, cached int or not
     assert math.isfinite(theorem3_refined_prediction(10_000, 6, 1, cfg20_1e4, cs).total)
     bad = copy.copy(cfg20_1e4)
-    bad.R = math.nan
+    object.__setattr__(bad, "R", math.nan)  # past the frozen config's own check
     for _ in range(2):
         with raises(ValueError, match="finite"):
             theorem3_refined_prediction(10_000, 6, 1, bad, cs)
@@ -973,7 +1007,7 @@ def test_theorem3_forms_reject_non_finite_r(cfg20_1e4, cs, R):
     with raises(ValueError, match="finite"):
         FRConfig(R=R, tables=cfg20_1e4.tables)
     bad = copy.copy(cfg20_1e4)
-    bad.R = R
+    object.__setattr__(bad, "R", R)  # past the frozen config's own check
     with raises(ValueError, match="finite"):
         theorem3_refined_prediction(1_000, 2, 1, bad, cs)
 
