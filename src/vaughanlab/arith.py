@@ -2,7 +2,9 @@
 
 Provides:
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
-  struck in cache-sized segments, with the array of the primes it found
+  struck in cache-sized segments by the primes <= sqrt(limit) (from the sieve
+  of [2, sqrt(limit)]) in descending order, with the array of the primes it
+  found
 - prime_array: the primes <= cutoff from an odd-only sieve, for the prime sums
   and products of the constants layer
 - ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
@@ -49,13 +51,14 @@ class TableRangeError(ValueError):
     """An argument exceeds the range covered by a precomputed table."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorSieve:
     """Smallest-prime-factor table over [2, limit].
 
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
     prime.  Entries 0 and 1 hold the sentinel 0.  build_sieve also keeps the
-    primes it found, 8 bytes per prime, which primes() returns.
+    primes it found, 8 bytes per prime, which primes() returns.  Sieves
+    compare by identity, not by their arrays.
     """
 
     limit: int
@@ -118,17 +121,14 @@ _SEGMENT = 2**18
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
 
-    Each prime p <= sqrt(limit) strikes its multiples from p^2 on, and an entry
-    ends as the smallest prime that strikes it; entries left empty are prime.
-    The strikes run over ascending segments [lo, lo + _SEGMENT).  The first
-    segment reaches past sqrt(limit) and is sieved first, each prime in
-    ascending order writing only the still-empty entries among its multiples;
-    its empty entries up to sqrt(limit) are the sieving primes.  Each later
-    segment is struck by its sieving primes in descending order, with plain
-    stores and no mask, so the smallest prime dividing an entry writes it
-    last.  Either way an entry ends as in one pass per prime over the whole
-    table.  The entries left empty at the end, the primes <= limit (those
-    <= sqrt(limit) among them), are kept read-only for FactorSieve.primes.
+    The sieving primes, those <= sqrt(limit), are build_sieve(isqrt(limit))'s
+    (none when isqrt(limit) < 2).  Every segment [lo, lo + _SEGMENT), from
+    lo = 0, is struck by its primes with p^2 < hi in descending order, with
+    plain stores from max(p^2, the first multiple >= lo) and no mask.  The
+    smallest prime p dividing a composite n has p^2 <= n, so p strikes n and
+    writes it last: an entry ends as in one pass per prime over the whole
+    table.  The entries left empty at the end, the primes <= limit, are kept
+    read-only for FactorSieve.primes.
 
     Args:
         limit: inclusive upper bound, in [2, 2^31) (_check_limit).
@@ -139,15 +139,9 @@ def build_sieve(limit: int) -> FactorSieve:
     _check_limit(limit)
     spf = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
-    hi = min(max(_SEGMENT, root + 1), limit + 1)
-    primes = []
-    for p in range(2, root + 1):
-        if spf[p] == 0:
-            primes.append(p)
-            seg = spf[p * p : hi : p]
-            seg[seg == 0] = p
+    primes = build_sieve(root).primes().tolist() if root >= 2 else []
     squares = [p * p for p in primes]
-    for lo in range(hi, limit + 1, _SEGMENT):
+    for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         # Only the primes with p^2 < hi have a multiple from their square on in [lo, hi).
         for p in reversed(primes[: bisect.bisect_left(squares, hi)]):
@@ -161,7 +155,7 @@ def build_sieve(limit: int) -> FactorSieve:
     return sieve
 
 
-@dataclass
+@dataclass(eq=False)
 class ArithTables:
     """Dense arithmetic-function tables over [0, limit].
 
@@ -176,7 +170,8 @@ class ArithTables:
 
     theta, log n at primes and 0 elsewhere (the weight of the theta sums), is
     not stored: the property derives it from lam, allocating limit + 1
-    float64s on every access.
+    float64s on every access.  Table sets compare by identity, not by their
+    arrays, so configs built on them (FRConfig) compare without raising.
     """
 
     limit: int

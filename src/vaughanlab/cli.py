@@ -17,7 +17,9 @@ can supply any setting; explicit flags override the file.  Its keys are the
 ExperimentConfig field names: q (--Q), b_exp (--B), r (--R), g_exp (--G),
 n_shift (--N), v_list (--v), prime_cutoff (--cutoff), q_low (--q-low) and
 output_dir (--out); x, weight, threads, scale and format are spelt as their
-flags.  A file value passes its flag's parser, and run checks every setting
+flags.  A command takes only the flags it reads (--cutoff where it reads the
+constants, --threads where it runs a band), while its config file may set any
+key.  A file value passes its flag's parser, and run checks every setting
 against its flag's choices, whatever set it.  Results go to --out, else
 $VAUGHANLAB_OUT, else ./results; each run writes results.csv, results.json and
 manifest.json.  The CSV files (results.csv and the CSV echo) print floats to
@@ -147,21 +149,22 @@ class _Command(NamedTuple):
     mode: Mode | None = None  # the variance commands' restriction
 
 
-_COMMON = ("prime_cutoff", "threads", "output_dir", "format")
-_BAND = ("x", *_COMMON, "q", "b_exp", "r", "g_exp", "q_low", "weight")
+_OUT = ("output_dir", "format")
+# The band commands read the constants (--cutoff) and split their moduli over threads (--threads).
+_BAND = ("x", "prime_cutoff", "threads", *_OUT, "q", "b_exp", "r", "g_exp", "q_low", "weight")
 
 # Every subcommand but report, which takes manifest paths instead of settings.
 _COMMANDS = {
-    "constants": _Command("print the constant table", _COMMON),
-    "fr-table": _Command("dump n, Lambda, F_R, delta for n <= x", ("x", *_COMMON, "r", "g_exp")),
+    "constants": _Command("print the constant table", ("prime_cutoff", *_OUT)),
+    "fr-table": _Command("dump n, Lambda, F_R, delta for n <= x", ("x", *_OUT, "r", "g_exp")),
     "theorem3": _Command(
-        "progression second moments of the residual", ("x", *_COMMON, "r", "g_exp", "v_list", "n_shift")
+        "progression second moments of the residual", ("x", "prime_cutoff", *_OUT, "r", "g_exp", "v_list", "n_shift")
     ),
     "vaughan": _Command("banded variance over all residues", _BAND, Mode.ALL),
     "theorem5": _Command("banded variance over reduced residues", _BAND, Mode.COPRIME),
     "theorem4": _Command("banded variance over shifted-coprime residues", (*_BAND, "n_shift"), Mode.SHIFT_COPRIME),
-    "bdh": _Command("classical variance against x/phi(d)", ("x", *_COMMON, "q", "b_exp", "weight"), Mode.BDH),
-    "suite": _Command("desk-scale battery with a merged report", (*_COMMON, "scale")),
+    "bdh": _Command("classical variance against x/phi(d)", ("x", "threads", *_OUT, "q", "b_exp", "weight"), Mode.BDH),
+    "suite": _Command("desk-scale battery with a merged report", ("prime_cutoff", "threads", *_OUT, "scale")),
 }
 
 

@@ -778,10 +778,6 @@ def theorem3_coupled_prediction(
     return _crt_mean_prediction(x, primes, N, R, math.log(R) + c2, g, budget)
 
 
-def _banded(q: int, q_low: float) -> float:
-    return float(q) - float(q_low)
-
-
 def _band_budget(x: int, q: int, R: float) -> str:
     return (
         "O-terms at these parameters: "
@@ -794,29 +790,12 @@ def vaughan_prediction(
     x: int, q: int, R: float, constants: ConstantSet, q_low: float = 0.0
 ) -> Prediction:
     """All-residue main terms: (Q - Q_low) x log(x/R) - c0 (Q - Q_low) x."""
-    qe = _banded(q, q_low)
+    qe = float(q) - float(q_low)
     terms = {
         "log_term": qe * x * math.log(x / R),
         "const_term": -constants.c0 * qe * x,
     }
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=_band_budget(x, q, R))
-
-
-def _restricted_main_terms(
-    x: int,
-    qe: float,
-    R: float,
-    constants: ConstantSet,
-    pm1_n: float,
-    psq_n: float,
-    pzeta: float,
-    pm1_1: float,
-) -> dict[str, float]:
-    t_exp = 2.0 - pzeta / pm1_n
-    return {
-        "log_term": qe * x * pm1_n * (math.log(x) - t_exp * math.log(R)),
-        "const_term": qe * x * (-pm1_n * constants.c1 + psq_n + pzeta * constants.c2 - pm1_1),
-    }
 
 
 def _restricted_prediction(
@@ -837,9 +816,12 @@ def _restricted_prediction(
         pm1_n = restricted_product(ProductKind.P_PM1, shift, cut).value
         psq_n = restricted_product(ProductKind.P_SQ, shift, cut).value
         budget += f"; product truncation (relative) <= {4.0 / cut:.1e}"
-    terms = _restricted_main_terms(
-        x, _banded(q, q_low), R, constants, pm1_n=pm1_n, psq_n=psq_n, pzeta=pzeta, pm1_1=pm1_1
-    )
+    qe = float(q) - float(q_low)
+    t_exp = 2.0 - pzeta / pm1_n
+    terms = {
+        "log_term": qe * x * pm1_n * (math.log(x) - t_exp * math.log(R)),
+        "const_term": qe * x * (-pm1_n * constants.c1 + psq_n + pzeta * constants.c2 - pm1_1),
+    }
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 

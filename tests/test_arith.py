@@ -195,10 +195,12 @@ def test_residue_normalization_and_errors(tables_small):
 # prime 100003.
 TABLE_LIMITS = sorted(set(range(2, 65)) | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003})
 
-# The limits on either side of the segment length 2^18, 2^20 + 1 (a short last
-# segment that 17 * 61681 reaches while earlier primes miss it) and two past
-# three full segments.
-SEGMENT_EDGES = [2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2]
+# The limits on either side of the segment length 2^18, on either side of
+# 521^2 = 271,441 (the first sieving prime whose square lies past the first
+# segment, where 509^2 lies inside it), 2^20 + 1 (a short last segment that
+# 17 * 61681 reaches while earlier primes miss it) and two past three full
+# segments.
+SEGMENT_EDGES = [2**18 - 1, 2**18, 2**18 + 1, 271_440, 271_441, 271_442, 2**20 + 1, 3 * 2**18 + 2]
 SEGMENT_LIMITS = [*TABLE_LIMITS, *SEGMENT_EDGES]
 
 
@@ -346,8 +348,8 @@ def _assert_sieve_and_primes_match_plain_sieve(limit):
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_descending_strikes_match_plain_sieve_around_segment_multiples(k):
-    # Past the first segment the sieving primes strike in descending order
-    # with plain stores; a limit one below, at or one past a multiple of the
+    # The sieving primes strike every segment in descending order with
+    # plain stores; a limit one below, at or one past a multiple of the
     # segment length leaves a last segment that is full, holds one entry
     # less, or holds a single entry.
     for limit in (k * arith._SEGMENT - 1, k * arith._SEGMENT, k * arith._SEGMENT + 1):

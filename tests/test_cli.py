@@ -461,6 +461,12 @@ BAD_VALUES = [
     ("vaughan", "--x", "1000", "--Q", "100", "--G", "1000"),
     ("constants", "--cutoff", "100000000000"),  # a 50 GB odd-only sieve
     ("suite", "--cutoff", "2147483648"),
+    # flags a command does not read are unknown arguments
+    ("constants", "--threads", "2"),
+    ("fr-table", "--cutoff", "1000"),
+    ("fr-table", "--threads", "2"),
+    ("theorem3", "--x", "1000", "--R", "5", "--threads", "2"),
+    ("bdh", "--x", "1000", "--Q", "10", "--cutoff", "1000"),
 ]
 
 
@@ -596,16 +602,16 @@ def test_cli_and_library_share_each_bound(quantity, text, accepted, fr_1000, tmp
 # Each subcommand's flags, written out by hand as a record of the parser's
 # interface independent of the ExperimentConfig field metadata it is built from.
 SUBCOMMAND_FLAGS = {
-    "constants": {"--config", "--cutoff", "--threads", "--out", "--format"},
-    "fr-table": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--R", "--G"},
-    "theorem3": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--R", "--G", "--v", "--N"},
+    "constants": {"--config", "--cutoff", "--out", "--format"},
+    "fr-table": {"--config", "--x", "--out", "--format", "--R", "--G"},
+    "theorem3": {"--config", "--x", "--cutoff", "--out", "--format", "--R", "--G", "--v", "--N"},
     "vaughan": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
                 "--Q", "--B", "--R", "--G", "--q-low", "--weight"},
     "theorem5": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
                  "--Q", "--B", "--R", "--G", "--q-low", "--weight"},
     "theorem4": {"--config", "--x", "--cutoff", "--threads", "--out", "--format",
                  "--Q", "--B", "--R", "--G", "--q-low", "--weight", "--N"},
-    "bdh": {"--config", "--x", "--cutoff", "--threads", "--out", "--format", "--Q", "--B", "--weight"},
+    "bdh": {"--config", "--x", "--threads", "--out", "--format", "--Q", "--B", "--weight"},
     "suite": {"--config", "--cutoff", "--threads", "--out", "--format", "--scale"},
     "report": set(),
 }

@@ -322,6 +322,16 @@ def test_config_is_frozen_and_replace_rebuilds(tables_small):
     assert cfg50.table()[30] == fr_value(30, cfg50) != fr_value(30, fresh)
 
 
+def test_configs_over_distinct_tables_compare_by_table_identity():
+    # Two table sets with equal arrays are distinct objects: comparing them,
+    # their sieves or configs built on them gives False and raises nothing.
+    t, u = build_tables(build_sieve(100)), build_tables(build_sieve(100))
+    assert (t == u) is False and (t.sieve == u.sieve) is False
+    cfg = FRConfig(R=10, tables=t)
+    assert (cfg == FRConfig(R=10, tables=u)) is False
+    assert cfg == cfg and cfg == FRConfig(R=10, tables=t)
+
+
 def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):
     cfg50_small.table()
     for other in (copy.copy(cfg50_small), copy.deepcopy(cfg50_small), pickle.loads(pickle.dumps(cfg50_small))):

@@ -56,7 +56,6 @@ from vaughanlab.variance import (
     _lag_band_sum,
     _lag_route,
     _lag_weights,
-    _restricted_main_terms,
     _row_weights,
     _smooth_size,
     _theorem3_budget,
@@ -1041,8 +1040,14 @@ def test_reduced_residue_prediction(cs):
         - pred.terms["log_term"]
     ) / 1e6
     assert lr_coef == approx(-(2.0 - pz), rel=1e-9)
-    # structural identity: same term table with both restricted products at 1
-    want = _restricted_main_terms(10_000, 100.0, 10.0, cs, pm1_n=1.0, psq_n=1.0, pzeta=pz, pm1_1=pm1)
+    # structural identity: the shifted form's two terms with both restricted
+    # products (P_PM1(N), P_SQ(N)) at 1, in the same order of operations
+    qe, x, pm1_n, psq_n = 100.0, 10_000, 1.0, 1.0
+    t_exp = 2.0 - pz / pm1_n
+    want = {
+        "log_term": qe * x * pm1_n * (math.log(x) - t_exp * math.log(10.0)),
+        "const_term": qe * x * (-pm1_n * cs.c1 + psq_n + pz * cs.c2 - pm1),
+    }
     assert pred.terms == want
 
 
