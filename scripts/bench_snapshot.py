@@ -3,6 +3,7 @@
 
     python3 scripts/bench_snapshot.py --label progression \\
         --parent ../parent/perfbench/out/*.json --change perfbench/out/*.json \\
+        --parent-rev "$(git rev-parse HEAD~1)" --change-rev "$(git rev-parse HEAD)" \\
         --note "2 vCPU VM, shared host"
 
 Every argument is a result file written by perfbench/run.py. Runs of the two
@@ -20,6 +21,9 @@ checkout, holds per workload:
 
 It also records both git revisions, the run context the runs share (nproc,
 memory, Python and numpy versions, threads, the measurement note) and --note.
+Runs made in a tree that is not a git checkout record no revision; give it
+with --parent-rev and --change-rev.  A given revision must be a prefix of
+every revision that the side's runs did record.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# What perfbench/run.py records as the revision of a tree without .git.
+NO_REVISION = "unknown (not a git checkout)"
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -60,6 +66,18 @@ def one_value(values, what: str):
     if len(distinct) != 1:
         sys.exit(f"runs disagree on {what}: {sorted(distinct)}")
     return distinct.pop()
+
+
+def side_revision(runs: dict, side: str, given: str | None) -> str:
+    """The side's revision: the one its runs recorded, else the given one; refuses a contradiction."""
+    recorded = {r["context"]["git_revision"] for r in runs.values()}
+    if given is None:
+        return one_value(recorded, f"the {side} revision")
+    known = recorded - {NO_REVISION}
+    wrong = sorted(rev for rev in known if not rev.startswith(given))
+    if wrong:
+        sys.exit(f"--{side}-rev {given} contradicts the revisions the {side} runs recorded: {wrong}")
+    return one_value(known, f"the {side} revision") if known else given
 
 
 def e2e_summary(pairs: list[dict], metric: dict) -> dict:
@@ -118,7 +136,11 @@ def workload_summary(pairs: list[dict], bench: dict) -> dict:
     return out
 
 
-def snapshot(parent: list[str], change: list[str], note: str) -> dict:
+def snapshot(
+    parent: list[str], change: list[str], note: str, revisions: dict[str, str | None] | None = None
+) -> dict:
+    """The snapshot of the paired runs; revisions gives a side's revision where its runs lack one."""
+    revisions = revisions or {}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {"parent": load_side(parent), "change": load_side(change)}
     if runs["parent"].keys() != runs["change"].keys():
@@ -132,10 +154,7 @@ def snapshot(parent: list[str], change: list[str], note: str) -> dict:
     every = [r for s in SIDES for r in runs[s].values()]
     shared = ("nproc", "mem_total_bytes", "python", "numpy", "threads", "note")
     return {
-        "revisions": {
-            s: one_value((r["context"]["git_revision"] for r in runs[s].values()), f"the {s} revision")
-            for s in SIDES
-        },
+        "revisions": {s: side_revision(runs[s], s, revisions.get(s)) for s in SIDES},
         "context": {f: one_value((r["context"][f] for r in every), f) for f in shared},
         "machine_note": note,
         "run_seconds": one_value((r["seconds"] for r in every), "--seconds"),
@@ -148,9 +167,11 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     ap.add_argument("--parent", nargs="+", required=True, help="result files of the parent revision")
     ap.add_argument("--change", nargs="+", required=True, help="result files of the change")
+    ap.add_argument("--parent-rev", help="git revision of the parent runs, where they recorded none")
+    ap.add_argument("--change-rev", help="git revision of the change runs, where they recorded none")
     ap.add_argument("--note", default="", help="free text on the machine the runs shared")
     args = ap.parse_args()
-    snap = snapshot(args.parent, args.change, args.note)
+    snap = snapshot(args.parent, args.change, args.note, {"parent": args.parent_rev, "change": args.change_rev})
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({"label": args.label, **snap}, indent=1) + "\n")
     for workload, summary in snap["workloads"].items():

@@ -40,10 +40,11 @@ import os
 import resource
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -448,6 +449,11 @@ def _constants_rows(cut: int) -> list[dict]:
     return rows
 
 
+# Rows formatted or encoded at a time by the writers, so that no more than
+# this many rows' text is held at once (about 0.5 MB of fr-table rows).
+_ROW_CHUNK = 4096
+
+
 def _column_text(rows: list[dict], column: str) -> list[str]:
     """_fmt of one column's values; a column of plain floats or ints is formatted by one map."""
     vals = [row.get(column) for row in rows]
@@ -458,9 +464,12 @@ def _column_text(rows: list[dict], column: str) -> list[str]:
 
 
 def _write_csv(stream, columns: list[str], rows: list[dict]) -> None:
+    """The header and the rows, formatted a column of _ROW_CHUNK rows at a time."""
     w = csv.writer(stream)
     w.writerow(columns)
-    w.writerows(zip(*(_column_text(rows, c) for c in columns)))
+    for i in range(0, len(rows), _ROW_CHUNK):
+        chunk = rows[i : i + _ROW_CHUNK]
+        w.writerows(zip(*(_column_text(chunk, c) for c in columns)))
 
 
 def _rows_json(rows: list[dict], depth: int) -> str:
@@ -481,15 +490,41 @@ def _rows_json(rows: list[dict], depth: int) -> str:
     return "[" + pad + "{" + item + body + pad + "}\n" + "  " * depth + "]"
 
 
-def _write_json(path: Path, command: str, columns: list[str], rows: list[dict]) -> str:
+def _rows_json_pieces(rows: list[dict], depth: int) -> Iterator[str]:
+    """_rows_json(rows, depth) in pieces of at most _ROW_CHUNK rows; they join to it.
+
+    Each chunk's array is stripped of its brackets, and the chunks joined by
+    ",": the text between two rows of one array.  Every piece starts with
+    "[", "," or a line break and ends with "}" or "]", so a line break and the
+    indent after it never straddle two pieces.
+    """
+    if not rows:
+        yield "[]"
+        return
+    close = "\n" + "  " * depth + "]"
+    for i in range(0, len(rows), _ROW_CHUNK):
+        yield ("," if i else "[") + _rows_json(rows[i : i + _ROW_CHUNK], depth)[1 : -len(close)]
+    yield close
+
+
+def _write_json(path: Path, command: str, columns: list[str], rows: list[dict], echo: TextIO | None = None) -> None:
     """The indented, key-sorted results.json; "rows" sorts last, after "columns" and "command".
 
-    Returns the rows as they stand in the file, _rows_json(rows, 1), for the --format json echo.
+    The rows are written, and echoed one level out to echo when one is given
+    (the --format json output), a chunk at a time.
     """
     head = json.dumps({"columns": columns, "command": command}, indent=2, sort_keys=True)
-    rows_json = _rows_json(rows, 1)
-    path.write_text(head[:-2] + ',\n  "rows": ' + rows_json + "\n}\n")
-    return rows_json
+    with path.open("w") as fh:
+        fh.write(head[:-2] + ',\n  "rows": ')
+        for piece in _rows_json_pieces(rows, 1):
+            fh.write(piece)
+            if echo is not None:
+                # each line break of a piece is followed by at least its
+                # two-space indent, and an encoded string holds no raw newline
+                echo.write(piece.replace("\n  ", "\n"))
+        fh.write("\n}\n")
+    if echo is not None:
+        echo.write("\n")
 
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, derived: dict, checksums: dict, results: list[str]) -> RunManifest:
@@ -518,8 +553,12 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.command not in _COMMANDS:
         raise UsageError(f"unknown command {cfg.command!r}")
 
-    cut = _resolve_cutoff(cfg)
-    derived: dict = {"threads": _resolve_threads(cfg), "tables_s": 0.0}
+    # a command resolves, and records, only the settings it reads
+    settings = _COMMANDS[cfg.command].settings
+    cut = _resolve_cutoff(cfg) if "prime_cutoff" in settings else None
+    derived: dict = {"tables_s": 0.0}
+    if "threads" in settings:
+        derived["threads"] = _resolve_threads(cfg)
     mode = _COMMANDS[cfg.command].mode
     tables = fr = None
     if cfg.command == "constants":
@@ -567,12 +606,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     out = _out_dir(cfg)
     with (out / "results.csv").open("w", newline="") as fh:
         _write_csv(fh, columns, rows)
-    rows_json = _write_json(out / "results.json", cfg.command, columns, rows)
-    if cfg.format == "json":
-        # one level out: each line break of rows_json is followed by at least
-        # its two-space indent, and an encoded string holds no raw newline
-        print(rows_json.replace("\n  ", "\n"))
-    else:
+    _write_json(out / "results.json", cfg.command, columns, rows, sys.stdout if cfg.format == "json" else None)
+    if cfg.format != "json":
         _write_csv(sys.stdout, columns, rows)
     # ru_maxrss is in KiB on Linux; the peak of the whole process, the writers included.
     derived["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -28,7 +28,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Callable
+import threading
+from collections import OrderedDict
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -108,6 +110,42 @@ def _check_r(R: float, limit: int | None = None) -> None:
 # variance keeps for the theorem-3 forms' other per-modulus work.
 _G_CACHE = 1024
 
+# Float64 values (8 MB) that each config's cache of residual-square sums keeps:
+# the column sums per row length m and the class sums per modulus v that
+# variance.delta_sq_progression reads.  The 12 row lengths and 37 moduli of
+# the squarefree v <= 60 need about 32,000 of them.
+_SUM_CACHE = 2**20
+
+
+class _ArrayCache:
+    """A bounded, thread-safe map of keys to read-only arrays; the least recently used go first.
+
+    It keeps at most max_values array elements in all, or its newest entry
+    alone where that one is larger.  It refers to its arrays and nothing
+    else.  Builders run outside the lock, so threads racing on one key may
+    each build the array; the first one stored is the one every caller gets.
+    """
+
+    def __init__(self, max_values: int) -> None:
+        self.max_values = max_values
+        self._lock = threading.Lock()
+        self._arrays: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+
+    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+        with self._lock:
+            arr = self._arrays.get(key)
+            if arr is not None:
+                self._arrays.move_to_end(key)
+                return arr
+        arr = build()
+        arr.setflags(write=False)
+        with self._lock:
+            arr = self._arrays.setdefault(key, arr)
+            self._arrays.move_to_end(key)
+            while len(self._arrays) > 1 and sum(a.size for a in self._arrays.values()) > self.max_values:
+                self._arrays.popitem(last=False)
+        return arr
+
 
 @dataclass(frozen=True)
 class FRConfig:
@@ -122,16 +160,21 @@ class FRConfig:
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
       table(), and the read-only residual square (Lambda(n) - F_R(n))^2 over
-      the same range, which the per-class second moments sum by strided
-      slices.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
-      800 MB at 10^8;
+      the same range.  Each costs 8 bytes per n: 80 MB apiece at a limit of
+      10^7, 800 MB at 10^8;
+    - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
+      sums of the residual square per (x, row length m) and the class sums
+      folded from them per (x, v), from which variance.delta_sq_progression
+      reads each class;
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
-      G_v(y) = _coprime_mu2_over_phi(y, v, tables).  It refers to the tables,
-      not to the config, so dropping the config frees its arrays at once.
+      G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
-    Thread safety: concurrent calls may share a config.  The lru cache is
-    thread-safe, and if two threads race on an unbuilt table each may build
-    one; the two are identical, and either is kept.
+    Both caches refer to arrays or to the tables, never to the config, so
+    dropping the config frees its arrays at once.
+
+    Thread safety: concurrent calls may share a config.  Both caches are
+    thread-safe, and if two threads race on an unbuilt table or sum each may
+    build one; the two are identical, and either is kept.
     """
 
     R: float
@@ -140,11 +183,13 @@ class FRConfig:
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _delta_sq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _coprime_g: Callable[[float, int], float] = field(init=False, repr=False, compare=False)
+    _sums: _ArrayCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_r(self.R, self.tables.limit)
         object.__setattr__(self, "R", float(self.R))
         object.__setattr__(self, "_coef", self._build_coef())
+        object.__setattr__(self, "_sums", _ArrayCache(_SUM_CACHE))
         g = functools.partial(_coprime_mu2_over_phi, tables=self.tables)
         object.__setattr__(self, "_coprime_g", functools.lru_cache(maxsize=_G_CACHE)(g))
 

@@ -562,18 +562,85 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
         run.relative_deviation_main = (run.empirical - main) / main
 
 
+# Rows per block of the residual square's column sums: each column adds at
+# most this many rows naively before the block sums are added pairwise.
+_BLOCK_ROWS = 64
+# 2*3*5*7*11*13: one row length for every v whose primes are at most 13.
+_SMALL_PRIMORIAL = 30030
+
+
+def _row_length(x: int, v: int) -> int:
+    """The row length m, a multiple of the squarefree v <= x, whose column sums serve v.
+
+    m = 30030 when v | 30030, else lcm(v, 6), so that one pass serves the
+    squarefree v <= 60 in 12 row lengths: 30030 and 6p for 17 <= p <= 59.
+    An m past x + 1 gives way to m = v.
+    """
+    m = _SMALL_PRIMORIAL if _SMALL_PRIMORIAL % v == 0 else math.lcm(v, 6)
+    return m if m <= x + 1 else v
+
+
+def _column_sums(a: np.ndarray, m: int) -> np.ndarray:
+    """Column sums of a laid out in rows of length m <= len(a), summed in blocks of rows.
+
+    Each block of _BLOCK_ROWS full rows, and the leftover full rows as one
+    more block, is summed naively; the k block sums of each column are then
+    added by numpy's pairwise sum along a contiguous axis, and the short last
+    row after them, as _bucket_sums adds it.  A term so meets at most 63
+    roundings in its block, ceil(log2 k) + 26 in numpy's pairwise sum (its
+    unrolled base case takes up to 25, and a reduce adds its first element
+    apart) and one for the last row.  Every pass reads a contiguously, where
+    one strided pass per column costs a cache line per element once 8 m
+    bytes span a line.
+    """
+    full = len(a) // m
+    whole = full // _BLOCK_ROWS
+    cut = whole * _BLOCK_ROWS * m
+    blocks = [a[:cut].reshape(whole, _BLOCK_ROWS, m).sum(axis=1)]
+    if cut < full * m:
+        blocks.append(a[cut : full * m].reshape(-1, m).sum(axis=0, keepdims=True))
+    sums = np.ascontiguousarray(np.concatenate(blocks).T).sum(axis=1)
+    tail = a[full * m :]
+    sums[: len(tail)] += tail
+    return sums
+
+
+def _class_sums(x: int, v: int, cfg: FRConfig) -> np.ndarray:
+    """Sums of the residual square over n <= x per class n = r (mod v), entry r; 1 <= v <= x.
+
+    The column sums for the row length m = _row_length(x, v) are folded into
+    v sums by numpy's pairwise sum of the m/v columns of each class, along a
+    contiguous axis.  Both are kept in the config's cache, per (x, m) and
+    per (x, v), so each m is one pass over the square and each v one fold.
+    """
+    cache = cfg._sums
+
+    def fold() -> np.ndarray:
+        m = _row_length(x, v)
+        rows = cache.get(("rows", x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
+        return np.ascontiguousarray(rows.reshape(-1, v).T).sum(axis=1)
+
+    return cache.get(("classes", x, v), fold)
+
+
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
-    """Pairwise sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
+    """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
     The squares come from the config's cached residual square (built on the
-    first call, 8 bytes per n up to tables.limit, kept with the config), so
-    each class is one strided sum with no gather or temporary.  numpy's
-    pairwise summation (np.sum, not a BLAS dot) has a fixed reduction order
-    for a given array length, so the result is deterministic; it stays
-    within a few ulps of the exactly rounded math.fsum of the same squares.
+    first call, 8 bytes per n up to tables.limit, kept with the config).
+    The class reads entry N mod v of _class_sums, whose sums the config also
+    keeps, so all moduli that share a row length cost one blocked pass over
+    the square; a v > x leaves at most one term, read from the square.  The
+    summation order is fixed, so the result is deterministic.  A term meets
+    at most 64 + log2(k) + log2(m/v) + 54 roundings, k the blocks of rows
+    (_column_sums and the fold), so, the terms being nonnegative, the result
+    is within that many units of 2^-53 of their sum of the math.fsum of the
+    same squares.
     """
     start = _class_start(x, v, N, cfg.tables)
-    return float(np.sum(cfg._delta_sq_table()[start : x + 1 : v]))
+    if v > x:
+        return float(cfg._delta_sq_table()[start]) if start <= x else 0.0
+    return float(_class_sums(x, v, cfg)[N % v])
 
 
 def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:

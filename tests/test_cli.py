@@ -176,15 +176,22 @@ WRITER_ROWS = [
 
 
 @pytest.mark.parametrize("rows", WRITER_ROWS, ids=["empty", "floats", "mixed"])
-def test_writers_match_per_field_and_indenting_encoders(tmp_path, rows):
+def test_writers_match_per_field_and_indenting_encoders(tmp_path, rows, monkeypatch):
     columns = list(rows[0]) if rows else ["n", "lambda"]
-    buf = io.StringIO()
-    cli._write_csv(buf, columns, rows)
-    assert buf.getvalue() == _per_field_csv(columns, rows)
-    cli._write_json(tmp_path / "results.json", "fr-table", columns, rows)
     payload = {"command": "fr-table", "columns": columns, "rows": rows}
     want = json.dumps(payload, indent=2, sort_keys=True, default=_fmt) + "\n"
-    assert (tmp_path / "results.json").read_text() == want
+    echo_want = json.dumps(rows, indent=2, sort_keys=True, default=_fmt) + "\n"
+    # the writers format and encode the rows a chunk at a time; any chunk
+    # size gives the same bytes, in the files and in the --format json echo
+    for chunk in (1, 2, cli._ROW_CHUNK):
+        monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+        buf = io.StringIO()
+        cli._write_csv(buf, columns, rows)
+        assert buf.getvalue() == _per_field_csv(columns, rows), chunk
+        echo = io.StringIO()
+        cli._write_json(tmp_path / "results.json", "fr-table", columns, rows, echo)
+        assert (tmp_path / "results.json").read_text() == want, chunk
+        assert echo.getvalue() == echo_want, chunk
     assert cli._rows_json(rows, 0) == json.dumps(rows, indent=2, sort_keys=True, default=_fmt)
 
 
@@ -309,6 +316,27 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert manifest["config"]["x"] == 50
     assert manifest["config"]["r"] == 10.0
     assert manifest["derived"]["R"] == 10.0
+
+
+def test_commands_resolve_only_the_settings_they_read(tmp_path, capsys):
+    # a config file may set keys a command does not read: fr-table runs no
+    # band and reads no constants, bdh reads no constants, so neither checks
+    # nor records those settings; bdh still records its threads
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("prime_cutoff = 5\nthreads = -3\n")
+    code, _, err = run_cli(capsys, "fr-table", "--x", "100", "--R", "5", "--out", str(tmp_path / "fr"))
+    assert code == 0, err
+    assert "threads" not in json.loads((tmp_path / "fr" / "manifest.json").read_text())["derived"]
+    code, _, err = run_cli(
+        capsys, "fr-table", "--config", str(cfg_file), "--x", "100", "--R", "5", "--out", str(tmp_path / "frc")
+    )
+    assert code == 0, err
+    cfg_file.write_text("prime_cutoff = 5\n")
+    code, _, err = run_cli(
+        capsys, "bdh", "--x", "1000", "--Q", "10", "--config", str(cfg_file), "--out", str(tmp_path / "bdh")
+    )
+    assert code == 0, err
+    assert json.loads((tmp_path / "bdh" / "manifest.json").read_text())["derived"]["threads"] == variance._thread_count(0)
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from vaughanlab import (
     FRConfig,
     TableRangeError,
     delta_indicator,
+    delta_sq_progression,
     delta_value,
     fr_square_progression_mean,
     fr_table_naive,
@@ -334,7 +335,10 @@ def test_configs_over_distinct_tables_compare_by_table_identity():
 
 def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):
     cfg50_small.table()
-    for other in (copy.copy(cfg50_small), copy.deepcopy(cfg50_small), pickle.loads(pickle.dumps(cfg50_small))):
+    delta_sq_progression(1000, 6, 1, cfg50_small)  # fills its cache of sums
+    copies = (copy.copy(cfg50_small), copy.deepcopy(cfg50_small), pickle.loads(pickle.dumps(cfg50_small)))
+    for other in (*copies, dataclasses.replace(cfg50_small)):
         assert other.R == 50.0 and other._table is None
         assert other._coprime_g is not cfg50_small._coprime_g
+        assert other._sums is not cfg50_small._sums and not other._sums._arrays
         assert other.table().tobytes() == cfg50_small.table().tobytes()

@@ -1,9 +1,13 @@
 """End-to-end runs of the scripts under scripts/."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,3 +27,52 @@ def test_progression_deviation_table_prints_each_class_once():
     classes = [(int(v), int(n) % int(v)) for v, n, *_ in rows]
     assert len(classes) == len(set(classes)), classes
     assert sorted(classes) == [(1, 0), (2, 0), (2, 1), (6, 0), (6, 1), (6, 5)]
+
+
+def _bench_snapshot():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_runs(tmp_path, side: str, revisions: list[str]) -> list[str]:
+    """Untraced perfbench result files of one side, one seed per revision, with the fields the snapshot reads."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    paths = []
+    for seed, rev in enumerate(revisions):
+        run = {
+            "workload": "band",
+            "seed": seed,
+            "trace": 0,
+            "seconds": 30,
+            "attempted": 10,
+            "failed": 0,
+            "end_to_end": {m["name"]: 1.0 + seed for m in bench["end_to_end"]},
+            "context": {
+                "nproc": 2, "mem_total_bytes": 1, "python": "3", "numpy": "2", "threads": 1, "note": "",
+                "git_revision": rev,
+            },
+        }
+        path = tmp_path / f"{side}-{seed}.json"
+        path.write_text(json.dumps(run))
+        paths.append(str(path))
+    return paths
+
+
+def test_bench_snapshot_takes_the_revisions_runs_lack(tmp_path):
+    snap = _bench_snapshot()
+    full = "0123456789abcdef0123456789abcdef01234567"
+    unknown = _bench_runs(tmp_path, "parent", [snap.NO_REVISION] * 2)
+    known = _bench_runs(tmp_path, "change", [full, snap.NO_REVISION])
+    # no revision given: the runs' own, which must agree
+    with pytest.raises(SystemExit, match="runs disagree on the change revision"):
+        snap.snapshot(unknown, known, "")
+    # a given revision fills in what the runs lack; a prefix of a recorded
+    # one gives way to the recorded full hash
+    got = snap.snapshot(unknown, known, "", {"parent": "fedcba9", "change": full[:7]})
+    assert got["revisions"] == {"parent": "fedcba9", "change": full}
+    assert got["workloads"]["band"]["end_to_end"]["solve_s"]["pairs"] == 2
+    # a given revision that a run contradicts is refused
+    with pytest.raises(SystemExit, match="--change-rev fedcba9 contradicts"):
+        snap.snapshot(unknown, known, "", {"parent": None, "change": "fedcba9"})

@@ -847,18 +847,21 @@ def test_refined_g_cache_is_bounded_and_keyed_by_tables_and_r(monkeypatch, table
 
 
 def test_refined_g_cache_keeps_no_tables_alive(cs):
-    # the config's lookup refers to the tables, not to the config, so no
-    # cycle holds them: with the collector off, dropping the config and the
-    # tables frees both at once
+    # the config's G_v lookup refers to the tables and its cache of sums to
+    # its arrays, neither to the config, so no cycle holds them: with the
+    # collector off, dropping the config and the tables frees them all at once
     tables = build_tables(build_sieve(1000))
     cfg = FRConfig(R=20.0, tables=tables)
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
-    delta_sq_progression(1000, 6, 1, cfg)  # builds the table and the residual square
-    refs = [weakref.ref(tables), weakref.ref(cfg), weakref.ref(cfg.table())]
+    delta_sq_progression(1000, 6, 1, cfg)  # builds the table, the residual square and its sums
+    sums = list(cfg._sums._arrays.values())
+    assert len(sums) == 2  # the column sums and the class sums of v = 6
+    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), cfg._delta_sq_table(), *sums)]
+    del sums
     gc.disable()
     try:
         del cfg, tables
-        assert [ref() for ref in refs] == [None] * 3
+        assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
     got = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=build_tables(build_sieve(1000))), cs).total
@@ -867,10 +870,10 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
 
 def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
     # four threads share one config on which nothing has been built yet, with
-    # room for 2 G_v values, so they evict each other's all the time; each
-    # runs the class sums and the refined form over every class of every
-    # squarefree v <= 30, and every result matches a single-thread run
-    monkeypatch.setattr(frmodel, "_G_CACHE", 2)
+    # room for 2 G_v values and 100 summed values, so they evict each other's
+    # all the time; each runs the class sums and the refined form over every
+    # class of every squarefree v <= 30, and every result matches a
+    # single-thread run with nothing evicted
     moduli = _squarefree_up_to(30)
     x = tables_small.limit
 
@@ -884,6 +887,8 @@ def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
         return got
 
     want = sweep(FRConfig(R=30.0, tables=tables_small))
+    monkeypatch.setattr(frmodel, "_G_CACHE", 2)
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 100)
     cfg = FRConfig(R=30.0, tables=tables_small)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so races on the builds show
@@ -894,6 +899,8 @@ def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
         sys.setswitchinterval(interval)
     assert results == [want] * 4
     assert cfg._coprime_g.cache_info().currsize <= 2
+    held = [a.size for a in cfg._sums._arrays.values()]
+    assert sum(held) <= 100 or len(held) == 1, held
 
 
 def test_theorem3_caches_keep_no_exception(cfg20_1e4, cs):
@@ -939,26 +946,106 @@ def test_delta_sq_progression_matches_fsum(tables_1e5):
             assert delta_sq_progression(x, v, N, cfg) == approx(want, rel=1e-13), (v, N)
 
 
-def test_delta_sq_progression_matches_gather_bitwise(tables_1e5):
-    # the strided sum over the cached residual square adds the same squares in
-    # the same pairwise order as the gather-subtract-square it replaced
+def _blocked_roundings(x: int, v: int) -> int:
+    # delta_sq_progression sums a class in this order: each column of the
+    # rows of length m = _row_length(x, v) adds at most 64 full rows naively
+    # (63 roundings); numpy's pairwise sum adds the k block sums (at most
+    # ceil(log2 k) + 26: its unrolled base case of up to 128 terms takes 15
+    # accumulator adds, 3 to join the 8 accumulators and 7 for the rest, and
+    # a reduce adds its first element apart); the short last row adds 1; the
+    # fold's pairwise sum over the m/v columns of the class adds at most
+    # ceil(log2(m/v)) + 26.  n roundings of nonnegative terms with sum S miss
+    # it by at most gamma_n S = n u S / (1 - n u), below (n + 1) u S here.
+    m = variance._row_length(x, v)
+    k = -(-((x + 1) // m) // 64)  # blocks of 64 full rows, the leftover rows one more
+    return 63 + math.ceil(math.log2(k)) + 26 + 1 + math.ceil(math.log2(m // v)) + 26 + 1
+
+
+def _pairwise_roundings(n: int) -> int:
+    # numpy's pairwise sum of n terms, as in _blocked_roundings
+    return math.ceil(math.log2(max(n, 1))) + 26 + 1
+
+
+def test_row_lengths_serve_squarefree_v_up_to_60_in_12_passes():
+    moduli = _squarefree_up_to(60)
+    rows = {v: variance._row_length(10**6, v) for v in moduli}
+    assert all(m % v == 0 for v, m in rows.items())
+    assert sorted(set(rows.values())) == [102, 114, 138, 174, 186, 222, 246, 258, 282, 318, 354, 30030]
+    # a row longer than x + 1 gives way to m = v
+    assert variance._row_length(30029, 1) == 30030 and variance._row_length(30028, 1) == 1
+    assert variance._row_length(1000, 323) == 323 and variance._row_length(1937, 323) == 1938
+
+
+# (x, v) pairs: the two row lengths 102 (v = 17, 34, 51) and 354 (v = 59)
+# at x + 1 = 64 m and 64 m +- 1; moduli whose rule m = 30030 or lcm(v, 6)
+# exceeds x + 1 (x = 20000 and 1000); and moduli past x (x = 200)
+_EDGE_X = (6526, 6527, 6528, 22654, 22655, 22656, 20_000, 1000, 200)
+
+
+def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
+    # the blocked column sums agree with the strided pairwise sum of the class
+    # they replaced, and with math.fsum, within the bounds of the two
+    # summation orders (_blocked_roundings, _pairwise_roundings)
     cfg = FRConfig(R=50.0, tables=tables_1e5)
     table = cfg.table()
     table_before = table.copy()
     assert cfg._delta_sq is None  # built by the first class sum, not before
-    for x in (tables_1e5.limit, 98_765):
-        for v in (1, 2, 6, 30, 59, 210):
+    u = 2.0**-53
+    for x in (tables_1e5.limit, 98_765, *_EDGE_X):
+        for v in (1, 2, 6, 17, 30, 34, 51, 59, 210, 323, 1001):
             for N in sorted({0, 1, v - 1, v, v + 1}):
+                got = delta_sq_progression(x, v, N, cfg)
                 start = N % v or v
-                dv = tables_1e5.lam[start : x + 1 : v] - cfg.table()[start : x + 1 : v]
+                dv = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
                 np.multiply(dv, dv, out=dv)
-                want = float(np.sum(dv))
-                assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
+                if v > x:  # at most one term, read as it is
+                    assert got == (dv[0] if len(dv) else 0.0), (x, v, N)
+                    continue
+                strided, exact = float(np.sum(dv)), math.fsum(dv)
+                blocked = _blocked_roundings(x, v)
+                assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
+                assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
     sq = cfg._delta_sq_table()
     assert cfg._delta_sq_table() is sq  # built once, kept with the config
     assert not sq.flags.writeable
     assert cfg.table() is table
     assert np.array_equal(table, table_before)
+
+
+def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
+    # every class of the squarefree v <= 60 costs 12 blocked passes, one per
+    # row length, and one fold per modulus, both kept on the config
+    calls = Counter()
+    column_sums = variance._column_sums
+    monkeypatch.setattr(variance, "_column_sums", lambda a, m: calls.update([m]) or column_sums(a, m))
+    cfg = FRConfig(R=30.0, tables=tables_1e5)
+    moduli = _squarefree_up_to(60)
+    for _ in range(2):
+        for v in moduli:
+            for N in range(1, v + 1):
+                delta_sq_progression(98_765, v, N, cfg)
+    assert calls == Counter({m: 1 for m in {variance._row_length(98_765, v) for v in moduli}})
+    assert len(calls) == 12
+    assert sorted(key for key in cfg._sums._arrays if key[0] == "classes") == [("classes", 98_765, v) for v in moduli]
+
+
+def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
+    # with room for 400 values the config keeps the sums used last, at most
+    # 400 values in all or one larger entry alone, and a dropped sum is
+    # built again to the same bits
+    moduli = _squarefree_up_to(60)
+    want = {(v, N): delta_sq_progression(10**5, v, N, FRConfig(R=30.0, tables=tables_1e5)).hex()
+            for v in moduli for N in range(v)}
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 400)
+    cfg = FRConfig(R=30.0, tables=tables_1e5)
+    for _ in range(2):
+        for v in moduli:
+            for N in range(v):
+                assert delta_sq_progression(10**5, v, N, cfg).hex() == want[v, N], (v, N)
+                held = [a.size for a in cfg._sums._arrays.values()]
+                assert sum(held) <= 400 or len(held) == 1, held
+    # v = 59 was asked for last, so its fold is kept
+    assert next(reversed(cfg._sums._arrays)) == ("classes", 10**5, 59)
 
 
 def test_coupled_prediction_v1_collapse(cs):
