@@ -15,7 +15,9 @@ checkout, holds per workload:
   and quartiles of each side, the change/parent ratio of the medians, the
   pairs the change won, and whether the gap of the medians exceeds the
   distance between the parent's quartiles;
-- the per-layer medians of the traced runs of each side;
+- for each per-layer metric (traced runs): the median of each side and the
+  change/parent ratio of the two (null where the parent's median is 0), so
+  the snapshot shows in which layer a change of an end-to-end metric sits;
 - attempted and failed checks of each side;
 - the seeds of the pairs and which side ran first in each.
 
@@ -103,6 +105,12 @@ def e2e_summary(pairs: list[dict], metric: dict) -> dict:
     }
 
 
+def layer_summary(traced: list[dict], name: str) -> dict:
+    side = {s: statistics.median(p[s]["per_layer"][name] for p in traced) for s in SIDES}
+    ratio = side["change"] / side["parent"] if side["parent"] else None
+    return {**side, "change_over_parent": ratio}
+
+
 def workload_summary(pairs: list[dict], bench: dict) -> dict:
     plain = [p for p in pairs if p["trace"] == 0]
     traced = [p for p in pairs if p["trace"] == 1]
@@ -126,13 +134,7 @@ def workload_summary(pairs: list[dict], bench: dict) -> dict:
     if plain:
         out["end_to_end"] = {m["name"]: e2e_summary(plain, m) for m in bench["end_to_end"]}
     if traced:
-        out["per_layer"] = {
-            s: {
-                m["name"]: statistics.median(p[s]["per_layer"][m["name"]] for p in traced)
-                for m in bench["per_layer"]
-            }
-            for s in SIDES
-        }
+        out["per_layer"] = {m["name"]: layer_summary(traced, m["name"]) for m in bench["per_layer"]}
     return out
 
 

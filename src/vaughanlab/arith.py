@@ -80,23 +80,63 @@ class FactorSieve:
             raise TableRangeError(f"n = {n} exceeds sieve limit {self.limit}")
 
 
+# The odd slots i (the odd numbers 2i + 1) repeat their divisibility by the
+# wheel primes with period 3*5*7*11*13 = 15015, so one struck period tiles
+# the whole sieve.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)
+
+
+def _odd_sieve(cutoff: int) -> np.ndarray:
+    """The odd-only sieve of prime_array: entry i is set when 2i + 1 <= cutoff is 1 or prime.
+
+    One period of _WHEEL slots with the odd multiples of 3, 5, 7, 11 and 13
+    struck is tiled over the (cutoff + 1) // 2 slots, and the wheel primes
+    themselves are set again.  The sieving primes from 17 to sqrt(cutoff)
+    are read off the head of the sieve once the primes up to its own square
+    root have struck it; then every segment of _SEGMENT slots (256 KB, so it
+    stays in cache) is struck by the primes whose squares lie below its end,
+    each from max(p^2, its first odd multiple in the segment).
+    """
+    size = (cutoff + 1) // 2
+    wheel = np.ones(_WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        wheel[p // 2 :: p] = False
+    odd = np.empty(size, dtype=bool)
+    whole = size - size % _WHEEL
+    odd[:whole].reshape(-1, _WHEEL)[:] = wheel
+    odd[whole:] = wheel[: size - whole]
+    odd[[p // 2 for p in _WHEEL_PRIMES if p // 2 < size]] = True
+    root = math.isqrt(cutoff)
+    head = odd[: (root + 1) // 2]  # the odd numbers <= sqrt(cutoff)
+    past = _WHEEL_PRIMES[-1] // 2 + 1  # the first slot past the wheel primes
+    for i in range(past, (math.isqrt(root) + 1) // 2):  # p = 2i + 1 while p^2 <= sqrt(cutoff)
+        if head[i]:
+            head[i * (2 * i + 2) :: 2 * i + 1] = False  # from p^2, at slot (p^2 - 1) / 2
+    sieving = (2 * np.flatnonzero(head[past:]) + 2 * past + 1).tolist()
+    for lo in range(0, size, _SEGMENT):
+        hi = min(lo + _SEGMENT, size)
+        for p in sieving:
+            first = p * p // 2
+            if first >= hi:
+                break
+            if first < lo:
+                first += -(-(lo - first) // p) * p
+            odd[first:hi:p] = False
+    return odd
+
+
 @functools.lru_cache(maxsize=1)
 def prime_array(cutoff: int) -> np.ndarray:
     """All primes <= cutoff as a read-only ascending int64 array, via an odd-only sieve.
 
-    Entry i of the sieve stands for the odd number 2i + 1, so the sieve is
-    (cutoff + 1) // 2 bools; each odd prime p <= sqrt(cutoff) strikes its odd
-    multiples from p^2 on.  Entry 0 (the number 1) is left set and its slot in
-    the result becomes the prime 2.
+    Entry i of the sieve (_odd_sieve, (cutoff + 1) // 2 bools) stands for
+    the odd number 2i + 1.  Entry 0 (the number 1) is never struck and its
+    slot in the result becomes the prime 2.
     """
     if cutoff < 2:
         raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    odd = np.ones((cutoff + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(cutoff) - 1) // 2 + 1):
-        if odd[i]:
-            p = 2 * i + 1
-            odd[p * p // 2 :: p] = False
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes = np.flatnonzero(_odd_sieve(cutoff)).astype(np.int64, copy=False)
     primes *= 2
     primes += 1
     primes[0] = 2

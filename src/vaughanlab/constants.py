@@ -7,11 +7,14 @@ carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
 The primes come from arith.prime_array, an odd-only sieve of (cutoff + 1) // 2
-bools whose read-only int64 result is cached for the last cutoff, one per run.
-Each prime sum or product takes a fresh float64 copy of them and builds its
-terms in place in one further buffer, so at cutoff 10^7 (664,579 primes) a call
-holds about 10 MB of temporaries.  euler_gamma is computed once per process,
-and restricted_product keeps its 128 most recent results (functools.lru_cache).
+bools, tiled from a struck period of the primes up to 13 and struck by the rest
+segment by segment, whose read-only int64 result is cached for the last cutoff,
+one per run.  Each prime sum or product takes a fresh float64 copy of them and
+builds its terms in place in one further buffer, so at cutoff 10^7 (664,579
+primes) a call holds two 5.3 MB temporaries.  logp_sum adds its terms by
+_exact_sum, whose levels reuse those two buffers and whose value is math.fsum's
+bit for bit.  euler_gamma is computed once per process, and restricted_product
+keeps its 128 most recent results (functools.lru_cache).
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
@@ -70,6 +73,44 @@ def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
     return p.astype(np.float64)
 
 
+def _exact_sum(t: np.ndarray, work: np.ndarray | None = None) -> float:
+    """math.fsum(t) of a 1-d float64 array, bit for bit, by error-free extraction; overwrites t.
+
+    Each level takes sigma = 1.5 * 2^k with 2^k >= 2 n max|t| (n = len(t)).
+    q = (t + sigma) - sigma rounds each term to the grid of ulp(sigma) =
+    2^(k - 52) exactly (t + sigma lies in [2^k, 2^(k + 1)], and Sterbenz
+    makes the subtraction exact), and t - q is the rounding error of
+    t + sigma, so exact too.  Every partial sum of the q is a multiple of
+    2^(k - 52) below 2^(k + 1) in magnitude, so numpy's sum of them is exact
+    in any order.  t keeps the remainders, at most 2^(k - 53) each, for the
+    next level; k is held at -1022 or above, where the grid 2^-1074 takes
+    every remainder, so the levels end.  math.fsum of the exact level sums is
+    the correctly rounded total, as math.fsum(t) is.  An empty or all-zero t,
+    a non-finite term, or a sigma past 2^1021 (the first level only: the
+    maxima fall from level to level) goes to math.fsum(t) itself, which
+    settles signed zeros, infinities, nan and overflow as it always does.
+    work, a float64 buffer shaped like t, takes the q; without it one is
+    allocated.
+
+    Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
+    SIAM J. Sci. Comput. 31 (2008).
+    """
+    levels = []
+    while t.size:
+        top = max(float(t.max()), -float(t.min()))  # nan or inf when any term is non-finite
+        if top == 0.0:
+            break
+        k = max(math.frexp(top)[1] + (2 * t.size - 1).bit_length(), -1022)
+        if not math.isfinite(top) or k > 1021:
+            return math.fsum(t)
+        sigma = math.ldexp(1.5, k)
+        work = np.add(t, sigma, out=work)
+        work -= sigma
+        t -= work
+        levels.append(float(work.sum()))
+    return math.fsum(levels) if levels else math.fsum(t)
+
+
 def euler_gamma_harmonic(terms: int = 10_000) -> float:
     """Euler's constant from the harmonic sum with Euler-Maclaurin correction.
 
@@ -125,7 +166,7 @@ def logp_sum(prime_cutoff: int) -> tuple[float, float]:
     terms = p - 1.0
     terms *= p
     np.divide(np.log(p, out=p), terms, out=terms)  # log p / (p (p - 1))
-    value = math.fsum(terms)
+    value = _exact_sum(terms, work=p)
     tail = 2.0 * math.log(prime_cutoff) / prime_cutoff
     return value, tail
 

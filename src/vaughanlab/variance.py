@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTables, _check_x, divisors
-from .constants import ConstantSet, ProductKind, restricted_product
+from .constants import ConstantSet, ProductKind, _exact_sum, restricted_product
 from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
 __all__ = [
@@ -392,7 +392,7 @@ def _coprime_first_moments(w: np.ndarray, q: int, primes: np.ndarray) -> np.ndar
     subtracts its primes in ascending order.
     """
     x = len(w) - 1
-    first = np.full(q + 1, math.fsum(w[w != 0]))
+    first = np.full(q + 1, _exact_sum(w[w != 0]))
     p = primes[: np.searchsorted(primes, q, side="right")]
     sub = w[p]
     for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
@@ -448,7 +448,7 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     band = math.fsum(np.concatenate(parts))
     approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
     first = _coprime_first_moments(a, hi, primes)[lo + 1 :]
-    return math.fsum((band, math.fsum(approx * (x - 2.0 * first))))
+    return math.fsum((band, _exact_sum(approx * (x - 2.0 * first), work=approx)))
 
 
 def _lag_band_sum(
@@ -563,7 +563,8 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 
 
 # Rows per block of the residual square's column sums: each column adds at
-# most this many rows naively before the block sums are added pairwise.
+# most this many rows naively before the block sums are added pairwise.  A
+# class of at most this many terms is summed where it lies instead.
 _BLOCK_ROWS = 64
 # 2*3*5*7*11*13: one row length for every v whose primes are at most 13.
 _SMALL_PRIMORIAL = 30030
@@ -606,7 +607,7 @@ def _column_sums(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def _class_sums(x: int, v: int, cfg: FRConfig) -> np.ndarray:
-    """Sums of the residual square over n <= x per class n = r (mod v), entry r; 1 <= v <= x.
+    """Sums of the residual square over n <= x per class n = r (mod v), entry r; 1 <= _BLOCK_ROWS v <= x.
 
     The column sums for the row length m = _row_length(x, v) are folded into
     v sums by numpy's pairwise sum of the m/v columns of each class, along a
@@ -628,18 +629,21 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
 
     The squares come from the config's cached residual square (built on the
     first call, 8 bytes per n up to tables.limit, kept with the config).
-    The class reads entry N mod v of _class_sums, whose sums the config also
-    keeps, so all moduli that share a row length cost one blocked pass over
-    the square; a v > x leaves at most one term, read from the square.  The
-    summation order is fixed, so the result is deterministic.  A term meets
-    at most 64 + log2(k) + log2(m/v) + 54 roundings, k the blocks of rows
-    (_column_sums and the fold), so, the terms being nonnegative, the result
-    is within that many units of 2^-53 of their sum of the math.fsum of the
-    same squares.
+    A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) is the np.sum of
+    its strided entries of the square and adds no cache entry, so a large v
+    reads its x/v terms, not a pass over the square's rows; in any order a
+    term of n <= 64 meets at most n - 1 roundings.  Any other class reads
+    entry N mod v of _class_sums, whose sums the config also keeps, so all
+    moduli that share a row length cost one blocked pass over the square;
+    a term meets at most 64 + log2(k) + log2(m/v) + 54 roundings there, k
+    the blocks of rows (_column_sums and the fold).  The summation order is
+    fixed, so the result is deterministic, and, the terms being nonnegative,
+    it is within that many units of 2^-53 of their sum of the math.fsum of
+    the same squares.
     """
     start = _class_start(x, v, N, cfg.tables)
-    if v > x:
-        return float(cfg._delta_sq_table()[start]) if start <= x else 0.0
+    if x < _BLOCK_ROWS * v:
+        return float(cfg._delta_sq_table()[start : x + 1 : v].sum())
     return float(_class_sums(x, v, cfg)[N % v])
 
 

@@ -1,9 +1,12 @@
 """Constant evaluation tests: dual-path agreement, frozen values, stability."""
 
 import math
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 from pytest import approx, raises
 
 from vaughanlab import (
@@ -15,7 +18,7 @@ from vaughanlab import (
     t_of_n,
     zeta2_inv,
 )
-from vaughanlab import constants
+from vaughanlab import arith, constants
 from vaughanlab.arith import build_sieve, factorize
 from vaughanlab.constants import (
     _primes_of_n,
@@ -214,12 +217,130 @@ def _bit_sieve_primes(cutoff):
     return np.nonzero(~comp)[0].astype(np.int64)
 
 
-def test_prime_array_matches_bit_sieve():
-    for cutoff in [*range(2, 2001), 10**6 + 3]:
-        got = prime_array(cutoff)
-        want = _bit_sieve_primes(cutoff)
-        assert got.dtype == want.dtype == np.int64, cutoff
-        assert np.array_equal(got, want), cutoff
+def _assert_prime_array_matches_bit_sieve(cutoff):
+    got = prime_array(cutoff)
+    want = _bit_sieve_primes(cutoff)
+    assert got.dtype == want.dtype == np.int64, cutoff
+    assert np.array_equal(got, want), cutoff
+
+
+def test_prime_array_matches_bit_sieve(monkeypatch):
+    seg = arith._SEGMENT
+    for cutoff in [
+        *range(2, 2001),
+        # the wheel's period edges: slot 15015 k is the number 30030 k + 1
+        *(30030 * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
+        # thresholds p^2 where a sieving prime starts to strike
+        *(p * p + d for p in (17, 19, 23, 1009, 1013) for d in (-1, 0, 1)),
+        # p^4, where p starts to strike the head that lists the sieving primes
+        *(p**4 + d for p in (17, 19) for d in (-1, 0, 1)),
+        # segment edges: slot j _SEGMENT is the number 2 j _SEGMENT + 1
+        *(2 * j * seg + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
+        10**6 + 3,
+    ]:
+        _assert_prime_array_matches_bit_sieve(cutoff)
+    # Segments of 16 slots put up to 62 segment edges below 2,000.
+    prime_array.cache_clear()
+    monkeypatch.setattr(arith, "_SEGMENT", 16)
+    for cutoff in range(2, 2001):
+        _assert_prime_array_matches_bit_sieve(cutoff)
+    prime_array.cache_clear()
+
+
+# tracemalloc peak of the cold logp_sum(10**6) below at the parent of the
+# change that brought in _exact_sum and the wheel sieve: the cached primes,
+# their float copy and the terms (3 x 627,984 bytes) and 849 bytes of objects.
+_PARENT_LOGP_PEAK = 1_884_801
+
+
+def test_cold_logp_sum_holds_no_more_than_its_three_prime_arrays():
+    # The sieve's bools and its index array stay below the three float-sized
+    # arrays of the sum, and _exact_sum's levels reuse the sum's two buffers.
+    # numpy's max, min and sum hold about 0.9 KB of objects while they run
+    # where math.fsum held 0.25 KB, hence the 1 KB over the parent's peak;
+    # an array of the primes would add 628 KB.
+    logp_sum(10**5)  # numpy's first calls, out of the trace
+    prime_array.cache_clear()
+    tracemalloc.start()
+    try:
+        logp_sum(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PARENT_LOGP_PEAK + 1024, peak
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals included
+_TERMS = st.one_of(
+    _FINITE,
+    st.floats(min_value=-2.0**-1020, max_value=2.0**-1020),  # subnormals and the least normals
+    st.floats(min_value=1e299, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e299),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 2.0**-1022]),
+)
+
+
+@st.composite
+def _float_arrays(draw, extra=st.lists(_TERMS, max_size=4)):
+    """Arrays of 0 to about 10^4 terms: a drawn list tiled, perhaps with the negation of
+    every term beside it (heavy cancellation), plus a few more terms, in a drawn order."""
+    t = np.tile(np.array(draw(st.lists(_TERMS, max_size=48)), dtype=np.float64), draw(st.integers(0, 200)))
+    if draw(st.booleans()):
+        t = np.concatenate([t, -t])
+    t = np.concatenate([t, np.array(draw(extra), dtype=np.float64)])
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(t)
+
+
+def _outcome(total):
+    """The hex of a sum, or its exception: math.fsum raises on overflow and on inf - inf."""
+    try:
+        return total().hex()
+    except (OverflowError, ValueError) as err:
+        return repr(err)
+
+
+_RNG = np.random.default_rng(2008)
+_WIDE = _RNG.standard_normal(5000) * 10.0 ** _RNG.integers(-300, 300, 5000)
+
+
+@settings(deadline=None)
+@given(_float_arrays())
+@example(_RNG.permutation(np.concatenate([_WIDE, -_WIDE, [1.0, 5e-324]])))  # every exponent, cancelled
+@example(_RNG.standard_normal(10**4) * 1e300)
+@example(_RNG.uniform(-(2.0**-1022), 2.0**-1022, 10**4))  # subnormals
+def test_exact_sum_is_fsum_bit_for_bit(t):
+    want = _outcome(lambda: math.fsum(t))
+    assert _outcome(lambda: constants._exact_sum(t.copy())) == want
+    assert _outcome(lambda: constants._exact_sum(t.copy(), work=np.empty_like(t))) == want
+
+
+@settings(deadline=None)
+@given(_float_arrays(extra=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3)))
+def test_exact_sum_leaves_non_finite_terms_to_fsum(t):
+    # a non-finite term sends the whole array to math.fsum before any level
+    # overwrites it: the same value or exception, and the array untouched
+    got = t.copy()
+    assert _outcome(lambda: constants._exact_sum(got)) == _outcome(lambda: math.fsum(t))
+    assert got.tobytes() == t.tobytes()
+
+
+def test_exact_sum_edge_cases():
+    for terms in (
+        [],
+        [-0.0],
+        [-0.0, -0.0],
+        [0.0, -0.0],
+        [1.0, -1.0, -0.0],
+        [5e-324, -5e-324, 5e-324],
+        [1e308, -1e308, 1.0],  # a sigma past 2^1021: math.fsum
+        [1e308, 1e308],  # overflow, raised by math.fsum
+        [math.inf, -math.inf],
+        [math.nan, 1.0],
+        [1.0, 1e100, 1.0, -1e100],
+        [0.1] * 10,
+    ):
+        t = np.array(terms, dtype=np.float64)
+        assert _outcome(lambda: constants._exact_sum(t.copy())) == _outcome(lambda: math.fsum(t)), terms
 
 
 def test_constants_bitwise_against_direct_formulas():

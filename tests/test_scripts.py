@@ -36,15 +36,18 @@ def _bench_snapshot():
     return module
 
 
-def _bench_runs(tmp_path, side: str, revisions: list[str]) -> list[str]:
-    """Untraced perfbench result files of one side, one seed per revision, with the fields the snapshot reads."""
+def _bench_runs(tmp_path, side: str, revisions: list[str], trace: int = 0, layers=None) -> list[str]:
+    """perfbench result files of one side, one seed per revision, with the fields the snapshot reads.
+
+    A traced run (trace=1) records the per-layer values layers(seed).
+    """
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     paths = []
     for seed, rev in enumerate(revisions):
         run = {
             "workload": "band",
             "seed": seed,
-            "trace": 0,
+            "trace": trace,
             "seconds": 30,
             "attempted": 10,
             "failed": 0,
@@ -54,7 +57,9 @@ def _bench_runs(tmp_path, side: str, revisions: list[str]) -> list[str]:
                 "git_revision": rev,
             },
         }
-        path = tmp_path / f"{side}-{seed}.json"
+        if trace:
+            run["per_layer"] = layers(seed)
+        path = tmp_path / f"{side}-{seed}-trace{trace}.json"
         path.write_text(json.dumps(run))
         paths.append(str(path))
     return paths
@@ -76,3 +81,29 @@ def test_bench_snapshot_takes_the_revisions_runs_lack(tmp_path):
     # a given revision that a run contradicts is refused
     with pytest.raises(SystemExit, match="--change-rev fedcba9 contradicts"):
         snap.snapshot(unknown, known, "", {"parent": None, "change": "fedcba9"})
+
+
+def test_bench_snapshot_puts_each_layer_ratio_beside_its_medians(tmp_path):
+    snap = _bench_snapshot()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    sieve = "arith.build_sieve_s"
+
+    def layers(scale):
+        # layer i reads scale (i + 1) (seed + 1); the parent's sieve reads 0
+        return lambda seed: {n: (i + 1) * (seed + 1) * (scale if n != sieve or scale != 1 else 0) for i, n in enumerate(names)}
+
+    parent = _bench_runs(tmp_path, "parent", ["fedcba9"] * 3) + _bench_runs(
+        tmp_path, "parent", ["fedcba9"] * 3, trace=1, layers=layers(1)
+    )
+    change = _bench_runs(tmp_path, "change", ["0123456"] * 3) + _bench_runs(
+        tmp_path, "change", ["0123456"] * 3, trace=1, layers=layers(0.5)
+    )
+    got = snap.snapshot(parent, change, "")["workloads"]["band"]["per_layer"]
+    assert list(got) == names
+    for i, name in enumerate(names):
+        # the medians over seeds 0, 1 and 2 are the values at seed 1
+        want = {"parent": 2 * (i + 1), "change": (i + 1), "change_over_parent": 0.5}
+        if name == sieve:
+            want.update(parent=0, change_over_parent=None)  # no ratio to a zero
+        assert got[name] == want, name
+        assert list(got[name]) == ["parent", "change", "change_over_parent"]

@@ -977,9 +977,10 @@ def test_row_lengths_serve_squarefree_v_up_to_60_in_12_passes():
 
 
 # (x, v) pairs: the two row lengths 102 (v = 17, 34, 51) and 354 (v = 59)
-# at x + 1 = 64 m and 64 m +- 1; moduli whose rule m = 30030 or lcm(v, 6)
-# exceeds x + 1 (x = 20000 and 1000); and moduli past x (x = 200)
-_EDGE_X = (6526, 6527, 6528, 22654, 22655, 22656, 20_000, 1000, 200)
+# at x + 1 = 64 m and 64 m +- 1; moduli whose rule m = 30030 exceeds x + 1
+# (x = 20000 and 1000); classes of at most 64 terms, the last ones at
+# x = 64 v - 1 (v = 1001 and 323), and moduli past x (x = 200)
+_EDGE_X = (6526, 6527, 6528, 22654, 22655, 22656, 20_000, 64_063, 64_064, 20_671, 20_672, 1000, 200)
 
 
 def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
@@ -998,10 +999,13 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
                 start = N % v or v
                 dv = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
                 np.multiply(dv, dv, out=dv)
-                if v > x:  # at most one term, read as it is
-                    assert got == (dv[0] if len(dv) else 0.0), (x, v, N)
-                    continue
                 strided, exact = float(np.sum(dv)), math.fsum(dv)
+                if x < variance._BLOCK_ROWS * v:  # at most 64 terms: their strided sum itself
+                    assert len(dv) <= variance._BLOCK_ROWS, (x, v, N)
+                    assert got == strided, (x, v, N)
+                    # n terms in any order meet at most n - 1 roundings each
+                    assert abs(got - exact) <= len(dv) * u * exact, (x, v, N)
+                    continue
                 blocked = _blocked_roundings(x, v)
                 assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
                 assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
@@ -1010,6 +1014,10 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
     assert not sq.flags.writeable
     assert cfg.table() is table
     assert np.array_equal(table, table_before)
+    # a class of at most 64 terms is summed where it lies and kept nowhere
+    fresh = FRConfig(R=50.0, tables=tables_1e5)
+    delta_sq_progression(tables_1e5.limit, 2003, 1, fresh)
+    assert not fresh._sums._arrays
 
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
