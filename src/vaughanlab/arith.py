@@ -94,8 +94,8 @@ def _odd_sieve(cutoff: int) -> np.ndarray:
     struck is tiled over the (cutoff + 1) // 2 slots, and the wheel primes
     themselves are set again.  The sieving primes from 17 to sqrt(cutoff)
     are read off the head of the sieve once the primes up to its own square
-    root have struck it; then every segment of _SEGMENT slots (256 KB, so it
-    stays in cache) is struck by the primes whose squares lie below its end,
+    root have struck it; then every segment of _ODD_SEGMENT slots (1 MB, so
+    it stays in L2) is struck by the primes whose squares lie below its end,
     each from max(p^2, its first odd multiple in the segment).
     """
     size = (cutoff + 1) // 2
@@ -114,8 +114,8 @@ def _odd_sieve(cutoff: int) -> np.ndarray:
         if head[i]:
             head[i * (2 * i + 2) :: 2 * i + 1] = False  # from p^2, at slot (p^2 - 1) / 2
     sieving = (2 * np.flatnonzero(head[past:]) + 2 * past + 1).tolist()
-    for lo in range(0, size, _SEGMENT):
-        hi = min(lo + _SEGMENT, size)
+    for lo in range(0, size, _ODD_SEGMENT):
+        hi = min(lo + _ODD_SEGMENT, size)
         for p in sieving:
             first = p * p // 2
             if first >= hi:
@@ -156,6 +156,8 @@ def _check_limit(limit: int) -> None:
 # over the whole table runs from main memory; a block's int64 gather
 # temporaries are 2 MB each.
 _SEGMENT = 2**18
+# Slots of one segment of prime_array's bool sieve: the same 1 MB.
+_ODD_SEGMENT = 4 * _SEGMENT
 
 
 def build_sieve(limit: int) -> FactorSieve:

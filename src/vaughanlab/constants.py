@@ -73,10 +73,16 @@ def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
     return p.astype(np.float64)
 
 
+# Terms per block of _exact_sum: a block of the terms and of its work buffer
+# (512 KB each) stay in L2 through all of the block's levels.
+_SUM_BLOCK = 2**16
+
+
 def _exact_sum(t: np.ndarray, work: np.ndarray | None = None) -> float:
     """math.fsum(t) of a 1-d float64 array, bit for bit, by error-free extraction; overwrites t.
 
-    Each level takes sigma = 1.5 * 2^k with 2^k >= 2 n max|t| (n = len(t)).
+    Each block of _SUM_BLOCK terms is summed in levels.  A level takes
+    sigma = 1.5 * 2^k with 2^k >= 2 n max|t| over the block's n terms.
     q = (t + sigma) - sigma rounds each term to the grid of ulp(sigma) =
     2^(k - 52) exactly (t + sigma lies in [2^k, 2^(k + 1)], and Sterbenz
     makes the subtraction exact), and t - q is the rounding error of
@@ -84,31 +90,34 @@ def _exact_sum(t: np.ndarray, work: np.ndarray | None = None) -> float:
     2^(k - 52) below 2^(k + 1) in magnitude, so numpy's sum of them is exact
     in any order.  t keeps the remainders, at most 2^(k - 53) each, for the
     next level; k is held at -1022 or above, where the grid 2^-1074 takes
-    every remainder, so the levels end.  math.fsum of the exact level sums is
-    the correctly rounded total, as math.fsum(t) is.  An empty or all-zero t,
-    a non-finite term, or a sigma past 2^1021 (the first level only: the
-    maxima fall from level to level) goes to math.fsum(t) itself, which
-    settles signed zeros, infinities, nan and overflow as it always does.
-    work, a float64 buffer shaped like t, takes the q; without it one is
-    allocated.
+    every remainder, so the levels end once the remainders are all zero.
+    The level sums add up to the sum of t exactly, so math.fsum of them is
+    the correctly rounded total, as math.fsum(t) is.  An empty or all-zero
+    t, a non-finite term, or 2 n max|t| past 2^1021 over the whole array
+    goes to math.fsum(t) itself, before any level, so signed zeros,
+    infinities, nan and overflow come out as they always do; below that no
+    sum of terms or of level sums nears overflow.  work, a float64 buffer
+    shaped like t, takes the q; without it one is allocated.
 
     Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
     SIAM J. Sci. Comput. 31 (2008).
     """
+    top = max(float(t.max()), -float(t.min())) if t.size else 0.0  # nan or inf for a non-finite term
+    if not 0.0 < top < math.inf or math.frexp(top)[1] + (2 * t.size - 1).bit_length() > 1021:
+        return math.fsum(t)
+    if work is None:
+        work = np.empty_like(t)
     levels = []
-    while t.size:
-        top = max(float(t.max()), -float(t.min()))  # nan or inf when any term is non-finite
-        if top == 0.0:
-            break
-        k = max(math.frexp(top)[1] + (2 * t.size - 1).bit_length(), -1022)
-        if not math.isfinite(top) or k > 1021:
-            return math.fsum(t)
-        sigma = math.ldexp(1.5, k)
-        work = np.add(t, sigma, out=work)
-        work -= sigma
-        t -= work
-        levels.append(float(work.sum()))
-    return math.fsum(levels) if levels else math.fsum(t)
+    for lo in range(0, t.size, _SUM_BLOCK):
+        block, q = t[lo : lo + _SUM_BLOCK], work[lo : lo + _SUM_BLOCK]
+        while top := max(float(block.max()), -float(block.min())):
+            k = max(math.frexp(top)[1] + (2 * block.size - 1).bit_length(), -1022)
+            sigma = math.ldexp(1.5, k)
+            np.add(block, sigma, out=q)
+            q -= sigma
+            block -= q
+            levels.append(float(q.sum()))
+    return math.fsum(levels)
 
 
 def euler_gamma_harmonic(terms: int = 10_000) -> float:

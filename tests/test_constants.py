@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -225,7 +226,7 @@ def _assert_prime_array_matches_bit_sieve(cutoff):
 
 
 def test_prime_array_matches_bit_sieve(monkeypatch):
-    seg = arith._SEGMENT
+    seg = arith._ODD_SEGMENT
     for cutoff in [
         *range(2, 2001),
         # the wheel's period edges: slot 15015 k is the number 30030 k + 1
@@ -234,14 +235,14 @@ def test_prime_array_matches_bit_sieve(monkeypatch):
         *(p * p + d for p in (17, 19, 23, 1009, 1013) for d in (-1, 0, 1)),
         # p^4, where p starts to strike the head that lists the sieving primes
         *(p**4 + d for p in (17, 19) for d in (-1, 0, 1)),
-        # segment edges: slot j _SEGMENT is the number 2 j _SEGMENT + 1
+        # segment edges: slot j _ODD_SEGMENT is the number 2 j _ODD_SEGMENT + 1
         *(2 * j * seg + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
         10**6 + 3,
     ]:
         _assert_prime_array_matches_bit_sieve(cutoff)
     # Segments of 16 slots put up to 62 segment edges below 2,000.
     prime_array.cache_clear()
-    monkeypatch.setattr(arith, "_SEGMENT", 16)
+    monkeypatch.setattr(arith, "_ODD_SEGMENT", 16)
     for cutoff in range(2, 2001):
         _assert_prime_array_matches_bit_sieve(cutoff)
     prime_array.cache_clear()
@@ -256,9 +257,9 @@ _PARENT_LOGP_PEAK = 1_884_801
 def test_cold_logp_sum_holds_no_more_than_its_three_prime_arrays():
     # The sieve's bools and its index array stay below the three float-sized
     # arrays of the sum, and _exact_sum's levels reuse the sum's two buffers.
-    # numpy's max, min and sum hold about 0.9 KB of objects while they run
-    # where math.fsum held 0.25 KB, hence the 1 KB over the parent's peak;
-    # an array of the primes would add 628 KB.
+    # Its block views and numpy's max, min and sum hold about 1.1 KB of
+    # objects while they run, where math.fsum held 0.25 KB, hence the 2 KB
+    # over the parent's peak; an array of the primes would add 628 KB.
     logp_sum(10**5)  # numpy's first calls, out of the trace
     prime_array.cache_clear()
     tracemalloc.start()
@@ -267,7 +268,7 @@ def test_cold_logp_sum_holds_no_more_than_its_three_prime_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= _PARENT_LOGP_PEAK + 1024, peak
+    assert peak <= _PARENT_LOGP_PEAK + 2048, peak
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)  # signed zeros and subnormals included
@@ -308,10 +309,15 @@ _WIDE = _RNG.standard_normal(5000) * 10.0 ** _RNG.integers(-300, 300, 5000)
 @example(_RNG.permutation(np.concatenate([_WIDE, -_WIDE, [1.0, 5e-324]])))  # every exponent, cancelled
 @example(_RNG.standard_normal(10**4) * 1e300)
 @example(_RNG.uniform(-(2.0**-1022), 2.0**-1022, 10**4))  # subnormals
+# 2^13 terms of one sign just below 2: the level sum nears 2^(k - 1), so a grid 8 times finer rounds it
+@example(np.random.default_rng(3).uniform(2 - 2.0**-10, 2, 2**13))
 def test_exact_sum_is_fsum_bit_for_bit(t):
     want = _outcome(lambda: math.fsum(t))
     assert _outcome(lambda: constants._exact_sum(t.copy())) == want
-    assert _outcome(lambda: constants._exact_sum(t.copy(), work=np.empty_like(t))) == want
+    # blocks of 1, 3 and 64 terms, each summed in levels of its own
+    for block in (1, 3, 64):
+        with mock.patch.object(constants, "_SUM_BLOCK", block):
+            assert _outcome(lambda: constants._exact_sum(t.copy(), work=np.empty_like(t))) == want, block
 
 
 @settings(deadline=None)
@@ -320,7 +326,8 @@ def test_exact_sum_leaves_non_finite_terms_to_fsum(t):
     # a non-finite term sends the whole array to math.fsum before any level
     # overwrites it: the same value or exception, and the array untouched
     got = t.copy()
-    assert _outcome(lambda: constants._exact_sum(got)) == _outcome(lambda: math.fsum(t))
+    with mock.patch.object(constants, "_SUM_BLOCK", 3):
+        assert _outcome(lambda: constants._exact_sum(got)) == _outcome(lambda: math.fsum(t))
     assert got.tobytes() == t.tobytes()
 
 
@@ -340,7 +347,9 @@ def test_exact_sum_edge_cases():
         [0.1] * 10,
     ):
         t = np.array(terms, dtype=np.float64)
-        assert _outcome(lambda: constants._exact_sum(t.copy())) == _outcome(lambda: math.fsum(t)), terms
+        for block in (1, constants._SUM_BLOCK):
+            with mock.patch.object(constants, "_SUM_BLOCK", block):
+                assert _outcome(lambda: constants._exact_sum(t.copy())) == _outcome(lambda: math.fsum(t)), terms
 
 
 def test_constants_bitwise_against_direct_formulas():
