@@ -10,14 +10,16 @@ Provides:
 - ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
   sieve's spf table and primes; mu and phi built in ascending blocks of n by
   one recurrence from n / spf(n), on the sieve's segment grid, Lambda stored
-  with the sorted prime powers p^k, k >= 2, where it is log p; the prime-log
-  weight theta is not stored but derived from Lambda, a fresh array on each
-  access of ArithTables.theta
+  with the sorted prime powers p^k, k >= 2, where it is log p
+- _weight: every weight built on Lambda, over one residue class: Lambda or
+  theta (Lambda with the prime powers set to 0; theta is not stored), less a
+  model table when one is given.  ArithTables.theta, the progression sums,
+  the band residuals and the theorem-3 residual square all come from it
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
 
-Tables are built once and then treated as read-only; readers may share them
+Tables are built once and hand out read-only arrays; readers may share them
 freely across threads.
 """
 
@@ -56,14 +58,26 @@ class FactorSieve:
     """Smallest-prime-factor table over [2, limit].
 
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
-    prime.  Entries 0 and 1 hold the sentinel 0.  build_sieve also keeps the
-    primes it found, 8 bytes per prime, which primes() returns.  Sieves
-    compare by identity, not by their arrays.
+    prime.  Entries 0 and 1 hold the sentinel 0.  The sieve keeps its primes,
+    8 bytes per prime, which primes() returns: build_sieve hands over those
+    it found, and a sieve built from a bare spf table takes the n >= 2 with
+    spf[n] == n.  The sieve makes both arrays read-only.  Sieves compare by
+    identity, not by their arrays; a copy or a pickle rebuilds one from its
+    arrays.
     """
 
     limit: int
     spf: np.ndarray
-    _primes: np.ndarray = field(init=False, repr=False, compare=False)
+    _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self._primes is None:
+            self._primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.limit + 1)) + 2
+        for a in (self.spf, self._primes):
+            a.setflags(write=False)
+
+    def __reduce__(self):
+        return FactorSieve, (self.limit, self.spf, self._primes)
 
     def primes(self) -> np.ndarray:
         """All primes <= limit, ascending, as a read-only int64 array (one array per sieve)."""
@@ -169,8 +183,8 @@ def build_sieve(limit: int) -> FactorSieve:
     plain stores from max(p^2, the first multiple >= lo) and no mask.  The
     smallest prime p dividing a composite n has p^2 <= n, so p strikes n and
     writes it last: an entry ends as in one pass per prime over the whole
-    table.  The entries left empty at the end, the primes <= limit, are kept
-    read-only for FactorSieve.primes.
+    table.  The entries left empty at the end, the primes <= limit, are
+    handed to the sieve as its primes.
 
     Args:
         limit: inclusive upper bound, in [2, 2^31) (_check_limit).
@@ -191,10 +205,7 @@ def build_sieve(limit: int) -> FactorSieve:
     # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
-    rest.setflags(write=False)
-    sieve = FactorSieve(limit=limit, spf=spf)
-    sieve._primes = rest
-    return sieve
+    return FactorSieve(limit=limit, spf=spf, _primes=rest)
 
 
 @dataclass(eq=False)
@@ -210,10 +221,12 @@ class ArithTables:
             only n where Lambda and theta differ.
         sieve: the FactorSieve the tables were built from.
 
-    theta, log n at primes and 0 elsewhere (the weight of the theta sums), is
-    not stored: the property derives it from lam, allocating limit + 1
-    float64s on every access.  Table sets compare by identity, not by their
-    arrays, so configs built on them (FRConfig) compare without raising.
+    The table set makes its arrays read-only.  theta, log n at primes and 0
+    elsewhere (the weight of the theta sums), is not stored: the property
+    derives it from lam (_weight), allocating limit + 1 float64s on every
+    access.  Table sets compare by identity, not by their arrays, so configs
+    built on them (FRConfig) compare without raising; a copy or a pickle
+    rebuilds one from its arrays.
     """
 
     limit: int
@@ -223,12 +236,17 @@ class ArithTables:
     prime_powers: np.ndarray
     sieve: FactorSieve
 
+    def __post_init__(self) -> None:
+        for a in (self.lam, self.mu, self.phi, self.prime_powers):
+            a.setflags(write=False)
+
+    def __reduce__(self):
+        return ArithTables, (self.limit, self.lam, self.mu, self.phi, self.prime_powers, self.sieve)
+
     @property
     def theta(self) -> np.ndarray:
         """A fresh copy of lam with the prime powers p^k, k >= 2, set to 0."""
-        theta = self.lam.copy()
-        theta[self.prime_powers] = 0.0
-        return theta
+        return _weight(self, self.limit, True)
 
 
 def build_tables(sieve: FactorSieve) -> ArithTables:
@@ -295,36 +313,55 @@ def _check_x(x: int, tables: ArithTables) -> None:
         raise TableRangeError(f"x = {x} exceeds table limit {tables.limit}")
 
 
+def _weight(
+    tables: ArithTables, x: int, theta: bool, b: int = 0, d: int = 1, model: np.ndarray | None = None
+) -> np.ndarray:
+    """Lambda(n), less model[n] when a model is given, at n = b, b + d, ... <= x.
+
+    Only Lambda is stored.  With theta the prime powers p^k, k >= 2, of the
+    class hold 0.0 (0.0 - model[p^k] with a model), so the result equals the
+    same entries of a stored theta table (less the model) bit for bit,
+    signed zeros included.  Lambda alone (theta false, no model) is a
+    read-only view of tables.lam; anything else is a fresh array of the
+    class's entries.  The caller checks x, b and d.
+    """
+    w = tables.lam[b : x + 1 : d]
+    if model is not None:
+        w = w - model[b : x + 1 : d]
+    elif theta:
+        w = w.copy()
+    if theta:
+        pp = tables.prime_powers
+        pp = pp[(pp >= b) & (pp <= x) & ((pp - b) % d == 0)]
+        w[(pp - b) // d] = 0.0 if model is None else np.subtract(0.0, model[pp])
+    return w
+
+
 def theta_progression(x: int, d: int, b: int, tables: ArithTables) -> float:
     """Sum of log p over primes p <= x with p = b (mod d).
 
-    The residue b may be given in [0, d]; b = d is reduced to 0.
-    Only Lambda is stored: the class's x/d entries of it are copied and its
-    prime powers p^k, k >= 2, set to 0 before the sum, which equals the sum
-    over the same entries of the theta table bit for bit.
+    The residue b may be given in [0, d]; b = d is reduced to 0.  The
+    class's x/d entries of Lambda are copied with their prime powers set to
+    0 (_weight), so the sum equals the sum over the same entries of a
+    theta table bit for bit.
     """
     b = _norm_residue(b, d)
     _check_x(x, tables)
-    row = tables.lam[b : x + 1 : d].copy()
-    pp = tables.prime_powers
-    pp = pp[(pp <= x) & (pp % d == b)]
-    row[(pp - b) // d] = 0.0
-    return float(row.sum())
+    return float(_weight(tables, x, True, b, d).sum())
 
 
 def psi_progression(x: int, d: int, b: int, tables: ArithTables) -> float:
     """Sum of Lambda(n) over n <= x with n = b (mod d)."""
     b = _norm_residue(b, d)
     _check_x(x, tables)
-    return float(tables.lam[: x + 1][b::d].sum())
+    return float(_weight(tables, x, False, b, d).sum())
 
 
 def factorize(n: int, sieve: FactorSieve) -> list[tuple[int, int]]:
     """Prime factorization of n as [(p, exponent)] with p ascending."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > sieve.limit:
-        raise TableRangeError(f"n = {n} exceeds sieve limit {sieve.limit}")
+    sieve._check(n)
     out: list[tuple[int, int]] = []
     while n > 1:
         p = int(sieve.spf[n])

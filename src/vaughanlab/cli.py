@@ -248,7 +248,10 @@ def _tables_for(limit: int) -> ArithTables:
 
 @functools.lru_cache(maxsize=1)
 def _fr_for(limit: int, r: float) -> FRConfig:
-    return FRConfig(R=r, tables=_tables_for(limit))
+    """The F_R config with its table built: every command that takes one reads the table."""
+    cfg = FRConfig(R=r, tables=_tables_for(limit))
+    cfg.table()
+    return cfg
 
 
 def _usage(check, *args):
@@ -360,7 +363,7 @@ def _table_bytes(held: list) -> int:
 
 
 def _set_up(derived: dict, x: int, r: float | None = None) -> tuple[ArithTables, FRConfig | None]:
-    """The tables for x and, given R, the F_R config, timed into derived["tables_s"]."""
+    """The tables for x and, given R, the F_R config and its table, timed into derived["tables_s"]."""
     t0 = time.perf_counter()
     fr = _fr_for(x, r) if r is not None else None
     tables = fr.tables if fr is not None else _tables_for(x)

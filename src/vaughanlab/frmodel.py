@@ -43,6 +43,7 @@ from .arith import (
     _SEGMENT,
     _check_x,
     _norm_residue,
+    _weight,
     divisors,
     is_squarefree,
     mu_of,
@@ -159,18 +160,21 @@ class FRConfig:
     - the divisor-form weights coef[d] = d*mu(d)/phi(d) * g_R(d), built at
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
-      table(), and the read-only residual square (Lambda(n) - F_R(n))^2 over
-      the same range.  Each costs 8 bytes per n: 80 MB apiece at a limit of
-      10^7, 800 MB at 10^8;
+      table(), and the residual square (Lambda(n) - F_R(n))^2 over the same
+      range, built (from _weight) by the first theorem-3 class of more than
+      64 terms; a shorter class squares its own residuals and leaves it
+      unbuilt.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
+      800 MB at 10^8;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m) and the class sums
       folded from them per (x, v), from which variance.delta_sq_progression
-      reads each class;
+      reads each class of more than 64 terms;
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
-    Both caches refer to arrays or to the tables, never to the config, so
-    dropping the config frees its arrays at once.
+    Every array it hands out (the weights, the table, the square and the
+    sums) is read-only.  Both caches refer to arrays or to the tables, never
+    to the config, so dropping the config frees its arrays at once.
 
     Thread safety: concurrent calls may share a config.  Both caches are
     thread-safe, and if two threads race on an unbuilt table or sum each may
@@ -209,10 +213,11 @@ class FRConfig:
                 continue
             g = _coprime_mu2_over_phi(self.R / d, d, self.tables)
             coef[d] = d * int(mu[d]) / float(phi[d]) * g
+        coef.setflags(write=False)
         return coef
 
     def table(self) -> np.ndarray:
-        """Dense F_R values over [0, tables.limit]; index 0 is 0.
+        """Read-only dense F_R values over [0, tables.limit]; index 0 is 0.
 
         Entry n is the sum of coef[d] over d | n, added in ascending d.  The
         additions run over ascending segments [lo, lo + _SEGMENT) of the
@@ -229,13 +234,14 @@ class FRConfig:
                 hi = min(lo + _SEGMENT, limit + 1)
                 for d, c in terms:
                     t[-(-max(lo, d) // d) * d : hi : d] += c
+            t.setflags(write=False)
             object.__setattr__(self, "_table", t)
         return self._table
 
     def _delta_sq_table(self) -> np.ndarray:
         """Read-only (Lambda(n) - F_R(n))^2 over [0, tables.limit]; index 0 is 0."""
         if self._delta_sq is None:
-            sq = self.tables.lam - self.table()
+            sq = _weight(self.tables, self.tables.limit, False, model=self.table())
             np.multiply(sq, sq, out=sq)
             sq.setflags(write=False)
             object.__setattr__(self, "_delta_sq", sq)
@@ -243,11 +249,7 @@ class FRConfig:
 
 
 def fr_value(n: int, cfg: FRConfig) -> float:
-    """F_R(n) by the divisor-form fast route."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cfg.tables.limit:
-        raise TableRangeError(f"n = {n} exceeds table limit {cfg.tables.limit}")
+    """F_R(n) by the divisor-form fast route; divisors checks 1 <= n <= limit."""
     s = 0.0
     for d in divisors(n, cfg.tables.sieve):
         if d > cfg.r_int:
@@ -295,20 +297,16 @@ def fr_table_naive(x: int, cfg: FRConfig) -> np.ndarray:
 
 
 def delta_value(n: int, cfg: FRConfig) -> float:
-    """Residual Lambda(n) - F_R(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cfg.tables.limit:
-        raise TableRangeError(f"n = {n} exceeds table limit {cfg.tables.limit}")
-    return float(cfg.tables.lam[n]) - fr_value(n, cfg)
+    """Residual Lambda(n) - F_R(n); fr_value checks n."""
+    fr = fr_value(n, cfg)
+    return float(cfg.tables.lam[n]) - fr
 
 
 def rho(x: int, d: int, b: int, cfg: FRConfig) -> float:
     """Model progression sum rho(x, d, b) = sum_{n <= x, n = b (mod d)} F_R(n)."""
     b = _norm_residue(b, d)
     _check_x(x, cfg.tables)
-    t = cfg.table()
-    return float(t[: x + 1][b::d].sum())
+    return float(cfg.table()[b : x + 1 : d].sum())
 
 
 def _check_class(v: int, N: int, limit: int) -> None:
@@ -386,9 +384,7 @@ def mobius_cr_identity(v: int, N: int, sieve: FactorSieve) -> tuple[Fraction, Fr
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
     phi_v = phi_of(v, sieve)
-    num = 0
-    for r, mu_r, w_r, cr in _cr_by_gcd(v, sieve):
-        num += mu_r * cr[math.gcd(N, r)] * w_r
+    num = sum(mu_r * cr[math.gcd(N, r)] * w_r for r, mu_r, w_r, cr in _cr_by_gcd(v, sieve))
     lhs = Fraction(num, phi_v)
     rhs = Fraction(v * delta_indicator(N, v), phi_v)
     if lhs != rhs:
@@ -409,9 +405,7 @@ def verify_mobius_cr_range(vmax: int, sieve: FactorSieve) -> int:
             continue
         data = _cr_by_gcd(v, sieve)
         for N in range(v + 1):
-            num = 0
-            for r, mu_r, w_r, cr in data:
-                num += mu_r * cr[math.gcd(N, r)] * w_r
+            num = sum(mu_r * cr[math.gcd(N, r)] * w_r for r, mu_r, w_r, cr in data)
             if num != v * delta_indicator(N, v):
                 raise ArithmeticError(f"identity failed at v={v}, N={N}")
             checked += 1

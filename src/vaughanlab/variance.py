@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, _check_x, divisors
+from .arith import ArithTables, _check_x, _weight, divisors
 from .constants import ConstantSet, ProductKind, _exact_sum, restricted_product
 from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
@@ -150,27 +150,6 @@ class ProgressionAccumulator:
     rho_buckets: np.ndarray
 
 
-def _weight_array(
-    weight: Weight, tables: ArithTables, x: int, model: np.ndarray | None = None
-) -> np.ndarray:
-    """The weight over [0, x], less model[: x + 1] when a model is given.
-
-    Only Lambda is stored.  The theta weight is Lambda with the prime powers
-    p^k, k >= 2, set to 0, so a theta array is Lambda's slice (minus the
-    model) with 0 (0.0 - model) stored at those few entries: one x-sized
-    array, bit for bit the stored-theta one, signed zeros included.  The psi
-    weight with no model is a view of tables.lam.
-    """
-    lam = tables.lam[: x + 1]
-    if model is None and weight is Weight.PSI:
-        return lam
-    w = lam.copy() if model is None else lam - model[: x + 1]
-    if weight is Weight.THETA:
-        pp = tables.prime_powers[tables.prime_powers <= x]
-        w[pp] = 0.0 if model is None else np.subtract(0.0, model[pp])
-    return w
-
-
 def _bucket_sums(arr: np.ndarray, x: int, d: int) -> np.ndarray:
     """Column sums of arr[0..x] laid out in rows of length d (residue buckets).
 
@@ -190,10 +169,9 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     _check_x(x, cfg.tables)
-    w = _weight_array(weight, cfg.tables, x)
     return ProgressionAccumulator(
         d=d,
-        theta_buckets=_bucket_sums(w, x, d),
+        theta_buckets=_bucket_sums(_weight(cfg.tables, x, weight is Weight.THETA), x, d),
         rho_buckets=_bucket_sums(cfg.table(), x, d),
     )
 
@@ -505,7 +483,7 @@ def _band_run(
     _check_band(x, q, q_low)
     threads = _thread_count(threads)
     t0 = time.perf_counter()
-    diff = _weight_array(weight, tables, x, None if cfg is None else cfg.table())
+    diff = _weight(tables, x, weight is Weight.THETA, model=None if cfg is None else cfg.table())
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
     if _lag_route(len(moduli), x):
         empirical = _lag_band_sum(moduli, x, diff, restriction, tables)
@@ -627,23 +605,25 @@ def _class_sums(x: int, v: int, cfg: FRConfig) -> np.ndarray:
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
-    The squares come from the config's cached residual square (built on the
-    first call, 8 bytes per n up to tables.limit, kept with the config).
-    A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) is the np.sum of
-    its strided entries of the square and adds no cache entry, so a large v
-    reads its x/v terms, not a pass over the square's rows; in any order a
-    term of n <= 64 meets at most n - 1 roundings.  Any other class reads
-    entry N mod v of _class_sums, whose sums the config also keeps, so all
-    moduli that share a row length cost one blocked pass over the square;
-    a term meets at most 64 + log2(k) + log2(m/v) + 54 roundings there, k
-    the blocks of rows (_column_sums and the fold).  The summation order is
-    fixed, so the result is deterministic, and, the terms being nonnegative,
-    it is within that many units of 2^-53 of their sum of the math.fsum of
-    the same squares.
+    A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) takes its x/v
+    residuals from Lambda and the config's F_R table (_weight), squares them
+    and returns their np.sum: it builds no residual square and adds no cache
+    entry, and in any order each of its n <= 64 terms meets at most n - 1
+    roundings.  Any other class reads entry N mod v of _class_sums, folded
+    from the blocked column sums of the config's cached residual square
+    (built on the first such call, 8 bytes per n up to tables.limit); the
+    config keeps both sums, so all moduli that share a row length cost one
+    blocked pass over the square, and a term meets at most 64 + log2(k) +
+    log2(m/v) + 54 roundings, k the blocks of rows (_column_sums and the
+    fold).  The summation order is fixed, so the result is deterministic,
+    and, the terms being nonnegative, it is within that many units of 2^-53
+    of their sum of the math.fsum of the same squares.  Either way a square
+    is the same float as the square's entry.
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:
-        return float(cfg._delta_sq_table()[start : x + 1 : v].sum())
+        diff = _weight(cfg.tables, x, False, start, v, cfg.table())
+        return float(np.multiply(diff, diff, out=diff).sum())
     return float(_class_sums(x, v, cfg)[N % v])
 
 

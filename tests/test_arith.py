@@ -1,6 +1,8 @@
 """Sieve, table, and progression-sum tests."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from pytest import approx, raises
 
 from vaughanlab import (
+    FactorSieve,
     TableRangeError,
     build_sieve,
     build_tables,
@@ -21,7 +24,7 @@ from vaughanlab import (
     theta_progression,
 )
 from vaughanlab import arith
-from vaughanlab.arith import mu_of, phi_of, prime_array
+from vaughanlab.arith import _weight, mu_of, phi_of, prime_array
 from vaughanlab.constants import constant_set
 from vaughanlab.constants import prime_array as constants_prime_array
 
@@ -84,6 +87,66 @@ def test_prime_arrays_are_read_only():
         assert not arr.flags.writeable
         with raises(ValueError):
             arr[0] = 3
+
+
+def _table_arrays(tables):
+    return (tables.sieve.spf, tables.sieve.primes(), tables.lam, tables.mu, tables.phi, tables.prime_powers)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 100, 2_000, 10**5 + 3])
+def test_hand_built_sieve_takes_the_primes_its_spf_implies(limit):
+    # a sieve built from a bare spf table finds its primes (spf[n] == n,
+    # n >= 2) and builds the same tables as build_sieve's
+    built = build_sieve(limit)
+    spf = built.spf.copy()
+    sieve = FactorSieve(limit, spf)
+    primes = sieve.primes()
+    assert sieve.primes() is primes and not primes.flags.writeable
+    assert primes.dtype == built.primes().dtype and primes.tobytes() == built.primes().tobytes()
+    assert not sieve.spf.flags.writeable and sieve.spf.tobytes() == built.spf.tobytes()
+    got, want = build_tables(sieve), build_tables(built)
+    for a, b in zip(_table_arrays(got), _table_arrays(want)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), limit
+
+
+def test_table_arrays_are_read_only(tables_small):
+    # every array a sieve and a table set hand out refuses writes, copies
+    # and pickles included, which rebuild the same arrays
+    t = tables_small
+    for tables in (t, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        for arr, want in zip(_table_arrays(tables), _table_arrays(t)):
+            assert not arr.flags.writeable
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+            with raises(ValueError):
+                arr[1] = arr[0]
+    assert t.theta.flags.writeable  # a fresh array on every access
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_weight_matches_stored_theta_and_psi_in_every_class(tables_small, with_model):
+    # _weight at n = b, b + d, ... <= x, for every b in [0, d], equals the
+    # same entries of the stored theta table and of Lambda, less the model,
+    # bit for bit; the model carries both signed zeros, also at prime powers
+    t = tables_small
+    n = np.arange(t.limit + 1)
+    stored = {True: np.where(t.sieve.spf == n, t.lam, 0.0), False: np.asarray(t.lam)}
+    model = None
+    if with_model:
+        model = np.random.default_rng(11).standard_normal(t.limit + 1)
+        model[::5], model[::7] = 0.0, -0.0
+    for x in (t.limit, 1369, 1368, 1024, 1023, 30, 0):
+        for d in (*range(1, 14), 37, 1024, t.limit):
+            for b in range(d + 1):
+                for theta in (True, False):
+                    got = _weight(t, x, theta, b, d, model)
+                    want = stored[theta][b : x + 1 : d]
+                    if model is not None:
+                        want = want - model[b : x + 1 : d]
+                    assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (x, d, b, theta)
+    # Lambda alone is a read-only view of the table; the rest are fresh arrays
+    assert np.shares_memory(_weight(t, 100, False, 1, 3), t.lam) and not _weight(t, 100, False).flags.writeable
+    assert not np.shares_memory(_weight(t, 100, True), t.lam)
+    assert not np.shares_memory(_weight(t, 100, False, model=n.astype(float)), t.lam)
 
 
 @settings(deadline=None)

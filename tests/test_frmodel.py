@@ -200,6 +200,15 @@ def test_delta_value_is_lambda_minus_model(cfg50_small, tables_small):
     for n in (1, 2, 8, 97, 210):
         want = float(tables_small.lam[n]) - fr_value(n, cfg50_small)
         assert delta_value(n, cfg50_small) == approx(want, abs=1e-12)
+    # both check n through divisors before reading any table
+    limit = tables_small.limit
+    for call in (fr_value, delta_value):
+        assert call(limit, cfg50_small) == call(limit, cfg50_small)
+        for n in (0, -1):
+            with raises(ValueError, match=">= 1"):
+                call(n, cfg50_small)
+        with raises(TableRangeError, match="exceeds"):
+            call(limit + 1, cfg50_small)
 
 
 def test_rho_partition_and_frozen(cfg50_small, cfg50_1e4):
@@ -331,6 +340,18 @@ def test_configs_over_distinct_tables_compare_by_table_identity():
     cfg = FRConfig(R=10, tables=t)
     assert (cfg == FRConfig(R=10, tables=u)) is False
     assert cfg == cfg and cfg == FRConfig(R=10, tables=t)
+
+
+def test_config_arrays_are_read_only(tables_small):
+    # a write to the F_R table would leave the cached class sums on the old
+    # values while later bands read the new ones; every array refuses it
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table()):
+        before = arr.copy()
+        assert not arr.flags.writeable
+        with raises(ValueError):
+            arr[7] = 123.0
+        assert arr.tobytes() == before.tobytes()
 
 
 def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):

@@ -44,6 +44,7 @@ from vaughanlab import (
     vaughan_prediction,
 )
 from vaughanlab import frmodel, variance
+from vaughanlab.arith import _weight
 from vaughanlab.frmodel import _coprime_mu2_over_phi, delta_indicator, fr_square_progression_mean
 from vaughanlab.variance import (
     _LAG_MODULI_PER_LOG2_X,
@@ -59,7 +60,6 @@ from vaughanlab.variance import (
     _row_weights,
     _smooth_size,
     _theorem3_budget,
-    _weight_array,
 )
 
 
@@ -172,7 +172,7 @@ VARIANCE_SUM_MODES = [r for r in LAG_ORACLE_MODES if r.mode is not Mode.BDH]
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
 def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     x = 2_000
-    w = _weight_array(weight, cfg10_small.tables, x)
+    w = _weight(cfg10_small.tables, x, weight is Weight.THETA)
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     for q_low, q in LAG_ORACLE_BANDS:
         moduli = range(math.floor(q_low) + 1, q + 1)
@@ -286,7 +286,7 @@ BDH_ROW_BANDS = ((0, 300), (0, 2_000), (7, 31), (20, 120), (333, 700), (850, 1_4
 def _bdh_row_weight(weight, tables, x):
     """The weight's array over [0, x], or for "noise" a random weight on the prime powers up to x."""
     if weight != "noise":
-        return _weight_array(weight, tables, x)
+        return _weight(tables, x, weight is Weight.THETA)
     return np.where(tables.lam[: x + 1] != 0, np.random.default_rng(19).standard_normal(x + 1), 0.0)
 
 
@@ -334,7 +334,7 @@ def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
     pp = tables_1e4.lam[: x + 1] != 0
     noise = np.where(pp, np.random.default_rng(7).standard_normal(x + 1) * 1e3, 0.0)
     primes = tables_1e4.sieve.primes()
-    for w in (_weight_array(Weight.THETA, tables_1e4, x), tables_1e4.lam[: x + 1], noise):
+    for w in (_weight(tables_1e4, x, True), tables_1e4.lam[: x + 1], noise):
         for q in (1, 2, 3, 4, 49, 120, 2_500, 2_501, 9_999, x):
             got = _coprime_first_moments(w, q, primes)
             assert got.tobytes() == _coprime_first_moments_loop(w, q, primes).tobytes(), q
@@ -1018,6 +1018,46 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
     fresh = FRConfig(R=50.0, tables=tables_1e5)
     delta_sq_progression(tables_1e5.limit, 2003, 1, fresh)
     assert not fresh._sums._arrays
+
+
+# (x, v, N) classes of at most 64 terms (x < 64 v, v squarefree): the last
+# ones at x = 64 v - 1, one term, one past x (empty), and every N mod v
+_SHORT_CLASSES = (
+    (10**5, 1563, 1), (10**5, 1563, 0), (64_063, 1001, 1000), (64_063, 1001, 1001), (10**5, 2003, 7),
+    (10**5, 99_991, 5), (10**5, 99_991, 0), (10**5, 99_998, 3), (5, 6, 0), (6, 6, 0), (1000, 997, 998),
+)
+
+
+def test_short_class_squares_its_own_residuals(tables_1e5):
+    # a class of at most 64 terms equals, bit for bit, the strided sum of
+    # the whole residual square, and neither builds that square nor caches
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    sq = tables_1e5.lam - cfg.table()
+    np.multiply(sq, sq, out=sq)
+    for x, v, N in _SHORT_CLASSES:
+        assert x < variance._BLOCK_ROWS * v and tables_1e5.mu[v] != 0, (x, v)
+        start = N % v or v
+        want = float(sq[start : x + 1 : v].sum())
+        assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
+    assert cfg._delta_sq is None
+    assert not cfg._sums._arrays
+
+
+def test_short_class_holds_only_its_terms(tables_1e5):
+    # with the F_R table built, as every theorem3 run builds it, a class of
+    # at most 64 terms allocates its x/v residuals and a few objects, not
+    # the 8 bytes per n of the residual square
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    cfg.table()
+    for x, v, N in _SHORT_CLASSES:
+        tracemalloc.start()
+        try:
+            delta_sq_progression(x, v, N, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (x // v + 1) + 4096, (x, v, N, peak)
+    assert cfg._delta_sq is None
 
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
