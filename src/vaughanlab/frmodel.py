@@ -306,7 +306,8 @@ def rho(x: int, d: int, b: int, cfg: FRConfig) -> float:
     """Model progression sum rho(x, d, b) = sum_{n <= x, n = b (mod d)} F_R(n)."""
     b = _norm_residue(b, d)
     _check_x(x, cfg.tables)
-    return float(cfg.table()[b : x + 1 : d].sum())
+    t = cfg.table()
+    return float(t[: x + 1][b::d].sum())
 
 
 def _check_class(v: int, N: int, limit: int) -> None:
