@@ -1,12 +1,14 @@
 """Sieve-backed arithmetic tables.
 
 Provides:
+- _primes_upto: the one prime enumerator, an odd-only wheel sieve struck in
+  cache-sized segments by its own primes <= sqrt(n); every prime list of the
+  package comes from it
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
-  struck in cache-sized segments by the primes <= sqrt(limit) (from the sieve
-  of [2, sqrt(limit)]) in descending order, with the array of the primes it
-  found
-- prime_array: the primes <= cutoff from an odd-only sieve, for the prime sums
-  and products of the constants layer
+  struck in cache-sized segments by the primes <= sqrt(limit) in descending
+  order, keeping the enumerator's array of the primes <= limit
+- prime_array: the enumerator's primes <= cutoff, read-only and cached for the
+  last cutoff, for the prime sums and products of the constants layer
 - ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
   sieve's spf table and primes; mu and phi built in ascending blocks of n by
   one recurrence from n / spf(n), on the sieve's segment grid, Lambda stored
@@ -19,8 +21,8 @@ Provides:
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
 
-Tables are built once and hand out read-only arrays; readers may share them
-freely across threads.
+Sieves and tables are frozen and hand out read-only arrays; readers may share
+them freely across threads.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,17 +56,17 @@ class TableRangeError(ValueError):
     """An argument exceeds the range covered by a precomputed table."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class FactorSieve:
     """Smallest-prime-factor table over [2, limit].
 
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
     prime.  Entries 0 and 1 hold the sentinel 0.  The sieve keeps its primes,
-    8 bytes per prime, which primes() returns: build_sieve hands over those
-    it found, and a sieve built from a bare spf table takes the n >= 2 with
-    spf[n] == n.  The sieve makes both arrays read-only.  Sieves compare by
-    identity, not by their arrays; a copy or a pickle rebuilds one from its
-    arrays.
+    8 bytes per prime, which primes() returns: build_sieve hands over the
+    enumerator's array it struck with, and a sieve built from a bare spf
+    table takes the n >= 2 with spf[n] == n.  The sieve is frozen and makes
+    both arrays read-only.  Sieves compare by identity, not by their arrays;
+    a copy or a pickle rebuilds one from its arrays.
     """
 
     limit: int
@@ -72,7 +75,7 @@ class FactorSieve:
 
     def __post_init__(self) -> None:
         if self._primes is None:
-            self._primes = np.flatnonzero(self.spf[2:] == np.arange(2, self.limit + 1)) + 2
+            object.__setattr__(self, "_primes", np.flatnonzero(self.spf[2:] == np.arange(2, self.limit + 1)) + 2)
         for a in (self.spf, self._primes):
             a.setflags(write=False)
 
@@ -102,32 +105,25 @@ _WHEEL = math.prod(_WHEEL_PRIMES)
 
 
 def _odd_sieve(cutoff: int) -> np.ndarray:
-    """The odd-only sieve of prime_array: entry i is set when 2i + 1 <= cutoff is 1 or prime.
+    """The odd-only sieve of _primes_upto: entry i is set when 2i + 1 <= cutoff is 1 or prime.
 
-    One period of _WHEEL slots with the odd multiples of 3, 5, 7, 11 and 13
-    struck is tiled over the (cutoff + 1) // 2 slots, and the wheel primes
-    themselves are set again.  The sieving primes from 17 to sqrt(cutoff)
-    are read off the head of the sieve once the primes up to its own square
-    root have struck it; then every segment of _ODD_SEGMENT slots (1 MB, so
-    it stays in L2) is struck by the primes whose squares lie below its end,
-    each from max(p^2, its first odd multiple in the segment).
+    One period of _WHEEL slots (or the whole sieve, if shorter) with the odd
+    multiples of 3, 5, 7, 11 and 13 struck is tiled over the (cutoff + 1) // 2
+    slots, and the wheel primes themselves are set again.  The sieving primes
+    from 17 to sqrt(cutoff) are _primes_upto(isqrt(cutoff))'s, so below 17^2
+    the enumerator does not recurse; every segment of _ODD_SEGMENT slots
+    (1 MB, so it stays in L2) is struck by those whose squares lie below its
+    end, each from max(p^2, its first odd multiple in the segment).
     """
     size = (cutoff + 1) // 2
-    wheel = np.ones(_WHEEL, dtype=bool)
+    wheel = np.ones(min(size, _WHEEL), dtype=bool)
     for p in _WHEEL_PRIMES:
         wheel[p // 2 :: p] = False
-    odd = np.empty(size, dtype=bool)
-    whole = size - size % _WHEEL
-    odd[:whole].reshape(-1, _WHEEL)[:] = wheel
-    odd[whole:] = wheel[: size - whole]
+    odd = np.resize(wheel, size)  # repeated copies of the wheel
     odd[[p // 2 for p in _WHEEL_PRIMES if p // 2 < size]] = True
     root = math.isqrt(cutoff)
-    head = odd[: (root + 1) // 2]  # the odd numbers <= sqrt(cutoff)
-    past = _WHEEL_PRIMES[-1] // 2 + 1  # the first slot past the wheel primes
-    for i in range(past, (math.isqrt(root) + 1) // 2):  # p = 2i + 1 while p^2 <= sqrt(cutoff)
-        if head[i]:
-            head[i * (2 * i + 2) :: 2 * i + 1] = False  # from p^2, at slot (p^2 - 1) / 2
-    sieving = (2 * np.flatnonzero(head[past:]) + 2 * past + 1).tolist()
+    # The first six primes are 2 and the wheel's; below 17^2 none is left to strike.
+    sieving = _primes_upto(root)[len(_WHEEL_PRIMES) + 1 :].tolist() if root >= 17 else []
     for lo in range(0, size, _ODD_SEGMENT):
         hi = min(lo + _ODD_SEGMENT, size)
         for p in sieving:
@@ -140,28 +136,43 @@ def _odd_sieve(cutoff: int) -> np.ndarray:
     return odd
 
 
-@functools.lru_cache(maxsize=1)
-def prime_array(cutoff: int) -> np.ndarray:
-    """All primes <= cutoff as a read-only ascending int64 array, via an odd-only sieve.
+def _primes_upto(n: int) -> np.ndarray:
+    """All primes <= n as a fresh ascending int64 array, empty for n < 2: the one prime enumerator.
 
-    Entry i of the sieve (_odd_sieve, (cutoff + 1) // 2 bools) stands for
-    the odd number 2i + 1.  Entry 0 (the number 1) is never struck and its
-    slot in the result becomes the prime 2.
+    Every prime list of the package comes from here: prime_array caches it,
+    build_sieve strikes with it and keeps it, and _odd_sieve takes its
+    sieving primes from it at sqrt(n).  Entry i of the odd sieve
+    (_odd_sieve, (n + 1) // 2 bools) stands for the odd number 2i + 1;
+    entry 0 (the number 1) is never struck and its slot in the result
+    becomes the prime 2.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    primes = np.flatnonzero(_odd_sieve(cutoff)).astype(np.int64, copy=False)
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    primes = np.flatnonzero(_odd_sieve(n)).astype(np.int64, copy=False)
     primes *= 2
     primes += 1
     primes[0] = 2
+    return primes
+
+
+@functools.lru_cache(maxsize=1)
+def prime_array(cutoff: int) -> np.ndarray:
+    """All primes <= cutoff as a read-only ascending int64 array: _primes_upto(cutoff), cached for the last cutoff.
+
+    The constants layer reads it; build_sieve does not, so the tables and
+    the constants never evict each other's entry.
+    """
+    if cutoff < 2:
+        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    primes = _primes_upto(cutoff)
     primes.setflags(write=False)
     return primes
 
 
 def _check_limit(limit: int) -> None:
-    """The range of the sieve and the tables: 2 <= limit < 2^31, the int32 spf table."""
-    if not 2 <= limit < 2**31:
-        raise ValueError(f"x must satisfy 2 <= x < 2^31 (the int32 sieve), got {limit}")
+    """The range of the sieve and the tables: an integer, numpy's included, with 2 <= limit < 2^31 (int32 spf)."""
+    if not isinstance(limit, numbers.Integral) or not 2 <= limit < 2**31:
+        raise ValueError(f"x must be an integer with 2 <= x < 2^31 (the int32 sieve), got {limit!r}")
 
 
 # Length of one segment of the sieve and of the F_R table, and the largest block
@@ -177,14 +188,15 @@ _ODD_SEGMENT = 4 * _SEGMENT
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
 
-    The sieving primes, those <= sqrt(limit), are build_sieve(isqrt(limit))'s
-    (none when isqrt(limit) < 2).  Every segment [lo, lo + _SEGMENT), from
-    lo = 0, is struck by its primes with p^2 < hi in descending order, with
-    plain stores from max(p^2, the first multiple >= lo) and no mask.  The
-    smallest prime p dividing a composite n has p^2 <= n, so p strikes n and
-    writes it last: an entry ends as in one pass per prime over the whole
-    table.  The entries left empty at the end, the primes <= limit, are
-    handed to the sieve as its primes.
+    The primes <= limit are _primes_upto(limit)'s, not prime_array's, so
+    the constants' cached cutoff stays in place.  Every segment
+    [lo, lo + _SEGMENT), from lo = 0, is struck by the primes <= sqrt(limit)
+    with p^2 < hi in descending order, with plain stores from max(p^2, the
+    first multiple >= lo) and no mask.  The smallest prime p dividing a
+    composite n has p^2 <= n, so p strikes n and writes it last: an entry
+    ends as in one pass per prime over the whole table.  No strike reaches a
+    prime, so spf[p] = p is stored for every prime at the end, and the
+    array of the primes is handed to the sieve as its primes.
 
     Args:
         limit: inclusive upper bound, in [2, 2^31) (_check_limit).
@@ -193,22 +205,20 @@ def build_sieve(limit: int) -> FactorSieve:
         FactorSieve with spf filled for every n in [2, limit] and its primes kept.
     """
     _check_limit(limit)
+    primes = _primes_upto(limit)
+    sieving = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist()
+    squares = [p * p for p in sieving]
     spf = np.zeros(limit + 1, dtype=np.int32)
-    root = math.isqrt(limit)
-    primes = build_sieve(root).primes().tolist() if root >= 2 else []
-    squares = [p * p for p in primes]
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         # Only the primes with p^2 < hi have a multiple from their square on in [lo, hi).
-        for p in reversed(primes[: bisect.bisect_left(squares, hi)]):
+        for p in reversed(sieving[: bisect.bisect_left(squares, hi)]):
             spf[max(p * p, -(-lo // p) * p) : hi : p] = p
-    # Untouched entries >= 2 have no prime factor <= sqrt(limit): they are prime.
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return FactorSieve(limit=limit, spf=spf, _primes=rest)
+    spf[primes] = primes
+    return FactorSieve(limit=limit, spf=spf, _primes=primes)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ArithTables:
     """Dense arithmetic-function tables over [0, limit].
 
@@ -221,12 +231,13 @@ class ArithTables:
             only n where Lambda and theta differ.
         sieve: the FactorSieve the tables were built from.
 
-    The table set makes its arrays read-only.  theta, log n at primes and 0
-    elsewhere (the weight of the theta sums), is not stored: the property
-    derives it from lam (_weight), allocating limit + 1 float64s on every
-    access.  Table sets compare by identity, not by their arrays, so configs
-    built on them (FRConfig) compare without raising; a copy or a pickle
-    rebuilds one from its arrays.
+    The table set is frozen and makes its arrays read-only, so neither a
+    field nor an entry can change under a config built on it.  theta, log n
+    at primes and 0 elsewhere (the weight of the theta sums), is not stored:
+    the property derives it from lam (_weight), allocating limit + 1 float64s
+    on every access.  Table sets compare by identity, not by their arrays,
+    so configs built on them (FRConfig) compare without raising; a copy or a
+    pickle rebuilds one from its arrays.
     """
 
     limit: int

@@ -169,19 +169,6 @@ _COMMANDS = {
 }
 
 
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Serialize as the flat key = value file format parsed by config_from_text."""
-    lines = []
-    for f in dataclasses.fields(ExperimentConfig):
-        val = getattr(cfg, f.name)
-        if val is None:
-            continue
-        if isinstance(val, list):
-            val = ",".join(str(v) for v in val)
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"
-
-
 def config_from_text(text: str) -> ExperimentConfig:
     known = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     kwargs: dict = {}

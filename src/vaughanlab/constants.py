@@ -6,15 +6,17 @@ over enumerated primes up to an explicit cutoff, and every truncated quantity
 carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
-The primes come from arith.prime_array, an odd-only sieve of (cutoff + 1) // 2
-bools, tiled from a struck period of the primes up to 13 and struck by the rest
-segment by segment, whose read-only int64 result is cached for the last cutoff,
-one per run.  Each prime sum or product takes a fresh float64 copy of them and
+The primes come from arith.prime_array, the read-only int64 result of the
+package's one prime enumerator (arith._primes_upto, an odd-only sieve of
+(cutoff + 1) // 2 bools, tiled from a struck period of the primes up to 13 and
+struck by the rest segment by segment), cached for the last cutoff, one per
+run.  Each prime sum or product takes a fresh float64 copy of them and
 builds its terms in place in one further buffer, so at cutoff 10^7 (664,579
 primes) a call holds two 5.3 MB temporaries.  logp_sum adds its terms by
 _exact_sum, whose levels reuse those two buffers and whose value is math.fsum's
 bit for bit.  euler_gamma is computed once per process, and restricted_product
-keeps its 128 most recent results (functools.lru_cache).
+keeps its 128 most recent results (functools.lru_cache, typed, so a float
+cutoff equal to a cached integer one still reaches _check_cutoff).
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +60,12 @@ __all__ = [
 
 
 def _check_cutoff(prime_cutoff: int) -> None:
-    """The prime cutoff: at least 10, where the tail bounds hold, and below 2^31 like the sieve limit.
+    """The prime cutoff: an integer, numpy's included, at least 10, where the tail bounds hold, and below 2^31.
 
-    The cap bounds the odd-only sieve of prime_array by 1 GiB.
+    The cap, the sieve limit's, bounds the odd-only sieve of prime_array by 1 GiB.
     """
-    if not 10 <= prime_cutoff < 2**31:
-        raise ValueError(f"prime cutoff must satisfy 10 <= cutoff < 2^31, got {prime_cutoff}")
+    if not isinstance(prime_cutoff, numbers.Integral) or not 10 <= prime_cutoff < 2**31:
+        raise ValueError(f"prime cutoff must be an integer with 10 <= cutoff < 2^31, got {prime_cutoff!r}")
 
 
 def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
@@ -274,7 +277,7 @@ def _primes_of_n(N: int, prime_cutoff: int) -> list[int]:
     return pf
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)
 def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> RestrictedProduct:
     """Evaluate the truncated Euler product, omitting primes dividing N.
 

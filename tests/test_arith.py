@@ -1,6 +1,7 @@
 """Sieve, table, and progression-sum tests."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -36,6 +37,16 @@ def brute_divisors(n):
 def test_build_sieve_rejects_tiny_limit():
     with raises(ValueError):
         build_sieve(1)
+
+
+def test_build_sieve_takes_integer_limits_only():
+    # A float limit names itself in the error instead of failing inside numpy;
+    # numpy's integers are integers.
+    for bad in (1e5, 1000.0, np.float64(1000), "1000", None):
+        with raises(ValueError, match="integer"):
+            build_sieve(bad)
+    got, want = build_sieve(np.int64(1000)), build_sieve(1000)
+    assert got.spf.tobytes() == want.spf.tobytes() and got.primes().tobytes() == want.primes().tobytes()
 
 
 def test_spf_is_smallest_prime_factor(tables_small):
@@ -87,6 +98,21 @@ def test_prime_arrays_are_read_only():
         assert not arr.flags.writeable
         with raises(ValueError):
             arr[0] = 3
+
+
+def test_sieve_and_tables_are_frozen():
+    # No field of a sieve or a table set can be replaced, copies and pickles
+    # included, so a config built on the tables cannot keep sums of arrays
+    # the tables no longer hold.
+    t = build_tables(build_sieve(200))
+    for tables in (t, copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        for obj in (tables, tables.sieve):
+            for f in dataclasses.fields(obj):
+                with raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+        for arr, want in zip(_table_arrays(tables), _table_arrays(t)):
+            assert not arr.flags.writeable
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
 
 
 def _table_arrays(tables):
@@ -436,6 +462,22 @@ def test_build_sieve_adds_no_prime_array_cutoff():
     constant_set(10**6)
     # One miss, for the constants cutoff.
     assert prime_array.cache_info().misses == 1
+
+
+def test_build_sieve_calls_neither_itself_nor_prime_array(monkeypatch):
+    # Every prime list comes from the one enumerator: build_sieve strikes with
+    # and keeps _primes_upto(limit), with no sieve at sqrt(limit) and no
+    # cached prime_array.
+    build = arith.build_sieve
+
+    def no_call(*args):
+        pytest.fail(f"build_sieve called another sieve with {args}")
+
+    monkeypatch.setattr(arith, "build_sieve", no_call)
+    monkeypatch.setattr(arith, "prime_array", no_call)
+    for limit in (2, 3, 4, 24, 25, 1000, 10**5):
+        sieve = build(limit)
+        assert sieve.primes().tobytes() == _mask_primes(sieve).tobytes(), limit
 
 
 def test_theta_is_lambda_off_the_prime_powers(tables_small):

@@ -43,7 +43,6 @@ from vaughanlab.cli import (
     _resolve_weight,
     _sha256,
     config_from_text,
-    config_to_text,
     main,
     report,
 )
@@ -61,12 +60,36 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_config_round_trip():
-    cfg = ExperimentConfig(
-        command="vaughan", x=10_000, q=500, r=10.0, q_low="auto", v_list=[1, 2, 6], threads=2
+def test_config_file_parses_every_key():
+    # A hand-written file that sets every key, each through its own parser,
+    # parses to the config it spells out.
+    text = """
+        command = theorem4
+        # a comment, then every setting with its own spacing
+        x = 10000
+        q=500
+        b_exp = 2.5
+        r = 10
+        g_exp =  1.5
+        n_shift = 30
+        v_list = 1, 2,6,
+        prime_cutoff = 100000
+        q_low = auto
+        weight = psi
+        threads = 2
+        scale = quick
+        output_dir = runs/a b
+        format = json
+    """
+    cfg = config_from_text(text)
+    assert cfg == ExperimentConfig(
+        command="theorem4", x=10_000, q=500, b_exp=2.5, r=10.0, g_exp=1.5, n_shift=30, v_list=[1, 2, 6],
+        prime_cutoff=100_000, q_low="auto", weight="psi", threads=2, scale="quick", output_dir="runs/a b",
+        format="json",
     )
-    back = config_from_text(config_to_text(cfg))
-    assert back == cfg
+    set_keys = {line.partition("=")[0].strip() for line in text.splitlines() if "=" in line and "#" not in line}
+    assert set_keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert [type(getattr(cfg, k)) for k in ("x", "r", "b_exp", "v_list")] == [int, float, float, list]
 
 
 def test_config_parse_errors():

@@ -147,6 +147,23 @@ def test_prime_cutoff_is_capped_before_any_sieve(monkeypatch):
             t_of_n(2, cutoff)
 
 
+def test_prime_cutoff_is_an_integer():
+    # A float cutoff names itself in the error instead of failing inside
+    # numpy; numpy's integers are integers.
+    for bad in (1e6, 1000.0, np.float64(1000)):
+        with raises(ValueError, match="integer"):
+            logp_sum(bad)
+        with raises(ValueError, match="integer"):
+            constant_set(bad)
+        for kind in ProductKind:
+            with raises(ValueError, match="integer"):
+                restricted_product(kind, 2, bad)
+    assert logp_sum(np.int64(1000)) == logp_sum(1000)
+    assert restricted_product(ProductKind.P_PM1, 2, np.int64(1000)).value == restricted_product(
+        ProductKind.P_PM1, 2, 1000
+    ).value
+
+
 def test_t_of_n_frozen_and_flags():
     t1 = t_of_n(1)
     t2 = t_of_n(2)
@@ -233,7 +250,7 @@ def test_prime_array_matches_bit_sieve(monkeypatch):
         *(30030 * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
         # thresholds p^2 where a sieving prime starts to strike
         *(p * p + d for p in (17, 19, 23, 1009, 1013) for d in (-1, 0, 1)),
-        # p^4, where p starts to strike the head that lists the sieving primes
+        # p^4, where p starts to strike the enumerator's sieve at sqrt(cutoff)
         *(p**4 + d for p in (17, 19) for d in (-1, 0, 1)),
         # segment edges: slot j _ODD_SEGMENT is the number 2 j _ODD_SEGMENT + 1
         *(2 * j * seg + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
@@ -246,6 +263,28 @@ def test_prime_array_matches_bit_sieve(monkeypatch):
     for cutoff in range(2, 2001):
         _assert_prime_array_matches_bit_sieve(cutoff)
     prime_array.cache_clear()
+
+
+def _assert_enumerator_matches_bit_sieve(n):
+    got, want = arith._primes_upto(n), _bit_sieve_primes(n)
+    assert got.dtype == want.dtype == np.int64, n
+    assert got.tobytes() == want.tobytes(), n
+    return got
+
+
+def test_prime_enumerator_matches_bit_sieve(monkeypatch):
+    # n < 2 gives an empty int64 array; from 17^2 on the enumerator takes its
+    # sieving primes from itself at sqrt(n), and from 17^4 on at sqrt(sqrt(n)) too.
+    deep = [17**4 - 1, 17**4, 17**4 + 1, 19**4]
+    for n in [*range(3001), *deep]:
+        _assert_enumerator_matches_bit_sieve(n)
+    got = _assert_enumerator_matches_bit_sieve(3000)
+    assert got.flags.writeable and got is not arith._primes_upto(3000)  # fresh, uncached
+    # Segments of 7 slots put up to 214 segment edges below 3,000, and cut
+    # every level of the recursion.
+    monkeypatch.setattr(arith, "_ODD_SEGMENT", 7)
+    for n in [*range(3001), *deep]:
+        _assert_enumerator_matches_bit_sieve(n)
 
 
 # tracemalloc peak of the cold logp_sum(10**6) below at the parent of the
