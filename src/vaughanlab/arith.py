@@ -155,15 +155,16 @@ def _primes_upto(n: int) -> np.ndarray:
     return primes
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def prime_array(cutoff: int) -> np.ndarray:
     """All primes <= cutoff as a read-only ascending int64 array: _primes_upto(cutoff), cached for the last cutoff.
 
     The constants layer reads it; build_sieve does not, so the tables and
-    the constants never evict each other's entry.
+    the constants never evict each other's entry.  The cache is typed, so a
+    float cutoff reaches the integer check even when an equal int is cached.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+    if not isinstance(cutoff, numbers.Integral) or cutoff < 2:
+        raise ValueError(f"cutoff must be an integer >= 2, got {cutoff!r}")
     primes = _primes_upto(cutoff)
     primes.setflags(write=False)
     return primes

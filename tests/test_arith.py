@@ -100,21 +100,6 @@ def test_prime_arrays_are_read_only():
             arr[0] = 3
 
 
-def test_sieve_and_tables_are_frozen():
-    # No field of a sieve or a table set can be replaced, copies and pickles
-    # included, so a config built on the tables cannot keep sums of arrays
-    # the tables no longer hold.
-    t = build_tables(build_sieve(200))
-    for tables in (t, copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        for obj in (tables, tables.sieve):
-            for f in dataclasses.fields(obj):
-                with raises(dataclasses.FrozenInstanceError):
-                    setattr(obj, f.name, getattr(obj, f.name))
-        for arr, want in zip(_table_arrays(tables), _table_arrays(t)):
-            assert not arr.flags.writeable
-            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
-
-
 def _table_arrays(tables):
     return (tables.sieve.spf, tables.sieve.primes(), tables.lam, tables.mu, tables.phi, tables.prime_powers)
 
@@ -136,10 +121,16 @@ def test_hand_built_sieve_takes_the_primes_its_spf_implies(limit):
 
 
 def test_table_arrays_are_read_only(tables_small):
-    # every array a sieve and a table set hand out refuses writes, copies
-    # and pickles included, which rebuild the same arrays
+    # every array a sieve and a table set hand out refuses writes, and no
+    # field of either can be replaced (a config built on the tables would
+    # keep sums of arrays they no longer hold), copies and pickles included,
+    # which rebuild the same arrays
     t = tables_small
     for tables in (t, copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        for obj in (tables, tables.sieve):
+            for f in dataclasses.fields(obj):
+                with raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
         for arr, want in zip(_table_arrays(tables), _table_arrays(t)):
             assert not arr.flags.writeable
             assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()

@@ -150,7 +150,10 @@ def test_prime_cutoff_is_capped_before_any_sieve(monkeypatch):
 def test_prime_cutoff_is_an_integer():
     # A float cutoff names itself in the error instead of failing inside
     # numpy; numpy's integers are integers.
+    prime_array(1000)  # an equal int in the cache must not answer a float
     for bad in (1e6, 1000.0, np.float64(1000)):
+        with raises(ValueError, match="integer"):
+            prime_array(bad)
         with raises(ValueError, match="integer"):
             logp_sum(bad)
         with raises(ValueError, match="integer"):
