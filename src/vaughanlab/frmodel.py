@@ -112,9 +112,9 @@ def _check_r(R: float, limit: int | None = None) -> None:
 _G_CACHE = 1024
 
 # Float64 values (8 MB) that each config's cache of residual-square sums keeps:
-# the column sums per row length m and the class sums per modulus v that
-# variance.delta_sq_progression reads.  The 12 row lengths and 37 moduli of
-# the squarefree v <= 60 need about 32,000 of them.
+# the column sums per row length m, from which variance.delta_sq_progression
+# reads each class.  The 12 row lengths of the squarefree v <= 60 need
+# 30030 + 6 (17 + 19 + ... + 59) = 32,424 of them.
 _SUM_CACHE = 2**20
 
 
@@ -166,9 +166,9 @@ class FRConfig:
       unbuilt.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
       800 MB at 10^8;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
-      sums of the residual square per (x, row length m) and the class sums
-      folded from them per (x, v), from which variance.delta_sq_progression
-      reads each class of more than 64 terms;
+      sums of the residual square per (x, row length m), from which
+      variance.delta_sq_progression reads each class N mod v of more than
+      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...;
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 

@@ -584,24 +584,6 @@ def _column_sums(a: np.ndarray, m: int) -> np.ndarray:
     return sums
 
 
-def _class_sums(x: int, v: int, cfg: FRConfig) -> np.ndarray:
-    """Sums of the residual square over n <= x per class n = r (mod v), entry r; 1 <= _BLOCK_ROWS v <= x.
-
-    The column sums for the row length m = _row_length(x, v) are folded into
-    v sums by numpy's pairwise sum of the m/v columns of each class, along a
-    contiguous axis.  Both are kept in the config's cache, per (x, m) and
-    per (x, v), so each m is one pass over the square and each v one fold.
-    """
-    cache = cfg._sums
-
-    def fold() -> np.ndarray:
-        m = _row_length(x, v)
-        rows = cache.get(("rows", x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
-        return np.ascontiguousarray(rows.reshape(-1, v).T).sum(axis=1)
-
-    return cache.get(("classes", x, v), fold)
-
-
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
@@ -609,22 +591,26 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     residuals from Lambda and the config's F_R table (_weight), squares them
     and returns their np.sum: it builds no residual square and adds no cache
     entry, and in any order each of its n <= 64 terms meets at most n - 1
-    roundings.  Any other class reads entry N mod v of _class_sums, folded
-    from the blocked column sums of the config's cached residual square
-    (built on the first such call, 8 bytes per n up to tables.limit); the
-    config keeps both sums, so all moduli that share a row length cost one
-    blocked pass over the square, and a term meets at most 64 + log2(k) +
-    log2(m/v) + 54 roundings, k the blocks of rows (_column_sums and the
-    fold).  The summation order is fixed, so the result is deterministic,
-    and, the terms being nonnegative, it is within that many units of 2^-53
-    of their sum of the math.fsum of the same squares.  Either way a square
-    is the same float as the square's entry.
+    roundings.  Any other class reads the column sums of the row length
+    m = _row_length(x, v), a multiple of v, from the blocked pass over the
+    config's cached residual square (built on the first such call, 8 bytes
+    per n up to tables.limit), and returns the pairwise np.sum of its m/v
+    columns N mod v, N mod v + v, ...: the config keeps the m sums per
+    (x, m), so all moduli that share a row length cost one blocked pass over
+    the square, and a term meets at most 64 + log2(k) + log2(m/v) + 54
+    roundings, k the blocks of rows (_column_sums and the strided sum).  The
+    summation order is fixed, so the result is deterministic, and, the terms
+    being nonnegative, it is within that many units of 2^-53 of their sum of
+    the math.fsum of the same squares.  Either way a square is the same
+    float as the square's entry.
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:
         diff = _weight(cfg.tables, x, False, start, v, cfg.table())
         return float(np.multiply(diff, diff, out=diff).sum())
-    return float(_class_sums(x, v, cfg)[N % v])
+    m = _row_length(x, v)
+    rows = cfg._sums.get((x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
+    return float(rows[N % v :: v].sum())
 
 
 def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
@@ -650,23 +636,37 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
-# Moduli kept by each cache of the theorem-3 forms' work that does not depend
-# on the class N: the lru caches below.  The refined form's G_v values are
-# kept by its FRConfig (frmodel._G_CACHE).
+# Moduli kept by the cache of the theorem-3 forms' work that does not depend
+# on the class N: the records of _theorem3_modulus, one per (x, v, R).  The
+# refined form's G_v values are kept by its FRConfig (frmodel._G_CACHE).
 _MODULUS_CACHE = 128
 
 
 @functools.lru_cache(maxsize=_MODULUS_CACHE, typed=True)
-def _theorem3_modulus(x: int, v: int, R: float) -> tuple[tuple[int, ...], str, str]:
-    """(primes of v, budget, budget without the phi(v) term) for the theorem-3 forms.
+def _theorem3_modulus(
+    x: int, v: int, R: float
+) -> tuple[tuple[int, ...], int, str, str, tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The theorem-3 forms' record of v: (primes, phi(v), budget, budget without the
+    phi(v) term, divisors, pairs).
 
     The arguments are checked and v factored by _check_theorem3_args, and the
-    budgets formatted by _theorem3_budget, once per (x, v, R) rather than once
-    per class.  lru_cache keeps no exception, so a bad argument raises on
-    every call; typed keys keep a float v from reaching a cached int one.
+    rest derived from the primes, once per (x, v, R) rather than once per
+    class.  Each prime p appends a*p for every divisor a listed so far, the
+    order in which _crt_class_mean multiplies up the weights w_a; tau(v) is
+    the number of divisors.  For each ordered pair of divisors, row by row
+    as _crt_class_mean takes its products, the pairs hold the triple
+    (i, j, k) with a_k = max(a_i, a_j).  lru_cache keeps no exception, so a
+    bad argument raises on every call; typed keys keep a float v from
+    reaching a cached int one.
     """
     primes = tuple(_check_theorem3_args(x, v, R))
-    return primes, _theorem3_budget(x, primes, R, True), _theorem3_budget(x, primes, R, False)
+    phi_v, divs = math.prod(p - 1 for p in primes), [1]
+    for p in primes:
+        divs += [a * p for a in divs]
+    at = {a: k for k, a in enumerate(divs)}
+    pairs = tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
+    budgets = [_theorem3_budget(x, v, phi_v, len(divs), R, phi_term) for phi_term in (True, False)]
+    return primes, phi_v, *budgets, tuple(divs), pairs
 
 
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:
@@ -681,28 +681,25 @@ def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet
     at x = 10^6, R = 50 the total is off the brute-force moment by up to 0.25
     of x log x / v.  It is kept frozen for comparison (the CLI theorem3
     command reports it as predicted_total); theorem3_coupled_prediction is the
-    closed form that keeps the coupled pairs (predicted_coupled).  The checks
-    and the budget come from _theorem3_modulus, once per (x, v, R).
+    closed form that keeps the coupled pairs (predicted_coupled).  The checks,
+    phi(v) and the budget come from _theorem3_modulus, once per (x, v, R).
     """
-    primes, budget, _ = _theorem3_modulus(x, v, R)
+    _, phi_v, budget, *_ = _theorem3_modulus(x, v, R)
     ind = delta_indicator(N, v)
-    phi_v = math.prod(p - 1 for p in primes)
-    lx = math.log(x)
-    lr = math.log(R)
+    lx, lr = math.log(x), math.log(R)
     terms = {
         "delta_main": ind * (x / phi_v) * (lx - 2.0 * lr - constants.c1),
         "r_term": (x / v) * (lr + constants.c2),
         "phi2_term": ind * x * v / (phi_v * phi_v),
         "neg_term": -x / phi_v,
     }
-    total = math.fsum(terms.values())
-    return Prediction(terms=terms, total=total, error_budget=budget)
+    return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
-def _theorem3_budget(x: int, primes: Sequence[int], R: float, phi_term: bool) -> str:
-    """The theorem-3 O-terms at these parameters for the v with these primes; phi_term False
-    leaves out x/(phi(v)*sqrt(R)), which theorem3_refined_prediction's budget does not carry."""
-    v, phi_v, tau_v = math.prod(primes), math.prod(p - 1 for p in primes), 2 ** len(primes)
+def _theorem3_budget(x: int, v: int, phi_v: int, tau_v: int, R: float, phi_term: bool) -> str:
+    """The theorem-3 O-terms at these parameters for the squarefree v with phi(v) = phi_v and
+    tau(v) = tau_v; phi_term False leaves out x/(phi(v)*sqrt(R)), which
+    theorem3_refined_prediction's budget does not carry."""
     terms = [f"x*tau(v)/(v*sqrt(R)) = {x * tau_v / (v * math.sqrt(R)):.3e}"]
     if phi_term:
         terms.append(f"x/(phi(v)*sqrt(R)) = {x / (phi_v * math.sqrt(R)):.3e}")
@@ -734,21 +731,18 @@ def theorem3_refined_prediction(
     form that keeps the coupled pairs, with no tables, is
     theorem3_coupled_prediction.
     """
-    primes, _, budget = _theorem3_modulus(x, v, cfg.R)
+    primes, phi_v, _, budget, divs, pairs = _theorem3_modulus(x, v, cfg.R)
     g = cfg._coprime_g
-    return _crt_mean_prediction(x, primes, N, cfg.R, g(cfg.R, 1), lambda y: g(y, v), budget)
+    cross_sum = g(cfg.R, 1)  # asked for before the G_v(R/a), so those are the lookup's newest
+    mean = _crt_class_mean(primes, divs, pairs, N, cfg.R, lambda y: g(y, v))
+    return _crt_mean_prediction(x, v, phi_v, N, cross_sum, mean, budget)
 
 
-def _crt_mean_prediction(
-    x: int, primes: Sequence[int], N: int, R: float, cross_sum: float, g: Callable[[float], float], budget: str
-) -> Prediction:
-    """The three theorem-3 terms around the CRT class mean M (_crt_class_mean) with g as G_v,
-    for the squarefree v with these primes; cross_sum stands for sum_{r <= R} mu(r)^2/phi(r)
-    in the cross term."""
-    v = math.prod(primes)
+def _crt_mean_prediction(x: int, v: int, phi_v: int, N: int, cross_sum: float, mean: float, budget: str) -> Prediction:
+    """The three theorem-3 terms around the CRT class mean M = mean (_crt_class_mean) of the
+    squarefree v with phi(v) = phi_v; cross_sum stands for sum_{r <= R} mu(r)^2/phi(r) in the
+    cross term."""
     ind = delta_indicator(N, v)
-    phi_v = math.prod(p - 1 for p in primes)
-    mean = _crt_class_mean(primes, N, R, g)
     terms = {
         "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
         "cross_term": -2.0 * ind * (x / phi_v) * cross_sum,
@@ -757,24 +751,12 @@ def _crt_mean_prediction(
     return Prediction(terms=terms, total=math.fsum(terms.values()), error_budget=budget)
 
 
-@functools.lru_cache(maxsize=_MODULUS_CACHE)
-def _crt_pairs(primes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """The divisors a of the squarefree v with these primes, and for each ordered pair of them
-    the triple (i, j, k) with a_k = max(a_i, a_j).
-
-    Each prime p appends a*p for every divisor a listed so far, the order in
-    which _crt_class_mean multiplies up the weights w_a; the pairs run row by
-    row, the order of its products.
-    """
-    divs = [1]
-    for p in primes:
-        divs += [a * p for a in divs]
-    at = {a: k for k, a in enumerate(divs)}
-    return tuple(divs), tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
-
-
-def _crt_class_mean(primes: Sequence[int], N: int, R: float, g: Callable[[float], float]) -> float:
-    """Class mean of F_R(n)^2 on n = N (mod v) by the CRT split of each modulus, v given by its primes.
+def _crt_class_mean(
+    primes: Sequence[int], divs: Sequence[int], pairs: Sequence[tuple[int, int, int]],
+    N: int, R: float, g: Callable[[float], float]
+) -> float:
+    """Class mean of F_R(n)^2 on n = N (mod v) by the CRT split of each modulus, v given by its
+    primes, its divisors and their pairs (_theorem3_modulus).
 
     Writing r = a*b with a = gcd(r, v) and b coprime to v gives
     C_r(n) = C_a(N) C_b(n) on the class, and C_b, C_b1 average to
@@ -788,12 +770,11 @@ def _crt_class_mean(primes: Sequence[int], N: int, R: float, g: Callable[[float]
     mu(b)^2/phi(b) supplied as g(y) and taken as 0 for y < 1.  g is called
     once per divisor a <= R, i.e. up to tau(v) times for squarefree v; the
     theorem-3 forms pass a lookup of values computed once per v.  The
-    divisors and the index of max(a, a1) for each pair come from _crt_pairs,
+    divisors and the index of max(a, a1) for each pair are v's record, made
     once per v, so a call builds only the weights and the tau(v)^2 products.
     F_R sums over squarefree moduli only, so the class mean for v is the one
     for the product of its primes.
     """
-    divs, pairs = _crt_pairs(tuple(primes))
     g_at = [g(R / a) if R / a >= 1.0 else None for a in divs]
     # w_a is multiplicative in a: its factor at p is -1 when p | N
     # (C_p(N) = p - 1) and 1/(p - 1) otherwise (C_p(N) = -1)
@@ -820,13 +801,14 @@ def theorem3_coupled_prediction(
     + (x/v) M, where M is the CRT class mean of F_R(n)^2 (_crt_class_mean)
     with G_v(y) replaced by (phi(v)/v)(log y + c2 + sum_{p | v} log p / p).
     Costs O(tau(v)^2) and needs no tables.  At v = 1 it collapses to
-    x (log(x/R) - c0), like theorem3_prediction.  The checks and the budget
-    come from _theorem3_modulus, once per (x, v, R).
+    x (log(x/R) - c0), like theorem3_prediction.  The checks, phi(v), the
+    divisors, their pairs and the budget come from _theorem3_modulus, once
+    per (x, v, R).
     """
-    primes, budget, _ = _theorem3_modulus(x, v, R)
+    primes, phi_v, budget, _, divs, pairs = _theorem3_modulus(x, v, R)
     c2 = constants.c2
-    g = _coprime_mu2_over_phi_main_terms(primes, c2)
-    return _crt_mean_prediction(x, primes, N, R, math.log(R) + c2, g, budget)
+    mean = _crt_class_mean(primes, divs, pairs, N, R, _coprime_mu2_over_phi_main_terms(primes, c2))
+    return _crt_mean_prediction(x, v, phi_v, N, math.log(R) + c2, mean, budget)
 
 
 def _band_budget(x: int, q: int, R: float) -> str:

@@ -630,13 +630,19 @@ def test_coupled_g_asymptotic_within_partial_sum_bound(tables_1e5, cs):
 
 def test_coupled_crt_sum_matches_pair_sweep(tables_small):
     # with the exact G_v, the CRT collapse reproduces the pair sweep class by
-    # class; v = 4 and 12 check that the split also holds for non-squarefree v
+    # class, the divisors and pairs taken from the record of the product of
+    # v's primes; v = 4 and 12 check that the split also holds for
+    # non-squarefree v, and 210 (256 pairs) and 2310 (1,024 pairs) that it
+    # holds past v = 30 (64 pairs)
     R = 50.0
     cfg = FRConfig(R=R, tables=tables_small)
-    for v in (1, 2, 3, 5, 6, 7, 10, 30, 4, 12):
+    for v in (1, 2, 3, 5, 6, 7, 10, 30, 4, 12, 210, 2310):
+        primes, _, _, _, divs, pairs = variance._theorem3_modulus(10**6, math.prod(_primes(v)), R)
+        assert len(pairs) == 4 ** len(primes)
         exact = _coprime_partial_sums(v, tables_small, int(R))
-        for N in range(1, v + 1):
-            got = _crt_class_mean(_primes(v), N, R, lambda y: exact[int(y) - 1])
+        classes = (0, 1, 2, 3, 5, 7, 11, 77, 1155) if v == 2310 else range(1, v + 1)
+        for N in classes:
+            got = _crt_class_mean(primes, divs, pairs, N, R, lambda y: exact[int(y) - 1])
             assert got == approx(fr_square_progression_mean(v, N, cfg), rel=1e-12), (v, N)
     assert _coprime_partial_sums(1, tables_small, 50)[-1] == approx(
         mu2_over_phi_sum(50.0, tables_small), rel=1e-12
@@ -658,7 +664,8 @@ def test_coprime_g_matches_partial_sums(tables_small):
 def test_crt_class_mean_calls_g_once_per_divisor():
     for v, R, want in ((1, 50.0, 1), (6, 50.0, 4), (30, 100.0, 8), (210, 100.0, 14)):
         calls = []
-        _crt_class_mean(_primes(v), 1, R, lambda y: calls.append(y) or 1.0)
+        primes, _, _, _, divs, pairs = variance._theorem3_modulus(10**6, v, R)
+        _crt_class_mean(primes, divs, pairs, 1, R, lambda y: calls.append(y) or 1.0)
         # one call per divisor a <= R of v; for v = 210 that leaves out 105 and 210
         assert len(calls) == len(set(calls)) == want, (v, calls)
 
@@ -687,16 +694,12 @@ def test_refined_prediction_bits_match_coprime_g(tables_small, cs, R):
     x = 10**6
     cfg = FRConfig(R=R, tables=tables_small)
     for v in (1, 2, 3, 6, 7, 30, 210):
+        primes, phi_v, _, _, divs, pairs = variance._theorem3_modulus(x, v, R)
         for N in range(v + 2):
             got = theorem3_refined_prediction(x, v, N, cfg, cs)
+            mean = _crt_class_mean(primes, divs, pairs, N, R, lambda y, v=v: _coprime_mu2_over_phi(y, v, tables_small))
             want = variance._crt_mean_prediction(
-                x,
-                _primes(v),
-                N,
-                R,
-                mu2_over_phi_sum(R, tables_small),
-                lambda y, v=v: _coprime_mu2_over_phi(y, v, tables_small),
-                got.error_budget,
+                x, v, phi_v, N, mu2_over_phi_sum(R, tables_small), mean, got.error_budget
             )
             assert got.total.hex() == want.total.hex(), (v, N)
             assert {k: t.hex() for k, t in got.terms.items()} == {k: t.hex() for k, t in want.terms.items()}
@@ -734,10 +737,10 @@ def _theorem3_loop(form, x, v, N, cfg, cs):
             "phi2_term": ind * x * v / (phi_v * phi_v),
             "neg_term": -x / phi_v,
         }
-        return math.fsum(terms.values()), terms, _theorem3_budget(x, primes, R, True)
+        return math.fsum(terms.values()), terms, _theorem3_budget(x, v, phi_v, 2 ** len(primes), R, True)
     if form == "coupled":
         cross_sum, g = math.log(R) + cs.c2, _coprime_mu2_over_phi_main_terms(primes, cs.c2)
-        budget = _theorem3_budget(x, primes, R, True)
+        budget = _theorem3_budget(x, v, phi_v, 2 ** len(primes), R, True)
     else:
         b = np.flatnonzero(cfg.tables.mu[1 : cfg.r_int + 1]) + 1
         inv_phi = 1.0 / cfg.tables.phi[b]
@@ -745,7 +748,7 @@ def _theorem3_loop(form, x, v, N, cfg, cs):
         kept_b, kept = b[coprime].tolist(), inv_phi[coprime].tolist()
         cross_sum = math.fsum(inv_phi)
         g = lambda y: math.fsum(kept[: bisect.bisect_right(kept_b, y)])  # noqa: E731
-        budget = _theorem3_budget(x, primes, R, False)
+        budget = _theorem3_budget(x, v, phi_v, 2 ** len(primes), R, False)
     terms = {
         "lambda_sq_term": ind * (x / phi_v) * (math.log(x) - 1.0),
         "cross_term": -2.0 * ind * (x / phi_v) * cross_sum,
@@ -855,7 +858,7 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
     delta_sq_progression(1000, 6, 1, cfg)  # builds the table, the residual square and its sums
     sums = list(cfg._sums._arrays.values())
-    assert len(sums) == 2  # the column sums and the class sums of v = 6
+    assert len(sums) == 1  # the column sums of v = 6's row length, from which its classes are read
     refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), cfg._delta_sq_table(), *sums)]
     del sums
     gc.disable()
@@ -953,7 +956,7 @@ def _blocked_roundings(x: int, v: int) -> int:
     # ceil(log2 k) + 26: its unrolled base case of up to 128 terms takes 15
     # accumulator adds, 3 to join the 8 accumulators and 7 for the rest, and
     # a reduce adds its first element apart); the short last row adds 1; the
-    # fold's pairwise sum over the m/v columns of the class adds at most
+    # strided pairwise sum over the m/v columns of the class adds at most
     # ceil(log2(m/v)) + 26.  n roundings of nonnegative terms with sum S miss
     # it by at most gamma_n S = n u S / (1 - n u), below (n + 1) u S here.
     m = variance._row_length(x, v)
@@ -1062,7 +1065,8 @@ def test_short_class_holds_only_its_terms(tables_1e5):
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
     # every class of the squarefree v <= 60 costs 12 blocked passes, one per
-    # row length, and one fold per modulus, both kept on the config
+    # row length, kept on the config under (x, m) and nothing else, and
+    # each class is read from its row length's sums
     calls = Counter()
     column_sums = variance._column_sums
     monkeypatch.setattr(variance, "_column_sums", lambda a, m: calls.update([m]) or column_sums(a, m))
@@ -1072,9 +1076,10 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
         for v in moduli:
             for N in range(1, v + 1):
                 delta_sq_progression(98_765, v, N, cfg)
-    assert calls == Counter({m: 1 for m in {variance._row_length(98_765, v) for v in moduli}})
+    rows = {variance._row_length(98_765, v) for v in moduli}
+    assert calls == Counter({m: 1 for m in rows})
     assert len(calls) == 12
-    assert sorted(key for key in cfg._sums._arrays if key[0] == "classes") == [("classes", 98_765, v) for v in moduli]
+    assert sorted(cfg._sums._arrays) == sorted((98_765, m) for m in rows)
 
 
 def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
@@ -1092,8 +1097,34 @@ def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
                 assert delta_sq_progression(10**5, v, N, cfg).hex() == want[v, N], (v, N)
                 held = [a.size for a in cfg._sums._arrays.values()]
                 assert sum(held) <= 400 or len(held) == 1, held
-    # v = 59 was asked for last, so its fold is kept
-    assert next(reversed(cfg._sums._arrays)) == ("classes", 10**5, 59)
+    # v = 59 was asked for last, so its row length's sums are kept
+    assert next(reversed(cfg._sums._arrays)) == (10**5, variance._row_length(10**5, 59)) == (10**5, 354)
+
+
+def test_long_classes_read_strided_equal_contiguous_fold(tables_1e5):
+    # a class of more than 64 terms, read as the strided sum of its m/v
+    # column sums, equals bit for bit the fold of those sums into v class
+    # sums along a contiguous axis, the order the config kept before; the
+    # sums come from the test's own square.  At x = 19,999 every v whose
+    # primes are at most 13 falls back to m = v; from 30,029 on those take
+    # m = 30030, and the rest m = lcm(v, 6), which is 6p for v <= 60
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    sq = tables_1e5.lam - cfg.table()
+    np.multiply(sq, sq, out=sq)
+    moduli = _squarefree_up_to(60) + [323, 1001]
+    for x in (19_999, 30_029, 98_765):
+        for v in moduli:
+            if x < variance._BLOCK_ROWS * v:
+                continue
+            m = variance._row_length(x, v)
+            if 30030 % v == 0:
+                assert m == (v if x < 30029 else 30030), (x, v)
+            else:
+                assert m == math.lcm(v, 6), (x, v)  # 6p for the v = p, 2p, 3p <= 60
+            rows = variance._column_sums(sq[: x + 1], m)
+            fold = np.ascontiguousarray(rows.reshape(-1, v).T).sum(axis=1)
+            for N in range(v):
+                assert delta_sq_progression(x, v, N, cfg).hex() == float(fold[N % v]).hex(), (x, v, N)
 
 
 def test_coupled_prediction_v1_collapse(cs):
