@@ -660,7 +660,8 @@ def _theorem3_modulus(
     reaching a cached int one.
     """
     primes = tuple(_check_theorem3_args(x, v, R))
-    phi_v, divs = math.prod(p - 1 for p in primes), [1]
+    phi_v = math.prod(p - 1 for p in primes)
+    divs = [1]
     for p in primes:
         divs += [a * p for a in divs]
     at = {a: k for k, a in enumerate(divs)}
