@@ -162,8 +162,8 @@ class FRConfig:
     - the dense value table over [0, tables.limit], built on first use by
       table(), and the residual square (Lambda(n) - F_R(n))^2 over the same
       range, built (from _weight) by the first theorem-3 class of more than
-      64 terms; a shorter class squares its own residuals and leaves it
-      unbuilt.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
+      64 terms; a shorter class reads F_R at its own points (_fr_at) and
+      leaves both unbuilt.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
       800 MB at 10^8;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
@@ -246,6 +246,19 @@ class FRConfig:
             sq.setflags(write=False)
             object.__setattr__(self, "_delta_sq", sq)
         return self._delta_sq
+
+
+def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:
+    """F_R at the points n >= 1, bit for bit the table's entries there, without the table.
+
+    Each point gets coef[d] for every d | n in ascending d, from 0.0, the
+    adds FRConfig.table makes at its entry; one masked add per d <= R with
+    coef[d] != 0.
+    """
+    out = np.zeros(len(n))
+    for d in np.flatnonzero(cfg._coef):
+        out[n % d == 0] += cfg._coef[d]
+    return out
 
 
 def fr_value(n: int, cfg: FRConfig) -> float:

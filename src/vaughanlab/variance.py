@@ -53,9 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, _check_x, _weight, divisors
+from .arith import ArithTables, FactorSieve, _check_x, _weight, divisors, factorize
 from .constants import ConstantSet, ProductKind, _exact_sum, restricted_product
-from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, _fr_at, delta_indicator
 
 __all__ = [
     "Mode",
@@ -150,18 +150,64 @@ class ProgressionAccumulator:
     rho_buckets: np.ndarray
 
 
-def _bucket_sums(arr: np.ndarray, x: int, d: int) -> np.ndarray:
-    """Column sums of arr[0..x] laid out in rows of length d (residue buckets).
+# A modulus that keeps at most this many classes sums each of them by _fold,
+# one strided column apiece; any other modulus, and d = 1, takes the row sum
+# of all d classes.  At x = 10^7 on one core (float64 residual, best of 5) a
+# fold costs about 31/d ms per class, and the row sum 53.6, 36.8, 28.7, 23.5
+# and 20.2 ms at d = 2 .. 6: every modulus that keeps 3 classes or fewer
+# (d = 2, 3 of all classes; d = 2, 3, 4, 6 of the restricted ones) is faster
+# folded, and every one that keeps 4 (d = 4 of all; d = 5, 8, 10, 12) slower.
+_FOLD_CLASSES = 3
 
-    The full rows are summed as a view of arr and the short last row is added
-    after them, the order in which the zero-padded layout sums, so no x-sized
-    buffer is built per modulus.
+
+def _fold(col: np.ndarray) -> float:
+    """0.0 + col[0] + col[1] + ..., added strictly left to right.
+
+    numpy's row sum adds one column of a C-ordered block in this order,
+    from the identity 0.0, so a column folded here is bit for bit its entry
+    of the row sum.  np.add.accumulate runs over chunks of _BLOCK_ELEMENTS,
+    each headed by the running total of the chunks before it: the same adds
+    as one accumulate over the column, with no column-sized buffer.
     """
+    buf = np.empty(min(len(col), _BLOCK_ELEMENTS) + 1)
+    total = 0.0
+    for lo in range(0, len(col), _BLOCK_ELEMENTS):
+        chunk = col[lo : lo + _BLOCK_ELEMENTS]
+        run = buf[: len(chunk) + 1]
+        run[0] = total
+        run[1:] = chunk
+        np.add.accumulate(run, out=run)
+        total = run[-1]
+    return total
+
+
+def _bucket_sums(arr: np.ndarray, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of arr[0..x] laid out in rows of length d (residue buckets), at the classes
+    kept (a bool mask of the d classes) in ascending order, or at all d classes with kept None.
+
+    The row sum takes the full rows as a view of arr and adds the short last
+    row after them, the order in which the zero-padded layout sums, so no
+    x-sized buffer is built per modulus.  A modulus d > 1 that keeps at most
+    _FOLD_CLASSES classes folds each kept column arr[b : x + 1 : d] instead,
+    the same adds in the same order, and sums no class it drops.
+    """
+    n_kept = d if kept is None else int(np.count_nonzero(kept))
+    if d > 1 and n_kept <= _FOLD_CLASSES:
+        cols = range(d) if kept is None else np.flatnonzero(kept).tolist()
+        return np.array([_fold(arr[b : x + 1 : d]) for b in cols])
     full = (x + 1) // d
     sums = arr[: full * d].reshape(full, d).sum(axis=0)
     tail = arr[full * d : x + 1]
     sums[: len(tail)] += tail
-    return sums
+    return sums if kept is None else sums[kept]
+
+
+def _kept_classes(d: int, shift: int, sieve: FactorSieve) -> np.ndarray:
+    """The classes b mod d with gcd(shift - b, d) = 1, as a bool mask: each prime p | d strikes b = shift (mod p)."""
+    kept = np.ones(d, dtype=bool)
+    for p, _ in factorize(d, sieve):
+        kept[shift % p :: p] = False
+    return kept
 
 
 def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.THETA) -> ProgressionAccumulator:
@@ -181,13 +227,12 @@ def _modulus_contribution(
     x: int,
     diff: np.ndarray,
     restriction: RestrictionMode,
-    phi: np.ndarray | None,
+    tables: ArithTables,
 ) -> float:
-    vals = _bucket_sums(diff, x, d)
-    if restriction.shift is not None:
-        vals = vals[np.gcd((restriction.shift - np.arange(d, dtype=np.int64)) % d, d) == 1]
+    kept = None if restriction.shift is None else _kept_classes(d, restriction.shift, tables.sieve)
+    vals = _bucket_sums(diff, x, d, kept)
     if restriction.mode is Mode.BDH:  # diff holds the raw weight, the approximant is x/phi(d)
-        vals = vals - x / float(phi[d])
+        vals = vals - x / float(tables.phi[d])
     return float((vals * vals).sum())
 
 
@@ -196,13 +241,13 @@ def _bucket_band_sum(
     x: int,
     diff: np.ndarray,
     restriction: RestrictionMode,
-    phi: np.ndarray,
+    tables: ArithTables,
     threads: int,
 ) -> float:
     """The band one modulus at a time: an O(x) bucket pass per d, over threads >= 1 workers (_thread_count)."""
 
     def contribution(d: int) -> float:
-        return _modulus_contribution(d, x, diff, restriction, phi)
+        return _modulus_contribution(d, x, diff, restriction, tables)
 
     if threads <= 1 or len(moduli) < 2:
         contribs = [contribution(d) for d in moduli]
@@ -219,6 +264,8 @@ def _bucket_band_sum(
 # 2 MB here, less than the one-row transform of the whole residual needs at
 # x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
 # at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
+# _fold's chunks take the same size: at d = 2 and x = 10^7 chunks of 2^14 to
+# 2^17 fold a column in 13.7-14.0 ms, 2^12 and 2^20 in 15.7 and 14.8 ms.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
@@ -488,7 +535,7 @@ def _band_run(
     if _lag_route(len(moduli), x):
         empirical = _lag_band_sum(moduli, x, diff, restriction, tables)
     else:
-        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables.phi, threads)
+        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables, threads)
     return VarianceRun(
         x=x,
         q=q,
@@ -588,8 +635,9 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
     A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) takes its x/v
-    residuals from Lambda and the config's F_R table (_weight), squares them
-    and returns their np.sum: it builds no residual square and adds no cache
+    residuals from Lambda (_weight) and F_R at its own points (_fr_at, the
+    table's entries bit for bit), squares them and returns their np.sum: it
+    builds neither the F_R table nor the residual square and adds no cache
     entry, and in any order each of its n <= 64 terms meets at most n - 1
     roundings.  Any other class reads the column sums of the row length
     m = _row_length(x, v), a multiple of v, from the blocked pass over the
@@ -606,7 +654,8 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:
-        diff = _weight(cfg.tables, x, False, start, v, cfg.table())
+        diff = _fr_at(np.arange(start, x + 1, v), cfg)
+        np.subtract(_weight(cfg.tables, x, False, start, v), diff, out=diff)
         return float(np.multiply(diff, diff, out=diff).sum())
     m = _row_length(x, v)
     rows = cfg._sums.get((x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
@@ -636,10 +685,29 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
-# Moduli kept by the cache of the theorem-3 forms' work that does not depend
-# on the class N: the records of _theorem3_modulus, one per (x, v, R).  The
-# refined form's G_v values are kept by its FRConfig (frmodel._G_CACHE).
+# Moduli kept by each cache of the theorem-3 forms' work that does not depend
+# on the class N: the records of _theorem3_modulus, one per (x, v, R), and
+# the divisor pairs of _divisor_pairs, one per v.  The refined form's G_v
+# values are kept by its FRConfig (frmodel._G_CACHE).
 _MODULUS_CACHE = 128
+
+
+@functools.lru_cache(maxsize=_MODULUS_CACHE)
+def _divisor_pairs(primes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """The divisors of the squarefree v with these ascending primes, and their pairs.
+
+    Each prime p appends a*p for every divisor a listed so far, the order in
+    which _crt_class_mean multiplies up the weights w_a; tau(v) is the number
+    of divisors.  For each ordered pair of divisors, row by row as
+    _crt_class_mean takes its products, the pairs hold the triple (i, j, k)
+    with a_k = max(a_i, a_j).  Keyed by v's primes alone, so the records of
+    one v at every x and R share these tau(v)^2 triples.
+    """
+    divs = [1]
+    for p in primes:
+        divs += [a * p for a in divs]
+    at = {a: k for k, a in enumerate(divs)}
+    return tuple(divs), tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
 
 
 @functools.lru_cache(maxsize=_MODULUS_CACHE, typed=True)
@@ -649,25 +717,18 @@ def _theorem3_modulus(
     """The theorem-3 forms' record of v: (primes, phi(v), budget, budget without the
     phi(v) term, divisors, pairs).
 
-    The arguments are checked and v factored by _check_theorem3_args, and the
-    rest derived from the primes, once per (x, v, R) rather than once per
-    class.  Each prime p appends a*p for every divisor a listed so far, the
-    order in which _crt_class_mean multiplies up the weights w_a; tau(v) is
-    the number of divisors.  For each ordered pair of divisors, row by row
-    as _crt_class_mean takes its products, the pairs hold the triple
-    (i, j, k) with a_k = max(a_i, a_j).  lru_cache keeps no exception, so a
-    bad argument raises on every call; typed keys keep a float v from
-    reaching a cached int one.
+    The arguments are checked and v factored by _check_theorem3_args, and
+    phi(v) and the budgets derived from the primes, once per (x, v, R)
+    rather than once per class; the divisors and their pairs come from
+    _divisor_pairs, once per v.  lru_cache keeps no exception, so a bad
+    argument raises on every call; typed keys keep a float v from reaching a
+    cached int one.
     """
     primes = tuple(_check_theorem3_args(x, v, R))
     phi_v = math.prod(p - 1 for p in primes)
-    divs = [1]
-    for p in primes:
-        divs += [a * p for a in divs]
-    at = {a: k for k, a in enumerate(divs)}
-    pairs = tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
+    divs, pairs = _divisor_pairs(primes)
     budgets = [_theorem3_budget(x, v, phi_v, len(divs), R, phi_term) for phi_term in (True, False)]
-    return primes, phi_v, *budgets, tuple(divs), pairs
+    return primes, phi_v, *budgets, divs, pairs
 
 
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:

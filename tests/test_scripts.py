@@ -29,6 +29,28 @@ def test_progression_deviation_table_prints_each_class_once():
     assert sorted(classes) == [(1, 0), (2, 0), (2, 1), (6, 0), (6, 1), (6, 5)]
 
 
+def test_output_digest_prints_one_hash_per_workload():
+    # one sha256 per workload over every output of the worker; the same
+    # inputs give the same hashes, and another seed changes them
+    script = ROOT / "scripts" / "output_digest.py"
+
+    def digests(*seeds):
+        out = subprocess.run(
+            [sys.executable, str(script), "--scale", "tiny", "--seeds", *map(str, seeds)],
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return dict(line.split() for line in out.splitlines())
+
+    first = digests(0, 1)
+    assert list(first) == ["band", "tables", "progression"]
+    assert all(len(h) == 64 and int(h, 16) >= 0 for h in first.values())
+    assert digests(0, 1) == first
+    assert all(digests(1, 0)[w] != h for w, h in first.items())
+
+
 def _bench_snapshot():
     spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
     module = importlib.util.module_from_spec(spec)

@@ -8,6 +8,7 @@ import gc
 import math
 import sys
 import tracemalloc
+import unittest.mock
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -176,7 +177,7 @@ def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     for q_low, q in LAG_ORACLE_BANDS:
         moduli = range(math.floor(q_low) + 1, q + 1)
-        want = _bucket_band_sum(moduli, x, arr, restriction, cfg10_small.tables.phi, 1)
+        want = _bucket_band_sum(moduli, x, arr, restriction, cfg10_small.tables, 1)
         got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
         assert type(got) is float
         assert got == approx(want, rel=1e-12), (q_low, q)
@@ -393,6 +394,79 @@ def test_bucket_sums_match_zero_padded_layout(x):
         assert _bucket_sums(arr, x, d).tobytes() == buf.reshape(rows, d).sum(axis=0).tobytes(), d
 
 
+def _row_sums(arr, x, d):
+    """numpy's row sum of arr[0..x] in rows of length d, the short last row added after the full ones."""
+    full = (x + 1) // d
+    sums = arr[: full * d].reshape(full, d).sum(axis=0)
+    tail = arr[full * d : x + 1]
+    sums[: len(tail)] += tail
+    return sums
+
+
+# Terms that make the adds round, cancel and meet signed zeros.
+FOLD_TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0**53, -(2.0**53), 1e-300, -1e-300]),
+    st.floats(-1e12, 1e12, allow_nan=False),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(2, 16), st.data())
+def test_column_fold_equals_row_sum_bit_for_bit(d, data):
+    # the fold adds each column strictly left to right, as numpy's row sum
+    # does, whatever the chunk its accumulate runs over: x < d (a column of
+    # at most one term, or none), short tails and signed zeros included
+    x = data.draw(st.integers(0, 8 * d + 5), label="x")
+    arr = np.array(data.draw(st.lists(FOLD_TERMS, min_size=x + 1, max_size=x + 1), label="terms"))
+    want = _row_sums(arr, x, d)
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, variance._BLOCK_ELEMENTS]), label="chunk")
+    with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
+        folded = np.array([variance._fold(arr[b : x + 1 : d]) for b in range(d)])
+        assert folded.tobytes() == want.tobytes()
+        kept = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="kept"))
+        assert _bucket_sums(arr, x, d, kept).tobytes() == want[kept].tobytes()
+        assert _bucket_sums(arr, x, d).tobytes() == want.tobytes()
+
+
+def test_bucket_sums_fold_only_few_class_moduli(monkeypatch):
+    # d = 1 keeps its pairwise sum, a modulus that keeps more than
+    # _FOLD_CLASSES classes the row sum, and the others fold each kept class
+    folded = []
+    fold = variance._fold
+
+    def fold_spy(col):
+        folded.append(len(col))
+        return fold(col)
+
+    monkeypatch.setattr(variance, "_fold", fold_spy)
+    x = 1_000
+    arr = np.random.default_rng(4).standard_normal(x + 1)
+    for d, kept, n_folds in ((1, None, 0), (2, None, 2), (3, None, 3), (4, None, 0), (6, [0, 1, 0, 0, 0, 1], 2)):
+        folded.clear()
+        mask = None if kept is None else np.array(kept, dtype=bool)
+        got = _bucket_sums(arr, x, d, mask)
+        assert len(folded) == n_folds, d
+        want = _row_sums(arr, x, d)
+        assert got.tobytes() == (want if mask is None else want[mask]).tobytes(), d
+
+
+# Shifts of the striking test: 0, then N < d, N >= d and the largest N.
+STRIKE_SHIFTS = st.one_of(st.just(0), st.integers(1, 2_000), st.integers(2_001, 10**12), st.just(2**63 - 1))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 2_000), STRIKE_SHIFTS, st.booleans())
+def test_struck_classes_equal_gcd_mask(tables_small, d, shift, below_d):
+    # striking b = shift (mod p) for each prime p | d keeps the classes
+    # gcd(shift - b, d) = 1, the ones the np.gcd mask kept, in the same order
+    if below_d and shift:
+        shift %= d
+    got = variance._kept_classes(d, shift, tables_small.sieve)
+    want = np.gcd((shift - np.arange(d, dtype=np.int64)) % d, d) == 1
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert np.count_nonzero(got) == tables_small.phi[d]
+
+
 @pytest.mark.parametrize("mode", [Mode.ALL, Mode.COPRIME, Mode.SHIFT_COPRIME, Mode.BDH])
 def test_class_rule_against_brute_force(cfg10_small, mode):
     # both routes read the kept classes from RestrictionMode.shift, so the
@@ -433,9 +507,9 @@ def test_variance_sum_continuous_across_route_crossover(cfg20_1e4):
         below = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width).empirical
         above = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width - 1).empirical
         narrow, wide = range(q - width + 1, q + 1), range(q - width, q + 1)
-        assert below == _bucket_band_sum(narrow, x, diff, restriction, tables.phi, 1)
+        assert below == _bucket_band_sum(narrow, x, diff, restriction, tables, 1)
         assert above == _lag_band_sum(wide, x, diff, restriction, tables)
-        extra = _bucket_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables.phi, 1)
+        extra = _bucket_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables, 1)
         assert above == approx(below + extra, rel=1e-12)
 
 
@@ -1063,6 +1137,31 @@ def test_short_class_holds_only_its_terms(tables_1e5):
     assert cfg._delta_sq is None
 
 
+def test_short_class_builds_no_fr_table(tables_1e5):
+    # on a fresh config a class of at most 64 terms reads F_R at its own
+    # points: no table is built, and the sum is the table route's bit for bit
+    cfg, table_cfg = FRConfig(R=50.0, tables=tables_1e5), FRConfig(R=50.0, tables=tables_1e5)
+    table = table_cfg.table()
+    for x, v, N in _SHORT_CLASSES:
+        start = N % v or v
+        diff = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
+        want = float((diff * diff).sum())
+        assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
+        assert np.array_equal(frmodel._fr_at(np.arange(start, x + 1, v), cfg), table[start : x + 1 : v])
+    assert cfg._table is None and cfg._delta_sq is None
+
+
+def test_theorem3_records_share_one_pairs_object():
+    # the divisors and their tau(v)^2 pairs are made once per v, whatever
+    # the x and R of the record that reads them
+    v = 2 * 3 * 5 * 7 * 11
+    one = variance._theorem3_modulus(10**6, v, 50.0)
+    other = variance._theorem3_modulus(10**6 + 1, v, 40.0)
+    assert one is not other
+    assert one[4] is other[4] and one[5] is other[5]
+    assert len(one[5]) == 2 ** (2 * 5)
+
+
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
     # every class of the squarefree v <= 60 costs 12 blocked passes, one per
     # row length, kept on the config under (x, m) and nothing else, and
@@ -1311,7 +1410,7 @@ def _routed_band(moduli, x, diff, restriction, tables):
     """The band by the route _lag_route picks for its width, one thread on the bucket route."""
     if _lag_route(len(moduli), x):
         return _lag_band_sum(moduli, x, diff, restriction, tables)
-    return _bucket_band_sum(moduli, x, diff, restriction, tables.phi, 1)
+    return _bucket_band_sum(moduli, x, diff, restriction, tables, 1)
 
 
 def _stored_theta(tables):
