@@ -162,9 +162,9 @@ class FRConfig:
     - the dense value table over [0, tables.limit], built on first use by
       table(), and the residual square (Lambda(n) - F_R(n))^2 over the same
       range, built (from _weight) by the first theorem-3 class of more than
-      64 terms; a shorter class reads F_R at its own points (_fr_at) and
-      leaves both unbuilt.  Each costs 8 bytes per n: 80 MB apiece at a limit of 10^7,
-      800 MB at 10^8;
+      64 terms; a shorter class reads the table if it is built, else F_R
+      at its own points (_fr_at), and builds neither.  Each costs 8 bytes
+      per n: 80 MB apiece at a limit of 10^7, 800 MB at 10^8;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than

@@ -17,16 +17,19 @@ predicted by (Q - Q_low) times the per-modulus density; Q_low = 0 recovers the
 headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 
 Two routes compute a band.  The bucket route takes one O(x) pass per modulus
-and can split the band over threads.  The lag route opens each modulus as
-sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the autocorrelation of
-the residual, so the whole band costs one FFT; the restricted modes add, by
-Moebius inversion, the autocorrelations of the rows a[shift mod e :: e] of
-every squarefree e <= Q, batched by FFT size so that a block of rows shares
-one transform.  BDH's raw weight lives on the prime powers, so its ladder
-transforms only e = 1: the composite rows are zero, and a prime row holds
-only the powers of p, so its band is an exact sum over pairs of them.  The
-band width alone picks the route (_lag_route); the bucket route stays as the
-oracle the tests compare the lag route against.
+and can split the band over threads.  It finds the kept classes by striking
+b = shift (mod p) for each prime p | d, and a modulus that keeps at most
+_FOLD_CLASSES of them folds only those, column by column, in the order of
+numpy's row sum, which sums every other modulus.  The lag route opens each
+modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the
+autocorrelation of the residual, so the whole band costs one FFT; the
+restricted modes add, by Moebius inversion, the autocorrelations of the rows
+a[shift mod e :: e] of every squarefree e <= Q, batched by FFT size so that a
+block of rows shares one transform.  BDH's raw weight lives on the prime
+powers, so its ladder transforms only e = 1: the composite rows are zero, and
+a prime row holds only the powers of p, so its band is an exact sum over
+pairs of them.  The band width alone picks the route (_lag_route); the bucket
+route stays as the oracle the tests compare the lag route against.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -269,11 +272,14 @@ def _bucket_band_sum(
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
-# crossovers of the batched lag kernel on one Xeon core, bands
-# (x/10 - M, x/10]: ALL at M ~ 140, 340 and 240 for x = 10^4, 10^5 and 10^6,
-# COPRIME at M ~ 68, 58 and 49, i.e. M / log2(x) between 2.5 and 20.5.  At 7,
-# about their geometric mean, the slower route costs at most about three
-# times the faster one on either side.
+# crossovers on one Xeon core, bands (x/10 - M, x/10], R = 30, with the
+# struck masks and the fold: ALL at M ~ 90, 248 and 176 for x = 10^4, 10^5
+# and 10^6, COPRIME and SHIFT_COPRIME (N = 2) at M ~ 163-171, 432 and 464,
+# i.e. M / log2(x) between 6.8 and 26.0.  The bucket route costs about M
+# times a per-modulus pass and the lag route about a fixed amount, so at 7 a
+# band just past it costs the lag route at most about 2.1 times the bucket
+# route in ALL mode and 3.7 times in the others.  With np.gcd masks COPRIME
+# crossed at 1.6-2.9; 7 was chosen then and kept, so no band changes route.
 _LAG_MODULI_PER_LOG2_X = 7.0
 
 
@@ -635,11 +641,12 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
     A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) takes its x/v
-    residuals from Lambda (_weight) and F_R at its own points (_fr_at, the
-    table's entries bit for bit), squares them and returns their np.sum: it
-    builds neither the F_R table nor the residual square and adds no cache
-    entry, and in any order each of its n <= 64 terms meets at most n - 1
-    roundings.  Any other class reads the column sums of the row length
+    residuals from Lambda (_weight) and the config's F_R table, or, while
+    that is unbuilt, F_R at its own points (_fr_at, the table's entries bit
+    for bit); it squares them and returns their np.sum: it builds neither
+    the F_R table nor the residual square and adds no cache entry, and in
+    any order each of its n <= 64 terms meets at most n - 1 roundings.  Any
+    other class reads the column sums of the row length
     m = _row_length(x, v), a multiple of v, from the blocked pass over the
     config's cached residual square (built on the first such call, 8 bytes
     per n up to tables.limit), and returns the pairwise np.sum of its m/v
@@ -654,8 +661,11 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:
-        diff = _fr_at(np.arange(start, x + 1, v), cfg)
-        np.subtract(_weight(cfg.tables, x, False, start, v), diff, out=diff)
+        if cfg._table is None:
+            diff = _fr_at(np.arange(start, x + 1, v), cfg)
+            np.subtract(_weight(cfg.tables, x, False, start, v), diff, out=diff)
+        else:
+            diff = _weight(cfg.tables, x, False, start, v, cfg._table)
         return float(np.multiply(diff, diff, out=diff).sum())
     m = _row_length(x, v)
     rows = cfg._sums.get((x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
