@@ -1,14 +1,14 @@
 """Sieve-backed arithmetic tables.
 
 Provides:
-- _primes_upto: the one prime enumerator, an odd-only wheel sieve struck in
-  cache-sized segments by its own primes <= sqrt(n); every prime list of the
-  package comes from it
+- prime_array: the one prime enumerator and the one store of primes, an
+  odd-only wheel sieve struck in cache-sized segments by its own primes
+  <= sqrt(cutoff); it holds the longest list enumerated so far and answers
+  any shorter cutoff with a prefix of it, so the sieve, the tables and the
+  constants of a process share one array
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
   struck in cache-sized segments by the primes <= sqrt(limit) in descending
-  order, keeping the enumerator's array of the primes <= limit
-- prime_array: the enumerator's primes <= cutoff, read-only and cached for the
-  last cutoff, for the prime sums and products of the constants layer
+  order, keeping prime_array(limit) as its primes
 - ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
   sieve's spf table and primes; mu and phi built in ascending blocks of n by
   one recurrence from n / spf(n), on the sieve's segment grid, Lambda stored
@@ -28,9 +28,9 @@ them freely across threads.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +62,12 @@ class FactorSieve:
 
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
     prime.  Entries 0 and 1 hold the sentinel 0.  The sieve keeps its primes,
-    8 bytes per prime, which primes() returns: build_sieve hands over the
-    enumerator's array it struck with, and a sieve built from a bare spf
-    table takes the n >= 2 with spf[n] == n.  The sieve is frozen and makes
-    both arrays read-only.  Sieves compare by identity, not by their arrays;
-    a copy or a pickle rebuilds one from its arrays.
+    which primes() returns: build_sieve hands over prime_array(limit), the
+    array it struck with (a view of the list prime_array holds), and a sieve
+    built from a bare spf table takes the n >= 2 with spf[n] == n, 8 bytes
+    per prime of its own.  The sieve is frozen and makes both arrays
+    read-only.  Sieves compare by identity, not by their arrays; a copy or a
+    pickle rebuilds one from its arrays.
     """
 
     limit: int
@@ -105,12 +106,12 @@ _WHEEL = math.prod(_WHEEL_PRIMES)
 
 
 def _odd_sieve(cutoff: int) -> np.ndarray:
-    """The odd-only sieve of _primes_upto: entry i is set when 2i + 1 <= cutoff is 1 or prime.
+    """The odd-only sieve of prime_array: entry i is set when 2i + 1 <= cutoff is 1 or prime.
 
     One period of _WHEEL slots (or the whole sieve, if shorter) with the odd
     multiples of 3, 5, 7, 11 and 13 struck is tiled over the (cutoff + 1) // 2
     slots, and the wheel primes themselves are set again.  The sieving primes
-    from 17 to sqrt(cutoff) are _primes_upto(isqrt(cutoff))'s, so below 17^2
+    from 17 to sqrt(cutoff) are prime_array(isqrt(cutoff))'s, so below 17^2
     the enumerator does not recurse; every segment of _ODD_SEGMENT slots
     (1 MB, so it stays in L2) is struck by those whose squares lie below its
     end, each from max(p^2, its first odd multiple in the segment).
@@ -123,7 +124,7 @@ def _odd_sieve(cutoff: int) -> np.ndarray:
     odd[[p // 2 for p in _WHEEL_PRIMES if p // 2 < size]] = True
     root = math.isqrt(cutoff)
     # The first six primes are 2 and the wheel's; below 17^2 none is left to strike.
-    sieving = _primes_upto(root)[len(_WHEEL_PRIMES) + 1 :].tolist() if root >= 17 else []
+    sieving = prime_array(root)[len(_WHEEL_PRIMES) + 1 :].tolist() if root >= 17 else []
     for lo in range(0, size, _ODD_SEGMENT):
         hi = min(lo + _ODD_SEGMENT, size)
         for p in sieving:
@@ -136,38 +137,38 @@ def _odd_sieve(cutoff: int) -> np.ndarray:
     return odd
 
 
-def _primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as a fresh ascending int64 array, empty for n < 2: the one prime enumerator.
-
-    Every prime list of the package comes from here: prime_array caches it,
-    build_sieve strikes with it and keeps it, and _odd_sieve takes its
-    sieving primes from it at sqrt(n).  Entry i of the odd sieve
-    (_odd_sieve, (n + 1) // 2 bools) stands for the odd number 2i + 1;
-    entry 0 (the number 1) is never struck and its slot in the result
-    becomes the prime 2.
-    """
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    primes = np.flatnonzero(_odd_sieve(n)).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return primes
+# The held list: (cutoff, the read-only primes <= cutoff), replaced only by a
+# longer one.  The lock makes that check and the swap one step; enumeration
+# runs outside it, so two threads may enumerate the same list.
+_held = (1, np.empty(0, dtype=np.int64))
+_held_lock = threading.Lock()
 
 
-@functools.lru_cache(maxsize=1, typed=True)
 def prime_array(cutoff: int) -> np.ndarray:
-    """All primes <= cutoff as a read-only ascending int64 array: _primes_upto(cutoff), cached for the last cutoff.
+    """All primes <= cutoff as a read-only ascending int64 array: the package's one prime enumerator and store.
 
-    The constants layer reads it; build_sieve does not, so the tables and
-    the constants never evict each other's entry.  The cache is typed, so a
-    float cutoff reaches the integer check even when an equal int is cached.
+    A cutoff past the held list's enumerates the odd sieve (_odd_sieve,
+    (cutoff + 1) // 2 bools, entry i for the odd number 2i + 1; entry 0,
+    the number 1, is never struck and its slot in the result becomes the
+    prime 2) and holds the result in place of the shorter list.  Every
+    answer is a prefix view of the held list, so build_sieve(x) and the
+    constants at a cutoff <= x share one array.  An int cutoff held does
+    not answer an equal float: the check comes first.
     """
+    global _held
     if not isinstance(cutoff, numbers.Integral) or cutoff < 2:
         raise ValueError(f"cutoff must be an integer >= 2, got {cutoff!r}")
-    primes = _primes_upto(cutoff)
-    primes.setflags(write=False)
-    return primes
+    if cutoff > _held[0]:
+        primes = np.flatnonzero(_odd_sieve(cutoff)).astype(np.int64, copy=False)
+        primes *= 2
+        primes += 1
+        primes[0] = 2
+        primes.setflags(write=False)
+        with _held_lock:
+            if cutoff > _held[0]:
+                _held = (int(cutoff), primes)
+    primes = _held[1]
+    return primes[: np.searchsorted(primes, cutoff, side="right")]
 
 
 def _check_limit(limit: int) -> None:
@@ -182,15 +183,15 @@ def _check_limit(limit: int) -> None:
 # over the whole table runs from main memory; a block's int64 gather
 # temporaries are 2 MB each.
 _SEGMENT = 2**18
-# Slots of one segment of prime_array's bool sieve: the same 1 MB.
+# Slots of one segment of prime_array's bool sieve (_odd_sieve): the same 1 MB.
 _ODD_SEGMENT = 4 * _SEGMENT
 
 
 def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
 
-    The primes <= limit are _primes_upto(limit)'s, not prime_array's, so
-    the constants' cached cutoff stays in place.  Every segment
+    The primes <= limit are prime_array(limit), a prefix of the held list
+    that the constants read too.  Every segment
     [lo, lo + _SEGMENT), from lo = 0, is struck by the primes <= sqrt(limit)
     with p^2 < hi in descending order, with plain stores from max(p^2, the
     first multiple >= lo) and no mask.  The smallest prime p dividing a
@@ -206,7 +207,7 @@ def build_sieve(limit: int) -> FactorSieve:
         FactorSieve with spf filled for every n in [2, limit] and its primes kept.
     """
     _check_limit(limit)
-    primes = _primes_upto(limit)
+    primes = prime_array(limit)
     sieving = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist()
     squares = [p * p for p in sieving]
     spf = np.zeros(limit + 1, dtype=np.int32)

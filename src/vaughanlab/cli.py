@@ -53,6 +53,7 @@ from .arith import ArithTables, _check_limit, build_sieve, build_tables, prime_a
 from .constants import (
     ConstantSet,
     ProductKind,
+    _DEFAULT_CUTOFF,
     _check_cutoff,
     _primes_of_n,
     constant_set,
@@ -135,7 +136,7 @@ class ExperimentConfig:
     v_list: list[int] = field(
         default_factory=lambda: [1, 2, 3, 5, 6, 7, 10], metadata=_flag("--v", _int_list, help="comma-separated moduli")
     )
-    prime_cutoff: int = field(default=10**7, metadata=_flag("--cutoff", int, help="prime cutoff for constants"))
+    prime_cutoff: int = field(default=_DEFAULT_CUTOFF, metadata=_flag("--cutoff", int, help="prime cutoff for constants"))
     q_low: str = field(default="0", metadata=_flag("--q-low", help="number or 'auto' (= x/R)"))
     weight: str = field(default="theta", metadata=_flag("--weight", choices=[w.value for w in Weight]))
     threads: int = field(default=0, metadata=_flag("--threads", int))

@@ -6,17 +6,19 @@ over enumerated primes up to an explicit cutoff, and every truncated quantity
 carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
-The primes come from arith.prime_array, the read-only int64 result of the
-package's one prime enumerator (arith._primes_upto, an odd-only sieve of
-(cutoff + 1) // 2 bools, tiled from a struck period of the primes up to 13 and
-struck by the rest segment by segment), cached for the last cutoff, one per
-run.  Each prime sum or product takes a fresh float64 copy of them and
-builds its terms in place in one further buffer, so at cutoff 10^7 (664,579
-primes) a call holds two 5.3 MB temporaries.  logp_sum adds its terms by
-_exact_sum, whose levels reuse those two buffers and whose value is math.fsum's
-bit for bit.  euler_gamma is computed once per process, and restricted_product
-keeps its 128 most recent results (functools.lru_cache, typed, so a float
-cutoff equal to a cached integer one still reaches _check_cutoff).
+The primes come from arith.prime_array, the package's one prime enumerator
+and store (an odd-only sieve of (cutoff + 1) // 2 bools, tiled from a struck
+period of the primes up to 13 and struck by the rest segment by segment).  It
+holds one read-only int64 list, the longest asked for, and hands out prefix
+views of it, so after build_sieve(x) with x >= cutoff the constants
+enumerate no primes.  Each prime sum or product takes a fresh float64 copy
+of them and builds its terms in place in one further buffer, so at cutoff
+10^7 (664,579 primes) a call holds two 5.3 MB temporaries.  logp_sum adds
+its terms by _exact_sum, whose levels reuse those two buffers and whose
+value is math.fsum's bit for bit.  euler_gamma is computed once per
+process, and restricted_product keeps its 128 most recent results
+(functools.lru_cache, typed, so a float cutoff equal to a cached integer one
+still reaches _check_cutoff).
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
@@ -57,6 +59,10 @@ __all__ = [
     "t_of_n",
     "prime_array",
 ]
+
+
+# The prime cutoff of constant_set, restricted_product, t_of_n and the CLI's --cutoff when none is given.
+_DEFAULT_CUTOFF = 10**7
 
 
 def _check_cutoff(prime_cutoff: int) -> None:
@@ -206,7 +212,7 @@ class ConstantSet:
     tail_bound: float
 
 
-def constant_set(prime_cutoff: int = 10**7) -> ConstantSet:
+def constant_set(prime_cutoff: int = _DEFAULT_CUTOFF) -> ConstantSet:
     g = euler_gamma()
     s, tail = logp_sum(prime_cutoff)
     c0 = 1.0 + g + s
@@ -278,7 +284,7 @@ def _primes_of_n(N: int, prime_cutoff: int) -> list[int]:
 
 
 @functools.lru_cache(typed=True)
-def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = 10**7) -> RestrictedProduct:
+def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = _DEFAULT_CUTOFF) -> RestrictedProduct:
     """Evaluate the truncated Euler product, omitting primes dividing N.
 
     N = 1 is the unrestricted product.  For P_PM1 the restricted value is the
@@ -322,7 +328,7 @@ class TruncationExponent:
     prime_cutoff: int
 
 
-def t_of_n(N: int, prime_cutoff: int = 10**7) -> TruncationExponent:
+def t_of_n(N: int, prime_cutoff: int = _DEFAULT_CUTOFF) -> TruncationExponent:
     pm1 = restricted_product(ProductKind.P_PM1, N, prime_cutoff)
     pz = restricted_product(ProductKind.P_ZETA, 1, prime_cutoff)
     ratio = pz.value / pm1.value

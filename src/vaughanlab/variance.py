@@ -225,20 +225,6 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     )
 
 
-def _modulus_contribution(
-    d: int,
-    x: int,
-    diff: np.ndarray,
-    restriction: RestrictionMode,
-    tables: ArithTables,
-) -> float:
-    kept = None if restriction.shift is None else _kept_classes(d, restriction.shift, tables.sieve)
-    vals = _bucket_sums(diff, x, d, kept)
-    if restriction.mode is Mode.BDH:  # diff holds the raw weight, the approximant is x/phi(d)
-        vals = vals - x / float(tables.phi[d])
-    return float((vals * vals).sum())
-
-
 def _bucket_band_sum(
     moduli: range,
     x: int,
@@ -250,7 +236,11 @@ def _bucket_band_sum(
     """The band one modulus at a time: an O(x) bucket pass per d, over threads >= 1 workers (_thread_count)."""
 
     def contribution(d: int) -> float:
-        return _modulus_contribution(d, x, diff, restriction, tables)
+        kept = None if restriction.shift is None else _kept_classes(d, restriction.shift, tables.sieve)
+        vals = _bucket_sums(diff, x, d, kept)
+        if restriction.mode is Mode.BDH:  # diff holds the raw weight, the approximant is x/phi(d)
+            vals = vals - x / float(tables.phi[d])
+        return float((vals * vals).sum())
 
     if threads <= 1 or len(moduli) < 2:
         contribs = [contribution(d) for d in moduli]

@@ -4,7 +4,9 @@ import copy
 import dataclasses
 import math
 import pickle
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -445,30 +447,75 @@ def test_descending_strikes_match_plain_sieve_in_short_segments(monkeypatch):
             _assert_sieve_and_primes_match_plain_sieve(limit)
 
 
-def test_build_sieve_adds_no_prime_array_cutoff():
-    prime_array.cache_clear()
+def test_build_sieve_and_constants_share_one_prime_list(reset_primes, monkeypatch):
+    # The sieve keeps a view of prime_array's held list, and every cutoff at
+    # or below the sieve's limit is a prefix of the same array.
+    sieve = build_sieve(10**5)
+    for m in (2, 1000, 99_991, 10**5):
+        assert np.shares_memory(sieve.primes(), prime_array(m)), m
+
+    def no_enumeration(cutoff):
+        pytest.fail(f"_odd_sieve({cutoff}) ran for a cutoff the held list covers")
+
+    monkeypatch.setattr(arith, "_odd_sieve", no_enumeration)
+    constant_set(10**5)
     build_tables(build_sieve(10**5))
-    # The sieve and the tables take their primes from the sieve alone.
-    assert prime_array.cache_info().misses == 0
-    constant_set(10**6)
-    # One miss, for the constants cutoff.
-    assert prime_array.cache_info().misses == 1
+    build_sieve(5000)
+    assert prime_array(10**5).tobytes() == sieve.primes().tobytes()
 
 
-def test_build_sieve_calls_neither_itself_nor_prime_array(monkeypatch):
-    # Every prime list comes from the one enumerator: build_sieve strikes with
-    # and keeps _primes_upto(limit), with no sieve at sqrt(limit) and no
-    # cached prime_array.
+def test_held_prime_list_never_shrinks(reset_primes):
+    long = prime_array(10**5)
+    assert arith._held[0] == 10**5
+    short = prime_array(1000)
+    assert arith._held[0] == 10**5 and np.shares_memory(long, short)
+    assert short.tobytes() == long[: len(short)].tobytes() and short[-1] == 997
+    # A float cutoff is refused even when an equal int is held.
+    for bad in (1000.0, np.float64(1000), 1e5):
+        with raises(ValueError, match="integer"):
+            prime_array(bad)
+    assert arith._held[0] == 10**5
+
+
+def test_racing_threads_keep_the_longest_prime_list(reset_primes):
+    # Threads may enumerate the same list twice, but the held list only grows.
+    cutoffs = [1000 * k for k in range(1, 41)] * 2
+    want = _mask_primes(build_sieve(40_000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            reset_primes()
+            with ThreadPoolExecutor(max_workers=8) as ex:
+                got = list(ex.map(prime_array, cutoffs))
+            assert arith._held[0] == 40_000
+            for cutoff, primes in zip(cutoffs, got):
+                assert primes.tobytes() == want[: np.searchsorted(want, cutoff, side="right")].tobytes(), cutoff
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_build_sieve_strikes_with_prime_array_and_never_itself(reset_primes, monkeypatch):
+    # Every prime list comes from prime_array: build_sieve strikes with and
+    # keeps prime_array(limit), with no sieve at sqrt(limit).
     build = arith.build_sieve
+    calls = []
 
     def no_call(*args):
         pytest.fail(f"build_sieve called another sieve with {args}")
 
+    def recorded(cutoff):
+        calls.append(cutoff)
+        return prime_array(cutoff)
+
     monkeypatch.setattr(arith, "build_sieve", no_call)
-    monkeypatch.setattr(arith, "prime_array", no_call)
+    monkeypatch.setattr(arith, "prime_array", recorded)
     for limit in (2, 3, 4, 24, 25, 1000, 10**5):
+        reset_primes()
+        calls.clear()
         sieve = build(limit)
         assert sieve.primes().tobytes() == _mask_primes(sieve).tobytes(), limit
+        assert calls[0] == limit, (limit, calls)
 
 
 def test_theta_is_lambda_off_the_prime_powers(tables_small):

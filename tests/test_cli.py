@@ -390,6 +390,44 @@ def test_report_merges_runs_and_contrasts_modes(tmp_path, capsys):
     assert "mode=coprime" in text
 
 
+def test_report_command_prints_the_merged_report(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "constants", "--cutoff", "1000", "--out", str(tmp_path))
+    assert code == 0, err
+    manifest = str(tmp_path / "manifest.json")
+    code, out, err = run_cli(capsys, "report", manifest)
+    assert code == 0 and err == ""
+    assert out == report([manifest]) + "\n"
+    assert f"[constants] from {manifest}" in out and "  c0 = " in out
+
+
+def test_report_needs_the_results_beside_each_manifest(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "constants", "--cutoff", "1000", "--out", str(tmp_path))
+    assert code == 0, err
+    (tmp_path / "results.json").unlink()
+    manifest = str(tmp_path / "manifest.json")
+    with raises(FileNotFoundError, match="results.json missing"):
+        report([manifest])
+    code, _, err = run_cli(capsys, "report", manifest)
+    assert code == 1 and json.loads(err)["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("command", ["fr-table", "theorem3", "vaughan", "theorem5", "theorem4", "bdh"])
+def test_command_without_x_is_usage_error(command, tmp_path, capsys):
+    code, _, err = run_cli(capsys, command, "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err) == {"error": "usage", "message": f"command {command!r} requires --x"}
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, message", [("report", "report takes manifest paths"), ("nope", "unknown command 'nope'")]
+)
+def test_run_refuses_report_and_unknown_commands(command, message, tmp_path):
+    with raises(UsageError, match=message):
+        cli.run(ExperimentConfig(command=command, output_dir=str(tmp_path)))
+    assert not any(tmp_path.iterdir())
+
+
 def test_suite_quick_end_to_end(tmp_path, capsys):
     code, out, err = run_cli(capsys, "suite", "--scale", "quick", "--out", str(tmp_path))
     assert code == 0, err

@@ -150,7 +150,7 @@ def test_prime_cutoff_is_capped_before_any_sieve(monkeypatch):
 def test_prime_cutoff_is_an_integer():
     # A float cutoff names itself in the error instead of failing inside
     # numpy; numpy's integers are integers.
-    prime_array(1000)  # an equal int in the cache must not answer a float
+    prime_array(1000)  # an equal int held must not answer a float
     for bad in (1e6, 1000.0, np.float64(1000)):
         with raises(ValueError, match="integer"):
             prime_array(bad)
@@ -245,7 +245,8 @@ def _assert_prime_array_matches_bit_sieve(cutoff):
     assert np.array_equal(got, want), cutoff
 
 
-def test_prime_array_matches_bit_sieve(monkeypatch):
+def test_prime_array_matches_bit_sieve(reset_primes, monkeypatch):
+    # Ascending cutoffs: each is past the held list, so each enumerates.
     seg = arith._ODD_SEGMENT
     for cutoff in [
         *range(2, 2001),
@@ -261,33 +262,36 @@ def test_prime_array_matches_bit_sieve(monkeypatch):
     ]:
         _assert_prime_array_matches_bit_sieve(cutoff)
     # Segments of 16 slots put up to 62 segment edges below 2,000.
-    prime_array.cache_clear()
+    reset_primes()
     monkeypatch.setattr(arith, "_ODD_SEGMENT", 16)
     for cutoff in range(2, 2001):
         _assert_prime_array_matches_bit_sieve(cutoff)
-    prime_array.cache_clear()
 
 
-def _assert_enumerator_matches_bit_sieve(n):
-    got, want = arith._primes_upto(n), _bit_sieve_primes(n)
+def _assert_enumerator_matches_bit_sieve(n, reset_primes):
+    reset_primes()  # nothing held: n and every level below it enumerate
+    got, want = prime_array(n), _bit_sieve_primes(n)
     assert got.dtype == want.dtype == np.int64, n
     assert got.tobytes() == want.tobytes(), n
     return got
 
 
-def test_prime_enumerator_matches_bit_sieve(monkeypatch):
-    # n < 2 gives an empty int64 array; from 17^2 on the enumerator takes its
-    # sieving primes from itself at sqrt(n), and from 17^4 on at sqrt(sqrt(n)) too.
+def test_prime_enumerator_matches_bit_sieve(reset_primes, monkeypatch):
+    # n < 2 is refused; from 17^2 on the enumerator takes its sieving primes
+    # from itself at sqrt(n), and from 17^4 on at sqrt(sqrt(n)) too.
     deep = [17**4 - 1, 17**4, 17**4 + 1, 19**4]
-    for n in [*range(3001), *deep]:
-        _assert_enumerator_matches_bit_sieve(n)
-    got = _assert_enumerator_matches_bit_sieve(3000)
-    assert got.flags.writeable and got is not arith._primes_upto(3000)  # fresh, uncached
+    for n in (-1, 0, 1):
+        with raises(ValueError, match="integer >= 2"):
+            prime_array(n)
+    for n in [*range(2, 3001), *deep]:
+        _assert_enumerator_matches_bit_sieve(n, reset_primes)
+    got = _assert_enumerator_matches_bit_sieve(3000, reset_primes)
+    assert not got.flags.writeable and np.shares_memory(got, prime_array(3000))  # held, read-only
     # Segments of 7 slots put up to 214 segment edges below 3,000, and cut
     # every level of the recursion.
     monkeypatch.setattr(arith, "_ODD_SEGMENT", 7)
-    for n in [*range(3001), *deep]:
-        _assert_enumerator_matches_bit_sieve(n)
+    for n in [*range(2, 3001), *deep]:
+        _assert_enumerator_matches_bit_sieve(n, reset_primes)
 
 
 # tracemalloc peak of the cold logp_sum(10**6) below at the parent of the
@@ -296,14 +300,14 @@ def test_prime_enumerator_matches_bit_sieve(monkeypatch):
 _PARENT_LOGP_PEAK = 1_884_801
 
 
-def test_cold_logp_sum_holds_no_more_than_its_three_prime_arrays():
+def test_cold_logp_sum_holds_no_more_than_its_three_prime_arrays(reset_primes):
     # The sieve's bools and its index array stay below the three float-sized
     # arrays of the sum, and _exact_sum's levels reuse the sum's two buffers.
     # Its block views and numpy's max, min and sum hold about 1.1 KB of
     # objects while they run, where math.fsum held 0.25 KB, hence the 2 KB
     # over the parent's peak; an array of the primes would add 628 KB.
     logp_sum(10**5)  # numpy's first calls, out of the trace
-    prime_array.cache_clear()
+    reset_primes()
     tracemalloc.start()
     try:
         logp_sum(10**6)
