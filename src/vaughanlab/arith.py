@@ -151,14 +151,17 @@ def prime_array(cutoff: int) -> np.ndarray:
     (cutoff + 1) // 2 bools, entry i for the odd number 2i + 1; entry 0,
     the number 1, is never struck and its slot in the result becomes the
     prime 2) and holds the result in place of the shorter list.  Every
-    answer is a prefix view of the held list, so build_sieve(x) and the
-    constants at a cutoff <= x share one array.  An int cutoff held does
-    not answer an equal float: the check comes first.
+    answer is a prefix view of the list it enumerated or of the one held
+    when it was called, never of a later swap, so build_sieve(x) and the
+    constants at a cutoff <= x share one array.  The held list is never
+    released: it goes with the process.  An int cutoff held does not
+    answer an equal float: the check comes first.
     """
     global _held
     if not isinstance(cutoff, numbers.Integral) or cutoff < 2:
         raise ValueError(f"cutoff must be an integer >= 2, got {cutoff!r}")
-    if cutoff > _held[0]:
+    held_cutoff, primes = _held
+    if cutoff > held_cutoff:
         primes = np.flatnonzero(_odd_sieve(cutoff)).astype(np.int64, copy=False)
         primes *= 2
         primes += 1
@@ -167,7 +170,6 @@ def prime_array(cutoff: int) -> np.ndarray:
         with _held_lock:
             if cutoff > _held[0]:
                 _held = (int(cutoff), primes)
-    primes = _held[1]
     return primes[: np.searchsorted(primes, cutoff, side="right")]
 
 

@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -493,6 +495,69 @@ def test_racing_threads_keep_the_longest_prime_list(reset_primes):
                 assert primes.tobytes() == want[: np.searchsorted(want, cutoff, side="right")].tobytes(), cutoff
     finally:
         sys.setswitchinterval(interval)
+
+
+def _race_short_against_long(pause_short):
+    """Run prime_array(1000) in one thread, held up by pause_short(long_done),
+    and prime_array(10^5) in another once the short one is held up; return both."""
+    paused, long_done = threading.Event(), threading.Event()
+
+    def short():
+        return pause_short(paused, long_done)
+
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        got_short = ex.submit(short)
+        assert paused.wait(10)
+        got_long = ex.submit(prime_array, 10**5).result()
+        long_done.set()
+        got_short = got_short.result()
+    assert arith._held[0] == 10**5  # before build_sieve below asks for 10^5 again
+    want = _mask_primes(build_sieve(10**5))
+    assert got_long.tobytes() == want.tobytes()
+    assert got_short.tobytes() == want[:168].tobytes() and got_short[-1] == 997
+
+
+def test_a_shorter_list_enumerated_last_is_not_held(reset_primes, monkeypatch):
+    # The thread at 1,000 enumerates first but swaps last: the thread at 10^5
+    # swaps in its longer list while the shorter one is still sieving.
+    odd_sieve = arith._odd_sieve
+
+    def pause_short(paused, long_done):
+        def slow_at_1000(cutoff):
+            if cutoff == 1000:
+                paused.set()
+                assert long_done.wait(10)
+            return odd_sieve(cutoff)
+
+        monkeypatch.setattr(arith, "_odd_sieve", slow_at_1000)
+        return prime_array(1000)
+
+    _race_short_against_long(pause_short)
+
+
+def test_the_held_list_check_and_swap_are_one_step(reset_primes):
+    # The thread at 1,000 stops between its check of the held cutoff and its
+    # swap.  The lock keeps the thread at 10^5 from swapping in between, so
+    # after half a second the short list is swapped in and then the long one;
+    # without the lock the long one would land first and the short one last.
+    lines, first = inspect.getsourcelines(arith.prime_array)
+    swap = first + next(i for i, line in enumerate(lines) if "_held = (" in line)
+    code = arith.prime_array.__code__
+
+    def pause_short(paused, long_done):
+        def at_swap(frame, event, arg):
+            if event == "line" and frame.f_lineno == swap and frame.f_locals["cutoff"] == 1000:
+                paused.set()
+                long_done.wait(0.5)
+            return at_swap
+
+        sys.settrace(lambda frame, event, arg: at_swap if frame.f_code is code else None)
+        try:
+            return prime_array(1000)
+        finally:
+            sys.settrace(None)
+
+    _race_short_against_long(pause_short)
 
 
 def test_build_sieve_strikes_with_prime_array_and_never_itself(reset_primes, monkeypatch):

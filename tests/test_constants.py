@@ -246,7 +246,7 @@ def _assert_prime_array_matches_bit_sieve(cutoff):
 
 
 def test_prime_array_matches_bit_sieve(reset_primes, monkeypatch):
-    # Ascending cutoffs: each is past the held list, so each enumerates.
+    # Nothing is held before each cutoff, so each one enumerates.
     seg = arith._ODD_SEGMENT
     for cutoff in [
         *range(2, 2001),
@@ -260,11 +260,12 @@ def test_prime_array_matches_bit_sieve(reset_primes, monkeypatch):
         *(2 * j * seg + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
         10**6 + 3,
     ]:
+        reset_primes()
         _assert_prime_array_matches_bit_sieve(cutoff)
     # Segments of 16 slots put up to 62 segment edges below 2,000.
-    reset_primes()
     monkeypatch.setattr(arith, "_ODD_SEGMENT", 16)
     for cutoff in range(2, 2001):
+        reset_primes()
         _assert_prime_array_matches_bit_sieve(cutoff)
 
 
