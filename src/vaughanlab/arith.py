@@ -8,11 +8,14 @@ Provides:
   constants of a process share one array
 - FactorSieve / build_sieve: smallest-prime-factor table over [2, limit],
   struck in cache-sized segments by the primes <= sqrt(limit) in descending
-  order, keeping prime_array(limit) as its primes
+  order, each odd prime at its odd multiples only and 2 last at the even
+  entries, keeping prime_array(limit) as its primes (a copy of them where the
+  held list is more than twice as long)
 - ArithTables / build_tables: von Mangoldt, Mobius and totient arrays from the
   sieve's spf table and primes; mu and phi built in ascending blocks of n by
-  one recurrence from n / spf(n), on the sieve's segment grid, Lambda stored
-  with the sorted prime powers p^k, k >= 2, where it is log p
+  one recurrence from n / spf(n), an exact float64 quotient, on the sieve's
+  segment grid, Lambda stored with the sorted prime powers p^k, k >= 2, where
+  it is log p
 - _weight: every weight built on Lambda, over one residue class: Lambda or
   theta (Lambda with the prime powers set to 0; theta is not stored), less a
   model table when one is given.  ArithTables.theta, the progression sums,
@@ -63,7 +66,8 @@ class FactorSieve:
     spf[n] is the smallest prime dividing n, so spf[n] == n exactly when n is
     prime.  Entries 0 and 1 hold the sentinel 0.  The sieve keeps its primes,
     which primes() returns: build_sieve hands over prime_array(limit), the
-    array it struck with (a view of the list prime_array holds), and a sieve
+    array it struck with (a view of the list prime_array holds, or a copy
+    of that prefix where the list is more than twice as long), and a sieve
     built from a bare spf table takes the n >= 2 with spf[n] == n, 8 bytes
     per prime of its own.  The sieve is frozen and makes both arrays
     read-only.  Sieves compare by identity, not by their arrays; a copy or a
@@ -98,11 +102,16 @@ class FactorSieve:
             raise TableRangeError(f"n = {n} exceeds sieve limit {self.limit}")
 
 
-# The odd slots i (the odd numbers 2i + 1) repeat their divisibility by the
-# wheel primes with period 3*5*7*11*13 = 15015, so one struck period tiles
-# the whole sieve.
+# The primorial 2*3*5*7*11*13 = 30030: divisibility by the primes <= 13, and so
+# by every squarefree d <= 15 (17 is the first squarefree d that does not
+# divide it), repeats with this period.  The odd slots i (the odd numbers
+# 2i + 1) repeat their divisibility by the odd wheel primes with period 15015,
+# so one struck period tiles the whole odd sieve; one period of the F_R table's
+# head tiles that table (frmodel), and variance's column sums use it as a row
+# length.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = math.prod(_WHEEL_PRIMES)
+_PRIMORIAL = 2 * math.prod(_WHEEL_PRIMES)
+_WHEEL = _PRIMORIAL // 2
 
 
 def _odd_sieve(cutoff: int) -> np.ndarray:
@@ -193,14 +202,19 @@ def build_sieve(limit: int) -> FactorSieve:
     """Build the smallest-prime-factor table for [2, limit].
 
     The primes <= limit are prime_array(limit), a prefix of the held list
-    that the constants read too.  Every segment
-    [lo, lo + _SEGMENT), from lo = 0, is struck by the primes <= sqrt(limit)
-    with p^2 < hi in descending order, with plain stores from max(p^2, the
-    first multiple >= lo) and no mask.  The smallest prime p dividing a
-    composite n has p^2 <= n, so p strikes n and writes it last: an entry
-    ends as in one pass per prime over the whole table.  No strike reaches a
-    prime, so spf[p] = p is stored for every prime at the end, and the
-    array of the primes is handed to the sieve as its primes.
+    that the constants read too; where that list is more than twice as
+    long, the sieve keeps a copy of its prefix instead, so a short sieve
+    does not keep a long list alive once prime_array holds a longer one.
+    Every segment [lo, lo + _SEGMENT), from lo = 0, is struck by the primes
+    <= sqrt(limit) with p^2 < hi in descending order, with plain stores and
+    no mask: each odd prime p at its odd multiples only (stride 2p), from
+    the first odd multiple >= max(p^2, lo), and last 2 at every even entry
+    from max(4, lo).  The smallest prime p dividing a composite n has
+    p^2 <= n, so p strikes n (2 every even n, an odd p every odd n it
+    divides) and writes it last: an entry ends as in one pass per prime
+    over the whole table.  No strike reaches a prime, so spf[p] = p is
+    stored for every prime at the end, and the array of the primes is
+    handed to the sieve as its primes.
 
     Args:
         limit: inclusive upper bound, in [2, 2^31) (_check_limit).
@@ -210,14 +224,20 @@ def build_sieve(limit: int) -> FactorSieve:
     """
     _check_limit(limit)
     primes = prime_array(limit)
+    # A prefix view keeps the whole list it was sliced from (its base) alive.
+    if primes.base.size > 2 * primes.size:
+        primes = primes.copy()
     sieving = primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist()
     squares = [p * p for p in sieving]
     spf = np.zeros(limit + 1, dtype=np.int32)
     for lo in range(0, limit + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, limit + 1)
         # Only the primes with p^2 < hi have a multiple from their square on in [lo, hi).
-        for p in reversed(sieving[: bisect.bisect_left(squares, hi)]):
-            spf[max(p * p, -(-lo // p) * p) : hi : p] = p
+        striking = sieving[: bisect.bisect_left(squares, hi)]
+        for p in reversed(striking[1:]):
+            spf[max(p * p, (-(-lo // p) | 1) * p) : hi : 2 * p] = p
+        if striking:
+            spf[max(4, lo + lo % 2) : hi : 2] = 2
     spf[primes] = primes
     return FactorSieve(limit=limit, spf=spf, _primes=primes)
 
@@ -272,15 +292,20 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
     exactly when p^2 | n:
 
         phi[n] = phi[m] * (p - 1 + again)
-        mu[n] = 0 if again else -mu[m]
+        mu[n] = 0 if again else -mu[m] = mu[m] * (again - 1)
 
     m <= n / 2, so n runs in ascending blocks [lo, min(2 lo, lo + _SEGMENT)),
-    each a vectorised gather from blocks already built.  The primes are the
-    sieve's own, sieve.primes().  Lambda holds log p at each prime p and one
-    store of that float at each p^k <= limit with k >= 2 (p <= sqrt(limit)),
-    so every power of p carries the same float; those p^k are kept, sorted,
-    as the tables' prime_powers (555 at 10^7), from which theta is
-    derived.
+    each a vectorised gather from blocks already built, with in-place int32
+    (p - 1 + again) and int8 (again - 1) factors.  m is the float64
+    quotient n / p, not an int64 floor division: n < 2^31 and p are exact
+    doubles, p divides n, so the true quotient m is an integer below 2^53,
+    a double itself, and the correctly rounded division returns it exactly.
+
+    The primes are the sieve's own, sieve.primes().  Lambda holds log p at
+    each prime p and one store of that float at each p^k <= limit with
+    k >= 2 (p <= sqrt(limit)), so every power of p carries the same float;
+    those p^k are kept, sorted, as the tables' prime_powers (555 at 10^7),
+    from which theta is derived.
     """
     limit = sieve.limit
     spf = sieve.spf
@@ -303,11 +328,20 @@ def build_tables(sieve: FactorSieve) -> ArithTables:
     lo = 2
     while lo <= limit:
         hi = min(2 * lo, lo + _SEGMENT, limit + 1)
-        p = spf[lo:hi].astype(np.int64)
-        m = np.arange(lo, hi, dtype=np.int64) // p
+        p = spf[lo:hi]
+        m = np.arange(lo, hi, dtype=np.float64)
+        m /= p
+        m = m.astype(np.intp)
         again = spf[m] == p
-        phi[lo:hi] = phi[m] * (p - 1 + again)
-        mu[lo:hi] = np.where(again, 0, -mu[m])
+        factor = p - 1
+        factor += again
+        # The gathers read m < lo only, so they may write into [lo, hi) of the same array.
+        np.take(phi, m, out=phi[lo:hi], mode="clip")
+        phi[lo:hi] *= factor
+        sign = again.view(np.int8)
+        sign -= 1
+        np.take(mu, m, out=mu[lo:hi], mode="clip")
+        mu[lo:hi] *= sign
         lo = hi
 
     return ArithTables(limit=limit, lam=lam, mu=mu, phi=phi, prime_powers=prime_powers, sieve=sieve)

@@ -40,6 +40,7 @@ from .arith import (
     ArithTables,
     FactorSieve,
     TableRangeError,
+    _PRIMORIAL,
     _SEGMENT,
     _check_x,
     _norm_residue,
@@ -219,20 +220,33 @@ class FRConfig:
     def table(self) -> np.ndarray:
         """Read-only dense F_R values over [0, tables.limit]; index 0 is 0.
 
-        Entry n is the sum of coef[d] over d | n, added in ascending d.  The
-        additions run over ascending segments [lo, lo + _SEGMENT) of the
-        table, each squarefree d <= R with coef[d] != 0 in ascending order
-        within each, starting at its first multiple >= max(lo, d); so every
-        entry gets the same additions in the same order as in one pass per d
-        over the whole table.
+        Entry n is the sum of coef[d] over d | n, added from 0.0 in ascending
+        d, over the squarefree d <= R with coef[d] != 0.  The head of those
+        d, the ascending prefix of the ones dividing _PRIMORIAL (every d up
+        to 15; 17 is the first that does not divide 30030), gives each n the
+        partial sum of entry n mod _PRIMORIAL, so one period of it, built by
+        the same adds in the same order, is tiled over the table, and entry
+        0, which no add reaches, is set to 0.0.  The rest of the d are added
+        over ascending segments [lo, lo + _SEGMENT), in ascending order
+        within each, from the first multiple >= max(lo, d).  So every entry
+        gets the same additions in the same order as in one pass per d over
+        the whole table.  At R = 50 the tile takes 11 of the 31 d, 80% of
+        the adds.
         """
         if self._table is None:
             limit = self.tables.limit
-            t = np.zeros(limit + 1, dtype=np.float64)
             terms = [(d, self._coef[d]) for d in np.flatnonzero(self._coef).tolist()]
+            k = 0
+            while k < len(terms) and _PRIMORIAL % terms[k][0] == 0:
+                k += 1
+            head = np.zeros(min(_PRIMORIAL, limit + 1), dtype=np.float64)
+            for d, c in terms[:k]:
+                head[::d] += c
+            t = np.resize(head, limit + 1)  # repeated copies of the head period
+            t[0] = 0.0
             for lo in range(0, limit + 1, _SEGMENT):
                 hi = min(lo + _SEGMENT, limit + 1)
-                for d, c in terms:
+                for d, c in terms[k:]:
                     t[-(-max(lo, d) // d) * d : hi : d] += c
             t.setflags(write=False)
             object.__setattr__(self, "_table", t)

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, FactorSieve, _check_x, _weight, divisors, factorize
+from .arith import ArithTables, FactorSieve, _PRIMORIAL, _check_x, _weight, divisors, factorize
 from .constants import ConstantSet, ProductKind, _exact_sum, restricted_product
 from .frmodel import FRConfig, _check_r, _class_start, _fr_at, delta_indicator
 
@@ -587,18 +587,17 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 # most this many rows naively before the block sums are added pairwise.  A
 # class of at most this many terms is summed where it lies instead.
 _BLOCK_ROWS = 64
-# 2*3*5*7*11*13: one row length for every v whose primes are at most 13.
-_SMALL_PRIMORIAL = 30030
 
 
 def _row_length(x: int, v: int) -> int:
     """The row length m, a multiple of the squarefree v <= x, whose column sums serve v.
 
-    m = 30030 when v | 30030, else lcm(v, 6), so that one pass serves the
-    squarefree v <= 60 in 12 row lengths: 30030 and 6p for 17 <= p <= 59.
+    m = _PRIMORIAL (30030) when v | 30030, else lcm(v, 6), so that one pass
+    serves the squarefree v <= 60 in 12 row lengths: 30030 and 6p for
+    17 <= p <= 59.
     An m past x + 1 gives way to m = v.
     """
-    m = _SMALL_PRIMORIAL if _SMALL_PRIMORIAL % v == 0 else math.lcm(v, 6)
+    m = _PRIMORIAL if _PRIMORIAL % v == 0 else math.lcm(v, 6)
     return m if m <= x + 1 else v
 
 

@@ -466,6 +466,39 @@ def test_build_sieve_and_constants_share_one_prime_list(reset_primes, monkeypatc
     assert prime_array(10**5).tobytes() == sieve.primes().tobytes()
 
 
+def test_a_short_sieve_does_not_keep_a_longer_held_list_alive(reset_primes):
+    # The constants hold the primes to 10^6 (78,498); a sieve to 10^4 keeps a
+    # copy of its 1,229, so the 10^6 list goes once a longer one is held.
+    constant_set(10**6)
+    sieve = build_sieve(10**4)
+    prime_array(2 * 10**6)
+    primes = sieve.primes()
+    assert primes.base is None and primes.nbytes == 1229 * 8 and not primes.flags.writeable
+    assert primes.tobytes() == prime_array(10**4).tobytes() == _mask_primes(sieve).tobytes()
+    # Up to twice its length, the held list is shared: 9,592 primes to 10^5
+    # against 5,133 to 5 * 10^4, but 4,203 to 4 * 10^4 get a copy.
+    reset_primes()
+    held = prime_array(10**5)
+    assert np.shares_memory(build_sieve(5 * 10**4).primes(), held)
+    assert not np.shares_memory(build_sieve(4 * 10**4).primes(), held)
+
+
+def test_float_quotient_of_a_multiple_below_2_31_is_exact():
+    # build_tables takes m = n // spf(n) as the float64 quotient n / p, with
+    # p an int32; here for the three largest multiples n < 2^31 of each prime
+    # below 100 and of some large primes, 2^31 - 1 itself included.
+    primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+    pairs = [
+        (p * k, p)
+        for p in [*primes, 46_337, 65_521, 1_000_003, 2**31 - 1]
+        for k in range((2**31 - 1) // p, 0, -1)[:3]
+    ]
+    m = np.array([n for n, _ in pairs], dtype=np.float64)
+    m /= np.array([p for _, p in pairs], dtype=np.int32)
+    assert m.astype(np.intp).tolist() == [n // p for n, p in pairs]
+    assert max(pairs) == (2**31 - 1, 2**31 - 1)
+
+
 def test_held_prime_list_never_shrinks(reset_primes):
     long = prime_array(10**5)
     assert arith._held[0] == 10**5

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -32,7 +33,7 @@ from vaughanlab import (
     build_tables,
     verify_mobius_cr_range,
 )
-from vaughanlab import frmodel
+from vaughanlab import arith, frmodel
 from vaughanlab.arith import is_squarefree
 
 
@@ -154,8 +155,10 @@ def _strided_fr_table(cfg):
 
 
 def _assert_fr_table_matches_strided(limit):
+    # At R = 13 and 16 every d divides 30030 and the tile alone builds the
+    # table; at 17 the strided tail starts.
     tables = build_tables(build_sieve(limit))
-    for R in (2.0, 10.0, 50.0):
+    for R in (2.0, 10.0, 13.0, 16.0, 17.0, 50.0):
         if R > limit:
             continue
         cfg = FRConfig(R=R, tables=tables)
@@ -165,11 +168,12 @@ def _assert_fr_table_matches_strided(limit):
 
 # Every limit up to 64, 960 and 961, powers of two and three, 10^5, the prime
 # 100003, either side of the segment length 2^18, 2^20 + 1 and two past three
-# full segments.
+# full segments; either side of the tile period 30030 and one past two periods.
 FR_TABLE_LIMITS = sorted(
     set(range(2, 65))
     | {960, 961, 1024, 2**16, 3**10, 10**5, 100_003}
     | {2**18 - 1, 2**18, 2**18 + 1, 2**20 + 1, 3 * 2**18 + 2}
+    | {30_029, 30_030, 30_031, 2 * 30_030 + 1}
 )
 
 
@@ -184,6 +188,31 @@ def test_segmented_fr_table_matches_strided_in_tiny_segments(monkeypatch):
     monkeypatch.setattr(frmodel, "_SEGMENT", 7)
     for limit in range(2, 301):
         _assert_fr_table_matches_strided(limit)
+
+
+@pytest.mark.parametrize("period", [6, 30])
+def test_tiled_fr_table_matches_strided_with_a_tiny_period(monkeypatch, period):
+    # A period of 6 tiles the d in {1, 2, 3} and of 30 those in {1, 2, 3, 5, 6};
+    # 6 stops at 5 although 6 divides it, so the tail adds in ascending d.
+    monkeypatch.setattr(frmodel, "_PRIMORIAL", period)
+    for limit in range(2, 301):
+        _assert_fr_table_matches_strided(limit)
+
+
+def test_fr_table_holds_8_bytes_per_n_plus_a_period_and_a_segment(tables_1e6):
+    # The tile is made in place of the zeroed table, not beside it: the table
+    # keeps 8 bytes per n and the tiled copy at most one period more; the
+    # set-up peaks within one segment of that.
+    limit = tables_1e6.limit
+    cfg = FRConfig(R=50.0, tables=tables_1e6)
+    tracemalloc.start()
+    try:
+        cfg.table()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 8 * (limit + 1 + arith._PRIMORIAL)
+    assert peak <= 8 * (limit + 1 + arith._PRIMORIAL + arith._SEGMENT)
 
 
 def test_mu2_over_phi_values(tables_small):
