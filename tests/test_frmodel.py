@@ -192,8 +192,9 @@ def test_segmented_fr_table_matches_strided_in_tiny_segments(monkeypatch):
 
 @pytest.mark.parametrize("period", [6, 30])
 def test_tiled_fr_table_matches_strided_with_a_tiny_period(monkeypatch, period):
-    # A period of 6 tiles the d in {1, 2, 3} and of 30 those in {1, 2, 3, 5, 6};
-    # 6 stops at 5 although 6 divides it, so the tail adds in ascending d.
+    # A period of 6 tiles the d in {1, 2, 3} and of 30 those in {1, 2, 3, 5, 6}.
+    # With 6, d = 6 divides the period but follows 5, which does not, so it
+    # stays in the strided tail and every entry keeps its ascending order.
     monkeypatch.setattr(frmodel, "_PRIMORIAL", period)
     for limit in range(2, 301):
         _assert_fr_table_matches_strided(limit)
