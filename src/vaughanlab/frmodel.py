@@ -112,10 +112,12 @@ def _check_r(R: float, limit: int | None = None) -> None:
 # variance keeps for the theorem-3 forms' other per-modulus work.
 _G_CACHE = 1024
 
-# Float64 values (8 MB) that each config's cache of residual-square sums keeps:
-# the column sums per row length m, from which variance.delta_sq_progression
-# reads each class.  The 12 row lengths of the squarefree v <= 60 need
-# 30030 + 6 (17 + 19 + ... + 59) = 32,424 of them.
+# Float64 values (8 MB) that each config's cache of sums keeps: the column
+# sums of the residual square per row length m, from which
+# variance.delta_sq_progression reads each class, and one value per lone
+# lag-route row.  The 12 row lengths of the squarefree v <= 60 need
+# 30030 + 6 (17 + 19 + ... + 59) = 32,424 of them; a band at 10^7 holds a
+# few hundred rows.
 _SUM_CACHE = 2**20
 
 
@@ -169,13 +171,18 @@ class FRConfig:
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than
-      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...;
+      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; and
+      the unsigned part of each lone row of a lag-route band
+      (variance._lag_band_rows), one 1-element array per
+      (x, weight, start, e, f_lo, f_hi), which later bands on the config
+      read instead of transforming the row again;
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
-    Every array it hands out (the weights, the table, the square and the
-    sums) is read-only.  Both caches refer to arrays or to the tables, never
-    to the config, so dropping the config frees its arrays at once.
+    Every array it hands out (the weights, the table, the square, the sums
+    and the row parts) is read-only.  Both caches refer to arrays or to the
+    tables, never to the config, so dropping the config frees its arrays at
+    once.
 
     Thread safety: concurrent calls may share a config.  Both caches are
     thread-safe, and if two threads race on an unbuilt table or sum each may

@@ -25,7 +25,11 @@ modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the
 autocorrelation of the residual, so the whole band costs one FFT; the
 restricted modes add, by Moebius inversion, the autocorrelations of the rows
 a[shift mod e :: e] of every squarefree e <= Q, batched by FFT size so that a
-block of rows shares one transform.  BDH's raw weight lives on the prime
+block of rows shares one transform.  A row alone in its block is one float
+fixed by the residual and the row, so the F_R config keeps it (in _sums):
+ALL's one row, e = 1, is also the first row of every restricted band on the
+same band, and a later band on the config reads every lone row it shares
+instead of transforming it again.  BDH's raw weight lives on the prime
 powers, so its ladder transforms only e = 1: the composite rows are zero, and
 a prime row holds only the powers of p, so its band is an exact sum over
 pairs of them.  The band width alone picks the route (_lag_route); the bucket
@@ -138,6 +142,9 @@ class VarianceRun:
     relative_deviation_main: float | None = None
     error_budget: str = ""
     wall_time_ms: float = 0.0
+    # The signed e = 1 part of a lag-route band, the ALL band of the same
+    # residual bit for bit; None on the bucket route and for BDH.
+    all_part: float | None = None
 
     @property
     def modulus_range(self) -> tuple[float, int]:
@@ -368,7 +375,13 @@ def _lag_rows(
     return (f_hi - f_lo) * zero_lag + 2.0 * np.sum(acf, axis=1)
 
 
-def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.ndarray) -> list[np.ndarray]:
+# A lone row's key (start, e, f_lo, f_hi) and its builder, to its unsigned part as a 1-element array.
+_LoneRows = Callable[[tuple[int, int, int, int], Callable[[], np.ndarray]], np.ndarray]
+
+
+def _lag_band_rows(
+    a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.ndarray, lone: _LoneRows | None = None
+) -> list[np.ndarray]:
     """mu(e) times the all-class band floor(lo/e) < f <= floor(hi/e) of each row a[shift mod e :: e].
 
     shift None takes the row e = 1 alone (every class); any other shift the
@@ -381,7 +394,13 @@ def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.nd
     f_lo = f_hi add nothing and are dropped.  The rows are batched by FFT
     size 2^k into blocks of at most _BLOCK_ELEMENTS, one rfft/irfft per
     block; a row alone in its block takes the least 5-smooth size instead.
-    Returns one array of signed parts per block, in row order.
+    Every row of FFT size >= _BLOCK_ELEMENTS is alone, and so is e = 1,
+    the longest row, which is the last block.  A lone row's part is one
+    float fixed by a and its key (start, e, f_lo, f_hi), so lone, when
+    given, may hand out a part it holds (an F_R config keeps them per x and
+    weight in _sums) instead of transforming the row again; a batched row is
+    always computed.  Returns one array of signed parts per block, in row
+    order.
     """
     x = len(a) - 1
     e = np.array([1]) if shift is None else np.flatnonzero(mu[1 : hi + 1]) + 1
@@ -396,8 +415,14 @@ def _lag_band_rows(a: np.ndarray, lo: int, hi: int, shift: int | None, mu: np.nd
         per_block = max(1, _BLOCK_ELEMENTS >> k)
         for b in range(0, len(group), per_block):
             r = group[b : b + per_block]
-            size = 1 << k if len(r) > 1 else _smooth_size(2 * int(n[r[0]]) - 1)
-            parts.append(mu[e[r]] * _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], size))
+            if len(r) > 1:
+                part = _lag_rows(a, start[r], e[r], n[r], f_lo[r], f_hi[r], 1 << k)
+            else:
+                size = _smooth_size(2 * int(n[r[0]]) - 1)
+                build = functools.partial(_lag_rows, a, start[r], e[r], n[r], f_lo[r], f_hi[r], size)
+                row = tuple(int(v[r[0]]) for v in (start, e, f_lo, f_hi))
+                part = build() if lone is None else lone(row, build)
+            parts.append(mu[e[r]] * part)
     return parts
 
 
@@ -473,14 +498,24 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
 
 
 def _lag_band_sum(
-    moduli: range, x: int, diff: np.ndarray, restriction: RestrictionMode, tables: ArithTables
-) -> float:
-    """The band by the batched lag kernel; single threaded."""
+    moduli: range,
+    x: int,
+    diff: np.ndarray,
+    restriction: RestrictionMode,
+    tables: ArithTables,
+    lone: _LoneRows | None = None,
+) -> tuple[float, float | None]:
+    """The band by the batched lag kernel and its signed e = 1 part (None for BDH); single threaded.
+
+    The e = 1 part, alone in the last block, is the ALL band of diff bit for
+    bit; lone goes to _lag_band_rows.
+    """
     lo, hi = moduli.start - 1, moduli.stop - 1
     a = diff[: x + 1]
     if restriction.mode is Mode.BDH:  # a holds the raw weight
-        return _lag_band_bdh(a, lo, hi, tables)
-    return math.fsum(np.concatenate(_lag_band_rows(a, lo, hi, restriction.shift, tables.mu)))
+        return _lag_band_bdh(a, lo, hi, tables), None
+    parts = _lag_band_rows(a, lo, hi, restriction.shift, tables.mu, lone)
+    return math.fsum(np.concatenate(parts)), float(parts[-1][0])
 
 
 def _lag_route(n_moduli: int, x: int) -> bool:
@@ -520,7 +555,9 @@ def _band_run(
 
     Every bound is checked before the residual is built; the band width
     picks the route (_lag_route), and the timer covers the residual and the
-    band.
+    band.  On the lag route cfg's _sums keeps each lone row's part under the
+    key (x, weight, start, e, f_lo, f_hi), so a later band on cfg reads it:
+    ALL's one row is row e = 1 of every restricted band on the same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
@@ -529,9 +566,10 @@ def _band_run(
     diff = _weight(tables, x, weight is Weight.THETA, model=None if cfg is None else cfg.table())
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
     if _lag_route(len(moduli), x):
-        empirical = _lag_band_sum(moduli, x, diff, restriction, tables)
+        lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
+        empirical, all_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
     else:
-        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables, threads)
+        empirical, all_part = _bucket_band_sum(moduli, x, diff, restriction, tables, threads), None
     return VarianceRun(
         x=x,
         q=q,
@@ -541,6 +579,7 @@ def _band_run(
         n_shift=restriction.N,
         weight=weight,
         empirical=empirical,
+        all_part=all_part,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 

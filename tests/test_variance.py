@@ -178,7 +178,7 @@ def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     for q_low, q in LAG_ORACLE_BANDS:
         moduli = range(math.floor(q_low) + 1, q + 1)
         want = _bucket_band_sum(moduli, x, arr, restriction, cfg10_small.tables, 1)
-        got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
+        got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)[0]
         assert type(got) is float
         assert got == approx(want, rel=1e-12), (q_low, q)
 
@@ -272,7 +272,7 @@ def test_batched_lag_kernel_matches_per_e_route(cfg10_small, restriction, block_
     for q_low, q in LAG_ORACLE_BANDS + ((0.0, x),):
         moduli = range(math.floor(q_low) + 1, q + 1)
         want = _per_e_lag_band_sum(moduli, x, arr, restriction, tables)
-        got = _lag_band_sum(moduli, x, arr, restriction, tables)
+        got = _lag_band_sum(moduli, x, arr, restriction, tables)[0]
         assert got == approx(want, rel=1e-12), (q_low, q)
     assert max(cells, default=0) <= variance._BLOCK_ELEMENTS // 2
     assert bool(cells) == (restriction.mode in (Mode.COPRIME, Mode.SHIFT_COPRIME))
@@ -321,11 +321,103 @@ def test_bdh_rows_match_per_e_route(cfg10_small, weight, monkeypatch):
         steps.clear()
         moduli = range(lo + 1, hi + 1)
         want = _per_e_lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
-        got = _lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)
+        got = _lag_band_sum(moduli, x, arr, RestrictionMode(Mode.BDH), tables)[0]
         assert got == approx(want, rel=1e-12), (lo, hi)
         assert steps == [1], (lo, hi)
     primes = tables.sieve.primes()
     assert all(_max_prime_row_weight(x, lo, hi, primes) >= 2 for lo, hi in ((7, 31), (20, 120)))
+
+
+def _lone_row_calls(monkeypatch):
+    """Wrap variance._lag_rows; return the list it fills with the (start, e, f_lo, f_hi) of each row transformed alone."""
+    calls = []
+    kernel = variance._lag_rows
+
+    def recording(a, start, step, n, f_lo, f_hi, size):
+        if len(n) == 1:
+            calls.append((int(start[0]), int(step[0]), int(f_lo[0]), int(f_hi[0])))
+        return kernel(a, start, step, n, f_lo, f_hi, size)
+
+    monkeypatch.setattr(variance, "_lag_rows", recording)
+    return calls
+
+
+def _lag_bands(cfg, modes, weight, bands=LAG_ORACLE_BANDS, x=2_000):
+    """{(mode, N, Q_low, Q): empirical.hex()} of variance_sum on cfg, the modes in the order given."""
+    return {
+        (r.mode, r.N, q_low, q): variance_sum(x, q, cfg, r, weight=weight, q_low=q_low).empirical.hex()
+        for r in modes
+        for q_low, q in bands
+    }
+
+
+def _fresh_lag_bands(tables, modes, weight, bands=LAG_ORACLE_BANDS):
+    """_lag_bands with a fresh config for every band."""
+    out = {}
+    for r in modes:
+        for band in bands:
+            out.update(_lag_bands(FRConfig(R=10.0, tables=tables), [r], weight, [band]))
+    return out
+
+
+@pytest.mark.parametrize("block_elements", [None, 256])
+@pytest.mark.parametrize("weight", list(Weight))
+def test_lone_rows_are_held_bit_for_bit_in_any_order(tables_small, weight, block_elements, monkeypatch):
+    # every mode on one config, forward and then reversed, and reversed on a
+    # second one, gives the bits of each band on a fresh config, and no lone
+    # row a config holds is transformed again.  A budget of 256 makes every
+    # row of FFT size >= 256 a block alone, so the SHIFT bands at N = 6 share
+    # COPRIME's lone rows e | 6 as well as e = 1
+    if block_elements:
+        monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
+    fresh = _fresh_lag_bands(tables_small, VARIANCE_SUM_MODES, weight)
+    calls = _lone_row_calls(monkeypatch)
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    assert _lag_bands(cfg, VARIANCE_SUM_MODES, weight) == fresh
+    built = list(calls)
+    assert len(built) == len(set(built))
+    assert sorted(cfg._sums._arrays) == sorted((2_000, weight, *row) for row in built)
+    shared = [(0, 1, math.floor(q_low), q) for q_low, q in LAG_ORACLE_BANDS]  # ALL's rows: e = 1 of every band
+    assert set(shared) <= set(built)
+    if block_elements:
+        assert {(0, 2, 0, 150), (0, 3, 0, 100), (0, 6, 0, 50)} <= set(built)
+    calls.clear()
+    assert _lag_bands(cfg, VARIANCE_SUM_MODES[::-1], weight) == fresh
+    assert calls == []
+    assert _lag_bands(FRConfig(R=10.0, tables=tables_small), VARIANCE_SUM_MODES[::-1], weight) == fresh
+    assert sorted(calls) == sorted(built)
+    # a shorter residual keys its own rows
+    x = 1_999
+    want = variance_sum(x, 300, FRConfig(R=10.0, tables=tables_small), RestrictionMode(Mode.ALL), weight=weight)
+    got = variance_sum(x, 300, cfg, RestrictionMode(Mode.ALL), weight=weight)
+    assert got.empirical.hex() == want.empirical.hex()
+    assert (x, weight, 0, 1, 0, 300) in cfg._sums._arrays
+
+
+@pytest.mark.parametrize("weight", list(Weight))
+def test_all_part_is_the_all_band(tables_small, weight, monkeypatch):
+    # a lag-route band's all_part is its e = 1 part, the ALL band of the same
+    # residual bit for bit, whether or not ALL ran first on the config
+    x = 2_000
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    for q_low, q in LAG_ORACLE_BANDS:
+        runs = [variance_sum(x, q, cfg, r, weight=weight, q_low=q_low) for r in VARIANCE_SUM_MODES]
+        assert runs[0].mode is Mode.ALL and runs[0].all_part == runs[0].empirical
+        assert {run.all_part.hex() for run in runs} == {runs[0].empirical.hex()}, (q_low, q)
+        for r in VARIANCE_SUM_MODES[1:]:
+            run = variance_sum(x, q, FRConfig(R=10.0, tables=tables_small), r, weight=weight, q_low=q_low)
+            assert run.all_part.hex() == runs[0].empirical.hex(), (r, q_low, q)
+    # a bucket-route band and bdh_variance report none and add no entry;
+    # BDH has no config, so it transforms its e = 1 row on every call
+    calls = _lone_row_calls(monkeypatch)
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    for r in VARIANCE_SUM_MODES:
+        assert variance_sum(x, 100, cfg, r, weight=weight, q_low=90.0).all_part is None
+    for q in (50, 300, 300):
+        assert bdh_variance(x, q, tables_small, weight=weight).all_part is None
+    assert not _lag_route(10, x) and not _lag_route(50, x) and _lag_route(300, x)
+    assert not cfg._sums._arrays
+    assert calls == [(0, 1, 0, 300)] * 2
 
 
 def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
@@ -508,7 +600,7 @@ def test_variance_sum_continuous_across_route_crossover(cfg20_1e4):
         above = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width - 1).empirical
         narrow, wide = range(q - width + 1, q + 1), range(q - width, q + 1)
         assert below == _bucket_band_sum(narrow, x, diff, restriction, tables, 1)
-        assert above == _lag_band_sum(wide, x, diff, restriction, tables)
+        assert above == _lag_band_sum(wide, x, diff, restriction, tables)[0]
         extra = _bucket_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables, 1)
         assert above == approx(below + extra, rel=1e-12)
 
@@ -943,6 +1035,70 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
         gc.enable()
     got = theorem3_refined_prediction(10**4, 6, 1, FRConfig(R=20.0, tables=build_tables(build_sieve(1000))), cs).total
     assert got.hex() == want.hex()
+
+
+def test_lone_rows_keep_no_tables_alive():
+    # the lone rows of lag-route bands are 1-element read-only arrays in the
+    # config's _sums, keyed (x, weight, start, e, f_lo, f_hi), that refer to
+    # nothing else: with the collector off, dropping the config and the
+    # tables frees them all at once
+    tables = build_tables(build_sieve(1000))
+    cfg = FRConfig(R=20.0, tables=tables)
+    assert _lag_route(1000, 1000)
+    want = _lag_bands(cfg, VARIANCE_SUM_MODES, Weight.THETA, [(0.0, 1000)], x=1000)
+    rows = list(cfg._sums._arrays.items())
+    assert rows and all(key[:2] == (1000, Weight.THETA) and len(key) == 6 for key, _ in rows)
+    assert all(a.shape == (1,) and not a.flags.writeable for _, a in rows)
+    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), *(a for _, a in rows))]
+    del rows
+    gc.disable()
+    try:
+        del cfg, tables
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+    cfg = FRConfig(R=20.0, tables=build_tables(build_sieve(1000)))
+    assert _lag_bands(cfg, VARIANCE_SUM_MODES, Weight.THETA, [(0.0, 1000)], x=1000) == want
+
+
+@pytest.mark.parametrize("weight", list(Weight))
+def test_lone_rows_are_safe_across_threads(tables_small, weight, monkeypatch):
+    # two threads run ALL, COPRIME and SHIFT (N = 6) twice each on one config
+    # on which nothing has been built, with most rows alone, so they race on
+    # the table and on every shared row; each band has its fresh-config bits
+    monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", 256)
+    modes = VARIANCE_SUM_MODES[:3]
+    want = _fresh_lag_bands(tables_small, modes, weight)
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda r: _lag_bands(cfg, [r], weight), modes * 2, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for r, bands in zip(modes * 2, got):
+        assert bands == {key: h for key, h in want.items() if key[:2] == (r.mode, r.N)}, r
+
+
+def test_evicted_lone_rows_are_rebuilt_to_the_same_bits(tables_small, monkeypatch):
+    # with room for 3 values, the lone rows of a COPRIME band evict the
+    # e = 1 row an ALL band left; ALL then transforms it again, to the same
+    # bits
+    monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", 256)
+    all_, coprime = RestrictionMode(Mode.ALL), RestrictionMode(Mode.COPRIME)
+    runs = [(all_, (0.0, 300)), (coprime, (333.3, 700)), (all_, (0.0, 300))]
+    want = [_lag_bands(FRConfig(R=10.0, tables=tables_small), [r], Weight.THETA, [band]) for r, band in runs]
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 3)
+    calls = _lone_row_calls(monkeypatch)
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    counts = []
+    for (r, band), bands in zip(runs, want):
+        assert _lag_bands(cfg, [r], Weight.THETA, [band]) == bands
+        assert len(cfg._sums._arrays) <= 3
+        counts.append(calls.count((0, 1, 0, 300)))
+    assert counts == [1, 1, 2]
+    assert len(calls) > 5
 
 
 def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
@@ -1409,7 +1565,7 @@ def cfg10_2e20():
 def _routed_band(moduli, x, diff, restriction, tables):
     """The band by the route _lag_route picks for its width, one thread on the bucket route."""
     if _lag_route(len(moduli), x):
-        return _lag_band_sum(moduli, x, diff, restriction, tables)
+        return _lag_band_sum(moduli, x, diff, restriction, tables)[0]
     return _bucket_band_sum(moduli, x, diff, restriction, tables, 1)
 
 
