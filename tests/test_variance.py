@@ -329,7 +329,7 @@ def test_bdh_rows_match_per_e_route(cfg10_small, weight, monkeypatch):
 
 
 def _lone_row_calls(monkeypatch):
-    """Wrap variance._lag_rows; return the list it fills with the (start, e, f_lo, f_hi) of each row transformed alone."""
+    """Wrap variance._lag_rows; return the list of the (start, e, f_lo, f_hi) of each row it transforms alone."""
     calls = []
     kernel = variance._lag_rows
 
