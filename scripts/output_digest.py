@@ -3,8 +3,10 @@
 
     PYTHONPATH=src python3 scripts/output_digest.py                  # seeds 0-3, full size
     PYTHONPATH=src python3 scripts/output_digest.py --scale tiny --seeds 0
+    PYTHONPATH=src python3 scripts/output_digest.py --workloads tables  # one workload
 
-For each workload, and each seed in the order given, it runs one untraced
+For each workload given (all three by default, printed in perfbench's
+order), and each seed in the order given, it runs one untraced
 pass of perfbench/worker.py's setup and solve and takes every output the
 worker reports: the band sums and predictions, the class rows and
 table_outputs (the sha256 of the integer tables, the sums and sampled values
@@ -64,10 +66,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scale", choices=SCALES, default="full")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = ap.parse_args()
     print(f"vaughanlab {worker.vaughanlab.__file__}", file=sys.stderr)
     for workload in WORKLOADS:
-        print(workload, digest(workload, args.seeds, args.scale))
+        if workload in args.workloads:
+            print(workload, digest(workload, args.seeds, args.scale))
 
 
 if __name__ == "__main__":

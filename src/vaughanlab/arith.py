@@ -19,7 +19,8 @@ Provides:
 - _weight: every weight built on Lambda, over one residue class: Lambda or
   theta (Lambda with the prime powers set to 0; theta is not stored), less a
   model table when one is given.  ArithTables.theta, the progression sums,
-  the band residuals and the theorem-3 residual square all come from it
+  the band residuals and the theorem-3 residual square all come from it,
+  and the bucket sums of theta read it a chunk at a time
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -259,9 +260,11 @@ class ArithTables:
     field nor an entry can change under a config built on it.  theta, log n
     at primes and 0 elsewhere (the weight of the theta sums), is not stored:
     the property derives it from lam (_weight), allocating limit + 1 float64s
-    on every access.  Table sets compare by identity, not by their arrays,
-    so configs built on them (FRConfig) compare without raising; a copy or a
-    pickle rebuilds one from its arrays.
+    on every access, while the bucket sums of theta (variance's
+    _theta_chunks) ask _weight for it a chunk at a time and hold no copy.
+    Table sets compare by identity, not by their arrays, so configs built on
+    them (FRConfig) compare without raising; a copy or a pickle rebuilds one
+    from its arrays.
     """
 
     limit: int

@@ -99,6 +99,8 @@ RESULT_COLUMNS = [
     "term_neg",
     "relative_deviation",
     "relative_deviation_main",
+    "all_part",
+    "excluded_part",
     "wall_time_ms",
 ]
 
@@ -345,8 +347,10 @@ def _sha256(arr) -> str:
 
 
 def _table_bytes(held: list) -> int:
-    """Summed nbytes of the numpy arrays in the dataclass fields of the held objects."""
-    arrays = (getattr(obj, f.name) for obj in held for f in dataclasses.fields(obj))
+    """Summed nbytes of the numpy arrays in the dataclass fields of the held objects, or in a tuple
+    there (the array an F_R config holds, FRConfig._held)."""
+    values = (getattr(obj, f.name) for obj in held for f in dataclasses.fields(obj))
+    arrays = (a for v in values for a in (v if isinstance(v, tuple) else (v,)))
     return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
@@ -383,6 +387,8 @@ def _variance_row(run: VarianceRun) -> dict:
         term_const=terms.get("const_term", terms.get("fitted_C")),
         relative_deviation=run.relative_deviation,
         relative_deviation_main=run.relative_deviation_main,
+        all_part=run.all_part,
+        excluded_part=run.excluded_part,
         wall_time_ms=run.wall_time_ms,
     )
 
@@ -681,6 +687,9 @@ def report(manifest_paths: list[str]) -> str:
                 if coupled not in (None, ""):
                     cdev = (emp - coupled) / coupled if coupled else None
                     line += f" coupled={coupled} coupled_rel_dev={cdev}"
+                for part in ("all_part", "excluded_part"):
+                    if row.get(part) not in (None, ""):
+                        line += f" {part}={row[part]}"
                 lines.append(line)
                 if mode in ("all", "coprime") and isinstance(emp, (int, float)):
                     variance_by_mode[mode] = row

@@ -74,16 +74,9 @@ def _check_cutoff(prime_cutoff: int) -> None:
         raise ValueError(f"prime cutoff must be an integer with 10 <= cutoff < 2^31, got {prime_cutoff!r}")
 
 
-def _float_primes(cutoff: int, omit: list[int]) -> np.ndarray:
-    """A fresh float64 copy of the primes <= cutoff, less the primes in omit (all <= cutoff)."""
-    p = prime_array(cutoff)
-    if omit:
-        p = np.delete(p, np.searchsorted(p, omit))
-    return p.astype(np.float64)
-
-
 # Terms per block of _exact_sum: a block of the terms and of its work buffer
-# (512 KB each) stay in L2 through all of the block's levels.
+# (512 KB each) stay in L2 through all of the block's levels.  The Euler
+# products form their factors on blocks of as many primes (_euler_product).
 _SUM_BLOCK = 2**16
 
 
@@ -180,7 +173,7 @@ def logp_sum(prime_cutoff: int) -> tuple[float, float]:
     n > cutoff, which is below 2 log(cutoff)/cutoff for cutoff >= 10.
     """
     _check_cutoff(prime_cutoff)
-    p = _float_primes(prime_cutoff, [])
+    p = prime_array(prime_cutoff).astype(np.float64)
     terms = p - 1.0
     terms *= p
     np.divide(np.log(p, out=p), terms, out=terms)  # log p / (p (p - 1))
@@ -262,6 +255,26 @@ def _factor_values(kind: ProductKind, p: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, d, out=d)
 
 
+def _euler_product(kind: ProductKind, prime_cutoff: int, omit: list[int]) -> float:
+    """The product of kind's Euler factors over the primes <= prime_cutoff not in omit (all of them
+    primes <= prime_cutoff), multiplied in ascending order.
+
+    The factors are formed on blocks of at most _SUM_BLOCK primes, which
+    stop short of each omitted prime, and each block's np.multiply.reduce
+    starts from the product of the blocks before it: the same sequential
+    products as one reduce over every factor, with no array of 8 bytes per
+    prime.
+    """
+    p = prime_array(prime_cutoff)
+    cuts = np.searchsorted(p, omit).tolist()
+    value = 1.0
+    for start, stop in zip([0] + [c + 1 for c in cuts], cuts + [len(p)]):
+        for lo in range(start, stop, _SUM_BLOCK):
+            block = p[lo : min(lo + _SUM_BLOCK, stop)].astype(np.float64)
+            value = float(np.multiply.reduce(_factor_values(kind, block), initial=value))
+    return value
+
+
 def _primes_of_n(N: int, prime_cutoff: int) -> list[int]:
     """The primes of N, ascending, taken from prime_array(prime_cutoff).
 
@@ -291,8 +304,8 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = _DEFAULT_C
     cached unrestricted one divided by the omitted factors, so removing a
     prime and dividing by its factor agree bit-exactly.  P_SQ keeps the direct
     product form because its p = 2 factor is exactly 0 (any even cutoff
-    product with odd N vanishes identically); it and P_ZETA drop the primes
-    of N from the prime array by index before the factors are formed.
+    product with odd N vanishes identically); it and P_ZETA skip the primes
+    of N by index.  Each product is formed in blocks (_euler_product).
     """
     pf = _primes_of_n(N, prime_cutoff)
     if kind is ProductKind.P_PM1:
@@ -301,10 +314,10 @@ def restricted_product(kind: ProductKind, N: int, prime_cutoff: int = _DEFAULT_C
             for q in pf:
                 value /= 1.0 - 1.0 / (q * (q - 1.0))
         else:
-            value = float(np.multiply.reduce(_factor_values(kind, _float_primes(prime_cutoff, []))))
+            value = _euler_product(kind, prime_cutoff, [])
         tail = 2.0 / prime_cutoff  # sum_{n > P} 1/(n(n-1)) = 1/P, doubled for -log(1-a) <= 2a
     else:
-        value = float(np.multiply.reduce(_factor_values(kind, _float_primes(prime_cutoff, pf))))
+        value = _euler_product(kind, prime_cutoff, pf)
         if kind is ProductKind.P_SQ:
             tail = 2.0 / (prime_cutoff - 1)  # sum_{n > P} 1/(n-1)^2 <= 1/(P-1), doubled
         else:

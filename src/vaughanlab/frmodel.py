@@ -163,11 +163,16 @@ class FRConfig:
     - the divisor-form weights coef[d] = d*mu(d)/phi(d) * g_R(d), built at
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
-      table(), and the residual square (Lambda(n) - F_R(n))^2 over the same
-      range, built (from _weight) by the first theorem-3 class of more than
+      table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
+    - _held, at most one more array of 8 bytes per n over the same range:
+      the band residual Lambda(n) - F_R(n) of the last weight a band asked
+      for (_residual, theta or psi), which every band on the config reads
+      as a prefix view, or the residual square (Lambda(n) - F_R(n))^2
+      (_delta_sq_table), built by the first theorem-3 class of more than
       64 terms; a shorter class reads the table if it is built, else F_R
-      at its own points (_fr_at), and builds neither.  Each costs 8 bytes
-      per n: 80 MB apiece at a limit of 10^7, 800 MB at 10^8;
+      at its own points (_fr_at), and builds neither.  Asking for another
+      array drops the held one before the new one is built, so the two
+      are never held together;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than
@@ -179,21 +184,22 @@ class FRConfig:
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
-    Every array it hands out (the weights, the table, the square, the sums
-    and the row parts) is read-only.  Both caches refer to arrays or to the
-    tables, never to the config, so dropping the config frees its arrays at
-    once.
+    Every array it hands out (the weights, the table, the residual, the
+    square, the sums and the row parts) is read-only.  Both caches refer to
+    arrays or to the tables, never to the config, so dropping the config
+    frees its arrays at once.
 
     Thread safety: concurrent calls may share a config.  Both caches are
-    thread-safe, and if two threads race on an unbuilt table or sum each may
-    build one; the two are identical, and either is kept.
+    thread-safe, and if two threads race on an unbuilt table, held array or
+    sum each may build one; the two are identical, and either is kept.  An
+    array handed out stays valid after the config drops it.
     """
 
     R: float
     tables: ArithTables
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _delta_sq: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _held: tuple[object, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _coprime_g: Callable[[float, int], float] = field(init=False, repr=False, compare=False)
     _sums: _ArrayCache = field(init=False, repr=False, compare=False)
 
@@ -259,14 +265,31 @@ class FRConfig:
             object.__setattr__(self, "_table", t)
         return self._table
 
+    def _held_array(self, key: object, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The held array under key, or, dropping whatever else is held first, build()'s, made read-only and held."""
+        held = self._held
+        if held is not None and held[0] == key:
+            return held[1]
+        object.__setattr__(self, "_held", None)
+        del held
+        arr = build()
+        arr.setflags(write=False)
+        object.__setattr__(self, "_held", (key, arr))
+        return arr
+
+    def _residual(self, theta: bool) -> np.ndarray:
+        """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
+        [0, tables.limit], the band residual; its prefix [0, x] is _weight's residual to x bit for bit."""
+        return self._held_array(theta, lambda: _weight(self.tables, self.tables.limit, theta, model=self.table()))
+
     def _delta_sq_table(self) -> np.ndarray:
         """Read-only (Lambda(n) - F_R(n))^2 over [0, tables.limit]; index 0 is 0."""
-        if self._delta_sq is None:
+
+        def build() -> np.ndarray:
             sq = _weight(self.tables, self.tables.limit, False, model=self.table())
-            np.multiply(sq, sq, out=sq)
-            sq.setflags(write=False)
-            object.__setattr__(self, "_delta_sq", sq)
-        return self._delta_sq
+            return np.multiply(sq, sq, out=sq)
+
+        return self._held_array("square", build)
 
 
 def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:

@@ -33,7 +33,12 @@ instead of transforming it again.  BDH's raw weight lives on the prime
 powers, so its ladder transforms only e = 1: the composite rows are zero, and
 a prime row holds only the powers of p, so its band is an exact sum over
 pairs of them.  The band width alone picks the route (_lag_route); the bucket
-route stays as the oracle the tests compare the lag route against.
+route stays as the oracle the tests compare the lag route against.  Every
+band on an F_R config reads one residual the config holds (its
+_residual), so ALL, COPRIME and SHIFT_COPRIME on one config build it once;
+BDH's raw theta reaches the bucket route a chunk at a time from Lambda
+(_theta_chunks), in the order of the sums of a copy, and the lag route, whose
+transform takes the whole row, as one copy.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -145,6 +150,9 @@ class VarianceRun:
     # The signed e = 1 part of a lag-route band, the ALL band of the same
     # residual bit for bit; None on the bucket route and for BDH.
     all_part: float | None = None
+    # The math.fsum of the signed parts e > 1 of a lag-route restricted band,
+    # the classes the restriction drops; None for ALL, BDH and the bucket route.
+    excluded_part: float | None = None
 
     @property
     def modulus_range(self) -> tuple[float, int]:
@@ -170,19 +178,32 @@ class ProgressionAccumulator:
 _FOLD_CLASSES = 3
 
 
-def _fold(col: np.ndarray) -> float:
-    """0.0 + col[0] + col[1] + ..., added strictly left to right.
+# A weight handed out a chunk at a time: w(lo, hi, step) is a fresh array of
+# the entries lo, lo + step, ... <= hi.
+_Chunks = Callable[[int, int, int], np.ndarray]
+
+
+def _theta_chunks(tables: ArithTables) -> _Chunks:
+    """Chunks of the theta weight, each a fresh array from Lambda (_weight), so no x-sized copy is made."""
+    return lambda lo, hi, step: _weight(tables, hi, True, lo, step)
+
+
+def _fold(w: np.ndarray | _Chunks, b: int, x: int, d: int) -> float:
+    """0.0 + w[b] + w[b + d] + ... up to w[x], added strictly left to right.
 
     numpy's row sum adds one column of a C-ordered block in this order,
     from the identity 0.0, so a column folded here is bit for bit its entry
-    of the row sum.  np.add.accumulate runs over chunks of _BLOCK_ELEMENTS,
-    each headed by the running total of the chunks before it: the same adds
-    as one accumulate over the column, with no column-sized buffer.
+    of the row sum.  np.add.accumulate runs over chunks of _BLOCK_ELEMENTS
+    entries of the column, read from the array or asked of the chunks,
+    each headed by the running total of the chunks before it: the same
+    adds as one accumulate over the column, with no column-sized buffer.
     """
-    buf = np.empty(min(len(col), _BLOCK_ELEMENTS) + 1)
+    n = max(0, (x - b) // d + 1)
+    buf = np.empty(min(n, _BLOCK_ELEMENTS) + 1)
     total = 0.0
-    for lo in range(0, len(col), _BLOCK_ELEMENTS):
-        chunk = col[lo : lo + _BLOCK_ELEMENTS]
+    for lo in range(b, b + n * d, _BLOCK_ELEMENTS * d):
+        hi = min(lo + (_BLOCK_ELEMENTS - 1) * d, x)
+        chunk = w[lo : hi + 1 : d] if isinstance(w, np.ndarray) else w(lo, hi, d)
         run = buf[: len(chunk) + 1]
         run[0] = total
         run[1:] = chunk
@@ -191,23 +212,55 @@ def _fold(col: np.ndarray) -> float:
     return total
 
 
-def _bucket_sums(arr: np.ndarray, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of arr[0..x] laid out in rows of length d (residue buckets), at the classes
+def _pairwise(w: _Chunks, lo: int, n: int) -> float:
+    """numpy's pairwise sum of the n entries from lo, with np.sum over chunks of at most _BLOCK_ELEMENTS.
+
+    numpy sums a contiguous run of n > 128 entries as the pairwise sums of
+    its first n2 = n/2 rounded down to a multiple of 8 entries and of the
+    rest, and the split depends on n alone, so each chunk taken here is a
+    subtree of the tree np.sum builds over all of them.  np.sum of a chunk
+    adds its subtree to the identity 0.0, which changes only the sign of a
+    zero that every later add to a nonzero sum, or numpy's own 0.0 + sum at
+    the root, erases: the result is the np.sum of the whole run bit for bit.
+    """
+    if n <= max(_BLOCK_ELEMENTS, 128):  # numpy splits no run of at most 128 entries
+        return float(np.sum(w(lo, lo + n - 1, 1)))
+    n2 = n // 2 - n // 2 % 8
+    return _pairwise(w, lo, n2) + _pairwise(w, lo + n2, n - n2)
+
+
+def _bucket_sums(w: np.ndarray | _Chunks, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
+    """Column sums of w[0..x] laid out in rows of length d (residue buckets), at the classes
     kept (a bool mask of the d classes) in ascending order, or at all d classes with kept None.
 
-    The row sum takes the full rows as a view of arr and adds the short last
-    row after them, the order in which the zero-padded layout sums, so no
-    x-sized buffer is built per modulus.  A modulus d > 1 that keeps at most
-    _FOLD_CLASSES classes folds each kept column arr[b : x + 1 : d] instead,
+    The row sum of an array takes the full rows as a view of it and adds the
+    short last row after them, the order in which the zero-padded layout
+    sums, so no x-sized buffer is built per modulus.  Chunks take the same
+    adds a chunk at a time: d = 1 numpy's pairwise tree (_pairwise), and
+    any other d blocks of whole rows, each block's first row carrying the
+    sums of the rows before it.  A modulus d > 1 that keeps at most
+    _FOLD_CLASSES classes folds each kept column w[b : x + 1 : d] instead,
     the same adds in the same order, and sums no class it drops.
     """
     n_kept = d if kept is None else int(np.count_nonzero(kept))
     if d > 1 and n_kept <= _FOLD_CLASSES:
         cols = range(d) if kept is None else np.flatnonzero(kept).tolist()
-        return np.array([_fold(arr[b : x + 1 : d]) for b in cols])
+        return np.array([_fold(w, b, x, d) for b in cols])
     full = (x + 1) // d
-    sums = arr[: full * d].reshape(full, d).sum(axis=0)
-    tail = arr[full * d : x + 1]
+    if isinstance(w, np.ndarray):
+        sums = w[: full * d].reshape(full, d).sum(axis=0)
+        tail = w[full * d : x + 1]
+    else:
+        if d == 1:
+            sums = np.array([_pairwise(w, 0, x + 1)])
+        else:
+            sums = np.zeros(d)
+            span = max(1, _BLOCK_ELEMENTS // d) * d
+            for lo in range(0, full * d, span):
+                rows = w(lo, min(lo + span, full * d) - 1, 1).reshape(-1, d)
+                rows[0] += sums  # the adds the row sum makes, carried across the blocks
+                sums = rows.sum(axis=0)
+        tail = w(full * d, x, 1)
     sums[: len(tail)] += tail
     return sums if kept is None else sums[kept]
 
@@ -225,22 +278,20 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     _check_x(x, cfg.tables)
-    return ProgressionAccumulator(
-        d=d,
-        theta_buckets=_bucket_sums(_weight(cfg.tables, x, weight is Weight.THETA), x, d),
-        rho_buckets=_bucket_sums(cfg.table(), x, d),
-    )
+    w = _theta_chunks(cfg.tables) if weight is Weight.THETA else cfg.tables.lam
+    return ProgressionAccumulator(d=d, theta_buckets=_bucket_sums(w, x, d), rho_buckets=_bucket_sums(cfg.table(), x, d))
 
 
 def _bucket_band_sum(
     moduli: range,
     x: int,
-    diff: np.ndarray,
+    diff: np.ndarray | _Chunks,
     restriction: RestrictionMode,
     tables: ArithTables,
     threads: int,
 ) -> float:
-    """The band one modulus at a time: an O(x) bucket pass per d, over threads >= 1 workers (_thread_count)."""
+    """The band one modulus at a time: an O(x) bucket pass per d of the array or the chunks diff,
+    over threads >= 1 workers (_thread_count)."""
 
     def contribution(d: int) -> float:
         kept = None if restriction.shift is None else _kept_classes(d, restriction.shift, tables.sieve)
@@ -504,18 +555,21 @@ def _lag_band_sum(
     restriction: RestrictionMode,
     tables: ArithTables,
     lone: _LoneRows | None = None,
-) -> tuple[float, float | None]:
-    """The band by the batched lag kernel and its signed e = 1 part (None for BDH); single threaded.
+) -> tuple[float, float | None, float | None]:
+    """The band by the batched lag kernel, its signed e = 1 part and the fsum of its parts
+    e > 1; single threaded.
 
     The e = 1 part, alone in the last block, is the ALL band of diff bit for
-    bit; lone goes to _lag_band_rows.
+    bit; a band of all classes has no part e > 1 (None), and BDH reports
+    neither part.  lone goes to _lag_band_rows.
     """
     lo, hi = moduli.start - 1, moduli.stop - 1
     a = diff[: x + 1]
     if restriction.mode is Mode.BDH:  # a holds the raw weight
-        return _lag_band_bdh(a, lo, hi, tables), None
+        return _lag_band_bdh(a, lo, hi, tables), None, None
     parts = _lag_band_rows(a, lo, hi, restriction.shift, tables.mu, lone)
-    return math.fsum(np.concatenate(parts)), float(parts[-1][0])
+    excluded = None if restriction.shift is None else math.fsum(np.concatenate(parts[:-1]))
+    return math.fsum(np.concatenate(parts)), float(parts[-1][0]), excluded
 
 
 def _lag_route(n_moduli: int, x: int) -> bool:
@@ -553,23 +607,35 @@ def _band_run(
 ) -> VarianceRun:
     """The band Q_low < d <= Q of the weight less cfg's F_R model, or of the raw weight with no cfg (BDH).
 
-    Every bound is checked before the residual is built; the band width
+    Every bound is checked before the residual is read; the band width
     picks the route (_lag_route), and the timer covers the residual and the
-    band.  On the lag route cfg's _sums keeps each lone row's part under the
-    key (x, weight, start, e, f_lo, f_hi), so a later band on cfg reads it:
+    band.  A band on cfg reads a prefix view of the residual cfg holds
+    (FRConfig._residual), built by the first band of its weight; BDH's
+    theta goes to the bucket route as chunks of Lambda (_theta_chunks), to
+    the lag route, whose transform takes the whole row, as one copy.  On
+    the lag route cfg's _sums keeps each lone row's part under the key
+    (x, weight, start, e, f_lo, f_hi), so a later band on cfg reads it:
     ALL's one row is row e = 1 of every restricted band on the same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
     threads = _thread_count(threads)
-    t0 = time.perf_counter()
-    diff = _weight(tables, x, weight is Weight.THETA, model=None if cfg is None else cfg.table())
+    theta = weight is Weight.THETA
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
-    if _lag_route(len(moduli), x):
-        lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
-        empirical, all_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
+    lag = _lag_route(len(moduli), x)
+    t0 = time.perf_counter()
+    if cfg is not None:
+        diff = cfg._residual(theta)[: x + 1]
+    elif theta and not lag:
+        diff = _theta_chunks(tables)
     else:
-        empirical, all_part = _bucket_band_sum(moduli, x, diff, restriction, tables, threads), None
+        diff = _weight(tables, x, theta)
+    if lag:
+        lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
+        empirical, all_part, excluded_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
+    else:
+        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables, threads)
+        all_part = excluded_part = None
     return VarianceRun(
         x=x,
         q=q,
@@ -580,6 +646,7 @@ def _band_run(
         weight=weight,
         empirical=empirical,
         all_part=all_part,
+        excluded_part=excluded_part,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -223,6 +223,7 @@ def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
         "constants": ("--cutoff", "1000"),
         "bdh": ("--x", "3000", "--Q", "20"),
         "theorem3": ("--x", "3000", "--R", "10", "--v", "1,6"),
+        "theorem5": ("--x", "3000", "--Q", "300", "--R", "10"),
     }
     for command, argv in runs.items():
         code, _, err = run_cli(capsys, command, *argv, "--out", str(tmp_path / command))
@@ -235,7 +236,12 @@ def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
     )
     assert derived["bdh"]["table_bytes"] == sieve_and_tables
     fr = cli._fr_for(3000, 10.0)
-    # theorem3 holds the F_R weights, the F_R table and the residual square too
+    # theorem3 holds the F_R weights, the F_R table and the residual square
+    # too; a band command, on the same config, the band residual in its place
+    assert fr._held[0] is True  # theorem5's theta residual, built after the square
+    assert derived["theorem5"]["table_bytes"] == sieve_and_tables + sum(
+        a.nbytes for a in (fr._coef, fr.table(), fr._residual(True))
+    )
     assert derived["theorem3"]["table_bytes"] == sieve_and_tables + sum(
         a.nbytes for a in (fr._coef, fr.table(), fr._delta_sq_table())
     )
@@ -388,6 +394,37 @@ def test_report_merges_runs_and_contrasts_modes(tmp_path, capsys):
     assert "log R coefficient contrast" in text
     assert "-1.392073" in text
     assert "mode=coprime" in text
+
+
+def test_band_rows_carry_the_all_and_excluded_parts(tmp_path, capsys):
+    # a lag-route theorem5 row carries its ALL part and its excluded part
+    # in results.csv, results.json and the report; a bucket-route row and a
+    # vaughan row (no classes dropped) leave the excluded part empty
+    runs = {
+        "lag": ("theorem5", "--Q", "500"),
+        "bucket": ("theorem5", "--Q", "500", "--q-low", "490"),
+        "all": ("vaughan", "--Q", "500"),
+    }
+    rows = {}
+    for name, (cmd, *argv) in runs.items():
+        code, _, err = run_cli(capsys, cmd, "--x", "10000", "--R", "10", *argv, "--out", str(tmp_path / name))
+        assert code == 0, err
+        header, csv_rows = read_csv(tmp_path / name / "results.csv")
+        rows[name] = dict(zip(header, csv_rows[0]))
+        json_row = json.loads((tmp_path / name / "results.json").read_text())["rows"][0]
+        if name == "lag":
+            run = variance_sum(
+                10_000, 500, cli._fr_for(10_000, 10.0), RestrictionMode(Mode.COPRIME), q_low=json_row["Q_low"]
+            )
+            assert (json_row["all_part"], json_row["excluded_part"]) == (run.all_part, run.excluded_part)
+            assert json_row["empirical"] == run.empirical
+    assert rows["lag"]["all_part"] != "" and float(rows["lag"]["excluded_part"]) < 0.0
+    assert rows["bucket"]["all_part"] == rows["bucket"]["excluded_part"] == ""
+    assert rows["all"]["all_part"] == rows["all"]["empirical"] and rows["all"]["excluded_part"] == ""
+    text = report([str(tmp_path / name / "manifest.json") for name in runs])
+    lines = [line for line in text.splitlines() if "mode=coprime" in line]
+    assert len(lines) == 2 and "all_part=" in lines[0] and "excluded_part=" in lines[0]
+    assert "_part=" not in lines[1]
 
 
 def test_report_command_prints_the_merged_report(tmp_path, capsys):

@@ -426,3 +426,43 @@ def test_constants_bitwise_against_direct_formulas():
                 kept = p[~np.isin(p, np.array(pf, dtype=np.float64))]
                 want = float(np.multiply.reduce(factor(kept)))
             assert restricted_product(kind, n).value.hex() == want.hex(), (kind, n)
+
+
+def test_euler_products_in_blocks_are_the_whole_array_product():
+    # the factors formed and multiplied a block at a time, each block's
+    # reduce starting from the product before it, give the one sequential
+    # reduce over every factor bit for bit: the default block at a cutoff
+    # whose 78,498 primes span two blocks, and blocks of 1, 3 and 7 primes
+    # at a cutoff of 1,229 primes
+    sieve = build_sieve(2310)
+    for cut, blocks in ((10**6, (constants._SUM_BLOCK,)), (10**4, (1, 3, 7))):
+        p = arith.prime_array(cut)
+        for kind in ProductKind:
+            for n in (1, 2, 3, 4, 5, 6, 30, 2310):
+                pf = [q for q, _ in factorize(n, sieve)] if n > 1 else []
+                kept = np.delete(p, np.searchsorted(p, pf)).astype(np.float64)
+                want = float(np.multiply.reduce(constants._factor_values(kind, kept)))
+                for block in blocks:
+                    with mock.patch.object(constants, "_SUM_BLOCK", block):
+                        got = constants._euler_product(kind, cut, pf)
+                    assert got.hex() == want.hex(), (kind, n, cut, block)
+    for kind in (ProductKind.P_SQ, ProductKind.P_ZETA):  # P_PM1 at N > 1 divides out of the N = 1 product
+        assert restricted_product(kind, 30, 10**6).value.hex() == constants._euler_product(kind, 10**6, [2, 3, 5]).hex()
+
+
+def test_euler_product_holds_no_array_per_prime():
+    # the factors of one block at a time, two block-sized float arrays at
+    # most: under a quarter of one float copy of the 664,579 primes to
+    # 10^7 (8 bytes per prime), two of which the whole-array product held
+    cut = 10**7
+    n_primes = len(arith.prime_array(cut))
+    bound = 2 * 8 * constants._SUM_BLOCK + 16384
+    assert bound < 8 * n_primes / 4
+    for kind in ProductKind:
+        tracemalloc.start()
+        try:
+            constants._euler_product(kind, cut, [2, 3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (kind, peak)

@@ -374,9 +374,10 @@ def test_configs_over_distinct_tables_compare_by_table_identity():
 
 def test_config_arrays_are_read_only(tables_small):
     # a write to the F_R table would leave the cached class sums on the old
-    # values while later bands read the new ones; every array refuses it
+    # values while later bands read the new ones; every array refuses it,
+    # the residual square and the band residuals of both weights included
     cfg = FRConfig(R=10.0, tables=tables_small)
-    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table()):
+    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table(), cfg._residual(True), cfg._residual(False)):
         before = arr.copy()
         assert not arr.flags.writeable
         with raises(ValueError):

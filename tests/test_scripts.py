@@ -34,9 +34,10 @@ def test_output_digest_prints_one_hash_per_workload():
     # inputs give the same hashes, and another seed changes them
     script = ROOT / "scripts" / "output_digest.py"
 
-    def digests(*seeds):
+    def digests(*seeds, workloads=()):
+        picked = ["--workloads", *workloads] if workloads else []
         out = subprocess.run(
-            [sys.executable, str(script), "--scale", "tiny", "--seeds", *map(str, seeds)],
+            [sys.executable, str(script), "--scale", "tiny", "--seeds", *map(str, seeds), *picked],
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             capture_output=True,
             text=True,
@@ -49,6 +50,11 @@ def test_output_digest_prints_one_hash_per_workload():
     assert all(len(h) == 64 and int(h, 16) >= 0 for h in first.values())
     assert digests(0, 1) == first
     assert all(digests(1, 0)[w] != h for w, h in first.items())
+    # --workloads runs only the ones named, printed in perfbench's order,
+    # each with the hash it has among all three
+    assert digests(0, 1, workloads=["tables"]) == {"tables": first["tables"]}
+    picked = digests(0, 1, workloads=["progression", "band"])
+    assert list(picked) == ["band", "progression"] and picked == {w: first[w] for w in picked}
 
 
 def _bench_snapshot():

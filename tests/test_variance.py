@@ -420,6 +420,29 @@ def test_all_part_is_the_all_band(tables_small, weight, monkeypatch):
     assert calls == [(0, 1, 0, 300)] * 2
 
 
+@pytest.mark.parametrize("weight", list(Weight))
+def test_all_and_excluded_parts_sum_to_the_band(tables_small, weight):
+    # a lag-route restricted band splits into its ALL part and the fsum of
+    # its rows e > 1, the classes it drops; the float sum of the two parts
+    # is the exactly rounded band within one rounding of each part's, and
+    # a band of all classes, a bucket-route band and BDH have no excluded part
+    x = 2_000
+    cfg = FRConfig(R=10.0, tables=tables_small)
+    for q_low, q in LAG_ORACLE_BANDS:
+        for r in VARIANCE_SUM_MODES:
+            run = variance_sum(x, q, cfg, r, weight=weight, q_low=q_low)
+            if r.mode is Mode.ALL:
+                assert run.excluded_part is None
+                continue
+            gap = abs(run.all_part + run.excluded_part - run.empirical)
+            assert gap <= 2 * math.ulp(run.empirical) + math.ulp(run.excluded_part), (r, q_low, q)
+            assert run.excluded_part < 0.0 < run.all_part  # the dropped classes lower the band
+    for r in VARIANCE_SUM_MODES:
+        assert variance_sum(x, 100, cfg, r, weight=weight, q_low=90.0).excluded_part is None
+    for q in (50, 300):
+        assert bdh_variance(x, q, tables_small, weight=weight).excluded_part is None
+
+
 def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
     # theta, psi and random values on the prime powers; q at a square, past
     # sqrt(x) and at x, so primes between sqrt(q) and sqrt(x) carry powers
@@ -486,6 +509,11 @@ def test_bucket_sums_match_zero_padded_layout(x):
         assert _bucket_sums(arr, x, d).tobytes() == buf.reshape(rows, d).sum(axis=0).tobytes(), d
 
 
+def _copied_chunks(arr):
+    """arr as chunks: each call a fresh copy of the entries lo, lo + step, ... <= hi."""
+    return lambda lo, hi, step: arr[lo : hi + 1 : step].copy()
+
+
 def _row_sums(arr, x, d):
     """numpy's row sum of arr[0..x] in rows of length d, the short last row added after the full ones."""
     full = (x + 1) // d
@@ -512,12 +540,15 @@ def test_column_fold_equals_row_sum_bit_for_bit(d, data):
     arr = np.array(data.draw(st.lists(FOLD_TERMS, min_size=x + 1, max_size=x + 1), label="terms"))
     want = _row_sums(arr, x, d)
     chunk = data.draw(st.sampled_from([1, 2, 3, 7, variance._BLOCK_ELEMENTS]), label="chunk")
+    kept = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="kept"))
     with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
-        folded = np.array([variance._fold(arr[b : x + 1 : d]) for b in range(d)])
-        assert folded.tobytes() == want.tobytes()
-        kept = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="kept"))
-        assert _bucket_sums(arr, x, d, kept).tobytes() == want[kept].tobytes()
-        assert _bucket_sums(arr, x, d).tobytes() == want.tobytes()
+        # the array itself, and its chunks as fresh copies (the row sum then
+        # carries its running sums from block to block)
+        for w in (arr, _copied_chunks(arr)):
+            folded = np.array([variance._fold(w, b, x, d) for b in range(d)])
+            assert folded.tobytes() == want.tobytes()
+            assert _bucket_sums(w, x, d, kept).tobytes() == want[kept].tobytes()
+            assert _bucket_sums(w, x, d).tobytes() == want.tobytes()
 
 
 def test_bucket_sums_fold_only_few_class_moduli(monkeypatch):
@@ -526,9 +557,9 @@ def test_bucket_sums_fold_only_few_class_moduli(monkeypatch):
     folded = []
     fold = variance._fold
 
-    def fold_spy(col):
-        folded.append(len(col))
-        return fold(col)
+    def fold_spy(w, b, x, d):
+        folded.append(b)
+        return fold(w, b, x, d)
 
     monkeypatch.setattr(variance, "_fold", fold_spy)
     x = 1_000
@@ -1022,10 +1053,12 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
     tables = build_tables(build_sieve(1000))
     cfg = FRConfig(R=20.0, tables=tables)
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
+    residual = cfg._residual(True)  # the band residual, dropped for the square below
     delta_sq_progression(1000, 6, 1, cfg)  # builds the table, the residual square and its sums
     sums = list(cfg._sums._arrays.values())
     assert len(sums) == 1  # the column sums of v = 6's row length, from which its classes are read
-    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), cfg._delta_sq_table(), *sums)]
+    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), cfg._delta_sq_table(), residual, *sums)]
+    del residual
     del sums
     gc.disable()
     try:
@@ -1223,7 +1256,7 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
     cfg = FRConfig(R=50.0, tables=tables_1e5)
     table = cfg.table()
     table_before = table.copy()
-    assert cfg._delta_sq is None  # built by the first class sum, not before
+    assert cfg._held is None  # built by the first class sum, not before
     u = 2.0**-53
     for x in (tables_1e5.limit, 98_765, *_EDGE_X):
         for v in (1, 2, 6, 17, 30, 34, 51, 59, 210, 323, 1001):
@@ -1272,7 +1305,7 @@ def test_short_class_squares_its_own_residuals(tables_1e5):
         start = N % v or v
         want = float(sq[start : x + 1 : v].sum())
         assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
-    assert cfg._delta_sq is None
+    assert cfg._held is None
     assert not cfg._sums._arrays
 
 
@@ -1290,7 +1323,7 @@ def test_short_class_holds_only_its_terms(tables_1e5):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (x // v + 1) + 4096, (x, v, N, peak)
-    assert cfg._delta_sq is None
+    assert cfg._held is None
 
 
 def test_short_class_builds_no_fr_table(tables_1e5):
@@ -1304,7 +1337,7 @@ def test_short_class_builds_no_fr_table(tables_1e5):
         want = float((diff * diff).sum())
         assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
         assert np.array_equal(frmodel._fr_at(np.arange(start, x + 1, v), cfg), table[start : x + 1 : v])
-    assert cfg._table is None and cfg._delta_sq is None
+    assert cfg._table is None and cfg._held is None
 
 
 def test_theorem3_records_share_one_pairs_object():
@@ -1611,3 +1644,119 @@ def test_theta_variance_sum_holds_one_residual(cfg10_2e20):
         finally:
             tracemalloc.stop()
         assert peak / (x + 1) <= 8.1, weight
+
+
+# x at the edges of the chunks of _BLOCK_ELEMENTS = 2^16 entries: a run of
+# 2^16 entries is one leaf of _pairwise and one more is split, and a column
+# of stride 2 or 3 ends at or just past a chunk.
+CHUNK_EDGE_X = (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**16 - 1, 3 * 2**16 + 5)
+
+
+@pytest.mark.parametrize("x", STORED_THETA_X + CHUNK_EDGE_X)
+def test_theta_chunks_match_a_theta_copy(cfg10_2e20, x):
+    # theta read from Lambda a chunk at a time gives the sums of a copy of
+    # theta bit for bit on every bucket path: d = 1 (numpy's pairwise tree),
+    # a fold of at most 3 kept classes and the row sums; and bdh_variance on
+    # the bucket route, both weights, the band over that copy (or Lambda)
+    tables = cfg10_2e20.tables
+    theta = tables.theta
+    chunks = variance._theta_chunks(tables)
+    for d in (1, 2, 3, 4, 5, 6, 7, 30, 97):
+        for kept in (None, variance._kept_classes(d, 0, tables.sieve)):
+            want = _bucket_sums(theta, x, d, kept)
+            assert _bucket_sums(chunks, x, d, kept).tobytes() == want.tobytes(), (d, kept)
+    for weight, w in ((Weight.THETA, theta), (Weight.PSI, tables.lam)):
+        for q in (1, 2, 7, 100):
+            assert not _lag_route(q, x)
+            want = _bucket_band_sum(range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables, 1)
+            assert bdh_variance(x, q, tables, threads=1, weight=weight).empirical.hex() == want.hex(), (weight, q)
+
+
+@pytest.mark.parametrize("block", [128, 200, 1_000])
+def test_theta_chunks_match_a_theta_copy_in_small_chunks(cfg10_2e20, block):
+    # chunks of a few hundred entries: many leaves, folds and blocks of rows
+    tables = cfg10_2e20.tables
+    theta = tables.theta
+    with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", block):
+        for x in (3**12, 3**12 - 1, 2**17 + 1):
+            for d in (1, 2, 3, 4, 5, 30, 97):
+                got = _bucket_sums(variance._theta_chunks(tables), x, d)
+                assert got.tobytes() == _bucket_sums(theta, x, d).tobytes(), (x, d)
+
+
+def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
+    # the bucket route reads theta a chunk at a time from Lambda, and psi is
+    # Lambda itself: at most three chunks of _BLOCK_ELEMENTS floats are
+    # live at once (the fold's buffer, the last chunk and the next), under
+    # a fifth of a copy of theta (8 bytes per n) at 2^20, whatever x
+    tables = cfg10_2e20.tables
+    x = tables.limit
+    bound = 3 * 8 * variance._BLOCK_ELEMENTS + 65536
+    assert not _lag_route(100, x) and bound < 8 * (x + 1) / 5
+    for weight in Weight:
+        tracemalloc.start()
+        try:
+            bdh_variance(x, 100, tables, threads=1, weight=weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (weight, peak)
+
+
+def _residual_builds(monkeypatch, cfg):
+    """The weights of the x-sized arrays built from a model on cfg, in order; each build
+    checks that cfg holds no other array while it runs."""
+    builds = []
+    weight = frmodel._weight
+
+    def spy(tables, x, theta, b=0, d=1, model=None):
+        if model is not None and x == tables.limit:
+            assert cfg._held is None  # the held array is dropped before another is built
+            builds.append(theta)
+        return weight(tables, x, theta, b, d, model)
+
+    monkeypatch.setattr(frmodel, "_weight", spy)
+    return builds
+
+
+@pytest.mark.parametrize("band", [(90.0, 100), (0.0, 400)], ids=["bucket", "lag"])
+def test_bands_on_one_config_build_one_residual(cfg10_2e20, band, monkeypatch):
+    # ALL, COPRIME and SHIFT_COPRIME on one config read one residual, built
+    # by the first band of a weight and rebuilt only for the other weight,
+    # on either route; the bands are those of fresh configs bit for bit
+    q_low, q = band
+    x = 100_000
+    assert _lag_route(q - math.floor(q_low), x) == (q == 400)
+    steps = [(w, r) for w in (Weight.THETA, Weight.THETA, Weight.PSI) for r in VARIANCE_SUM_MODES[:3]]
+
+    def band_hex(cfg, weight, r):
+        return variance_sum(x, q, cfg, r, weight=weight, q_low=q_low, threads=1).empirical.hex()
+
+    want = [band_hex(FRConfig(R=10.0, tables=cfg10_2e20.tables), w, r) for w, r in steps]
+    cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
+    builds = _residual_builds(monkeypatch, cfg)
+    assert [band_hex(cfg, w, r) for w, r in steps] == want
+    assert builds == [True, False]
+    assert cfg._held[0] is False and not cfg._held[1].flags.writeable
+
+
+def test_residual_and_square_alternate_on_one_config(tables_1e5, monkeypatch):
+    # band, class sums, band, class sums on one config: each drops the
+    # array the other held before it builds its own (the spy checks that
+    # none is held while one is built), and every value is that of fresh
+    # configs bit for bit; the second x has no column sums kept, so its
+    # classes need the square again
+    band, coprime = (900.0, 960), RestrictionMode(Mode.COPRIME)
+    steps = ((Weight.THETA, 99_991), (Weight.PSI, 99_997))
+
+    def values(cfg, weight, x):
+        out = [variance_sum(x, band[1], cfg, coprime, weight=weight, q_low=band[0]).empirical.hex(), cfg._held[0]]
+        out += [delta_sq_progression(x, v, 1, cfg).hex() for v in (6, 7)]
+        return out + [cfg._held[0]]
+
+    want = [values(FRConfig(R=50.0, tables=tables_1e5), w, x) for w, x in steps]
+    assert [(a[1], a[-1]) for a in want] == [(True, "square"), (False, "square")]
+    cfg = FRConfig(R=50.0, tables=tables_1e5)
+    builds = _residual_builds(monkeypatch, cfg)
+    assert [values(cfg, w, x) for w, x in steps] == want
+    assert len(builds) == 4  # residual, square, residual, square
