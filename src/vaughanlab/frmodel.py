@@ -164,15 +164,16 @@ class FRConfig:
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
       table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
-    - _held, at most one more array of 8 bytes per n over the same range:
-      the band residual Lambda(n) - F_R(n) of the last weight a band asked
-      for (_residual, theta or psi), which every band on the config reads
-      as a prefix view, or the residual square (Lambda(n) - F_R(n))^2
-      (_delta_sq_table), built by the first theorem-3 class of more than
-      64 terms; a shorter class reads the table if it is built, else F_R
-      at its own points (_fr_at), and builds neither.  Asking for another
-      array drops the held one before the new one is built, so the two
-      are never held together;
+    - _held, at most one more array of 8 bytes per n: the band residual
+      Lambda(n) - F_R(n) of the last weight a band asked for (_residual,
+      theta or psi), over [0, x] of the band that built it, which every
+      band on the config up to that x reads as a prefix view (a longer
+      band builds it again to its own x), or the residual square
+      (Lambda(n) - F_R(n))^2 over [0, tables.limit] (_delta_sq_table),
+      built by the first theorem-3 class of more than 64 terms; a shorter
+      class reads the table if it is built, else F_R at its own points
+      (_fr_at), and builds neither.  Asking for another array drops the
+      held one before the new one is built, so no two are held together;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than
@@ -265,10 +266,11 @@ class FRConfig:
             object.__setattr__(self, "_table", t)
         return self._table
 
-    def _held_array(self, key: object, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The held array under key, or, dropping whatever else is held first, build()'s, made read-only and held."""
+    def _held_array(self, key: object, size: int, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The held array if it is key's and has at least size entries; else build()'s, made
+        read-only and held, once whatever was held is dropped."""
         held = self._held
-        if held is not None and held[0] == key:
+        if held is not None and held[0] == key and len(held[1]) >= size:
             return held[1]
         object.__setattr__(self, "_held", None)
         del held
@@ -277,10 +279,11 @@ class FRConfig:
         object.__setattr__(self, "_held", (key, arr))
         return arr
 
-    def _residual(self, theta: bool) -> np.ndarray:
+    def _residual(self, theta: bool, x: int) -> np.ndarray:
         """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
-        [0, tables.limit], the band residual; its prefix [0, x] is _weight's residual to x bit for bit."""
-        return self._held_array(theta, lambda: _weight(self.tables, self.tables.limit, theta, model=self.table()))
+        [0, n] for some n >= x, the band residual: the held one where it reaches x, else one
+        built over [0, x].  Its prefix [0, x] is _weight's residual to x bit for bit."""
+        return self._held_array(theta, x + 1, lambda: _weight(self.tables, x, theta, model=self.table()))
 
     def _delta_sq_table(self) -> np.ndarray:
         """Read-only (Lambda(n) - F_R(n))^2 over [0, tables.limit]; index 0 is 0."""
@@ -289,7 +292,7 @@ class FRConfig:
             sq = _weight(self.tables, self.tables.limit, False, model=self.table())
             return np.multiply(sq, sq, out=sq)
 
-        return self._held_array("square", build)
+        return self._held_array("square", self.tables.limit + 1, build)
 
 
 def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:

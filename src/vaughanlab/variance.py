@@ -610,7 +610,8 @@ def _band_run(
     Every bound is checked before the residual is read; the band width
     picks the route (_lag_route), and the timer covers the residual and the
     band.  A band on cfg reads a prefix view of the residual cfg holds
-    (FRConfig._residual), built by the first band of its weight; BDH's
+    (FRConfig._residual), built by the first band of its weight and x, and
+    again only by a band of the other weight or a longer x; BDH's
     theta goes to the bucket route as chunks of Lambda (_theta_chunks), to
     the lag route, whose transform takes the whole row, as one copy.  On
     the lag route cfg's _sums keeps each lone row's part under the key
@@ -625,7 +626,7 @@ def _band_run(
     lag = _lag_route(len(moduli), x)
     t0 = time.perf_counter()
     if cfg is not None:
-        diff = cfg._residual(theta)[: x + 1]
+        diff = cfg._residual(theta, x)[: x + 1]
     elif theta and not lag:
         diff = _theta_chunks(tables)
     else:

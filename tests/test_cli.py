@@ -240,7 +240,7 @@ def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
     # too; a band command, on the same config, the band residual in its place
     assert fr._held[0] is True  # theorem5's theta residual, built after the square
     assert derived["theorem5"]["table_bytes"] == sieve_and_tables + sum(
-        a.nbytes for a in (fr._coef, fr.table(), fr._residual(True))
+        a.nbytes for a in (fr._coef, fr.table(), fr._residual(True, 3000))
     )
     assert derived["theorem3"]["table_bytes"] == sieve_and_tables + sum(
         a.nbytes for a in (fr._coef, fr.table(), fr._delta_sq_table())

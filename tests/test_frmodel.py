@@ -377,7 +377,7 @@ def test_config_arrays_are_read_only(tables_small):
     # values while later bands read the new ones; every array refuses it,
     # the residual square and the band residuals of both weights included
     cfg = FRConfig(R=10.0, tables=tables_small)
-    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table(), cfg._residual(True), cfg._residual(False)):
+    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table(), cfg._residual(True, 2_000), cfg._residual(False, 1_000)):
         before = arr.copy()
         assert not arr.flags.writeable
         with raises(ValueError):

@@ -1053,7 +1053,7 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
     tables = build_tables(build_sieve(1000))
     cfg = FRConfig(R=20.0, tables=tables)
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
-    residual = cfg._residual(True)  # the band residual, dropped for the square below
+    residual = cfg._residual(True, 1000)  # the band residual, dropped for the square below
     delta_sq_progression(1000, 6, 1, cfg)  # builds the table, the residual square and its sums
     sums = list(cfg._sums._arrays.values())
     assert len(sums) == 1  # the column sums of v = 6's row length, from which its classes are read
@@ -1704,15 +1704,15 @@ def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
 
 
 def _residual_builds(monkeypatch, cfg):
-    """The weights of the x-sized arrays built from a model on cfg, in order; each build
+    """(theta, x) of each array over [0, x] built from a model on cfg, in order; each build
     checks that cfg holds no other array while it runs."""
     builds = []
     weight = frmodel._weight
 
     def spy(tables, x, theta, b=0, d=1, model=None):
-        if model is not None and x == tables.limit:
+        if model is not None and (b, d) == (0, 1):
             assert cfg._held is None  # the held array is dropped before another is built
-            builds.append(theta)
+            builds.append((theta, x))
         return weight(tables, x, theta, b, d, model)
 
     monkeypatch.setattr(frmodel, "_weight", spy)
@@ -1736,8 +1736,26 @@ def test_bands_on_one_config_build_one_residual(cfg10_2e20, band, monkeypatch):
     cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
     builds = _residual_builds(monkeypatch, cfg)
     assert [band_hex(cfg, w, r) for w, r in steps] == want
-    assert builds == [True, False]
+    assert builds == [(True, x), (False, x)]
     assert cfg._held[0] is False and not cfg._held[1].flags.writeable
+
+
+def test_residual_reaches_the_longest_band(cfg10_2e20, monkeypatch):
+    # the residual covers [0, x] of the band that built it, not the whole
+    # table: a band at a shorter x reads its prefix and a longer one builds
+    # it again to its own x, each band equal to a fresh config's bit for bit
+    xs = (50_000, 20_000, 100_000, 100_000, 99_999)
+    coprime = RestrictionMode(Mode.COPRIME)
+
+    def band_hex(cfg, x):
+        return variance_sum(x, 100, cfg, coprime, q_low=90.0, threads=1).empirical.hex()
+
+    want = [band_hex(FRConfig(R=10.0, tables=cfg10_2e20.tables), x) for x in xs]
+    cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
+    builds = _residual_builds(monkeypatch, cfg)
+    assert [band_hex(cfg, x) for x in xs] == want
+    assert builds == [(True, 50_000), (True, 100_000)]
+    assert len(cfg._held[1]) == 100_001 < cfg.tables.limit
 
 
 def test_residual_and_square_alternate_on_one_config(tables_1e5, monkeypatch):
