@@ -114,10 +114,11 @@ _G_CACHE = 1024
 
 # Float64 values (8 MB) that each config's cache of sums keeps: the column
 # sums of the residual square per row length m, from which
-# variance.delta_sq_progression reads each class, and one value per lone
-# lag-route row.  The 12 row lengths of the squarefree v <= 60 need
-# 30030 + 6 (17 + 19 + ... + 59) = 32,424 of them; a band at 10^7 holds a
-# few hundred rows.
+# variance.delta_sq_progression reads each class, the class sums of each
+# bucket-route modulus d, and one value per lone lag-route row.  The 12 row
+# lengths of the squarefree v <= 60 need 30030 + 6 (17 + 19 + ... + 59) =
+# 32,424 of them; a band at 10^7 holds a few hundred rows, or d values per
+# bucket-route modulus.
 _SUM_CACHE = 2**20
 
 
@@ -125,7 +126,8 @@ class _ArrayCache:
     """A bounded, thread-safe map of keys to read-only arrays; the least recently used go first.
 
     It keeps at most max_values array elements in all, or its newest entry
-    alone where that one is larger.  It refers to its arrays and nothing
+    alone where that one is larger; a running count of the elements held
+    makes each eviction one step.  It refers to its arrays and nothing
     else.  Builders run outside the lock, so threads racing on one key may
     each build the array; the first one stored is the one every caller gets.
     """
@@ -134,6 +136,7 @@ class _ArrayCache:
         self.max_values = max_values
         self._lock = threading.Lock()
         self._arrays: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+        self._size = 0  # the elements of the arrays held
 
     def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
         with self._lock:
@@ -144,10 +147,15 @@ class _ArrayCache:
         arr = build()
         arr.setflags(write=False)
         with self._lock:
-            arr = self._arrays.setdefault(key, arr)
-            self._arrays.move_to_end(key)
-            while len(self._arrays) > 1 and sum(a.size for a in self._arrays.values()) > self.max_values:
-                self._arrays.popitem(last=False)
+            held = self._arrays.get(key)
+            if held is None:
+                self._arrays[key] = arr
+                self._size += arr.size
+            else:
+                arr = held
+                self._arrays.move_to_end(key)
+            while len(self._arrays) > 1 and self._size > self.max_values:
+                self._size -= self._arrays.popitem(last=False)[1].size
         return arr
 
 
@@ -165,20 +173,22 @@ class FRConfig:
     - the dense value table over [0, tables.limit], built on first use by
       table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
     - _held, at most one more array of 8 bytes per n: the band residual
-      Lambda(n) - F_R(n) of the last weight a band asked for (_residual,
-      theta or psi), over [0, x] of the band that built it, which every
-      band on the config up to that x reads as a prefix view (a longer
-      band builds it again to its own x), or the residual square
-      (Lambda(n) - F_R(n))^2 over [0, tables.limit] (_delta_sq_table),
-      built by the first theorem-3 class of more than 64 terms; a shorter
-      class reads the table if it is built, else F_R at its own points
-      (_fr_at), and builds neither.  Asking for another array drops the
-      held one before the new one is built, so no two are held together;
+      Lambda(n) - F_R(n) of the last weight asked for (_residual, theta or
+      psi), over [0, x] of the call that built it, which every later call
+      on the config up to that x reads as a prefix view (a longer x builds
+      it again to its own x).  The theorem-3 class sums read the theta
+      residual and square it a chunk at a time, so no residual square is
+      held; a class of at most 64 terms reads the table if it is built,
+      else F_R at its own points (_fr_at), and builds neither.  Asking for
+      the other weight drops the held residual before the new one is built,
+      so no two are held together;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than
-      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; and
-      the unsigned part of each lone row of a lag-route band
+      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; the
+      sums of all d classes of a bucket-route modulus d per (x, weight, d),
+      from which every band on the config selects the classes it keeps;
+      and the unsigned part of each lone row of a lag-route band
       (variance._lag_band_rows), one 1-element array per
       (x, weight, start, e, f_lo, f_hi), which later bands on the config
       read instead of transforming the row again;
@@ -186,7 +196,7 @@ class FRConfig:
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
     Every array it hands out (the weights, the table, the residual, the
-    square, the sums and the row parts) is read-only.  Both caches refer to
+    sums and the row parts) is read-only.  Both caches refer to
     arrays or to the tables, never to the config, so dropping the config
     frees its arrays at once.
 
@@ -266,33 +276,20 @@ class FRConfig:
             object.__setattr__(self, "_table", t)
         return self._table
 
-    def _held_array(self, key: object, size: int, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The held array if it is key's and has at least size entries; else build()'s, made
-        read-only and held, once whatever was held is dropped."""
+    def _residual(self, theta: bool, x: int) -> np.ndarray:
+        """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
+        [0, n] for some n >= x, the band residual: the held one where it is of this weight and reaches
+        x, else one built over [0, x], and held once whatever was held is dropped.  Its prefix
+        [0, x] is _weight's residual to x bit for bit."""
         held = self._held
-        if held is not None and held[0] == key and len(held[1]) >= size:
+        if held is not None and held[0] == theta and len(held[1]) > x:
             return held[1]
         object.__setattr__(self, "_held", None)
         del held
-        arr = build()
+        arr = _weight(self.tables, x, theta, model=self.table())
         arr.setflags(write=False)
-        object.__setattr__(self, "_held", (key, arr))
+        object.__setattr__(self, "_held", (theta, arr))
         return arr
-
-    def _residual(self, theta: bool, x: int) -> np.ndarray:
-        """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
-        [0, n] for some n >= x, the band residual: the held one where it reaches x, else one
-        built over [0, x].  Its prefix [0, x] is _weight's residual to x bit for bit."""
-        return self._held_array(theta, x + 1, lambda: _weight(self.tables, x, theta, model=self.table()))
-
-    def _delta_sq_table(self) -> np.ndarray:
-        """Read-only (Lambda(n) - F_R(n))^2 over [0, tables.limit]; index 0 is 0."""
-
-        def build() -> np.ndarray:
-            sq = _weight(self.tables, self.tables.limit, False, model=self.table())
-            return np.multiply(sq, sq, out=sq)
-
-        return self._held_array("square", self.tables.limit + 1, build)
 
 
 def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:

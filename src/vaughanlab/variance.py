@@ -20,7 +20,13 @@ Two routes compute a band.  The bucket route takes one O(x) pass per modulus
 and can split the band over threads.  It finds the kept classes by striking
 b = shift (mod p) for each prime p | d, and a modulus that keeps at most
 _FOLD_CLASSES of them folds only those, column by column, in the order of
-numpy's row sum, which sums every other modulus.  The lag route opens each
+numpy's row sum, which sums every other modulus.  Every class a restricted
+mode keeps is a class ALL sums, so the F_R config keeps the sums of all d
+classes of each modulus (in _sums): COPRIME and SHIFT_COPRIME select their
+classes from the sums ALL built, or build them there for the next band.
+BDH's raw weight lives on the primes (and, for psi, the prime powers), so
+its classes d >= 2 are summed over those alone (_raw_sums), in the order of
+the row sum of a stored copy.  The lag route opens each
 modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the
 autocorrelation of the residual, so the whole band costs one FFT; the
 restricted modes add, by Moebius inversion, the autocorrelations of the rows
@@ -35,10 +41,12 @@ a prime row holds only the powers of p, so its band is an exact sum over
 pairs of them.  The band width alone picks the route (_lag_route); the bucket
 route stays as the oracle the tests compare the lag route against.  Every
 band on an F_R config reads one residual the config holds (its
-_residual), so ALL, COPRIME and SHIFT_COPRIME on one config build it once;
-BDH's raw theta reaches the bucket route a chunk at a time from Lambda
-(_theta_chunks), in the order of the sums of a copy, and the lag route, whose
-transform takes the whole row, as one copy.
+_residual), so ALL, COPRIME and SHIFT_COPRIME on one config build it once,
+and the theorem-3 class sums square the theta residual a chunk at a time
+(_column_sums), so no residual square is built; BDH's raw theta reaches the
+bucket route at d = 1 a chunk at a time from Lambda (_theta_chunks), in the
+order of the sums of a copy, and the lag route, whose transform takes the
+whole row, as one copy.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -188,22 +196,21 @@ def _theta_chunks(tables: ArithTables) -> _Chunks:
     return lambda lo, hi, step: _weight(tables, hi, True, lo, step)
 
 
-def _fold(w: np.ndarray | _Chunks, b: int, x: int, d: int) -> float:
+def _fold(w: np.ndarray, b: int, x: int, d: int) -> float:
     """0.0 + w[b] + w[b + d] + ... up to w[x], added strictly left to right.
 
     numpy's row sum adds one column of a C-ordered block in this order,
     from the identity 0.0, so a column folded here is bit for bit its entry
     of the row sum.  np.add.accumulate runs over chunks of _BLOCK_ELEMENTS
-    entries of the column, read from the array or asked of the chunks,
-    each headed by the running total of the chunks before it: the same
-    adds as one accumulate over the column, with no column-sized buffer.
+    entries of the column, each headed by the running total of the chunks
+    before it: the same adds as one accumulate over the column, with no
+    column-sized buffer.
     """
     n = max(0, (x - b) // d + 1)
     buf = np.empty(min(n, _BLOCK_ELEMENTS) + 1)
     total = 0.0
     for lo in range(b, b + n * d, _BLOCK_ELEMENTS * d):
-        hi = min(lo + (_BLOCK_ELEMENTS - 1) * d, x)
-        chunk = w[lo : hi + 1 : d] if isinstance(w, np.ndarray) else w(lo, hi, d)
+        chunk = w[lo : min(lo + (_BLOCK_ELEMENTS - 1) * d, x) + 1 : d]
         run = buf[: len(chunk) + 1]
         run[0] = total
         run[1:] = chunk
@@ -229,16 +236,13 @@ def _pairwise(w: _Chunks, lo: int, n: int) -> float:
     return _pairwise(w, lo, n2) + _pairwise(w, lo + n2, n - n2)
 
 
-def _bucket_sums(w: np.ndarray | _Chunks, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
+def _bucket_sums(w: np.ndarray, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
     """Column sums of w[0..x] laid out in rows of length d (residue buckets), at the classes
     kept (a bool mask of the d classes) in ascending order, or at all d classes with kept None.
 
-    The row sum of an array takes the full rows as a view of it and adds the
-    short last row after them, the order in which the zero-padded layout
-    sums, so no x-sized buffer is built per modulus.  Chunks take the same
-    adds a chunk at a time: d = 1 numpy's pairwise tree (_pairwise), and
-    any other d blocks of whole rows, each block's first row carrying the
-    sums of the rows before it.  A modulus d > 1 that keeps at most
+    The row sum takes the full rows as a view of w and adds the short last
+    row after them, the order in which the zero-padded layout sums, so no
+    x-sized buffer is built per modulus.  A modulus d > 1 that keeps at most
     _FOLD_CLASSES classes folds each kept column w[b : x + 1 : d] instead,
     the same adds in the same order, and sums no class it drops.
     """
@@ -247,22 +251,58 @@ def _bucket_sums(w: np.ndarray | _Chunks, x: int, d: int, kept: np.ndarray | Non
         cols = range(d) if kept is None else np.flatnonzero(kept).tolist()
         return np.array([_fold(w, b, x, d) for b in cols])
     full = (x + 1) // d
-    if isinstance(w, np.ndarray):
-        sums = w[: full * d].reshape(full, d).sum(axis=0)
-        tail = w[full * d : x + 1]
-    else:
-        if d == 1:
-            sums = np.array([_pairwise(w, 0, x + 1)])
-        else:
-            sums = np.zeros(d)
-            span = max(1, _BLOCK_ELEMENTS // d) * d
-            for lo in range(0, full * d, span):
-                rows = w(lo, min(lo + span, full * d) - 1, 1).reshape(-1, d)
-                rows[0] += sums  # the adds the row sum makes, carried across the blocks
-                sums = rows.sum(axis=0)
-        tail = w(full * d, x, 1)
+    sums = w[: full * d].reshape(full, d).sum(axis=0)
+    tail = w[full * d : x + 1]
     sums[: len(tail)] += tail
     return sums if kept is None else sums[kept]
+
+
+def _support(tables: ArithTables, x: int, theta: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Where the raw weight lives over [0, x]: the primes p <= x and, for psi, the prime powers
+    p^k <= x, k >= 2 (none for theta), as two ascending views of the tables' arrays."""
+    primes, powers = tables.sieve.primes(), tables.prime_powers
+    n_powers = 0 if theta else np.searchsorted(powers, x, side="right")
+    return primes[: np.searchsorted(primes, x, side="right")], powers[:n_powers]
+
+
+def _raw_sums(tables: ArithTables, x: int, d: int, theta: bool) -> np.ndarray:
+    """_bucket_sums of the raw weight (theta, or psi = Lambda) over [0, x] at all d classes,
+    bit for bit, read from where the weight lives.
+
+    d = 1 is numpy's pairwise sum: theta's over chunks of Lambda
+    (_pairwise over _theta_chunks, no x-sized copy), Lambda's over the
+    stored array.  For d >= 2, numpy's row sum and _fold add each column
+    left to right from 0.0; the weight is >= 0, and adding +0.0 to a
+    nonnegative total is exact, so skipping the zeros changes no bit.  So
+    np.bincount, which adds in input order from 0.0, sums the classes
+    p mod d over the support (_support) in ascending order, the prime
+    powers merged among the primes.  The support goes in blocks of
+    _BLOCK_ELEMENTS primes, and each block's bincount is headed by the d
+    running sums, so no array of 8 bytes per prime is built.
+    """
+    if d == 1:
+        return np.array([_pairwise(_theta_chunks(tables), 0, x + 1)]) if theta else _bucket_sums(tables.lam, x, 1)
+    primes, powers = _support(tables, x, theta)
+    width = d + min(len(primes), _BLOCK_ELEMENTS) + len(powers)
+    idx, weights = np.empty(width, dtype=np.int64), np.empty(width)
+    idx[:d] = np.arange(d)
+    weights[:d] = 0.0
+    done = 0  # the prime powers merged so far
+    for lo in range(0, len(primes), _BLOCK_ELEMENTS):
+        block = primes[lo : lo + _BLOCK_ELEMENTS]
+        last = lo + _BLOCK_ELEMENTS >= len(primes)
+        upto = len(powers) if last else int(np.searchsorted(powers, block[-1]))
+        n = d + len(block) + upto - done
+        pos = idx[d:n]
+        pos[: len(block)] = block
+        if upto > done:
+            pos[len(block) :] = powers[done:upto]
+            pos.sort(kind="stable")  # timsort merges the two ascending runs
+        done = upto
+        np.take(tables.lam, pos, out=weights[d:n], mode="clip")  # clip: an unbuffered take
+        np.remainder(pos, d, out=pos)
+        weights[:d] = np.bincount(idx[:n], weights=weights[:n], minlength=d)
+    return weights[:d].copy()
 
 
 def _kept_classes(d: int, shift: int, sieve: FactorSieve) -> np.ndarray:
@@ -278,25 +318,38 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     if d < 1:
         raise ValueError(f"modulus must be >= 1, got {d}")
     _check_x(x, cfg.tables)
-    w = _theta_chunks(cfg.tables) if weight is Weight.THETA else cfg.tables.lam
-    return ProgressionAccumulator(d=d, theta_buckets=_bucket_sums(w, x, d), rho_buckets=_bucket_sums(cfg.table(), x, d))
+    theta_buckets = _raw_sums(cfg.tables, x, d, weight is Weight.THETA)
+    return ProgressionAccumulator(d=d, theta_buckets=theta_buckets, rho_buckets=_bucket_sums(cfg.table(), x, d))
 
 
 def _bucket_band_sum(
     moduli: range,
     x: int,
-    diff: np.ndarray | _Chunks,
+    sums: Callable[[int], np.ndarray],
+    diff: np.ndarray | None,
     restriction: RestrictionMode,
     tables: ArithTables,
     threads: int,
 ) -> float:
-    """The band one modulus at a time: an O(x) bucket pass per d of the array or the chunks diff,
-    over threads >= 1 workers (_thread_count)."""
+    """The band one modulus at a time, over threads >= 1 workers (_thread_count): an O(x) bucket
+    pass per d, or none where sums hands out the sums it holds.
+
+    sums(d) gives the column sums of all d classes, from which the modulus
+    selects the classes it keeps; a restricted modulus d > 1 that keeps at
+    most _FOLD_CLASSES classes folds them from the array diff instead, when
+    one is given (_bucket_sums).
+    """
 
     def contribution(d: int) -> float:
-        kept = None if restriction.shift is None else _kept_classes(d, restriction.shift, tables.sieve)
-        vals = _bucket_sums(diff, x, d, kept)
-        if restriction.mode is Mode.BDH:  # diff holds the raw weight, the approximant is x/phi(d)
+        if restriction.shift is None:
+            vals = sums(d)
+        else:
+            kept = _kept_classes(d, restriction.shift, tables.sieve)
+            if diff is not None and d > 1 and np.count_nonzero(kept) <= _FOLD_CLASSES:
+                vals = _bucket_sums(diff, x, d, kept)
+            else:
+                vals = sums(d)[kept]
+        if restriction.mode is Mode.BDH:  # the sums are of the raw weight, the approximant is x/phi(d)
             vals = vals - x / float(tables.phi[d])
         return float((vals * vals).sum())
 
@@ -316,7 +369,8 @@ def _bucket_band_sum(
 # x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
 # at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
 # _fold's chunks take the same size: at d = 2 and x = 10^7 chunks of 2^14 to
-# 2^17 fold a column in 13.7-14.0 ms, 2^12 and 2^20 in 15.7 and 14.8 ms.
+# 2^17 fold a column in 13.7-14.0 ms, 2^12 and 2^20 in 15.7 and 14.8 ms; and
+# _raw_sums takes the primes in blocks of this many.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
@@ -477,19 +531,22 @@ def _lag_band_rows(
     return parts
 
 
-def _coprime_first_moments(w: np.ndarray, q: int, primes: np.ndarray) -> np.ndarray:
+def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.ndarray:
     """F(d) = sum of w[n] over n coprime to d, at index d <= q, for w carried by prime powers.
 
     The n that meet d are the powers of the primes p | d, so
-    F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from primes,
-    the ascending primes up to q at least (a sieve's primes()).  A prime
+    F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from the
+    tables' primes.  sum w is the exactly rounded sum of w at the primes
+    and the prime powers p^k <= x, k >= 2, the only n where w can be
+    nonzero, so no x-sized mask is built.  A prime
     above sqrt(x) has no higher power, and d <= q has at most one prime
     factor above sqrt(q): the p <= sqrt(q) subtract one slice each, then
     each cofactor k gathers the d = k p with p above sqrt(q), so every d
     subtracts its primes in ascending order.
     """
     x = len(w) - 1
-    first = np.full(q + 1, _exact_sum(w[w != 0]))
+    primes, powers = _support(tables, x, False)
+    first = np.full(q + 1, _exact_sum(np.concatenate((w[primes], w[powers]))))
     p = primes[: np.searchsorted(primes, q, side="right")]
     sub = w[p]
     for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
@@ -544,7 +601,7 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     parts.append(np.array(terms))
     band = math.fsum(np.concatenate(parts))
     approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
-    first = _coprime_first_moments(a, hi, primes)[lo + 1 :]
+    first = _coprime_first_moments(a, hi, tables)[lo + 1 :]
     return math.fsum((band, _exact_sum(approx * (x - 2.0 * first), work=approx)))
 
 
@@ -611,12 +668,16 @@ def _band_run(
     picks the route (_lag_route), and the timer covers the residual and the
     band.  A band on cfg reads a prefix view of the residual cfg holds
     (FRConfig._residual), built by the first band of its weight and x, and
-    again only by a band of the other weight or a longer x; BDH's
-    theta goes to the bucket route as chunks of Lambda (_theta_chunks), to
-    the lag route, whose transform takes the whole row, as one copy.  On
-    the lag route cfg's _sums keeps each lone row's part under the key
-    (x, weight, start, e, f_lo, f_hi), so a later band on cfg reads it:
-    ALL's one row is row e = 1 of every restricted band on the same band.
+    again only by a band of the other weight or a longer x.  On the bucket
+    route cfg's _sums keeps the sums of all d classes of each modulus
+    d <= its bound under the key (x, weight, d), so the restricted bands
+    select their classes from the sums ALL built (a restricted modulus that
+    folds at most _FOLD_CLASSES classes still folds them); BDH sums its raw
+    weight over the primes (_raw_sums), and its lag route, whose transform
+    takes the whole row, reads one copy.  On the lag route cfg's _sums
+    keeps each lone row's part under the key (x, weight, start, e, f_lo,
+    f_hi), so a later band on cfg reads it: ALL's one row is row e = 1 of
+    every restricted band on the same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
@@ -627,15 +688,21 @@ def _band_run(
     t0 = time.perf_counter()
     if cfg is not None:
         diff = cfg._residual(theta, x)[: x + 1]
-    elif theta and not lag:
-        diff = _theta_chunks(tables)
     else:
-        diff = _weight(tables, x, theta)
+        diff = _weight(tables, x, theta) if lag else None
     if lag:
         lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
         empirical, all_part, excluded_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
     else:
-        empirical = _bucket_band_sum(moduli, x, diff, restriction, tables, threads)
+        if cfg is None:
+            sums = functools.partial(_raw_sums, tables, x, theta=theta)
+        else:
+
+            def sums(d: int) -> np.ndarray:
+                build = functools.partial(_bucket_sums, diff, x, d)
+                return build() if d > cfg._sums.max_values else cfg._sums.get((x, weight, d), build)
+
+        empirical = _bucket_band_sum(moduli, x, sums, diff, restriction, tables, threads)
         all_part = excluded_part = None
     return VarianceRun(
         x=x,
@@ -695,6 +762,11 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 # class of at most this many terms is summed where it lies instead.
 _BLOCK_ROWS = 64
 
+# Floats of the one buffer that the column sums square the residual into, a
+# chunk of whole blocks of rows at a time (1 MB, about an L2 cache), or of
+# one row where a row is longer.
+_SQUARE_ELEMENTS = 1 << 17
+
 
 def _row_length(x: int, v: int) -> int:
     """The row length m, a multiple of the squarefree v <= x, whose column sums serve v.
@@ -708,27 +780,67 @@ def _row_length(x: int, v: int) -> int:
     return m if m <= x + 1 else v
 
 
-def _column_sums(a: np.ndarray, m: int) -> np.ndarray:
-    """Column sums of a laid out in rows of length m <= len(a), summed in blocks of rows.
+def _column_sums(x: int, m: int, cfg: FRConfig) -> np.ndarray:
+    """Column sums of the residual square (Lambda(n) - F_R(n))^2 over [0, x] laid out in rows of
+    length m <= x + 1, summed in blocks of rows.
 
     Each block of _BLOCK_ROWS full rows, and the leftover full rows as one
     more block, is summed naively; the k block sums of each column are then
     added by numpy's pairwise sum along a contiguous axis, and the short last
-    row after them, as _bucket_sums adds it.  A term so meets at most 63
-    roundings in its block, ceil(log2 k) + 26 in numpy's pairwise sum (its
-    unrolled base case takes up to 25, and a reduce adds its first element
-    apart) and one for the last row.  Every pass reads a contiguously, where
-    one strided pass per column costs a cache line per element once 8 m
-    bytes span a line.
+    row after them.  A term so meets at most 63 roundings in its block,
+    ceil(log2 k) + 26 in numpy's pairwise sum (its unrolled base case takes
+    up to 25, and a reduce adds its first element apart) and one for the
+    last row.  Every pass reads the residual contiguously, where one strided
+    pass per column costs a cache line per element once 8 m bytes span a
+    line.
+
+    The square is never built whole.  The chunks of the theta residual cfg
+    holds (FRConfig._residual) are squared into one reused buffer of
+    _SQUARE_ELEMENTS floats, and the prime powers p^k, k >= 2, of a chunk,
+    the only n where the theta and psi residuals differ, are set to
+    (Lambda(n) - F_R(n))^2.  A chunk holds as many whole blocks as fit, each
+    summed as numpy sums the whole square's (a (k, 64, m) reduction over its
+    rows); a block wider than the buffer is summed in groups of rows, each
+    group's first row carrying the running sums of the rows before it, the
+    adds numpy's row sum makes.
     """
-    full = len(a) // m
+    residual, table, lam = cfg._residual(True, x), cfg.table(), cfg.tables.lam
+    powers = cfg.tables.prime_powers
+    powers = powers[: np.searchsorted(powers, x, side="right")]
+    at_powers = lam[powers] - table[powers]
+    at_powers *= at_powers
+
+    def square(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The residual square over [lo, hi) in out[: hi - lo]."""
+        out = np.multiply(residual[lo:hi], residual[lo:hi], out=out[: hi - lo])
+        i, j = np.searchsorted(powers, (lo, hi))
+        out[powers[i:j] - lo] = at_powers[i:j]
+        return out
+
+    full = (x + 1) // m
     whole = full // _BLOCK_ROWS
-    cut = whole * _BLOCK_ROWS * m
-    blocks = [a[:cut].reshape(whole, _BLOCK_ROWS, m).sum(axis=1)]
-    if cut < full * m:
-        blocks.append(a[cut : full * m].reshape(-1, m).sum(axis=0, keepdims=True))
-    sums = np.ascontiguousarray(np.concatenate(blocks).T).sum(axis=1)
-    tail = a[full * m :]
+    blocks = np.empty((whole + (whole * _BLOCK_ROWS < full), m))
+    buf = np.empty(max(_SQUARE_ELEMENTS, m))
+    span = _BLOCK_ROWS * m
+    per = _SQUARE_ELEMENTS // span  # whole blocks per chunk
+    if per:
+        for b in range(0, whole, per):
+            e = min(b + per, whole)
+            np.sum(square(b * span, e * span, buf).reshape(e - b, _BLOCK_ROWS, m), axis=1, out=blocks[b:e])
+        if whole < len(blocks):
+            np.sum(square(whole * span, full * m, buf).reshape(-1, m), axis=0, out=blocks[whole])
+    else:
+        group = max(1, _SQUARE_ELEMENTS // m)  # rows per chunk
+        for b in range(len(blocks)):
+            first, stop = b * _BLOCK_ROWS, min((b + 1) * _BLOCK_ROWS, full)
+            for lo in range(first, stop, group):
+                rows = square(lo * m, min(lo + group, stop) * m, buf).reshape(-1, m)
+                if lo > first:
+                    rows[0] += blocks[b]
+                np.sum(rows, axis=0, out=blocks[b])
+    buf = rows = None  # the buffer goes before the pairwise pass over the blocks
+    sums = np.ascontiguousarray(blocks.T).sum(axis=1)
+    tail = square(full * m, x + 1, np.empty(x + 1 - full * m))
     sums[: len(tail)] += tail
     return sums
 
@@ -740,20 +852,21 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     residuals from Lambda (_weight) and the config's F_R table, or, while
     that is unbuilt, F_R at its own points (_fr_at, the table's entries bit
     for bit); it squares them and returns their np.sum: it builds neither
-    the F_R table nor the residual square and adds no cache entry, and in
+    the F_R table nor the band residual and adds no cache entry, and in
     any order each of its n <= 64 terms meets at most n - 1 roundings.  Any
     other class reads the column sums of the row length
     m = _row_length(x, v), a multiple of v, from the blocked pass over the
-    config's cached residual square (built on the first such call, 8 bytes
-    per n up to tables.limit), and returns the pairwise np.sum of its m/v
-    columns N mod v, N mod v + v, ...: the config keeps the m sums per
-    (x, m), so all moduli that share a row length cost one blocked pass over
-    the square, and a term meets at most 64 + log2(k) + log2(m/v) + 54
-    roundings, k the blocks of rows (_column_sums and the strided sum).  The
-    summation order is fixed, so the result is deterministic, and, the terms
-    being nonnegative, it is within that many units of 2^-53 of their sum of
-    the math.fsum of the same squares.  Either way a square is the same
-    float as the square's entry.
+    square of the theta residual the config holds (_column_sums; a band on
+    the config up to x has built it, else this builds it over [0, x]), and
+    returns the pairwise np.sum of its m/v columns N mod v, N mod v + v, ...:
+    the config keeps the m sums per (x, m), so all moduli that share a row
+    length cost one blocked pass, and a term meets at most
+    64 + log2(k) + log2(m/v) + 54 roundings, k the blocks of rows
+    (_column_sums and the strided sum).  The summation order is fixed, so
+    the result is deterministic, and, the terms being nonnegative, it is
+    within that many units of 2^-53 of their sum of the math.fsum of the
+    same squares.  Either way a square is the same float as the square of
+    the psi residual's entry.
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:
@@ -764,7 +877,7 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
             diff = _weight(cfg.tables, x, False, start, v, cfg._table)
         return float(np.multiply(diff, diff, out=diff).sum())
     m = _row_length(x, v)
-    rows = cfg._sums.get((x, m), lambda: _column_sums(cfg._delta_sq_table()[: x + 1], m))
+    rows = cfg._sums.get((x, m), lambda: _column_sums(x, m, cfg))
     return float(rows[N % v :: v].sum())
 
 

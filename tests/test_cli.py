@@ -236,15 +236,12 @@ def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
     )
     assert derived["bdh"]["table_bytes"] == sieve_and_tables
     fr = cli._fr_for(3000, 10.0)
-    # theorem3 holds the F_R weights, the F_R table and the residual square
-    # too; a band command, on the same config, the band residual in its place
-    assert fr._held[0] is True  # theorem5's theta residual, built after the square
-    assert derived["theorem5"]["table_bytes"] == sieve_and_tables + sum(
-        a.nbytes for a in (fr._coef, fr.table(), fr._residual(True, 3000))
-    )
-    assert derived["theorem3"]["table_bytes"] == sieve_and_tables + sum(
-        a.nbytes for a in (fr._coef, fr.table(), fr._delta_sq_table())
-    )
+    # theorem3 holds the F_R weights, the F_R table and the theta residual
+    # its class sums square; a band command, on the same config, the same
+    # band residual
+    assert fr._held[0] is True
+    held = sieve_and_tables + sum(a.nbytes for a in (fr._coef, fr.table(), fr._residual(True, 3000)))
+    assert derived["theorem5"]["table_bytes"] == derived["theorem3"]["table_bytes"] == held
 
 
 def test_theorem3_hypothesis_guard(tmp_path, capsys):

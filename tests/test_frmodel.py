@@ -375,9 +375,9 @@ def test_configs_over_distinct_tables_compare_by_table_identity():
 def test_config_arrays_are_read_only(tables_small):
     # a write to the F_R table would leave the cached class sums on the old
     # values while later bands read the new ones; every array refuses it,
-    # the residual square and the band residuals of both weights included
+    # the band residuals of both weights included
     cfg = FRConfig(R=10.0, tables=tables_small)
-    for arr in (cfg._coef, cfg.table(), cfg._delta_sq_table(), cfg._residual(True, 2_000), cfg._residual(False, 1_000)):
+    for arr in (cfg._coef, cfg.table(), cfg._residual(True, 2_000), cfg._residual(False, 1_000)):
         before = arr.copy()
         assert not arr.flags.writeable
         with raises(ValueError):
@@ -394,3 +394,25 @@ def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):
         assert other._coprime_g is not cfg50_small._coprime_g
         assert other._sums is not cfg50_small._sums and not other._sums._arrays
         assert other.table().tobytes() == cfg50_small.table().tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=60))
+def test_array_cache_matches_a_reference_model(max_values, steps):
+    # each get of (key, size) keeps what a plain LRU model keeps: the newest
+    # entries up to max_values elements in all, or the newest alone where it
+    # is larger; a hit hands back the array stored first and builds nothing
+    cache = frmodel._ArrayCache(max_values)
+    model = {}  # key -> size, oldest first
+    for key, size in steps:
+        built = []
+        arr = cache.get(key, lambda: built.append(key) or np.zeros(size))
+        if key in model:
+            assert not built and arr.size == model.pop(key)
+        model[key] = arr.size
+        while len(model) > 1 and sum(model.values()) > max_values:
+            del model[next(iter(model))]
+        assert list(cache._arrays) == list(model), (max_values, steps)
+        assert [a.size for a in cache._arrays.values()] == list(model.values())
+        assert cache._size == sum(model.values())
+        assert not arr.flags.writeable

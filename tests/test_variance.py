@@ -64,6 +64,11 @@ from vaughanlab.variance import (
 )
 
 
+def _array_band_sum(moduli, x, arr, restriction, tables, threads=1):
+    """The bucket route over the array arr: the row sums of every modulus, and the folds."""
+    return _bucket_band_sum(moduli, x, functools.partial(_bucket_sums, arr, x), arr, restriction, tables, threads)
+
+
 @pytest.fixture(scope="module")
 def cfg10_small(tables_small):
     return FRConfig(R=10.0, tables=tables_small)
@@ -177,7 +182,7 @@ def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
     arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
     for q_low, q in LAG_ORACLE_BANDS:
         moduli = range(math.floor(q_low) + 1, q + 1)
-        want = _bucket_band_sum(moduli, x, arr, restriction, cfg10_small.tables, 1)
+        want = _array_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
         got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)[0]
         assert type(got) is float
         assert got == approx(want, rel=1e-12), (q_low, q)
@@ -407,8 +412,10 @@ def test_all_part_is_the_all_band(tables_small, weight, monkeypatch):
         for r in VARIANCE_SUM_MODES[1:]:
             run = variance_sum(x, q, FRConfig(R=10.0, tables=tables_small), r, weight=weight, q_low=q_low)
             assert run.all_part.hex() == runs[0].empirical.hex(), (r, q_low, q)
-    # a bucket-route band and bdh_variance report none and add no entry;
-    # BDH has no config, so it transforms its e = 1 row on every call
+    # a bucket-route band and bdh_variance report none and add no lone row:
+    # the bucket route keeps only the class sums of its moduli, which every
+    # mode selects from; BDH has no config, so it transforms its e = 1 row
+    # on every call
     calls = _lone_row_calls(monkeypatch)
     cfg = FRConfig(R=10.0, tables=tables_small)
     for r in VARIANCE_SUM_MODES:
@@ -416,7 +423,7 @@ def test_all_part_is_the_all_band(tables_small, weight, monkeypatch):
     for q in (50, 300, 300):
         assert bdh_variance(x, q, tables_small, weight=weight).all_part is None
     assert not _lag_route(10, x) and not _lag_route(50, x) and _lag_route(300, x)
-    assert not cfg._sums._arrays
+    assert sorted(cfg._sums._arrays) == [(x, weight, d) for d in range(91, 101)]
     assert calls == [(0, 1, 0, 300)] * 2
 
 
@@ -452,7 +459,7 @@ def test_coprime_first_moments_match_loop_bitwise(tables_1e4):
     primes = tables_1e4.sieve.primes()
     for w in (_weight(tables_1e4, x, True), tables_1e4.lam[: x + 1], noise):
         for q in (1, 2, 3, 4, 49, 120, 2_500, 2_501, 9_999, x):
-            got = _coprime_first_moments(w, q, primes)
+            got = _coprime_first_moments(w, q, tables_1e4)
             assert got.tobytes() == _coprime_first_moments_loop(w, q, primes).tobytes(), q
 
 
@@ -509,11 +516,6 @@ def test_bucket_sums_match_zero_padded_layout(x):
         assert _bucket_sums(arr, x, d).tobytes() == buf.reshape(rows, d).sum(axis=0).tobytes(), d
 
 
-def _copied_chunks(arr):
-    """arr as chunks: each call a fresh copy of the entries lo, lo + step, ... <= hi."""
-    return lambda lo, hi, step: arr[lo : hi + 1 : step].copy()
-
-
 def _row_sums(arr, x, d):
     """numpy's row sum of arr[0..x] in rows of length d, the short last row added after the full ones."""
     full = (x + 1) // d
@@ -542,13 +544,10 @@ def test_column_fold_equals_row_sum_bit_for_bit(d, data):
     chunk = data.draw(st.sampled_from([1, 2, 3, 7, variance._BLOCK_ELEMENTS]), label="chunk")
     kept = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="kept"))
     with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
-        # the array itself, and its chunks as fresh copies (the row sum then
-        # carries its running sums from block to block)
-        for w in (arr, _copied_chunks(arr)):
-            folded = np.array([variance._fold(w, b, x, d) for b in range(d)])
-            assert folded.tobytes() == want.tobytes()
-            assert _bucket_sums(w, x, d, kept).tobytes() == want[kept].tobytes()
-            assert _bucket_sums(w, x, d).tobytes() == want.tobytes()
+        folded = np.array([variance._fold(arr, b, x, d) for b in range(d)])
+        assert folded.tobytes() == want.tobytes()
+        assert _bucket_sums(arr, x, d, kept).tobytes() == want[kept].tobytes()
+        assert _bucket_sums(arr, x, d).tobytes() == want.tobytes()
 
 
 def test_bucket_sums_fold_only_few_class_moduli(monkeypatch):
@@ -630,9 +629,9 @@ def test_variance_sum_continuous_across_route_crossover(cfg20_1e4):
         below = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width).empirical
         above = variance_sum(x, q, cfg20_1e4, restriction, q_low=q - width - 1).empirical
         narrow, wide = range(q - width + 1, q + 1), range(q - width, q + 1)
-        assert below == _bucket_band_sum(narrow, x, diff, restriction, tables, 1)
+        assert below == _array_band_sum(narrow, x, diff, restriction, tables)
         assert above == _lag_band_sum(wide, x, diff, restriction, tables)[0]
-        extra = _bucket_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables, 1)
+        extra = _array_band_sum(range(q - width, q - width + 1), x, diff, restriction, tables)
         assert above == approx(below + extra, rel=1e-12)
 
 
@@ -1053,11 +1052,12 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
     tables = build_tables(build_sieve(1000))
     cfg = FRConfig(R=20.0, tables=tables)
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
-    residual = cfg._residual(True, 1000)  # the band residual, dropped for the square below
-    delta_sq_progression(1000, 6, 1, cfg)  # builds the table, the residual square and its sums
+    residual = cfg._residual(True, 1000)  # the band residual, which the class sums below square
+    delta_sq_progression(1000, 6, 1, cfg)  # builds the column sums from the held residual
+    assert cfg._held[1] is residual
     sums = list(cfg._sums._arrays.values())
     assert len(sums) == 1  # the column sums of v = 6's row length, from which its classes are read
-    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), cfg._delta_sq_table(), residual, *sums)]
+    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), residual, *sums)]
     del residual
     del sums
     gc.disable()
@@ -1212,6 +1212,69 @@ def test_delta_sq_progression_matches_fsum(tables_1e5):
             assert delta_sq_progression(x, v, N, cfg) == approx(want, rel=1e-13), (v, N)
 
 
+def _reference_column_sums(a, m):
+    """Column sums of the whole array a in rows of length m: each block of 64 full rows, and the
+    leftover full rows as one more, summed naively, the blocks pairwise, the short last row last."""
+    full = len(a) // m
+    whole = full // 64
+    cut = whole * 64 * m
+    blocks = [a[:cut].reshape(whole, 64, m).sum(axis=1)]
+    if cut < full * m:
+        blocks.append(a[cut : full * m].reshape(-1, m).sum(axis=0, keepdims=True))
+    sums = np.ascontiguousarray(np.concatenate(blocks).T).sum(axis=1)
+    tail = a[full * m :]
+    sums[: len(tail)] += tail
+    return sums
+
+
+# The 12 row lengths of the squarefree v <= 60, each with x + 1 at the edges
+# of its blocks of 64 rows (one row, one block, one past it, a block and a
+# leftover, and the tail of a short row), up to 10^5.
+_ROW_LENGTHS = (102, 114, 138, 174, 186, 222, 246, 258, 282, 318, 354, 30030)
+_ROW_EDGE_X = tuple(
+    sorted({(m, n - 1) for m in _ROW_LENGTHS for n in (m, m + 1, 64 * m - 1, 64 * m, 64 * m + 1, 129 * m + 5, 10**5 + 1)
+            if m <= n <= 10**5 + 1})
+)
+
+
+@pytest.mark.parametrize("square_elements", [None, 3 * 64 * 102 + 5, 500], ids=["default", "3blocks", "rows"])
+@pytest.mark.parametrize("held", [True, False, None], ids=["theta", "psi", "none"])
+def test_column_sums_from_the_held_residual_match_a_square(tables_1e5, held, square_elements, monkeypatch):
+    # the column sums squared a chunk at a time from the theta residual are
+    # those of the psi residual's square the test builds, bit for bit, with
+    # a theta residual held, a psi residual held or nothing held; a budget
+    # of 3 blocks of m = 102 batches 3 blocks per chunk, and one of 500
+    # floats sums every row length in groups of rows (m = 30030 a row at a
+    # time, in a buffer of one row)
+    if square_elements:
+        monkeypatch.setattr(variance, "_SQUARE_ELEMENTS", square_elements)
+    cfg = FRConfig(R=30.0, tables=tables_1e5)
+    sq = tables_1e5.lam - cfg.table()
+    np.multiply(sq, sq, out=sq)
+    for m, x in _ROW_EDGE_X:
+        if held is not None:
+            cfg._residual(held, x)
+        got = variance._column_sums(x, m, cfg)
+        assert got.tobytes() == _reference_column_sums(sq[: x + 1], m).tobytes(), (m, x)
+        assert cfg._held[0] is True and len(cfg._held[1]) > x
+
+
+def test_class_sums_after_a_band_hold_no_square(cfg10_2e20):
+    # after a band at 2^20 the class sums square its residual in one reused
+    # buffer: under a fifth of the 8 bytes per n that a square would take
+    x = 2**20
+    cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
+    variance_sum(x, 100, cfg, RestrictionMode(Mode.COPRIME), q_low=90.0, threads=1)
+    for v in (1, 7, 59):
+        tracemalloc.start()
+        try:
+            delta_sq_progression(x, v, 1, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (x + 1) / 5, (v, peak)
+
+
 def _blocked_roundings(x: int, v: int) -> int:
     # delta_sq_progression sums a class in this order: each column of the
     # rows of length m = _row_length(x, v) adds at most 64 full rows naively
@@ -1275,9 +1338,8 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
                 blocked = _blocked_roundings(x, v)
                 assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
                 assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
-    sq = cfg._delta_sq_table()
-    assert cfg._delta_sq_table() is sq  # built once, kept with the config
-    assert not sq.flags.writeable
+    # the class sums read the theta residual the config holds, and hold no square
+    assert cfg._held[0] is True and not cfg._held[1].flags.writeable
     assert cfg.table() is table
     assert np.array_equal(table, table_before)
     # a class of at most 64 terms is summed where it lies and kept nowhere
@@ -1352,13 +1414,15 @@ def test_theorem3_records_share_one_pairs_object():
 
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
-    # every class of the squarefree v <= 60 costs 12 blocked passes, one per
-    # row length, kept on the config under (x, m) and nothing else, and
-    # each class is read from its row length's sums
+    # every class of the squarefree v <= 60 costs 12 blocked passes over the
+    # one residual the config holds, one per row length, kept on the config
+    # under (x, m) and nothing else, and each class is read from its row
+    # length's sums
     calls = Counter()
     column_sums = variance._column_sums
-    monkeypatch.setattr(variance, "_column_sums", lambda a, m: calls.update([m]) or column_sums(a, m))
+    monkeypatch.setattr(variance, "_column_sums", lambda x, m, cfg: calls.update([m]) or column_sums(x, m, cfg))
     cfg = FRConfig(R=30.0, tables=tables_1e5)
+    builds = _residual_builds(monkeypatch, cfg)
     moduli = _squarefree_up_to(60)
     for _ in range(2):
         for v in moduli:
@@ -1368,6 +1432,7 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
     assert calls == Counter({m: 1 for m in rows})
     assert len(calls) == 12
     assert sorted(cfg._sums._arrays) == sorted((98_765, m) for m in rows)
+    assert builds == [(True, 98_765)]
 
 
 def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
@@ -1409,7 +1474,7 @@ def test_long_classes_read_strided_equal_contiguous_fold(tables_1e5):
                 assert m == (v if x < 30029 else 30030), (x, v)
             else:
                 assert m == math.lcm(v, 6), (x, v)  # 6p for the v = p, 2p, 3p <= 60
-            rows = variance._column_sums(sq[: x + 1], m)
+            rows = _reference_column_sums(sq[: x + 1], m)
             fold = np.ascontiguousarray(rows.reshape(-1, v).T).sum(axis=1)
             for N in range(v):
                 assert delta_sq_progression(x, v, N, cfg).hex() == float(fold[N % v]).hex(), (x, v, N)
@@ -1599,7 +1664,7 @@ def _routed_band(moduli, x, diff, restriction, tables):
     """The band by the route _lag_route picks for its width, one thread on the bucket route."""
     if _lag_route(len(moduli), x):
         return _lag_band_sum(moduli, x, diff, restriction, tables)[0]
-    return _bucket_band_sum(moduli, x, diff, restriction, tables, 1)
+    return _array_band_sum(moduli, x, diff, restriction, tables)
 
 
 def _stored_theta(tables):
@@ -1647,48 +1712,112 @@ def test_theta_variance_sum_holds_one_residual(cfg10_2e20):
 
 
 # x at the edges of the chunks of _BLOCK_ELEMENTS = 2^16 entries: a run of
-# 2^16 entries is one leaf of _pairwise and one more is split, and a column
-# of stride 2 or 3 ends at or just past a chunk.
+# 2^16 entries is one leaf of _pairwise and one more is split.
 CHUNK_EDGE_X = (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1, 2**17, 2**17 + 1, 3 * 2**16 - 1, 3 * 2**16 + 5)
 
 
 @pytest.mark.parametrize("x", STORED_THETA_X + CHUNK_EDGE_X)
 def test_theta_chunks_match_a_theta_copy(cfg10_2e20, x):
-    # theta read from Lambda a chunk at a time gives the sums of a copy of
-    # theta bit for bit on every bucket path: d = 1 (numpy's pairwise tree),
-    # a fold of at most 3 kept classes and the row sums; and bdh_variance on
-    # the bucket route, both weights, the band over that copy (or Lambda)
+    # the raw sums give the sums of a copy of theta bit for bit on every
+    # bucket path, both weights: d = 1 (numpy's pairwise tree over chunks of
+    # Lambda), and d >= 2 summed over the primes (and prime powers) in place
+    # of a fold of at most 3 kept classes or the row sums; and bdh_variance
+    # on the bucket route, both weights, the band over that copy (or Lambda)
     tables = cfg10_2e20.tables
     theta = tables.theta
-    chunks = variance._theta_chunks(tables)
     for d in (1, 2, 3, 4, 5, 6, 7, 30, 97):
         for kept in (None, variance._kept_classes(d, 0, tables.sieve)):
-            want = _bucket_sums(theta, x, d, kept)
-            assert _bucket_sums(chunks, x, d, kept).tobytes() == want.tobytes(), (d, kept)
+            for w in (theta, tables.lam):
+                want = _bucket_sums(w, x, d, kept)
+                got = variance._raw_sums(tables, x, d, w is theta)
+                assert (got if kept is None else got[kept]).tobytes() == want.tobytes(), (d, kept)
     for weight, w in ((Weight.THETA, theta), (Weight.PSI, tables.lam)):
         for q in (1, 2, 7, 100):
             assert not _lag_route(q, x)
-            want = _bucket_band_sum(range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables, 1)
+            want = _array_band_sum(range(1, q + 1), x, w, RestrictionMode(Mode.BDH), tables)
             assert bdh_variance(x, q, tables, threads=1, weight=weight).empirical.hex() == want.hex(), (weight, q)
 
 
 @pytest.mark.parametrize("block", [128, 200, 1_000])
 def test_theta_chunks_match_a_theta_copy_in_small_chunks(cfg10_2e20, block):
-    # chunks of a few hundred entries: many leaves, folds and blocks of rows
+    # chunks and blocks of primes of a few hundred entries: many leaves of
+    # the pairwise tree, and many blocks of primes, each carrying the sums
+    # of the ones before it
     tables = cfg10_2e20.tables
     theta = tables.theta
     with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", block):
         for x in (3**12, 3**12 - 1, 2**17 + 1):
             for d in (1, 2, 3, 4, 5, 30, 97):
-                got = _bucket_sums(variance._theta_chunks(tables), x, d)
-                assert got.tobytes() == _bucket_sums(theta, x, d).tobytes(), (x, d)
+                for w in (theta, tables.lam):
+                    got = variance._raw_sums(tables, x, d, w is theta)
+                    assert got.tobytes() == _bucket_sums(w, x, d).tobytes(), (x, d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_raw_sums_over_the_primes_match_a_stored_copy(tables_1e4, data):
+    # the column sums over the primes (and, for psi, the prime powers merged
+    # among them), in blocks of 1, 3 or 7 primes or the default, equal the
+    # row sums and folds of a stored theta or psi copy bit for bit: d from 2
+    # to about 5,000, x < d, and x at a prime power or anywhere
+    tables = tables_1e4
+    d = data.draw(st.integers(2, 5_000), label="d")
+    powers = tables.prime_powers.tolist()
+    x = data.draw(
+        st.one_of(st.integers(0, d - 1), st.sampled_from(powers), st.integers(0, tables.limit)), label="x"
+    )
+    block = data.draw(st.sampled_from([1, 3, 7, variance._BLOCK_ELEMENTS]), label="block")
+    theta = data.draw(st.booleans(), label="theta")
+    stored = _stored_theta(tables) if theta else tables.lam.copy()
+    with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", block):
+        got = variance._raw_sums(tables, x, d, theta)
+    assert got.tobytes() == _bucket_sums(stored, x, d).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, monkeypatch):
+    # on one config COPRIME and SHIFT_COPRIME after ALL build no row sum of
+    # all classes: they select their classes from the sums ALL left, and a
+    # modulus that keeps at most 3 classes folds them; in any order each
+    # row sum is built once, and every band is a fresh config's bit for bit
+    x = 99_991
+    modes = VARIANCE_SUM_MODES[:3]
+    bands = ((90.0, 100), (0.0, 12))
+    assert not any(_lag_route(q - math.floor(q_low), x) for q_low, q in bands)
+
+    def hexes(cfg, order):
+        return {(r, band): variance_sum(x, band[1], cfg, r, q_low=band[0], threads=threads).empirical.hex()
+                for band in bands for r in order}
+
+    want = {key: h for r in modes for key, h in hexes(FRConfig(R=20.0, tables=tables_1e5), [r]).items()}
+    row_sums = []
+    bucket_sums = variance._bucket_sums
+
+    def spy(w, x, d, kept=None):
+        if kept is None or d == 1 or np.count_nonzero(kept) > variance._FOLD_CLASSES:  # not a fold
+            row_sums.append(d)
+        return bucket_sums(w, x, d, kept)
+
+    monkeypatch.setattr(variance, "_bucket_sums", spy)
+    for order in (modes, modes[::-1]):
+        cfg = FRConfig(R=20.0, tables=tables_1e5)
+        got = hexes(cfg, order[:1])
+        first = sorted(row_sums)
+        row_sums.clear()
+        got.update(hexes(cfg, order[1:]))
+        assert got == want, order
+        if order[0].mode is Mode.ALL:
+            assert first == [*range(1, 13), *range(91, 101)] and not row_sums
+        assert sorted(first + row_sums) == sorted(set(first + row_sums)), order
+        row_sums.clear()
 
 
 def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
-    # the bucket route reads theta a chunk at a time from Lambda, and psi is
-    # Lambda itself: at most three chunks of _BLOCK_ELEMENTS floats are
-    # live at once (the fold's buffer, the last chunk and the next), under
-    # a fifth of a copy of theta (8 bytes per n) at 2^20, whatever x
+    # the bucket route sums theta at d = 1 a chunk at a time from Lambda,
+    # and both weights at d >= 2 over blocks of primes (an index and a
+    # weight buffer of one block, and psi's merged block): at most three
+    # chunks of _BLOCK_ELEMENTS floats are live at once, under a fifth of a
+    # copy of theta (8 bytes per n) at 2^20, whatever x
     tables = cfg10_2e20.tables
     x = tables.limit
     bound = 3 * 8 * variance._BLOCK_ELEMENTS + 65536
@@ -1758,12 +1887,13 @@ def test_residual_reaches_the_longest_band(cfg10_2e20, monkeypatch):
     assert len(cfg._held[1]) == 100_001 < cfg.tables.limit
 
 
-def test_residual_and_square_alternate_on_one_config(tables_1e5, monkeypatch):
-    # band, class sums, band, class sums on one config: each drops the
-    # array the other held before it builds its own (the spy checks that
-    # none is held while one is built), and every value is that of fresh
-    # configs bit for bit; the second x has no column sums kept, so its
-    # classes need the square again
+def test_bands_and_class_sums_share_one_residual(tables_1e5, monkeypatch):
+    # band, class sums, band, class sums on one config: the class sums read
+    # the theta residual a theta band left, and build it again after a psi
+    # band, dropping the psi residual first (the spy checks that none is
+    # held while one is built); every value is that of fresh configs bit
+    # for bit; the second x has no column sums kept, so its classes need
+    # the residual again
     band, coprime = (900.0, 960), RestrictionMode(Mode.COPRIME)
     steps = ((Weight.THETA, 99_991), (Weight.PSI, 99_997))
 
@@ -1773,8 +1903,8 @@ def test_residual_and_square_alternate_on_one_config(tables_1e5, monkeypatch):
         return out + [cfg._held[0]]
 
     want = [values(FRConfig(R=50.0, tables=tables_1e5), w, x) for w, x in steps]
-    assert [(a[1], a[-1]) for a in want] == [(True, "square"), (False, "square")]
+    assert [(a[1], a[-1]) for a in want] == [(True, True), (False, True)]
     cfg = FRConfig(R=50.0, tables=tables_1e5)
     builds = _residual_builds(monkeypatch, cfg)
     assert [values(cfg, w, x) for w, x in steps] == want
-    assert len(builds) == 4  # residual, square, residual, square
+    assert builds == [(True, 99_991), (False, 99_997), (True, 99_997)]
