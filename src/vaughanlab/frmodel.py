@@ -278,9 +278,9 @@ class FRConfig:
 
     def _residual(self, theta: bool, x: int) -> np.ndarray:
         """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
-        [0, n] for some n >= x, the band residual: the held one where it is of this weight and reaches
-        x, else one built over [0, x], and held once whatever was held is dropped.  Its prefix
-        [0, x] is _weight's residual to x bit for bit."""
+        [0, n] for some n >= x, the band residual: the held one where it is of this weight and
+        reaches x, else one built over [0, x] and held, once whatever was held is dropped.  Its
+        prefix [0, x] is _weight's residual to x bit for bit."""
         held = self._held
         if held is not None and held[0] == theta and len(held[1]) > x:
             return held[1]
