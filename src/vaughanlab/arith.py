@@ -260,8 +260,8 @@ class ArithTables:
     field nor an entry can change under a config built on it.  theta, log n
     at primes and 0 elsewhere (the weight of the theta sums), is not stored:
     the property derives it from lam (_weight), allocating limit + 1 float64s
-    on every access, while the bucket sums of theta (variance's
-    _theta_chunks) ask _weight for it a chunk at a time and hold no copy.
+    on every access, while the bucket sums of theta (variance's _pairwise)
+    ask _weight for it a chunk at a time and hold no copy.
     Table sets compare by identity, not by their arrays, so configs built on
     them (FRConfig) compare without raising; a copy or a pickle rebuilds one
     from its arrays.

@@ -118,7 +118,8 @@ _G_CACHE = 1024
 # bucket-route modulus d, and one value per lone lag-route row.  The 12 row
 # lengths of the squarefree v <= 60 need 30030 + 6 (17 + 19 + ... + 59) =
 # 32,424 of them; a band at 10^7 holds a few hundred rows, or d values per
-# bucket-route modulus.
+# bucket-route modulus, and a bucket-route band whose moduli add up to more
+# than this holds none.
 _SUM_CACHE = 2**20
 
 
@@ -187,7 +188,8 @@ class FRConfig:
       variance.delta_sq_progression reads each class N mod v of more than
       64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; the
       sums of all d classes of a bucket-route modulus d per (x, weight, d),
-      from which every band on the config selects the classes it keeps;
+      from which every band on the config selects the classes it keeps (a
+      band whose moduli add up to more than _SUM_CACHE holds none);
       and the unsigned part of each lone row of a lag-route band
       (variance._lag_band_rows), one 1-element array per
       (x, weight, start, e, f_lo, f_hi), which later bands on the config

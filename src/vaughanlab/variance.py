@@ -17,16 +17,15 @@ predicted by (Q - Q_low) times the per-modulus density; Q_low = 0 recovers the
 headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 
 Two routes compute a band.  The bucket route takes one O(x) pass per modulus
-and can split the band over threads.  It finds the kept classes by striking
-b = shift (mod p) for each prime p | d, and a modulus that keeps at most
-_FOLD_CLASSES of them folds only those, column by column, in the order of
-numpy's row sum, which sums every other modulus.  Every class a restricted
-mode keeps is a class ALL sums, so the F_R config keeps the sums of all d
-classes of each modulus (in _sums): COPRIME and SHIFT_COPRIME select their
-classes from the sums ALL built, or build them there for the next band.
-BDH's raw weight lives on the primes (and, for psi, the prime powers), so
-its classes d >= 2 are summed over those alone (_raw_sums), in the order of
-the row sum of a stored copy.  The lag route opens each
+and can split the band over threads.  Every modulus takes numpy's row sum of
+all d classes and selects the classes it keeps, found by striking
+b = shift (mod p) for each prime p | d.  Every class a restricted mode keeps
+is a class ALL sums, so the F_R config keeps the sums of all d classes of
+each modulus (in _sums): COPRIME and SHIFT_COPRIME select their classes from
+the sums ALL built, or build them there for the next band.  BDH's raw weight
+lives on the primes (and, for psi, the prime powers), so its classes d >= 2
+are summed over those alone (_raw_sums), in the order of the row sum of a
+stored copy.  The lag route opens each
 modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the
 autocorrelation of the residual, so the whole band costs one FFT; the
 restricted modes add, by Moebius inversion, the autocorrelations of the rows
@@ -44,7 +43,7 @@ band on an F_R config reads one residual the config holds (its
 _residual), so ALL, COPRIME and SHIFT_COPRIME on one config build it once,
 and the theorem-3 class sums square the theta residual a chunk at a time
 (_column_sums), so no residual square is built; BDH's raw theta reaches the
-bucket route at d = 1 a chunk at a time from Lambda (_theta_chunks), in the
+bucket route at d = 1 a chunk at a time from Lambda (_pairwise), in the
 order of the sums of a copy, and the lag route, whose transform takes the
 whole row, as one copy.
 
@@ -176,51 +175,9 @@ class ProgressionAccumulator:
     rho_buckets: np.ndarray
 
 
-# A modulus that keeps at most this many classes sums each of them by _fold,
-# one strided column apiece; any other modulus, and d = 1, takes the row sum
-# of all d classes.  At x = 10^7 on one core (float64 residual, best of 5) a
-# fold costs about 31/d ms per class, and the row sum 53.6, 36.8, 28.7, 23.5
-# and 20.2 ms at d = 2 .. 6: every modulus that keeps 3 classes or fewer
-# (d = 2, 3 of all classes; d = 2, 3, 4, 6 of the restricted ones) is faster
-# folded, and every one that keeps 4 (d = 4 of all; d = 5, 8, 10, 12) slower.
-_FOLD_CLASSES = 3
-
-
-# A weight handed out a chunk at a time: w(lo, hi, step) is a fresh array of
-# the entries lo, lo + step, ... <= hi.
-_Chunks = Callable[[int, int, int], np.ndarray]
-
-
-def _theta_chunks(tables: ArithTables) -> _Chunks:
-    """Chunks of the theta weight, each a fresh array from Lambda (_weight), so no x-sized copy is made."""
-    return lambda lo, hi, step: _weight(tables, hi, True, lo, step)
-
-
-def _fold(w: np.ndarray, b: int, x: int, d: int) -> float:
-    """0.0 + w[b] + w[b + d] + ... up to w[x], added strictly left to right.
-
-    numpy's row sum adds one column of a C-ordered block in this order,
-    from the identity 0.0, so a column folded here is bit for bit its entry
-    of the row sum.  np.add.accumulate runs over chunks of _BLOCK_ELEMENTS
-    entries of the column, each headed by the running total of the chunks
-    before it: the same adds as one accumulate over the column, with no
-    column-sized buffer.
-    """
-    n = max(0, (x - b) // d + 1)
-    buf = np.empty(min(n, _BLOCK_ELEMENTS) + 1)
-    total = 0.0
-    for lo in range(b, b + n * d, _BLOCK_ELEMENTS * d):
-        chunk = w[lo : min(lo + (_BLOCK_ELEMENTS - 1) * d, x) + 1 : d]
-        run = buf[: len(chunk) + 1]
-        run[0] = total
-        run[1:] = chunk
-        np.add.accumulate(run, out=run)
-        total = run[-1]
-    return total
-
-
-def _pairwise(w: _Chunks, lo: int, n: int) -> float:
-    """numpy's pairwise sum of the n entries from lo, with np.sum over chunks of at most _BLOCK_ELEMENTS.
+def _pairwise(tables: ArithTables, lo: int, n: int) -> float:
+    """numpy's pairwise sum of the n entries of the theta weight from lo, with np.sum over chunks
+    of at most _BLOCK_ELEMENTS, each a fresh array from Lambda (_weight), so no x-sized copy is made.
 
     numpy sums a contiguous run of n > 128 entries as the pairwise sums of
     its first n2 = n/2 rounded down to a multiple of 8 entries and of the
@@ -231,30 +188,24 @@ def _pairwise(w: _Chunks, lo: int, n: int) -> float:
     the root, erases: the result is the np.sum of the whole run bit for bit.
     """
     if n <= max(_BLOCK_ELEMENTS, 128):  # numpy splits no run of at most 128 entries
-        return float(np.sum(w(lo, lo + n - 1, 1)))
+        return float(np.sum(_weight(tables, lo + n - 1, True, lo)))
     n2 = n // 2 - n // 2 % 8
-    return _pairwise(w, lo, n2) + _pairwise(w, lo + n2, n - n2)
+    return _pairwise(tables, lo, n2) + _pairwise(tables, lo + n2, n - n2)
 
 
-def _bucket_sums(w: np.ndarray, x: int, d: int, kept: np.ndarray | None = None) -> np.ndarray:
-    """Column sums of w[0..x] laid out in rows of length d (residue buckets), at the classes
-    kept (a bool mask of the d classes) in ascending order, or at all d classes with kept None.
+def _bucket_sums(w: np.ndarray, x: int, d: int) -> np.ndarray:
+    """Column sums of w[0..x] laid out in rows of length d (residue buckets), one per class.
 
     The row sum takes the full rows as a view of w and adds the short last
     row after them, the order in which the zero-padded layout sums, so no
-    x-sized buffer is built per modulus.  A modulus d > 1 that keeps at most
-    _FOLD_CLASSES classes folds each kept column w[b : x + 1 : d] instead,
-    the same adds in the same order, and sums no class it drops.
+    x-sized buffer is built per modulus.  numpy adds each column of the
+    rows left to right from 0.0.
     """
-    n_kept = d if kept is None else int(np.count_nonzero(kept))
-    if d > 1 and n_kept <= _FOLD_CLASSES:
-        cols = range(d) if kept is None else np.flatnonzero(kept).tolist()
-        return np.array([_fold(w, b, x, d) for b in cols])
     full = (x + 1) // d
     sums = w[: full * d].reshape(full, d).sum(axis=0)
     tail = w[full * d : x + 1]
     sums[: len(tail)] += tail
-    return sums if kept is None else sums[kept]
+    return sums
 
 
 def _support(tables: ArithTables, x: int, theta: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -270,18 +221,17 @@ def _raw_sums(tables: ArithTables, x: int, d: int, theta: bool) -> np.ndarray:
     bit for bit, read from where the weight lives.
 
     d = 1 is numpy's pairwise sum: theta's over chunks of Lambda
-    (_pairwise over _theta_chunks, no x-sized copy), Lambda's over the
-    stored array.  For d >= 2, numpy's row sum and _fold add each column
-    left to right from 0.0; the weight is >= 0, and adding +0.0 to a
-    nonnegative total is exact, so skipping the zeros changes no bit.  So
-    np.bincount, which adds in input order from 0.0, sums the classes
-    p mod d over the support (_support) in ascending order, the prime
-    powers merged among the primes.  The support goes in blocks of
-    _BLOCK_ELEMENTS primes, and each block's bincount is headed by the d
-    running sums, so no array of 8 bytes per prime is built.
+    (_pairwise, no x-sized copy), Lambda's over the stored array.  For
+    d >= 2, numpy's row sum adds each column left to right from 0.0; the
+    weight is >= 0, and adding +0.0 to a nonnegative total is exact, so
+    skipping the zeros changes no bit.  So np.bincount, which adds in input
+    order from 0.0, sums the classes p mod d over the support (_support) in
+    ascending order, the prime powers merged among the primes.  The support
+    goes in blocks of _BLOCK_ELEMENTS primes, and each block's bincount is
+    headed by the d running sums, so no array of 8 bytes per prime is built.
     """
     if d == 1:
-        return np.array([_pairwise(_theta_chunks(tables), 0, x + 1)]) if theta else _bucket_sums(tables.lam, x, 1)
+        return np.array([_pairwise(tables, 0, x + 1)]) if theta else _bucket_sums(tables.lam, x, 1)
     primes, powers = _support(tables, x, theta)
     width = d + min(len(primes), _BLOCK_ELEMENTS) + len(powers)
     idx, weights = np.empty(width, dtype=np.int64), np.empty(width)
@@ -326,7 +276,6 @@ def _bucket_band_sum(
     moduli: range,
     x: int,
     sums: Callable[[int], np.ndarray],
-    diff: np.ndarray | None,
     restriction: RestrictionMode,
     tables: ArithTables,
     threads: int,
@@ -334,21 +283,14 @@ def _bucket_band_sum(
     """The band one modulus at a time, over threads >= 1 workers (_thread_count): an O(x) bucket
     pass per d, or none where sums hands out the sums it holds.
 
-    sums(d) gives the column sums of all d classes, from which the modulus
-    selects the classes it keeps; a restricted modulus d > 1 that keeps at
-    most _FOLD_CLASSES classes folds them from the array diff instead, when
-    one is given (_bucket_sums).
+    sums(d) gives the column sums of all d classes, from which a restricted
+    modulus selects the classes it keeps (_kept_classes).
     """
 
     def contribution(d: int) -> float:
-        if restriction.shift is None:
-            vals = sums(d)
-        else:
-            kept = _kept_classes(d, restriction.shift, tables.sieve)
-            if diff is not None and d > 1 and np.count_nonzero(kept) <= _FOLD_CLASSES:
-                vals = _bucket_sums(diff, x, d, kept)
-            else:
-                vals = sums(d)[kept]
+        vals = sums(d)
+        if restriction.shift is not None:
+            vals = vals[_kept_classes(d, restriction.shift, tables.sieve)]
         if restriction.mode is Mode.BDH:  # the sums are of the raw weight, the approximant is x/phi(d)
             vals = vals - x / float(tables.phi[d])
         return float((vals * vals).sum())
@@ -368,15 +310,14 @@ def _bucket_band_sum(
 # 2 MB here, less than the one-row transform of the whole residual needs at
 # x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
 # at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
-# _fold's chunks take the same size: at d = 2 and x = 10^7 chunks of 2^14 to
-# 2^17 fold a column in 13.7-14.0 ms, 2^12 and 2^20 in 15.7 and 14.8 ms; and
-# _raw_sums takes the primes in blocks of this many.
+# The same size bounds _raw_sums' blocks of primes and _pairwise's chunks of
+# theta, so neither builds an array of 8 bytes per prime or per n.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
 # crossovers on one Xeon core, bands (x/10 - M, x/10], R = 30, with the
-# struck masks and the fold: ALL at M ~ 90, 248 and 176 for x = 10^4, 10^5
-# and 10^6, COPRIME and SHIFT_COPRIME (N = 2) at M ~ 163-171, 432 and 464,
+# struck masks: ALL at M ~ 90, 248 and 176 for x = 10^4, 10^5 and 10^6,
+# COPRIME and SHIFT_COPRIME (N = 2) at M ~ 163-171, 432 and 464,
 # i.e. M / log2(x) between 6.8 and 26.0.  The bucket route costs about M
 # times a per-modulus pass and the lag route about a fixed amount, so at 7 a
 # band just past it costs the lag route at most about 2.1 times the bucket
@@ -669,15 +610,15 @@ def _band_run(
     band.  A band on cfg reads a prefix view of the residual cfg holds
     (FRConfig._residual), built by the first band of its weight and x, and
     again only by a band of the other weight or a longer x.  On the bucket
-    route cfg's _sums keeps the sums of all d classes of each modulus
-    d <= its bound under the key (x, weight, d), so the restricted bands
-    select their classes from the sums ALL built (a restricted modulus that
-    folds at most _FOLD_CLASSES classes still folds them); BDH sums its raw
-    weight over the primes (_raw_sums), and its lag route, whose transform
-    takes the whole row, reads one copy.  On the lag route cfg's _sums
-    keeps each lone row's part under the key (x, weight, start, e, f_lo,
-    f_hi), so a later band on cfg reads it: ALL's one row is row e = 1 of
-    every restricted band on the same band.
+    route cfg's _sums keeps the sums of all d classes of each modulus under
+    the key (x, weight, d), so the restricted bands select their classes
+    from the sums ALL built; a band whose moduli add up to more than the
+    bound of _sums holds none of them, so it evicts nothing.  BDH sums its
+    raw weight over the primes (_raw_sums), and its lag route, whose
+    transform takes the whole row, reads one copy.  On the lag route cfg's
+    _sums keeps each lone row's part under the key (x, weight, start, e,
+    f_lo, f_hi), so a later band on cfg reads it: ALL's one row is row
+    e = 1 of every restricted band on the same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
@@ -696,13 +637,14 @@ def _band_run(
     else:
         if cfg is None:
             sums = functools.partial(_raw_sums, tables, x, theta=theta)
+        elif sum(moduli) > cfg._sums.max_values:
+            sums = functools.partial(_bucket_sums, diff, x)
         else:
 
             def sums(d: int) -> np.ndarray:
-                build = functools.partial(_bucket_sums, diff, x, d)
-                return build() if d > cfg._sums.max_values else cfg._sums.get((x, weight, d), build)
+                return cfg._sums.get((x, weight, d), functools.partial(_bucket_sums, diff, x, d))
 
-        empirical = _bucket_band_sum(moduli, x, sums, diff, restriction, tables, threads)
+        empirical = _bucket_band_sum(moduli, x, sums, restriction, tables, threads)
         all_part = excluded_part = None
     return VarianceRun(
         x=x,
@@ -904,29 +846,10 @@ def _check_theorem3_args(x: int, v: int, R: float) -> list[int]:
     return primes + [m] if m > 1 else primes
 
 
-# Moduli kept by each cache of the theorem-3 forms' work that does not depend
-# on the class N: the records of _theorem3_modulus, one per (x, v, R), and
-# the divisor pairs of _divisor_pairs, one per v.  The refined form's G_v
-# values are kept by its FRConfig (frmodel._G_CACHE).
+# Moduli whose theorem-3 records (_theorem3_modulus, one per (x, v, R)) are
+# kept: the forms' work that does not depend on the class N.  The refined
+# form's G_v values are kept by its FRConfig (frmodel._G_CACHE).
 _MODULUS_CACHE = 128
-
-
-@functools.lru_cache(maxsize=_MODULUS_CACHE)
-def _divisor_pairs(primes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """The divisors of the squarefree v with these ascending primes, and their pairs.
-
-    Each prime p appends a*p for every divisor a listed so far, the order in
-    which _crt_class_mean multiplies up the weights w_a; tau(v) is the number
-    of divisors.  For each ordered pair of divisors, row by row as
-    _crt_class_mean takes its products, the pairs hold the triple (i, j, k)
-    with a_k = max(a_i, a_j).  Keyed by v's primes alone, so the records of
-    one v at every x and R share these tau(v)^2 triples.
-    """
-    divs = [1]
-    for p in primes:
-        divs += [a * p for a in divs]
-    at = {a: k for k, a in enumerate(divs)}
-    return tuple(divs), tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
 
 
 @functools.lru_cache(maxsize=_MODULUS_CACHE, typed=True)
@@ -937,17 +860,25 @@ def _theorem3_modulus(
     phi(v) term, divisors, pairs).
 
     The arguments are checked and v factored by _check_theorem3_args, and
-    phi(v) and the budgets derived from the primes, once per (x, v, R)
-    rather than once per class; the divisors and their pairs come from
-    _divisor_pairs, once per v.  lru_cache keeps no exception, so a bad
+    phi(v), the budgets, the divisors and their pairs derived from the
+    primes, once per (x, v, R) rather than once per class.  Each prime p
+    appends a*p for every divisor a listed so far, the order in which
+    _crt_class_mean multiplies up the weights w_a; tau(v) is the number of
+    divisors.  For each ordered pair of divisors, row by row as
+    _crt_class_mean takes its products, the pairs hold the triple (i, j, k)
+    with a_k = max(a_i, a_j).  lru_cache keeps no exception, so a bad
     argument raises on every call; typed keys keep a float v from reaching a
     cached int one.
     """
     primes = tuple(_check_theorem3_args(x, v, R))
     phi_v = math.prod(p - 1 for p in primes)
-    divs, pairs = _divisor_pairs(primes)
+    divs = [1]
+    for p in primes:
+        divs += [a * p for a in divs]
+    at = {a: k for k, a in enumerate(divs)}
+    pairs = tuple((i, j, at[max(a, a1)]) for i, a in enumerate(divs) for j, a1 in enumerate(divs))
     budgets = [_theorem3_budget(x, v, phi_v, len(divs), R, phi_term) for phi_term in (True, False)]
-    return primes, phi_v, *budgets, divs, pairs
+    return primes, phi_v, *budgets, tuple(divs), pairs
 
 
 def theorem3_prediction(x: int, v: int, N: int, R: float, constants: ConstantSet) -> Prediction:

@@ -65,8 +65,8 @@ from vaughanlab.variance import (
 
 
 def _array_band_sum(moduli, x, arr, restriction, tables, threads=1):
-    """The bucket route over the array arr: the row sums of every modulus, and the folds."""
-    return _bucket_band_sum(moduli, x, functools.partial(_bucket_sums, arr, x), arr, restriction, tables, threads)
+    """The bucket route over the array arr: the row sums of every modulus."""
+    return _bucket_band_sum(moduli, x, functools.partial(_bucket_sums, arr, x), restriction, tables, threads)
 
 
 @pytest.fixture(scope="module")
@@ -535,41 +535,13 @@ FOLD_TERMS = st.one_of(
 @settings(deadline=None, max_examples=300)
 @given(st.integers(2, 16), st.data())
 def test_column_fold_equals_row_sum_bit_for_bit(d, data):
-    # the fold adds each column strictly left to right, as numpy's row sum
-    # does, whatever the chunk its accumulate runs over: x < d (a column of
-    # at most one term, or none), short tails and signed zeros included
+    # every modulus, d <= 6 included, takes numpy's row sum of all d
+    # classes, which folds each column left to right from 0.0: x < d (a
+    # column of at most one term, or none), short tails and signed zeros
+    # included
     x = data.draw(st.integers(0, 8 * d + 5), label="x")
     arr = np.array(data.draw(st.lists(FOLD_TERMS, min_size=x + 1, max_size=x + 1), label="terms"))
-    want = _row_sums(arr, x, d)
-    chunk = data.draw(st.sampled_from([1, 2, 3, 7, variance._BLOCK_ELEMENTS]), label="chunk")
-    kept = np.array(data.draw(st.lists(st.booleans(), min_size=d, max_size=d), label="kept"))
-    with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
-        folded = np.array([variance._fold(arr, b, x, d) for b in range(d)])
-        assert folded.tobytes() == want.tobytes()
-        assert _bucket_sums(arr, x, d, kept).tobytes() == want[kept].tobytes()
-        assert _bucket_sums(arr, x, d).tobytes() == want.tobytes()
-
-
-def test_bucket_sums_fold_only_few_class_moduli(monkeypatch):
-    # d = 1 keeps its pairwise sum, a modulus that keeps more than
-    # _FOLD_CLASSES classes the row sum, and the others fold each kept class
-    folded = []
-    fold = variance._fold
-
-    def fold_spy(w, b, x, d):
-        folded.append(b)
-        return fold(w, b, x, d)
-
-    monkeypatch.setattr(variance, "_fold", fold_spy)
-    x = 1_000
-    arr = np.random.default_rng(4).standard_normal(x + 1)
-    for d, kept, n_folds in ((1, None, 0), (2, None, 2), (3, None, 3), (4, None, 0), (6, [0, 1, 0, 0, 0, 1], 2)):
-        folded.clear()
-        mask = None if kept is None else np.array(kept, dtype=bool)
-        got = _bucket_sums(arr, x, d, mask)
-        assert len(folded) == n_folds, d
-        want = _row_sums(arr, x, d)
-        assert got.tobytes() == (want if mask is None else want[mask]).tobytes(), d
+    assert _bucket_sums(arr, x, d).tobytes() == _row_sums(arr, x, d).tobytes()
 
 
 # Shifts of the striking test: 0, then N < d, N >= d and the largest N.
@@ -1402,15 +1374,19 @@ def test_short_class_builds_no_fr_table(tables_1e5):
     assert cfg._table is None and cfg._held is None
 
 
-def test_theorem3_records_share_one_pairs_object():
-    # the divisors and their tau(v)^2 pairs are made once per v, whatever
-    # the x and R of the record that reads them
-    v = 2 * 3 * 5 * 7 * 11
-    one = variance._theorem3_modulus(10**6, v, 50.0)
-    other = variance._theorem3_modulus(10**6 + 1, v, 40.0)
-    assert one is not other
-    assert one[4] is other[4] and one[5] is other[5]
-    assert len(one[5]) == 2 ** (2 * 5)
+def test_theorem3_record_holds_the_divisors_and_their_max_pairs():
+    # one record per (x, v, R): the divisors of the squarefree v, each prime
+    # p appending a*p for every divisor a listed before it, and the tau(v)^2
+    # ordered pairs (i, j, k), row by row, with a_k = max(a_i, a_j)
+    for v, want in ((1, [1]), (6, [1, 2, 3, 6]), (30, [1, 2, 3, 6, 5, 10, 15, 30])):
+        record = variance._theorem3_modulus(10**6, v, 50.0)
+        assert record is variance._theorem3_modulus(10**6, v, 50.0)
+        divs, pairs = record[4], record[5]
+        assert list(divs) == want, v
+        ij = [(i, j) for i in range(len(divs)) for j in range(len(divs))]
+        assert [(i, j) for i, j, _ in pairs] == ij, v
+        assert all(divs[k] == max(divs[i], divs[j]) for i, j, k in pairs), v
+    assert len(variance._theorem3_modulus(10**6, 2 * 3 * 5 * 7 * 11, 40.0)[5]) == 2 ** (2 * 5)
 
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
@@ -1721,16 +1697,17 @@ def test_theta_chunks_match_a_theta_copy(cfg10_2e20, x):
     # the raw sums give the sums of a copy of theta bit for bit on every
     # bucket path, both weights: d = 1 (numpy's pairwise tree over chunks of
     # Lambda), and d >= 2 summed over the primes (and prime powers) in place
-    # of a fold of at most 3 kept classes or the row sums; and bdh_variance
-    # on the bucket route, both weights, the band over that copy (or Lambda)
+    # of the row sums, at all classes and at the reduced ones; and
+    # bdh_variance on the bucket route, both weights, the band over that
+    # copy (or Lambda)
     tables = cfg10_2e20.tables
     theta = tables.theta
     for d in (1, 2, 3, 4, 5, 6, 7, 30, 97):
-        for kept in (None, variance._kept_classes(d, 0, tables.sieve)):
+        for kept in (slice(None), variance._kept_classes(d, 0, tables.sieve)):
             for w in (theta, tables.lam):
-                want = _bucket_sums(w, x, d, kept)
-                got = variance._raw_sums(tables, x, d, w is theta)
-                assert (got if kept is None else got[kept]).tobytes() == want.tobytes(), (d, kept)
+                want = _bucket_sums(w, x, d)[kept]
+                got = variance._raw_sums(tables, x, d, w is theta)[kept]
+                assert got.tobytes() == want.tobytes(), (d, kept)
     for weight, w in ((Weight.THETA, theta), (Weight.PSI, tables.lam)):
         for q in (1, 2, 7, 100):
             assert not _lag_route(q, x)
@@ -1758,7 +1735,7 @@ def test_theta_chunks_match_a_theta_copy_in_small_chunks(cfg10_2e20, block):
 def test_raw_sums_over_the_primes_match_a_stored_copy(tables_1e4, data):
     # the column sums over the primes (and, for psi, the prime powers merged
     # among them), in blocks of 1, 3 or 7 primes or the default, equal the
-    # row sums and folds of a stored theta or psi copy bit for bit: d from 2
+    # row sums of a stored theta or psi copy bit for bit: d from 2
     # to about 5,000, x < d, and x at a prime power or anywhere
     tables = tables_1e4
     d = data.draw(st.integers(2, 5_000), label="d")
@@ -1776,10 +1753,10 @@ def test_raw_sums_over_the_primes_match_a_stored_copy(tables_1e4, data):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, monkeypatch):
-    # on one config COPRIME and SHIFT_COPRIME after ALL build no row sum of
-    # all classes: they select their classes from the sums ALL left, and a
-    # modulus that keeps at most 3 classes folds them; in any order each
-    # row sum is built once, and every band is a fresh config's bit for bit
+    # on one config COPRIME and SHIFT_COPRIME after ALL build no row sum at
+    # any d, d <= 6 included: they select their classes from the sums ALL
+    # left; in any order each row sum is built once, and every band is a
+    # fresh config's bit for bit
     x = 99_991
     modes = VARIANCE_SUM_MODES[:3]
     bands = ((90.0, 100), (0.0, 12))
@@ -1793,10 +1770,9 @@ def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, m
     row_sums = []
     bucket_sums = variance._bucket_sums
 
-    def spy(w, x, d, kept=None):
-        if kept is None or d == 1 or np.count_nonzero(kept) > variance._FOLD_CLASSES:  # not a fold
-            row_sums.append(d)
-        return bucket_sums(w, x, d, kept)
+    def spy(w, x, d):
+        row_sums.append(d)
+        return bucket_sums(w, x, d)
 
     monkeypatch.setattr(variance, "_bucket_sums", spy)
     for order in (modes, modes[::-1]):
@@ -1810,6 +1786,28 @@ def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, m
             assert first == [*range(1, 13), *range(91, 101)] and not row_sums
         assert sorted(first + row_sums) == sorted(set(first + row_sums)), order
         row_sums.clear()
+
+
+def test_a_band_too_wide_to_hold_keeps_the_column_sums(tables_1e5, monkeypatch):
+    # with room for 35,000 values, a bucket-route band whose moduli add up
+    # to more holds none of its class sums: the theorem-3 column sums the
+    # config keeps survive an ALL band and a COPRIME band after it, and the
+    # COPRIME band, which sums every modulus again, is a fresh config's bit
+    # for bit
+    x, v, (q_low, q) = 99_991, 30, (4_000.0, 4_010)
+    room, coprime = 35_000, RestrictionMode(Mode.COPRIME)
+    moduli = range(math.floor(q_low) + 1, q + 1)
+    assert not _lag_route(len(moduli), x) and sum(moduli) > room
+    want = variance_sum(x, q, FRConfig(R=20.0, tables=tables_1e5), coprime, q_low=q_low, threads=1).empirical
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", room)
+    cfg = FRConfig(R=20.0, tables=tables_1e5)
+    delta_sq_progression(x, v, 1, cfg)
+    key = (x, variance._row_length(x, v))
+    assert key == (x, 30_030) and list(cfg._sums._arrays) == [key]
+    variance_sum(x, q, cfg, RestrictionMode(Mode.ALL), q_low=q_low, threads=1)
+    got = variance_sum(x, q, cfg, coprime, q_low=q_low, threads=1).empirical
+    assert list(cfg._sums._arrays) == [key]
+    assert got.hex() == want.hex()
 
 
 def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
