@@ -347,11 +347,9 @@ def _sha256(arr) -> str:
 
 
 def _table_bytes(held: list) -> int:
-    """Summed nbytes of the numpy arrays in the dataclass fields of the held objects, or in a tuple
-    there (the array an F_R config holds, FRConfig._held)."""
+    """Summed nbytes of the numpy arrays in the dataclass fields of the held objects."""
     values = (getattr(obj, f.name) for obj in held for f in dataclasses.fields(obj))
-    arrays = (a for v in values for a in (v if isinstance(v, tuple) else (v,)))
-    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    return sum(v.nbytes for v in values if isinstance(v, np.ndarray))
 
 
 def _set_up(derived: dict, x: int, r: float | None = None) -> tuple[ArithTables, FRConfig | None]:

@@ -44,7 +44,6 @@ from .arith import (
     _SEGMENT,
     _check_x,
     _norm_residue,
-    _weight,
     divisors,
     is_squarefree,
     mu_of,
@@ -118,8 +117,8 @@ _G_CACHE = 1024
 # bucket-route modulus d, and one value per lone lag-route row.  The 12 row
 # lengths of the squarefree v <= 60 need 30030 + 6 (17 + 19 + ... + 59) =
 # 32,424 of them; a band at 10^7 holds a few hundred rows, or d values per
-# bucket-route modulus, and a bucket-route band whose moduli add up to more
-# than this holds none.
+# bucket-route modulus, and a bucket-route band holds its sums only where
+# they fit beside the values held.
 _SUM_CACHE = 2**20
 
 
@@ -139,12 +138,23 @@ class _ArrayCache:
         self._arrays: OrderedDict[Hashable, np.ndarray] = OrderedDict()
         self._size = 0  # the elements of the arrays held
 
-    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def held(self, key: Hashable) -> np.ndarray | None:
+        """The array held under key, now the most recently used, or None."""
         with self._lock:
             arr = self._arrays.get(key)
             if arr is not None:
                 self._arrays.move_to_end(key)
-                return arr
+            return arr
+
+    def fits(self, n: int) -> bool:
+        """Whether n more elements fit beside the ones held, so that holding them evicts nothing."""
+        with self._lock:
+            return self._size + n <= self.max_values
+
+    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+        arr = self.held(key)
+        if arr is not None:
+            return arr
         arr = build()
         arr.setflags(write=False)
         with self._lock:
@@ -173,23 +183,14 @@ class FRConfig:
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
       table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
-    - _held, at most one more array of 8 bytes per n: the band residual
-      Lambda(n) - F_R(n) of the last weight asked for (_residual, theta or
-      psi), over [0, x] of the call that built it, which every later call
-      on the config up to that x reads as a prefix view (a longer x builds
-      it again to its own x).  The theorem-3 class sums read the theta
-      residual and square it a chunk at a time, so no residual square is
-      held; a class of at most 64 terms reads the table if it is built,
-      else F_R at its own points (_fr_at), and builds neither.  Asking for
-      the other weight drops the held residual before the new one is built,
-      so no two are held together;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v of more than
       64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; the
       sums of all d classes of a bucket-route modulus d per (x, weight, d),
       from which every band on the config selects the classes it keeps (a
-      band whose moduli add up to more than _SUM_CACHE holds none);
+      band holds the sums it builds only where they all fit beside the
+      values held, so it evicts nothing);
       and the unsigned part of each lone row of a lag-route band
       (variance._lag_band_rows), one 1-element array per
       (x, weight, start, e, f_lo, f_hi), which later bands on the config
@@ -197,22 +198,28 @@ class FRConfig:
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 
-    Every array it hands out (the weights, the table, the residual, the
-    sums and the row parts) is read-only.  Both caches refer to
-    arrays or to the tables, never to the config, so dropping the config
-    frees its arrays at once.
+    It holds no other array of 8 bytes per n.  The bucket-route bands and
+    the theorem-3 column sums derive the residual Lambda(n) - F_R(n) from
+    Lambda and the table a chunk at a time, as they read it front to back;
+    a lag-route band, whose transform takes the whole row, derives it over
+    [0, x] for itself and drops it.  A theorem-3 class of at most 64 terms
+    reads the table if it is built, else F_R at its own points (_fr_at),
+    and builds neither.
+
+    Every array it hands out (the weights, the table, the sums and the row
+    parts) is read-only.  Both caches refer to arrays or to the tables,
+    never to the config, so dropping the config frees its arrays at once.
 
     Thread safety: concurrent calls may share a config.  Both caches are
-    thread-safe, and if two threads race on an unbuilt table, held array or
-    sum each may build one; the two are identical, and either is kept.  An
-    array handed out stays valid after the config drops it.
+    thread-safe, and if two threads race on an unbuilt table or sum each
+    may build one; the two are identical, and either is kept.  An array
+    handed out stays valid after the config drops it.
     """
 
     R: float
     tables: ArithTables
     _coef: np.ndarray = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _held: tuple[object, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _coprime_g: Callable[[float, int], float] = field(init=False, repr=False, compare=False)
     _sums: _ArrayCache = field(init=False, repr=False, compare=False)
 
@@ -277,21 +284,6 @@ class FRConfig:
             t.setflags(write=False)
             object.__setattr__(self, "_table", t)
         return self._table
-
-    def _residual(self, theta: bool, x: int) -> np.ndarray:
-        """Read-only Lambda(n) (theta: with the prime powers p^k, k >= 2, at 0) less F_R(n) over
-        [0, n] for some n >= x, the band residual: the held one where it is of this weight and
-        reaches x, else one built over [0, x] and held, once whatever was held is dropped.  Its
-        prefix [0, x] is _weight's residual to x bit for bit."""
-        held = self._held
-        if held is not None and held[0] == theta and len(held[1]) > x:
-            return held[1]
-        object.__setattr__(self, "_held", None)
-        del held
-        arr = _weight(self.tables, x, theta, model=self.table())
-        arr.setflags(write=False)
-        object.__setattr__(self, "_held", (theta, arr))
-        return arr
 
 
 def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:

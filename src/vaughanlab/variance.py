@@ -16,9 +16,10 @@ Main-term predictions follow the per-modulus densities, so a banded run is
 predicted by (Q - Q_low) times the per-modulus density; Q_low = 0 recovers the
 headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 
-Two routes compute a band.  The bucket route takes one O(x) pass per modulus
-and can split the band over threads.  Every modulus takes numpy's row sum of
-all d classes and selects the classes it keeps, found by striking
+Two routes compute a band.  The bucket route streams the residual once, a
+chunk at a time, into the running column sums of all d classes of every
+modulus of the band, numpy's row sum bit for bit, and can split the moduli
+over threads.  Each modulus selects the classes it keeps, found by striking
 b = shift (mod p) for each prime p | d.  Every class a restricted mode keeps
 is a class ALL sums, so the F_R config keeps the sums of all d classes of
 each modulus (in _sums): COPRIME and SHIFT_COPRIME select their classes from
@@ -38,14 +39,13 @@ instead of transforming it again.  BDH's raw weight lives on the prime
 powers, so its ladder transforms only e = 1: the composite rows are zero, and
 a prime row holds only the powers of p, so its band is an exact sum over
 pairs of them.  The band width alone picks the route (_lag_route); the bucket
-route stays as the oracle the tests compare the lag route against.  Every
-band on an F_R config reads one residual the config holds (its
-_residual), so ALL, COPRIME and SHIFT_COPRIME on one config build it once,
-and the theorem-3 class sums square the theta residual a chunk at a time
-(_column_sums), so no residual square is built; BDH's raw theta reaches the
-bucket route at d = 1 a chunk at a time from Lambda (_pairwise), in the
-order of the sums of a copy, and the lag route, whose transform takes the
-whole row, as one copy.
+route stays as the oracle the tests compare the lag route against.  Nothing
+x-sized is kept: the bucket route (_stream_sums) and the theorem-3 column
+sums (_column_sums) derive the residual, or its square, a chunk at a time
+where they read it front to back; BDH's raw theta reaches the bucket route
+at d = 1 a chunk at a time from Lambda (_pairwise), in the order of the sums
+of a copy; the lag route, whose transform takes the whole row, derives the
+residual (or copies theta) for the band alone.
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -66,7 +66,7 @@ import math
 import numbers
 import os
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -175,9 +175,10 @@ class ProgressionAccumulator:
     rho_buckets: np.ndarray
 
 
-def _pairwise(tables: ArithTables, lo: int, n: int) -> float:
-    """numpy's pairwise sum of the n entries of the theta weight from lo, with np.sum over chunks
-    of at most _BLOCK_ELEMENTS, each a fresh array from Lambda (_weight), so no x-sized copy is made.
+def _pairwise(leaf: Callable[[int, int], float], lo: int, n: int) -> float:
+    """numpy's pairwise sum of the n entries of an array from lo, given leaf(lo, n), the np.sum of
+    the run of n entries from lo, for chunks of at most _BLOCK_ELEMENTS entries, so no caller
+    needs the whole array.  leaf is called on consecutive chunks in ascending order.
 
     numpy sums a contiguous run of n > 128 entries as the pairwise sums of
     its first n2 = n/2 rounded down to a multiple of 8 entries and of the
@@ -188,9 +189,9 @@ def _pairwise(tables: ArithTables, lo: int, n: int) -> float:
     the root, erases: the result is the np.sum of the whole run bit for bit.
     """
     if n <= max(_BLOCK_ELEMENTS, 128):  # numpy splits no run of at most 128 entries
-        return float(np.sum(_weight(tables, lo + n - 1, True, lo)))
+        return leaf(lo, n)
     n2 = n // 2 - n // 2 % 8
-    return _pairwise(tables, lo, n2) + _pairwise(tables, lo + n2, n - n2)
+    return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
 
 
 def _bucket_sums(w: np.ndarray, x: int, d: int) -> np.ndarray:
@@ -205,6 +206,60 @@ def _bucket_sums(w: np.ndarray, x: int, d: int) -> np.ndarray:
     sums = w[: full * d].reshape(full, d).sum(axis=0)
     tail = w[full * d : x + 1]
     sums[: len(tail)] += tail
+    return sums
+
+
+def _add_rows(sums: np.ndarray, chunk: np.ndarray, lo: int) -> None:
+    """Add the entries lo, lo + 1, ... in chunk to the running column sums of rows of length
+    d = len(sums) >= 2, each column in row order, as numpy's row sum adds them; chunk is left as
+    it was.
+
+    The rest of the row that lo splits is added first, then the whole rows
+    by one row sum whose first row carries the running sums (saved and put
+    back, since the chunk is shared), then the start of the row that the
+    chunk's end splits.
+    """
+    d, n = len(sums), len(chunk)
+    col = lo % d
+    head = min(-lo % d, n)
+    sums[col : col + head] += chunk[:head]
+    full = (n - head) // d
+    if full:
+        rows = chunk[head : head + full * d].reshape(full, d)
+        first = rows[0].copy()
+        rows[0] += sums
+        np.sum(rows, axis=0, out=sums)
+        rows[0] = first
+    done = head + full * d
+    sums[: n - done] += chunk[done:]
+
+
+def _stream_sums(
+    tables: ArithTables, x: int, theta: bool, table: np.ndarray, moduli: Sequence[int]
+) -> list[np.ndarray]:
+    """_bucket_sums of the residual of the weight (theta or psi) less table over [0, x] at all d
+    classes of each modulus d, bit for bit, from one pass that derives the residual a chunk at a
+    time (_weight) and keeps nothing x-sized.
+
+    The chunks are the leaves of numpy's pairwise tree over [0, x]
+    (_pairwise), at most _BLOCK_ELEMENTS entries each, so d = 1, numpy's
+    pairwise sum, adds their np.sums up that tree; every d >= 2 adds each
+    chunk to its running column sums (_add_rows).
+    """
+    sums = [np.zeros(d) for d in moduli]
+    rows = [s for s in sums if len(s) > 1]
+    whole = len(rows) < len(sums)
+
+    def leaf(lo: int, n: int) -> float:
+        chunk = _weight(tables, lo + n - 1, theta, lo, model=table)
+        for s in rows:
+            _add_rows(s, chunk, lo)
+        return float(np.sum(chunk)) if whole else 0.0
+
+    total = _pairwise(leaf, 0, x + 1)
+    for s in sums:
+        if len(s) == 1:
+            s[0] = total
     return sums
 
 
@@ -231,7 +286,13 @@ def _raw_sums(tables: ArithTables, x: int, d: int, theta: bool) -> np.ndarray:
     headed by the d running sums, so no array of 8 bytes per prime is built.
     """
     if d == 1:
-        return np.array([_pairwise(tables, 0, x + 1)]) if theta else _bucket_sums(tables.lam, x, 1)
+        if not theta:
+            return _bucket_sums(tables.lam, x, 1)
+
+        def leaf(lo: int, n: int) -> float:
+            return float(np.sum(_weight(tables, lo + n - 1, True, lo)))
+
+        return np.array([_pairwise(leaf, 0, x + 1)])
     primes, powers = _support(tables, x, theta)
     width = d + min(len(primes), _BLOCK_ELEMENTS) + len(powers)
     idx, weights = np.empty(width, dtype=np.int64), np.empty(width)
@@ -272,6 +333,17 @@ def accumulate_modulus(d: int, x: int, cfg: FRConfig, weight: Weight = Weight.TH
     return ProgressionAccumulator(d=d, theta_buckets=theta_buckets, rho_buckets=_bucket_sums(cfg.table(), x, d))
 
 
+def _class_part(d: int, vals: np.ndarray, x: int, restriction: RestrictionMode, tables: ArithTables) -> float:
+    """Modulus d's part of a bucket-route band from the column sums vals of all d classes: the
+    sum of the squares of the classes the restriction keeps (_kept_classes), less x/phi(d) for
+    BDH, whose sums are of the raw weight."""
+    if restriction.shift is not None:
+        vals = vals[_kept_classes(d, restriction.shift, tables.sieve)]
+    if restriction.mode is Mode.BDH:
+        vals = vals - x / float(tables.phi[d])
+    return float((vals * vals).sum())
+
+
 def _bucket_band_sum(
     moduli: range,
     x: int,
@@ -281,19 +353,10 @@ def _bucket_band_sum(
     threads: int,
 ) -> float:
     """The band one modulus at a time, over threads >= 1 workers (_thread_count): an O(x) bucket
-    pass per d, or none where sums hands out the sums it holds.
-
-    sums(d) gives the column sums of all d classes, from which a restricted
-    modulus selects the classes it keeps (_kept_classes).
-    """
+    pass per d, sums(d), which gives the column sums of all d classes (_class_part)."""
 
     def contribution(d: int) -> float:
-        vals = sums(d)
-        if restriction.shift is not None:
-            vals = vals[_kept_classes(d, restriction.shift, tables.sieve)]
-        if restriction.mode is Mode.BDH:  # the sums are of the raw weight, the approximant is x/phi(d)
-            vals = vals - x / float(tables.phi[d])
-        return float((vals * vals).sum())
+        return _class_part(d, sums(d), x, restriction, tables)
 
     if threads <= 1 or len(moduli) < 2:
         contribs = [contribution(d) for d in moduli]
@@ -305,13 +368,65 @@ def _bucket_band_sum(
     return math.fsum(contribs)
 
 
+def _passes(moduli: list[int], budget: int) -> Iterator[list[int]]:
+    """The moduli in consecutive groups whose d add up to at most budget, or a larger d alone."""
+    group: list[int] = []
+    for d in moduli:
+        if group and sum(group) + d > budget:
+            yield group
+            group = []
+        group.append(d)
+    if group:
+        yield group
+
+
+def _fr_band_sum(
+    moduli: range, x: int, weight: Weight, restriction: RestrictionMode, cfg: FRConfig, threads: int
+) -> float:
+    """The bucket-route band of the residual of the weight less cfg's F_R model.
+
+    cfg's _sums keeps the column sums of all d classes of a modulus under
+    (x, weight, d), so the band reads the ones it finds and streams the
+    residual for the rest (_stream_sums) in passes whose running sums add up
+    to at most x + 1 values, the size of the residual; with threads >= 2
+    each worker streams the pass for its own share of the moduli.  The new
+    sums are held only where they all fit beside what _sums holds, so a band
+    evicts nothing another caller left there; once _sums is full, a later
+    band streams its moduli again.
+    """
+    theta, tables = weight is Weight.THETA, cfg.tables
+    parts, missing = [], []
+    for d in moduli:
+        vals = cfg._sums.held((x, weight, d))
+        if vals is None:
+            missing.append(d)
+        else:
+            parts.append(_class_part(d, vals, x, restriction, tables))
+    hold = cfg._sums.fits(sum(missing))
+    stream = functools.partial(_stream_sums, tables, x, theta, cfg.table())
+    for group in _passes(missing, x + 1):
+        workers = min(threads, len(group))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                shares = list(ex.map(stream, [group[i::workers] for i in range(workers)]))
+            built = [shares[i % workers][i // workers] for i in range(len(group))]
+        else:
+            built = stream(group)
+        for d, vals in zip(group, built):
+            if hold:
+                vals = cfg._sums.get((x, weight, d), lambda vals=vals: vals)
+            parts.append(_class_part(d, vals, x, restriction, tables))
+    return math.fsum(parts)
+
+
 # Element budget of one batched block of the lag kernel (rows times FFT size).
 # A block's temporaries are a few arrays of 8 or 16 bytes per element, about
 # 2 MB here, less than the one-row transform of the whole residual needs at
 # x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
 # at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
-# The same size bounds _raw_sums' blocks of primes and _pairwise's chunks of
-# theta, so neither builds an array of 8 bytes per prime or per n.
+# The same size bounds _raw_sums' blocks of primes and the chunks of theta
+# and of the residual that _pairwise's leaves take (_raw_sums, _stream_sums),
+# so none of them builds an array of 8 bytes per prime or per n.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
@@ -607,18 +722,15 @@ def _band_run(
 
     Every bound is checked before the residual is read; the band width
     picks the route (_lag_route), and the timer covers the residual and the
-    band.  A band on cfg reads a prefix view of the residual cfg holds
-    (FRConfig._residual), built by the first band of its weight and x, and
-    again only by a band of the other weight or a longer x.  On the bucket
-    route cfg's _sums keeps the sums of all d classes of each modulus under
-    the key (x, weight, d), so the restricted bands select their classes
-    from the sums ALL built; a band whose moduli add up to more than the
-    bound of _sums holds none of them, so it evicts nothing.  BDH sums its
-    raw weight over the primes (_raw_sums), and its lag route, whose
-    transform takes the whole row, reads one copy.  On the lag route cfg's
-    _sums keeps each lone row's part under the key (x, weight, start, e,
-    f_lo, f_hi), so a later band on cfg reads it: ALL's one row is row
-    e = 1 of every restricted band on the same band.
+    band.  On the bucket route a band on cfg streams the residual a chunk
+    at a time and reads or holds the class sums of each modulus in cfg's
+    _sums (_fr_band_sum), so the restricted bands select their classes from
+    the sums ALL built; BDH sums its raw weight over the primes
+    (_raw_sums).  The lag route, whose transform takes the whole row,
+    derives the residual (or BDH's raw weight) over [0, x] for the band
+    alone, and cfg's _sums keeps each lone row's part under the key (x,
+    weight, start, e, f_lo, f_hi), so a later band on cfg reads it: ALL's
+    one row is row e = 1 of every restricted band on the same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
@@ -627,25 +739,16 @@ def _band_run(
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
     lag = _lag_route(len(moduli), x)
     t0 = time.perf_counter()
-    if cfg is not None:
-        diff = cfg._residual(theta, x)[: x + 1]
-    else:
-        diff = _weight(tables, x, theta) if lag else None
+    all_part = excluded_part = None
     if lag:
+        diff = _weight(tables, x, theta, model=None if cfg is None else cfg.table())
         lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
         empirical, all_part, excluded_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
-    else:
-        if cfg is None:
-            sums = functools.partial(_raw_sums, tables, x, theta=theta)
-        elif sum(moduli) > cfg._sums.max_values:
-            sums = functools.partial(_bucket_sums, diff, x)
-        else:
-
-            def sums(d: int) -> np.ndarray:
-                return cfg._sums.get((x, weight, d), functools.partial(_bucket_sums, diff, x, d))
-
+    elif cfg is None:
+        sums = functools.partial(_raw_sums, tables, x, theta=theta)
         empirical = _bucket_band_sum(moduli, x, sums, restriction, tables, threads)
-        all_part = excluded_part = None
+    else:
+        empirical = _fr_band_sum(moduli, x, weight, restriction, cfg, threads)
     return VarianceRun(
         x=x,
         q=q,
@@ -705,9 +808,10 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 _BLOCK_ROWS = 64
 
 # Floats of the one buffer that the column sums square the residual into, a
-# chunk of whole blocks of rows at a time (1 MB, about an L2 cache), or of
-# one row where a row is longer.
-_SQUARE_ELEMENTS = 1 << 17
+# chunk of whole blocks of rows at a time (512 KB, within an L2 cache; at
+# x = 10^6 the 12 passes of the squarefree v <= 60 took 0.022 s against
+# 0.024 s at 2^17 and 0.025 s at 2^15), or of one row where a row is longer.
+_SQUARE_ELEMENTS = 1 << 16
 
 
 def _row_length(x: int, v: int) -> int:
@@ -736,28 +840,20 @@ def _column_sums(x: int, m: int, cfg: FRConfig) -> np.ndarray:
     pass per column costs a cache line per element once 8 m bytes span a
     line.
 
-    The square is never built whole.  The chunks of the theta residual cfg
-    holds (FRConfig._residual) are squared into one reused buffer of
-    _SQUARE_ELEMENTS floats, and the prime powers p^k, k >= 2, of a chunk,
-    the only n where the theta and psi residuals differ, are set to
-    (Lambda(n) - F_R(n))^2.  A chunk holds as many whole blocks as fit, each
-    summed as numpy sums the whole square's (a (k, 64, m) reduction over its
-    rows); a block wider than the buffer is summed in groups of rows, each
-    group's first row carrying the running sums of the rows before it, the
-    adds numpy's row sum makes.
+    Neither the residual nor its square is built whole: each chunk of
+    Lambda less the F_R table is taken and squared in one reused buffer of
+    _SQUARE_ELEMENTS floats.  A chunk holds as many whole blocks as fit,
+    each summed as numpy sums the whole square's (a (k, 64, m) reduction
+    over its rows); a block wider than the buffer is summed in groups of
+    rows, each group's first row carrying the running sums of the rows
+    before it, the adds numpy's row sum makes.
     """
-    residual, table, lam = cfg._residual(True, x), cfg.table(), cfg.tables.lam
-    powers = cfg.tables.prime_powers
-    powers = powers[: np.searchsorted(powers, x, side="right")]
-    at_powers = lam[powers] - table[powers]
-    at_powers *= at_powers
+    table, lam = cfg.table(), cfg.tables.lam
 
     def square(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """The residual square over [lo, hi) in out[: hi - lo]."""
-        out = np.multiply(residual[lo:hi], residual[lo:hi], out=out[: hi - lo])
-        i, j = np.searchsorted(powers, (lo, hi))
-        out[powers[i:j] - lo] = at_powers[i:j]
-        return out
+        out = np.subtract(lam[lo:hi], table[lo:hi], out=out[: hi - lo])
+        return np.multiply(out, out, out=out)
 
     full = (x + 1) // m
     whole = full // _BLOCK_ROWS
@@ -794,21 +890,20 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     residuals from Lambda (_weight) and the config's F_R table, or, while
     that is unbuilt, F_R at its own points (_fr_at, the table's entries bit
     for bit); it squares them and returns their np.sum: it builds neither
-    the F_R table nor the band residual and adds no cache entry, and in
-    any order each of its n <= 64 terms meets at most n - 1 roundings.  Any
+    the F_R table nor any residual and adds no cache entry, and in any
+    order each of its n <= 64 terms meets at most n - 1 roundings.  Any
     other class reads the column sums of the row length
     m = _row_length(x, v), a multiple of v, from the blocked pass over the
-    square of the theta residual the config holds (_column_sums; a band on
-    the config up to x has built it, else this builds it over [0, x]), and
-    returns the pairwise np.sum of its m/v columns N mod v, N mod v + v, ...:
+    residual square, a chunk at a time (_column_sums), and returns the
+    pairwise np.sum of its m/v columns N mod v, N mod v + v, ...:
     the config keeps the m sums per (x, m), so all moduli that share a row
     length cost one blocked pass, and a term meets at most
     64 + log2(k) + log2(m/v) + 54 roundings, k the blocks of rows
     (_column_sums and the strided sum).  The summation order is fixed, so
     the result is deterministic, and, the terms being nonnegative, it is
     within that many units of 2^-53 of their sum of the math.fsum of the
-    same squares.  Either way a square is the same float as the square of
-    the psi residual's entry.
+    same squares.  Either way a square is the square of the psi residual's
+    entry.
     """
     start = _class_start(x, v, N, cfg.tables)
     if x < _BLOCK_ROWS * v:

@@ -236,11 +236,12 @@ def test_manifest_table_bytes_sums_the_held_arrays(tmp_path, capsys):
     )
     assert derived["bdh"]["table_bytes"] == sieve_and_tables
     fr = cli._fr_for(3000, 10.0)
-    # theorem3 holds the F_R weights, the F_R table and the theta residual
-    # its class sums square; a band command, on the same config, the same
-    # band residual
-    assert fr._held[0] is True
-    held = sieve_and_tables + sum(a.nbytes for a in (fr._coef, fr.table(), fr._residual(True, 3000)))
+    # theorem3 and a band command hold the F_R weights and the F_R table on
+    # the same config, and no residual: the class sums and the bands derive
+    # it a chunk at a time, or for the band alone
+    arrays = [f.name for f in dataclasses.fields(fr) if isinstance(getattr(fr, f.name), np.ndarray)]
+    assert arrays == ["_coef", "_table"]
+    held = sieve_and_tables + fr._coef.nbytes + fr.table().nbytes
     assert derived["theorem5"]["table_bytes"] == derived["theorem3"]["table_bytes"] == held
 
 

@@ -35,6 +35,7 @@ from vaughanlab import (
 )
 from vaughanlab import arith, frmodel
 from vaughanlab.arith import is_squarefree
+from vaughanlab.variance import Mode, RestrictionMode, Weight, variance_sum
 
 
 @pytest.fixture(scope="module")
@@ -375,9 +376,17 @@ def test_configs_over_distinct_tables_compare_by_table_identity():
 def test_config_arrays_are_read_only(tables_small):
     # a write to the F_R table would leave the cached class sums on the old
     # values while later bands read the new ones; every array refuses it,
-    # the band residuals of both weights included
+    # the sums it keeps included: the class sums of a bucket-route band of
+    # each weight, the theorem-3 column sums and the lone rows of a
+    # lag-route band
     cfg = FRConfig(R=10.0, tables=tables_small)
-    for arr in (cfg._coef, cfg.table(), cfg._residual(True, 2_000), cfg._residual(False, 1_000)):
+    for weight in Weight:
+        variance_sum(2_000, 12, cfg, RestrictionMode(Mode.ALL), weight=weight, q_low=8.0, threads=1)
+    variance_sum(1_000, 500, cfg, RestrictionMode(Mode.ALL), threads=1)
+    delta_sq_progression(2_000, 6, 1, cfg)
+    held = list(cfg._sums._arrays.values())
+    assert len(held) == 2 * 4 + 1 + 1  # the moduli 9..12 per weight, one row length, the lone row e = 1
+    for arr in (cfg._coef, cfg.table(), *held):
         before = arr.copy()
         assert not arr.flags.writeable
         with raises(ValueError):

@@ -1024,13 +1024,10 @@ def test_refined_g_cache_keeps_no_tables_alive(cs):
     tables = build_tables(build_sieve(1000))
     cfg = FRConfig(R=20.0, tables=tables)
     want = theorem3_refined_prediction(10**4, 6, 1, cfg, cs).total
-    residual = cfg._residual(True, 1000)  # the band residual, which the class sums below square
-    delta_sq_progression(1000, 6, 1, cfg)  # builds the column sums from the held residual
-    assert cfg._held[1] is residual
+    delta_sq_progression(1000, 6, 1, cfg)  # builds the column sums, a chunk of the residual at a time
     sums = list(cfg._sums._arrays.values())
     assert len(sums) == 1  # the column sums of v = 6's row length, from which its classes are read
-    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), residual, *sums)]
-    del residual
+    refs = [weakref.ref(a) for a in (tables, cfg, cfg.table(), *sums)]
     del sums
     gc.disable()
     try:
@@ -1212,23 +1209,27 @@ _ROW_EDGE_X = tuple(
 @pytest.mark.parametrize("square_elements", [None, 3 * 64 * 102 + 5, 500], ids=["default", "3blocks", "rows"])
 @pytest.mark.parametrize("held", [True, False, None], ids=["theta", "psi", "none"])
 def test_column_sums_from_the_held_residual_match_a_square(tables_1e5, held, square_elements, monkeypatch):
-    # the column sums squared a chunk at a time from the theta residual are
-    # those of the psi residual's square the test builds, bit for bit, with
-    # a theta residual held, a psi residual held or nothing held; a budget
-    # of 3 blocks of m = 102 batches 3 blocks per chunk, and one of 500
-    # floats sums every row length in groups of rows (m = 30030 a row at a
-    # time, in a buffer of one row)
+    # the column sums, which square Lambda less the F_R table a chunk at a
+    # time, are those of the psi residual's square the test builds, bit for
+    # bit, whether the config holds the class sums of a theta band, of a psi
+    # band or nothing; a budget of 3 blocks of m = 102 batches 3 blocks per
+    # chunk, and one of 500 floats sums every row length in groups of rows
+    # (m = 30030 a row at a time, in a buffer of one row)
     if square_elements:
         monkeypatch.setattr(variance, "_SQUARE_ELEMENTS", square_elements)
     cfg = FRConfig(R=30.0, tables=tables_1e5)
     sq = tables_1e5.lam - cfg.table()
     np.multiply(sq, sq, out=sq)
+    builds = _residual_builds(monkeypatch)
     for m, x in _ROW_EDGE_X:
         if held is not None:
-            cfg._residual(held, x)
+            weight = Weight.THETA if held else Weight.PSI
+            variance_sum(x, 2, cfg, RestrictionMode(Mode.ALL), weight=weight, q_low=1.0, threads=1)
+            assert cfg._sums.held((x, weight, 2)) is not None
+        builds.clear()
         got = variance._column_sums(x, m, cfg)
         assert got.tobytes() == _reference_column_sums(sq[: x + 1], m).tobytes(), (m, x)
-        assert cfg._held[0] is True and len(cfg._held[1]) > x
+        assert not builds  # no residual is derived: the chunks are Lambda less the table
 
 
 def test_class_sums_after_a_band_hold_no_square(cfg10_2e20):
@@ -1291,7 +1292,6 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
     cfg = FRConfig(R=50.0, tables=tables_1e5)
     table = cfg.table()
     table_before = table.copy()
-    assert cfg._held is None  # built by the first class sum, not before
     u = 2.0**-53
     for x in (tables_1e5.limit, 98_765, *_EDGE_X):
         for v in (1, 2, 6, 17, 30, 34, 51, 59, 210, 323, 1001):
@@ -1310,8 +1310,8 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
                 blocked = _blocked_roundings(x, v)
                 assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
                 assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
-    # the class sums read the theta residual the config holds, and hold no square
-    assert cfg._held[0] is True and not cfg._held[1].flags.writeable
+    # the class sums hold their column sums, read-only, under (x, m), and no square
+    assert all(len(key) == 2 and not a.flags.writeable for key, a in cfg._sums._arrays.items())
     assert cfg.table() is table
     assert np.array_equal(table, table_before)
     # a class of at most 64 terms is summed where it lies and kept nowhere
@@ -1339,7 +1339,6 @@ def test_short_class_squares_its_own_residuals(tables_1e5):
         start = N % v or v
         want = float(sq[start : x + 1 : v].sum())
         assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
-    assert cfg._held is None
     assert not cfg._sums._arrays
 
 
@@ -1357,7 +1356,6 @@ def test_short_class_holds_only_its_terms(tables_1e5):
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (x // v + 1) + 4096, (x, v, N, peak)
-    assert cfg._held is None
 
 
 def test_short_class_builds_no_fr_table(tables_1e5):
@@ -1371,7 +1369,7 @@ def test_short_class_builds_no_fr_table(tables_1e5):
         want = float((diff * diff).sum())
         assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
         assert np.array_equal(frmodel._fr_at(np.arange(start, x + 1, v), cfg), table[start : x + 1 : v])
-    assert cfg._table is None and cfg._held is None
+    assert cfg._table is None
 
 
 def test_theorem3_record_holds_the_divisors_and_their_max_pairs():
@@ -1390,15 +1388,15 @@ def test_theorem3_record_holds_the_divisors_and_their_max_pairs():
 
 
 def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch):
-    # every class of the squarefree v <= 60 costs 12 blocked passes over the
-    # one residual the config holds, one per row length, kept on the config
-    # under (x, m) and nothing else, and each class is read from its row
-    # length's sums
+    # every class of the squarefree v <= 60 costs 12 blocked passes over
+    # Lambda and the F_R table, one per row length, kept on the config under
+    # (x, m) and nothing else, and each class is read from its row length's
+    # sums; no residual array is derived
     calls = Counter()
     column_sums = variance._column_sums
     monkeypatch.setattr(variance, "_column_sums", lambda x, m, cfg: calls.update([m]) or column_sums(x, m, cfg))
     cfg = FRConfig(R=30.0, tables=tables_1e5)
-    builds = _residual_builds(monkeypatch, cfg)
+    builds = _residual_builds(monkeypatch)
     moduli = _squarefree_up_to(60)
     for _ in range(2):
         for v in moduli:
@@ -1408,7 +1406,7 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
     assert calls == Counter({m: 1 for m in rows})
     assert len(calls) == 12
     assert sorted(cfg._sums._arrays) == sorted((98_765, m) for m in rows)
-    assert builds == [(True, 98_765)]
+    assert builds == []
 
 
 def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
@@ -1673,18 +1671,26 @@ def test_theta_consumers_match_stored_theta_bits(cfg10_2e20, x):
         assert theta_progression(x, d, b, tables).hex() == float(theta[: x + 1][b::d].sum()).hex(), (d, b)
 
 
-def test_theta_variance_sum_holds_one_residual(cfg10_2e20):
-    # The F_R table is built by the fixture; a bucket-route band of small
-    # moduli allocates little beyond the x-sized residual itself.
+def test_bands_and_a_long_class_hold_no_residual(cfg10_2e20):
+    # with the F_R table built, the ALL, COPRIME and SHIFT_COPRIME bucket
+    # bands of each weight and a theorem-3 class of 2^20 / 7 terms allocate
+    # under 1 byte per n in all, where the residual took 8: the bands stream
+    # it a chunk at a time and the class squares Lambda less the table in a
+    # chunk-sized buffer
     x = 2**20
-    for weight in Weight:
-        tracemalloc.start()
-        try:
-            variance_sum(x, 100, cfg10_2e20, RestrictionMode(Mode.COPRIME), weight=weight, q_low=90.0, threads=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / (x + 1) <= 8.1, weight
+    cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
+    cfg.table()
+    assert not _lag_route(10, x)
+    tracemalloc.start()
+    try:
+        for weight in Weight:
+            for restriction in VARIANCE_SUM_MODES[:3]:
+                variance_sum(x, 100, cfg, restriction, weight=weight, q_low=90.0, threads=1)
+        delta_sq_progression(x, 7, 1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x + 1, peak
 
 
 # x at the edges of the chunks of _BLOCK_ELEMENTS = 2^16 entries: a run of
@@ -1751,6 +1757,73 @@ def test_raw_sums_over_the_primes_match_a_stored_copy(tables_1e4, data):
     assert got.tobytes() == _bucket_sums(stored, x, d).tobytes()
 
 
+@settings(deadline=None, max_examples=120)
+@given(st.data())
+def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
+    # one streamed pass gives every modulus the column sums of all its
+    # classes that _bucket_sums gives over a stored copy of the residual,
+    # in .tobytes(): sets of 1 to 40 moduli from 1 to past the chunk, so
+    # rows split at the chunk edges; x + 1 below d, a multiple of d, at the
+    # edges of the default chunks, or anywhere; both weights; chunks of the
+    # default size or a small one (numpy's pairwise tree, whose leaves give
+    # d = 1, keeps each at 64 to 128 entries).  A band streamed by two
+    # workers, each a share of its moduli, is one worker's bit for bit.
+    tables = tables_1e5
+    chunk = data.draw(st.sampled_from([7, 64, variance._BLOCK_ELEMENTS]), label="chunk")
+    span = max(chunk, 128)
+    moduli = data.draw(
+        st.lists(st.one_of(st.integers(1, 8), st.integers(1, 400), st.integers(1, 3 * span)), min_size=1, max_size=40),
+        label="moduli",
+    )
+    d = moduli[0]
+    x = data.draw(
+        st.one_of(
+            st.integers(0, tables.limit),
+            st.integers(0, max(0, d - 2)),
+            st.integers(1, tables.limit // d + 1).map(lambda k: min(k * d - 1, tables.limit)),
+            st.sampled_from([e for e in CHUNK_EDGE_X if e <= tables.limit]),
+        ),
+        label="x",
+    )
+    weight = data.draw(st.sampled_from(list(Weight)), label="weight")
+    theta = weight is Weight.THETA
+    table = FRConfig(R=20.0, tables=tables).table()
+    stored = _weight(tables, x, theta, model=table)
+    band = sorted(set(moduli))
+    with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
+        got = variance._stream_sums(tables, x, theta, table, moduli)
+        assert [s.tobytes() for s in got] == [_bucket_sums(stored, x, d).tobytes() for d in moduli]
+        runs = []
+        for threads in (1, 2):
+            cfg = FRConfig(R=20.0, tables=tables)
+            total = variance._fr_band_sum(band, x, weight, RestrictionMode(Mode.ALL), cfg, threads)
+            runs.append((total.hex(), [cfg._sums.held((x, weight, d)) for d in band]))
+    assert runs[0][0] == runs[1][0]
+    assert [[None if a is None else a.tobytes() for a in arrs] for _, arrs in runs] == [
+        [_bucket_sums(stored, x, d).tobytes() if sum(band) <= frmodel._SUM_CACHE else None for d in band]
+    ] * 2
+
+
+def test_a_band_that_fits_alone_keeps_the_column_sums(tables_1e5, monkeypatch):
+    # with room for 35,000 values, the 30,030 theorem-3 column sums held
+    # first leave no room for an ALL band whose moduli add up to 9,955: it
+    # holds none of its class sums, so the column sums survive; a later band
+    # of moduli that fit beside them holds its sums.  Both bands are fresh
+    # configs' bit for bit
+    x, all_classes = 99_991, RestrictionMode(Mode.ALL)
+    bands = ((990.0, 1000), (2.0, 12))
+    want = [variance_sum(x, q, FRConfig(R=20.0, tables=tables_1e5), all_classes, q_low=q_low, threads=1).empirical
+            for q_low, q in bands]
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 35_000)
+    cfg = FRConfig(R=20.0, tables=tables_1e5)
+    delta_sq_progression(x, 30, 1, cfg)
+    key = (x, 30_030)
+    assert list(cfg._sums._arrays) == [key] and sum(range(991, 1001)) == 9_955
+    got = [variance_sum(x, q, cfg, all_classes, q_low=q_low, threads=1).empirical for q_low, q in bands]
+    assert list(cfg._sums._arrays) == [key, *((x, Weight.THETA, d) for d in range(3, 13))]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, monkeypatch):
     # on one config COPRIME and SHIFT_COPRIME after ALL build no row sum at
@@ -1768,13 +1841,13 @@ def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, m
 
     want = {key: h for r in modes for key, h in hexes(FRConfig(R=20.0, tables=tables_1e5), [r]).items()}
     row_sums = []
-    bucket_sums = variance._bucket_sums
+    stream_sums = variance._stream_sums
 
-    def spy(w, x, d):
-        row_sums.append(d)
-        return bucket_sums(w, x, d)
+    def spy(tables, x, theta, table, moduli):
+        row_sums.extend(moduli)
+        return stream_sums(tables, x, theta, table, moduli)
 
-    monkeypatch.setattr(variance, "_bucket_sums", spy)
+    monkeypatch.setattr(variance, "_stream_sums", spy)
     for order in (modes, modes[::-1]):
         cfg = FRConfig(R=20.0, tables=tables_1e5)
         got = hexes(cfg, order[:1])
@@ -1830,30 +1903,44 @@ def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
         assert peak <= bound, (weight, peak)
 
 
-def _residual_builds(monkeypatch, cfg):
-    """(theta, x) of each array over [0, x] built from a model on cfg, in order; each build
-    checks that cfg holds no other array while it runs."""
+def _residual_builds(monkeypatch):
+    """(theta, lo, hi) of each run [lo, hi] of the residual derived from a model, in order."""
     builds = []
-    weight = frmodel._weight
+    weight = variance._weight
 
     def spy(tables, x, theta, b=0, d=1, model=None):
-        if model is not None and (b, d) == (0, 1):
-            assert cfg._held is None  # the held array is dropped before another is built
-            builds.append((theta, x))
+        if model is not None and d == 1:
+            builds.append((theta, b, x))
         return weight(tables, x, theta, b, d, model)
 
-    monkeypatch.setattr(frmodel, "_weight", spy)
+    monkeypatch.setattr(variance, "_weight", spy)
     return builds
+
+
+def _passes_over(builds):
+    """(theta, x) of each pass in builds: runs from 0 that follow on each other up to x."""
+    passes = []
+    for theta, lo, hi in builds:
+        if lo == 0:
+            passes.append([theta, hi])
+        else:
+            assert passes and passes[-1] == [theta, lo - 1], (theta, lo, hi)
+            passes[-1][1] = hi
+    return [tuple(p) for p in passes]
 
 
 @pytest.mark.parametrize("band", [(90.0, 100), (0.0, 400)], ids=["bucket", "lag"])
 def test_bands_on_one_config_build_one_residual(cfg10_2e20, band, monkeypatch):
-    # ALL, COPRIME and SHIFT_COPRIME on one config read one residual, built
-    # by the first band of a weight and rebuilt only for the other weight,
-    # on either route; the bands are those of fresh configs bit for bit
+    # each band derives its residual at most once and holds none: a
+    # lag-route band derives it over [0, x] for itself, a bucket-route ALL
+    # band streams it once in chunks of at most _BLOCK_ELEMENTS entries, and
+    # the bucket-route restricted bands after it, and every band of the
+    # second theta round, read the class sums it left; the bands are those
+    # of fresh configs bit for bit
     q_low, q = band
     x = 100_000
-    assert _lag_route(q - math.floor(q_low), x) == (q == 400)
+    lag = _lag_route(q - math.floor(q_low), x)
+    assert lag == (q == 400)
     steps = [(w, r) for w in (Weight.THETA, Weight.THETA, Weight.PSI) for r in VARIANCE_SUM_MODES[:3]]
 
     def band_hex(cfg, weight, r):
@@ -1861,16 +1948,22 @@ def test_bands_on_one_config_build_one_residual(cfg10_2e20, band, monkeypatch):
 
     want = [band_hex(FRConfig(R=10.0, tables=cfg10_2e20.tables), w, r) for w, r in steps]
     cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
-    builds = _residual_builds(monkeypatch, cfg)
+    builds = _residual_builds(monkeypatch)
     assert [band_hex(cfg, w, r) for w, r in steps] == want
-    assert builds == [(True, x), (False, x)]
-    assert cfg._held[0] is False and not cfg._held[1].flags.writeable
+    if lag:
+        assert builds == [(w is Weight.THETA, 0, x) for w, _ in steps]
+    else:
+        assert _passes_over(builds) == [(True, x), (False, x)]
+        assert max(hi + 1 - lo for _, lo, hi in builds) <= variance._BLOCK_ELEMENTS
+    assert [f.name for f in dataclasses.fields(cfg) if isinstance(getattr(cfg, f.name), np.ndarray)] == [
+        "_coef", "_table"
+    ]
 
 
-def test_residual_reaches_the_longest_band(cfg10_2e20, monkeypatch):
-    # the residual covers [0, x] of the band that built it, not the whole
-    # table: a band at a shorter x reads its prefix and a longer one builds
-    # it again to its own x, each band equal to a fresh config's bit for bit
+def test_each_band_derives_the_residual_to_its_own_x(cfg10_2e20, monkeypatch):
+    # a bucket-route band streams the residual over [0, x] of its own x and
+    # no further, once per x on a config (the class sums are kept per x), each
+    # band equal to a fresh config's bit for bit
     xs = (50_000, 20_000, 100_000, 100_000, 99_999)
     coprime = RestrictionMode(Mode.COPRIME)
 
@@ -1879,30 +1972,24 @@ def test_residual_reaches_the_longest_band(cfg10_2e20, monkeypatch):
 
     want = [band_hex(FRConfig(R=10.0, tables=cfg10_2e20.tables), x) for x in xs]
     cfg = FRConfig(R=10.0, tables=cfg10_2e20.tables)
-    builds = _residual_builds(monkeypatch, cfg)
+    builds = _residual_builds(monkeypatch)
     assert [band_hex(cfg, x) for x in xs] == want
-    assert builds == [(True, 50_000), (True, 100_000)]
-    assert len(cfg._held[1]) == 100_001 < cfg.tables.limit
+    assert _passes_over(builds) == [(True, 50_000), (True, 20_000), (True, 100_000), (True, 99_999)]
 
 
-def test_bands_and_class_sums_share_one_residual(tables_1e5, monkeypatch):
-    # band, class sums, band, class sums on one config: the class sums read
-    # the theta residual a theta band left, and build it again after a psi
-    # band, dropping the psi residual first (the spy checks that none is
-    # held while one is built); every value is that of fresh configs bit
-    # for bit; the second x has no column sums kept, so its classes need
-    # the residual again
+def test_bands_and_class_sums_interleaved_match_fresh_configs(tables_1e5, monkeypatch):
+    # band, class sums, band, class sums on one config: every value is that
+    # of fresh configs bit for bit; each band streams its residual once and
+    # the class sums derive none, whatever weight the band before them took
     band, coprime = (900.0, 960), RestrictionMode(Mode.COPRIME)
     steps = ((Weight.THETA, 99_991), (Weight.PSI, 99_997))
 
     def values(cfg, weight, x):
-        out = [variance_sum(x, band[1], cfg, coprime, weight=weight, q_low=band[0]).empirical.hex(), cfg._held[0]]
-        out += [delta_sq_progression(x, v, 1, cfg).hex() for v in (6, 7)]
-        return out + [cfg._held[0]]
+        out = [variance_sum(x, band[1], cfg, coprime, weight=weight, q_low=band[0], threads=1).empirical.hex()]
+        return out + [delta_sq_progression(x, v, 1, cfg).hex() for v in (6, 7)]
 
     want = [values(FRConfig(R=50.0, tables=tables_1e5), w, x) for w, x in steps]
-    assert [(a[1], a[-1]) for a in want] == [(True, True), (False, True)]
     cfg = FRConfig(R=50.0, tables=tables_1e5)
-    builds = _residual_builds(monkeypatch, cfg)
+    builds = _residual_builds(monkeypatch)
     assert [values(cfg, w, x) for w, x in steps] == want
-    assert builds == [(True, 99_991), (False, 99_997), (True, 99_997)]
+    assert _passes_over(builds) == [(True, 99_991), (False, 99_997)]
