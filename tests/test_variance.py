@@ -1766,8 +1766,9 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
     # rows split at the chunk edges; x + 1 below d, a multiple of d, at the
     # edges of the default chunks, or anywhere; both weights; chunks of the
     # default size or a small one (numpy's pairwise tree, whose leaves give
-    # d = 1, keeps each at 64 to 128 entries).  A band streamed by two
-    # workers, each a share of its moduli, is one worker's bit for bit.
+    # d = 1, then keeps each at most 128 entries, and at least 64 once
+    # x + 1 > 128).  A band streamed by two workers, each a share of its
+    # moduli, is one worker's bit for bit.
     tables = tables_1e5
     chunk = data.draw(st.sampled_from([7, 64, variance._BLOCK_ELEMENTS]), label="chunk")
     span = max(chunk, 128)
