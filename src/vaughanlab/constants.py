@@ -7,18 +7,19 @@ carries a rigorous tail bound obtained by majorizing the prime sum with the
 corresponding sum over all integers.
 
 The primes come from arith.prime_array, the package's one prime enumerator
-and store (an odd-only sieve of (cutoff + 1) // 2 bools, tiled from a struck
-period of the primes up to 13 and struck by the rest segment by segment).  It
-holds one read-only int64 list, the longest asked for, and hands out prefix
-views of it, so after build_sieve(x) with x >= cutoff the constants
-enumerate no primes.  Each prime sum or product takes a fresh float64 copy
-of them and builds its terms in place in one further buffer, so at cutoff
-10^7 (664,579 primes) a call holds two 5.3 MB temporaries.  logp_sum adds
-its terms by _exact_sum, whose levels reuse those two buffers and whose
-value is math.fsum's bit for bit.  euler_gamma is computed once per
-process, and restricted_product keeps its 128 most recent results
-(functools.lru_cache, typed, so a float cutoff equal to a cached integer one
-still reaches _check_cutoff).
+and store (an odd-only sieve struck one 1 MB segment at a time, each
+segment tiled from a struck period of the primes up to 13).  It holds one
+read-only int64 list, the longest asked for, and hands out prefix views of
+it, so after build_sieve(x) with x >= cutoff the constants enumerate no
+primes.  Each prime sum or product forms its terms as float64 on blocks of
+_SUM_BLOCK primes, so beside the list a call holds a few 512 KB blocks
+and no float copy of all the primes.  logp_sum adds its terms by
+_exact_sum, which takes them as a stream of blocks and whose value is
+math.fsum's bit for bit.  Traced, a cold constant_set(10**7) peaks
+1.7 MiB above the 5.07 MiB list, at the enumerator's segment.
+euler_gamma is computed once per process, and restricted_product keeps its
+128 most recent results (functools.lru_cache, typed, so a float cutoff
+equal to a cached integer one still reaches _check_cutoff).
 
 Main entries:
 - euler_gamma(): Euler's constant to full double precision
@@ -36,8 +37,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import numbers
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,50 +71,74 @@ _DEFAULT_CUTOFF = 10**7
 def _check_cutoff(prime_cutoff: int) -> None:
     """The prime cutoff: an integer, numpy's included, at least 10, where the tail bounds hold, and below 2^31.
 
-    The cap, the sieve limit's, bounds the odd-only sieve of prime_array by 1 GiB.
+    The cap, the sieve limit's, bounds the int64 list that prime_array holds
+    for the life of the process: about 840 MB near 2^31.
     """
     if not isinstance(prime_cutoff, numbers.Integral) or not 10 <= prime_cutoff < 2**31:
         raise ValueError(f"prime cutoff must be an integer with 10 <= cutoff < 2^31, got {prime_cutoff!r}")
 
 
 # Terms per block of _exact_sum: a block of the terms and of its work buffer
-# (512 KB each) stay in L2 through all of the block's levels.  The Euler
-# products form their factors on blocks of as many primes (_euler_product).
+# (512 KB each) stay in L2 through all of the block's levels.  logp_sum and
+# the Euler products form their terms on blocks of as many primes.
 _SUM_BLOCK = 2**16
 
 
-def _exact_sum(t: np.ndarray, work: np.ndarray | None = None) -> float:
-    """math.fsum(t) of a 1-d float64 array, bit for bit, by error-free extraction; overwrites t.
+def _exact_sum(blocks: Callable[[], Iterable[np.ndarray]]) -> float:
+    """math.fsum of every term of blocks(), bit for bit, by error-free extraction.
 
-    Each block of _SUM_BLOCK terms is summed in levels.  A level takes
-    sigma = 1.5 * 2^k with 2^k >= 2 n max|t| over the block's n terms.
-    q = (t + sigma) - sigma rounds each term to the grid of ulp(sigma) =
-    2^(k - 52) exactly (t + sigma lies in [2^k, 2^(k + 1)], and Sterbenz
-    makes the subtraction exact), and t - q is the rounding error of
-    t + sigma, so exact too.  Every partial sum of the q is a multiple of
-    2^(k - 52) below 2^(k + 1) in magnitude, so numpy's sum of them is exact
-    in any order.  t keeps the remainders, at most 2^(k - 53) each, for the
-    next level; k is held at -1022 or above, where the grid 2^-1074 takes
-    every remainder, so the levels end once the remainders are all zero.
-    The level sums add up to the sum of t exactly, so math.fsum of them is
-    the correctly rounded total, as math.fsum(t) is.  An empty or all-zero
-    t, a non-finite term, or 2 n max|t| past 2^1021 over the whole array
-    goes to math.fsum(t) itself, before any level, so signed zeros,
-    infinities, nan and overflow come out as they always do; below that no
-    sum of terms or of level sums nears overflow.  work, a float64 buffer
-    shaped like t, takes the q; without it one is allocated.
+    blocks() gives the terms as a stream of 1-d float64 arrays, each of
+    which is overwritten, so no array of all the terms need exist.  Each
+    array is summed in levels, _SUM_BLOCK terms at a time (_add_levels),
+    and the level sums of every block are kept for one final math.fsum.
+    Each level sum is exact, so the levels add up to the sum of the terms
+    exactly and math.fsum of them is the correctly rounded total, as
+    math.fsum of the terms is, whatever the blocking.  Before an array is
+    touched, its terms are counted and its max |t| taken: a non-finite
+    term, or 2 n max|t| past 2^1021 over the n terms seen so far, stops
+    the levels, and so does a stream of zeros alone (signed zeros).  Then
+    blocks() is called once more and math.fsum takes its terms themselves,
+    so signed zeros, infinities, nan and overflow come out as they always
+    do; a stream of fresh arrays, or a single array (untouched at that
+    point), gives the same terms again.  Below that bound no sum of terms
+    or of level sums nears overflow.
+    """
+    levels = []
+    top, count = 0.0, 0
+    for t in blocks():
+        t_top = max(float(t.max()), -float(t.min())) if t.size else 0.0  # nan or inf for a non-finite term
+        top, count = max(top, t_top), count + t.size
+        if not t_top < math.inf or (top and math.frexp(top)[1] + (2 * count - 1).bit_length() > 1021):
+            break
+        _add_levels(t, levels)
+    else:
+        if top:
+            return math.fsum(levels)
+    return math.fsum(itertools.chain.from_iterable(blocks()))
+
+
+def _add_levels(t: np.ndarray, levels: list[float]) -> None:
+    """Append the level sums of the finite terms t to levels, _SUM_BLOCK terms at a time; overwrites t.
+
+    A level takes sigma = 1.5 * 2^k with 2^k >= 2 n max|t| over a block's
+    n terms.  q = (t + sigma) - sigma rounds each term to the grid of
+    ulp(sigma) = 2^(k - 52) exactly (t + sigma lies in [2^k, 2^(k + 1)],
+    and Sterbenz makes the subtraction exact), and t - q is the rounding
+    error of t + sigma, so exact too.  Every partial sum of the q is a
+    multiple of 2^(k - 52) below 2^(k + 1) in magnitude, so numpy's sum of
+    them is exact in any order.  t keeps the remainders, at most
+    2^(k - 53) each, for the next level; k is held at -1022 or above, where
+    the grid 2^-1074 takes every remainder, so the levels end once the
+    remainders are all zero.  The q of a block go in one work buffer of at
+    most _SUM_BLOCK floats, freed on return.
 
     Rump, Ogita and Oishi, "Accurate floating-point summation, part I",
     SIAM J. Sci. Comput. 31 (2008).
     """
-    top = max(float(t.max()), -float(t.min())) if t.size else 0.0  # nan or inf for a non-finite term
-    if not 0.0 < top < math.inf or math.frexp(top)[1] + (2 * t.size - 1).bit_length() > 1021:
-        return math.fsum(t)
-    if work is None:
-        work = np.empty_like(t)
-    levels = []
+    work = np.empty(min(t.size, _SUM_BLOCK))
     for lo in range(0, t.size, _SUM_BLOCK):
-        block, q = t[lo : lo + _SUM_BLOCK], work[lo : lo + _SUM_BLOCK]
+        block = t[lo : lo + _SUM_BLOCK]
+        q = work[: block.size]
         while top := max(float(block.max()), -float(block.min())):
             k = max(math.frexp(top)[1] + (2 * block.size - 1).bit_length(), -1022)
             sigma = math.ldexp(1.5, k)
@@ -119,7 +146,6 @@ def _exact_sum(t: np.ndarray, work: np.ndarray | None = None) -> float:
             q -= sigma
             block -= q
             levels.append(float(q.sum()))
-    return math.fsum(levels)
 
 
 def euler_gamma_harmonic(terms: int = 10_000) -> float:
@@ -166,18 +192,25 @@ def euler_gamma() -> float:
     return g2
 
 
+def _logp_terms(primes: np.ndarray) -> np.ndarray:
+    """log p / (p (p - 1)) at the int64 primes, as a fresh float64 array."""
+    p = primes.astype(np.float64)
+    d = p - 1.0
+    d *= p
+    return np.divide(np.log(p, out=p), d, out=p)
+
+
 def logp_sum(prime_cutoff: int) -> tuple[float, float]:
     """Partial sum sum_{p <= cutoff} log p / (p (p - 1)) and its tail bound.
 
     The tail over p > cutoff is majorized by the same sum over all integers
     n > cutoff, which is below 2 log(cutoff)/cutoff for cutoff >= 10.
+    The terms are formed and summed (_exact_sum) a block of _SUM_BLOCK
+    primes at a time, so no float copy of all the primes is made.
     """
     _check_cutoff(prime_cutoff)
-    p = prime_array(prime_cutoff).astype(np.float64)
-    terms = p - 1.0
-    terms *= p
-    np.divide(np.log(p, out=p), terms, out=terms)  # log p / (p (p - 1))
-    value = _exact_sum(terms, work=p)
+    p = prime_array(prime_cutoff)
+    value = _exact_sum(lambda: (_logp_terms(p[lo : lo + _SUM_BLOCK]) for lo in range(0, len(p), _SUM_BLOCK)))
     tail = 2.0 * math.log(prime_cutoff) / prime_cutoff
     return value, tail
 

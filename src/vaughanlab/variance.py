@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arith import ArithTables, FactorSieve, _PRIMORIAL, _check_x, _weight, divisors, factorize
-from .constants import ConstantSet, ProductKind, _exact_sum, restricted_product
+from .constants import _SUM_BLOCK, ConstantSet, ProductKind, _exact_sum, restricted_product
 from .frmodel import FRConfig, _check_r, _class_start, _fr_at, delta_indicator
 
 __all__ = [
@@ -594,7 +594,8 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
     F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from the
     tables' primes.  sum w is the exactly rounded sum of w at the primes
     and the prime powers p^k <= x, k >= 2, the only n where w can be
-    nonzero, so no x-sized mask is built.  A prime
+    nonzero, gathered _SUM_BLOCK of them at a time (_exact_sum), so no
+    x-sized mask and no array of 8 bytes per prime is built.  A prime
     above sqrt(x) has no higher power, and d <= q has at most one prime
     factor above sqrt(q): the p <= sqrt(q) subtract one slice each, then
     each cofactor k gathers the d = k p with p above sqrt(q), so every d
@@ -602,7 +603,8 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
     """
     x = len(w) - 1
     primes, powers = _support(tables, x, False)
-    first = np.full(q + 1, _exact_sum(np.concatenate((w[primes], w[powers]))))
+    cuts = [n[lo : lo + _SUM_BLOCK] for n in (primes, powers) for lo in range(0, len(n), _SUM_BLOCK)]
+    first = np.full(q + 1, _exact_sum(lambda: (w[n] for n in cuts)))
     p = primes[: np.searchsorted(primes, q, side="right")]
     sub = w[p]
     for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
@@ -656,9 +658,10 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
                 terms.append(-(1 + (m < n)) * c * (u * v))  # mu(p) = -1; m < n stands for both orders
     parts.append(np.array(terms))
     band = math.fsum(np.concatenate(parts))
-    approx = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)
     first = _coprime_first_moments(a, hi, tables)[lo + 1 :]
-    return math.fsum((band, _exact_sum(approx * (x - 2.0 * first), work=approx)))
+    terms = x / tables.phi[lo + 1 : hi + 1].astype(np.float64)  # x / phi(d)
+    terms *= x - 2.0 * first
+    return math.fsum((band, _exact_sum(lambda: (terms,))))
 
 
 def _lag_band_sum(

@@ -457,9 +457,9 @@ def test_build_sieve_and_constants_share_one_prime_list(reset_primes, monkeypatc
         assert np.shares_memory(sieve.primes(), prime_array(m)), m
 
     def no_enumeration(cutoff):
-        pytest.fail(f"_odd_sieve({cutoff}) ran for a cutoff the held list covers")
+        pytest.fail(f"_odd_segments({cutoff}) ran for a cutoff the held list covers")
 
-    monkeypatch.setattr(arith, "_odd_sieve", no_enumeration)
+    monkeypatch.setattr(arith, "_odd_segments", no_enumeration)
     constant_set(10**5)
     build_tables(build_sieve(10**5))
     build_sieve(5000)
@@ -553,16 +553,16 @@ def _race_short_against_long(pause_short):
 def test_a_shorter_list_enumerated_last_is_not_held(reset_primes, monkeypatch):
     # The thread at 1,000 enumerates first but swaps last: the thread at 10^5
     # swaps in its longer list while the shorter one is still sieving.
-    odd_sieve = arith._odd_sieve
+    odd_segments = arith._odd_segments
 
     def pause_short(paused, long_done):
         def slow_at_1000(cutoff):
             if cutoff == 1000:
                 paused.set()
                 assert long_done.wait(10)
-            return odd_sieve(cutoff)
+            return odd_segments(cutoff)
 
-        monkeypatch.setattr(arith, "_odd_sieve", slow_at_1000)
+        monkeypatch.setattr(arith, "_odd_segments", slow_at_1000)
         return prime_array(1000)
 
     _race_short_against_long(pause_short)

@@ -295,6 +295,58 @@ def test_prime_enumerator_matches_bit_sieve(reset_primes, monkeypatch):
         _assert_enumerator_matches_bit_sieve(n, reset_primes)
 
 
+def test_prime_count_bound_covers_every_cutoff():
+    # prime_array sizes its list by the bound before it enumerates: every
+    # cutoff to 10^5, the wheel, square, fourth-power and segment edges of
+    # test_prime_array_matches_bit_sieve, and 10^7, with under 1% to spare there
+    primes = _bit_sieve_primes(10**7)
+    seg = arith._ODD_SEGMENT
+    edges = [
+        *(30030 * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
+        *(p * p + d for p in (17, 19, 23, 1009, 1013) for d in (-1, 0, 1)),
+        *(p**4 + d for p in (17, 19) for d in (-1, 0, 1)),
+        *(2 * j * seg + d for j in (1, 2, 3) for d in (-2, -1, 0, 1, 2)),
+        10**6 + 3,
+        10**7,
+    ]
+    for cutoff in [*range(2, 10**5 + 1), *edges]:
+        count = int(np.searchsorted(primes, cutoff, side="right"))
+        assert arith._prime_count_bound(cutoff) >= count, cutoff
+    assert arith._prime_count_bound(10**7) < 1.01 * len(primes) == 1.01 * 664_579
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cold_prime_array_holds_its_list_and_two_segments(reset_primes):
+    # One reused bool segment (1 MB) and a quarter segment's indices at a
+    # time go into the one int64 list, cut in place to its 664,579 primes:
+    # the list plus two segments' bytes bound the peak, where the whole odd
+    # sieve (5 MB of bools at 10^7) and its indices sat beside the list.
+    prime_array(10**5)  # numpy's first calls, out of the trace
+    reset_primes()
+    peak = _traced_peak(lambda: prime_array(10**7))
+    assert peak <= 8 * 664_579 + 2 * arith._ODD_SEGMENT, peak
+    held = arith._held[1]
+    assert held.base is None and held.nbytes == 8 * 664_579 and not held.flags.writeable
+
+
+def test_cold_constant_set_holds_its_list_two_sum_blocks_and_a_segment(reset_primes):
+    # logp_sum forms and sums its terms a block of _SUM_BLOCK primes at a
+    # time: with the enumerator's segment that bounds the peak over the held
+    # list, where two float copies of all the primes (5.3 MB each) did.
+    constant_set(10**5)  # numpy's first calls and euler_gamma, out of the trace
+    reset_primes()
+    peak = _traced_peak(lambda: constant_set(10**7))
+    assert peak <= 8 * 664_579 + 2 * 8 * constants._SUM_BLOCK + arith._ODD_SEGMENT, peak
+
+
 # tracemalloc peak of the cold logp_sum(10**6) below at the parent of the
 # change that brought in _exact_sum and the wheel sieve: the cached primes,
 # their float copy and the terms (3 x 627,984 bytes) and 849 bytes of objects.
@@ -351,30 +403,50 @@ _RNG = np.random.default_rng(2008)
 _WIDE = _RNG.standard_normal(5000) * 10.0 ** _RNG.integers(-300, 300, 5000)
 
 
+def _split(t, cuts):
+    """t cut into arrays at the drawn cuts (taken mod t.size + 1, so some arrays may be empty)."""
+    return np.split(t, sorted(c % (t.size + 1) for c in cuts))
+
+
+def _exact_sum_of(*arrays):
+    """_exact_sum of the stream of arrays, each given as a fresh copy at every call of the stream."""
+    return constants._exact_sum(lambda: (a.copy() for a in arrays))
+
+
+_CUTS = st.lists(st.integers(0, 2 * 10**4), max_size=6)
+
+
 @settings(deadline=None)
-@given(_float_arrays())
-@example(_RNG.permutation(np.concatenate([_WIDE, -_WIDE, [1.0, 5e-324]])))  # every exponent, cancelled
-@example(_RNG.standard_normal(10**4) * 1e300)
-@example(_RNG.uniform(-(2.0**-1022), 2.0**-1022, 10**4))  # subnormals
+@given(_float_arrays(), _CUTS)
+@example(_RNG.permutation(np.concatenate([_WIDE, -_WIDE, [1.0, 5e-324]])), [1, 5000, 5000])  # every exponent, cancelled
+@example(_RNG.standard_normal(10**4) * 1e300, [9999])
+@example(_RNG.uniform(-(2.0**-1022), 2.0**-1022, 10**4), [])  # subnormals
 # 2^13 terms of one sign just below 2: the level sum nears 2^(k - 1), so a grid 8 times finer rounds it
-@example(np.random.default_rng(3).uniform(2 - 2.0**-10, 2, 2**13))
-def test_exact_sum_is_fsum_bit_for_bit(t):
+@example(np.random.default_rng(3).uniform(2 - 2.0**-10, 2, 2**13), [4096])
+def test_exact_sum_is_fsum_bit_for_bit(t, cuts):
     want = _outcome(lambda: math.fsum(t))
-    assert _outcome(lambda: constants._exact_sum(t.copy())) == want
+    assert _outcome(lambda: _exact_sum_of(t)) == want
+    # the same terms as a stream of several arrays of drawn lengths, and
     # blocks of 1, 3 and 64 terms, each summed in levels of its own
+    parts = _split(t, cuts)
+    assert _outcome(lambda: _exact_sum_of(*parts)) == want
     for block in (1, 3, 64):
         with mock.patch.object(constants, "_SUM_BLOCK", block):
-            assert _outcome(lambda: constants._exact_sum(t.copy(), work=np.empty_like(t))) == want, block
+            assert _outcome(lambda: _exact_sum_of(t)) == want, block
+            assert _outcome(lambda: _exact_sum_of(*parts)) == want, block
 
 
 @settings(deadline=None)
-@given(_float_arrays(extra=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3)))
-def test_exact_sum_leaves_non_finite_terms_to_fsum(t):
-    # a non-finite term sends the whole array to math.fsum before any level
-    # overwrites it: the same value or exception, and the array untouched
+@given(_float_arrays(extra=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=3)), _CUTS)
+def test_exact_sum_leaves_non_finite_terms_to_fsum(t, cuts):
+    # a non-finite term sends the whole stream to math.fsum: the same value
+    # or exception, and a single array is left untouched, since its terms
+    # are checked before any level overwrites them
+    want = _outcome(lambda: math.fsum(t))
     got = t.copy()
     with mock.patch.object(constants, "_SUM_BLOCK", 3):
-        assert _outcome(lambda: constants._exact_sum(got)) == _outcome(lambda: math.fsum(t))
+        assert _outcome(lambda: constants._exact_sum(lambda: (got,))) == want
+        assert _outcome(lambda: _exact_sum_of(*_split(t, cuts))) == want
     assert got.tobytes() == t.tobytes()
 
 
@@ -394,9 +466,26 @@ def test_exact_sum_edge_cases():
         [0.1] * 10,
     ):
         t = np.array(terms, dtype=np.float64)
+        want = _outcome(lambda: math.fsum(t))
         for block in (1, constants._SUM_BLOCK):
             with mock.patch.object(constants, "_SUM_BLOCK", block):
-                assert _outcome(lambda: constants._exact_sum(t.copy())) == _outcome(lambda: math.fsum(t)), terms
+                assert _outcome(lambda: _exact_sum_of(t)) == want, terms
+                # one array per term, and the terms behind an empty array
+                assert _outcome(lambda: _exact_sum_of(*t.reshape(-1, 1))) == want, terms
+                assert _outcome(lambda: _exact_sum_of(t[:0], t)) == want, terms
+    # the bound counts every term seen so far: 2^12 terms of 2^1006 pass it
+    # alone and twice over (levels: one call of the stream), but a third
+    # array of them takes the stream to math.fsum (a second call)
+    big = np.full(2**12, 2.0**1006)
+    for arrays, want, calls in (((big,), 2.0**1018, 1), ((big, big), 2.0**1019, 1), ((big, big, -big), 2.0**1018, 2)):
+        made = []
+
+        def stream():
+            made.append(1)
+            return (a.copy() for a in arrays)
+
+        assert constants._exact_sum(stream) == math.fsum(np.concatenate(arrays)) == want
+        assert len(made) == calls, len(arrays)
 
 
 def test_constants_bitwise_against_direct_formulas():
