@@ -38,6 +38,7 @@ import bisect
 import math
 import numbers
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,7 +119,7 @@ _PRIMORIAL = 2 * math.prod(_WHEEL_PRIMES)
 _WHEEL = _PRIMORIAL // 2
 
 
-def _odd_segments(cutoff: int):
+def _odd_segments(cutoff: int) -> Iterator[tuple[int, np.ndarray]]:
     """The odd-only sieve of prime_array, one struck segment at a time.
 
     Yields (lo, odd) for lo = 0, _ODD_SEGMENT, ... below (cutoff + 1) // 2:
