@@ -23,7 +23,8 @@ Provides:
   theta (Lambda with the prime powers set to 0; theta is not stored), less a
   model table when one is given.  ArithTables.theta, the progression sums,
   the band residuals and the theorem-3 residual square all come from it,
-  and the bucket sums of theta read it a chunk at a time
+  and the bucket sums of theta, the streamed band residual and the
+  theorem-3 column sums (into one reused buffer) read it a chunk at a time
 - theta_progression / psi_progression: log-weighted prime (power) sums in a
   residue class, theta(x, d, b) = sum of log p over primes p <= x, p = b (mod d)
 - factorize / divisors / is_squarefree: exact divisor work backed by the sieve
@@ -393,7 +394,14 @@ def _norm_residue(b: int, d: int) -> int:
     return 0 if b == d else b
 
 
+def _check_integer(name: str, value: int) -> None:
+    """A bound that slices or counts: an integer, numpy's included, never a float of integral value."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_x(x: int, tables: ArithTables) -> None:
+    _check_integer("x", x)
     if x < 0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if x > tables.limit:
@@ -401,7 +409,8 @@ def _check_x(x: int, tables: ArithTables) -> None:
 
 
 def _weight(
-    tables: ArithTables, x: int, theta: bool, b: int = 0, d: int = 1, model: np.ndarray | None = None
+    tables: ArithTables, x: int, theta: bool, b: int = 0, d: int = 1, model: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lambda(n), less model[n] when a model is given, at n = b, b + d, ... <= x.
 
@@ -410,11 +419,12 @@ def _weight(
     same entries of a stored theta table (less the model) bit for bit,
     signed zeros included.  Lambda alone (theta false, no model) is a
     read-only view of tables.lam; anything else is a fresh array of the
-    class's entries.  The caller checks x, b and d.
+    class's entries, or, with a model and out given, the first entries of
+    out, written in place and returned.  The caller checks x, b and d.
     """
     w = tables.lam[b : x + 1 : d]
     if model is not None:
-        w = w - model[b : x + 1 : d]
+        w = np.subtract(w, model[b : x + 1 : d], out=None if out is None else out[: len(w)])
     elif theta:
         w = w.copy()
     if theta:

@@ -49,7 +49,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import __version__
-from .arith import ArithTables, _check_limit, build_sieve, build_tables, prime_array
+from .arith import ArithTables, _check_limit, _weight, build_sieve, build_tables, prime_array
 from .constants import (
     ConstantSet,
     ProductKind,
@@ -562,8 +562,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         x, r = _require_x(cfg), _resolve_r(cfg)
         tables, fr = _set_up(derived, x, r)
         lam, t = tables.lam[1 : x + 1].tolist(), fr.table()[1 : x + 1].tolist()
+        delta = _weight(tables, x, False, 1, model=fr.table()).tolist()
         columns = ["n", "lambda", "fr", "delta"]
-        rows = [{"n": n, "lambda": a, "fr": b, "delta": a - b} for n, a, b in zip(range(1, x + 1), lam, t)]
+        rows = [{"n": n, "lambda": a, "fr": b, "delta": c} for n, a, b, c in zip(range(1, x + 1), lam, t, delta)]
     elif cfg.command == "theorem3":
         x, r = _require_x(cfg), _resolve_r(cfg)
         if r > x ** (1.0 / 3.0) * (1 + 1e-12):

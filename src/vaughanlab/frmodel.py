@@ -42,6 +42,7 @@ from .arith import (
     TableRangeError,
     _PRIMORIAL,
     _SEGMENT,
+    _check_integer,
     _check_x,
     _norm_residue,
     divisors,
@@ -185,9 +186,9 @@ class FRConfig:
       table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
     - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
       sums of the residual square per (x, row length m), from which
-      variance.delta_sq_progression reads each class N mod v of more than
-      64 terms as the sum of the m/v columns N mod v, N mod v + v, ...; the
-      sums of all d classes of a bucket-route modulus d per (x, weight, d),
+      variance.delta_sq_progression reads each class N mod v as the sum of
+      the m/v columns N mod v, N mod v + v, ...; the sums of all d classes
+      of a bucket-route modulus d per (x, weight, d),
       from which every band on the config selects the classes it keeps (a
       band holds the sums it builds only where they all fit beside the
       values held, so it evicts nothing);
@@ -202,9 +203,7 @@ class FRConfig:
     the theorem-3 column sums derive the residual Lambda(n) - F_R(n) from
     Lambda and the table a chunk at a time, as they read it front to back;
     a lag-route band, whose transform takes the whole row, derives it over
-    [0, x] for itself and drops it.  A theorem-3 class of at most 64 terms
-    reads the table if it is built, else F_R at its own points (_fr_at),
-    and builds neither.
+    [0, x] for itself and drops it.
 
     Every array it hands out (the weights, the table, the sums and the row
     parts) is read-only.  Both caches refer to arrays or to the tables,
@@ -286,19 +285,6 @@ class FRConfig:
         return self._table
 
 
-def _fr_at(n: np.ndarray, cfg: FRConfig) -> np.ndarray:
-    """F_R at the points n >= 1, bit for bit the table's entries there, without the table.
-
-    Each point gets coef[d] for every d | n in ascending d, from 0.0, the
-    adds FRConfig.table makes at its entry; one masked add per d <= R with
-    coef[d] != 0.
-    """
-    out = np.zeros(len(n))
-    for d in np.flatnonzero(cfg._coef):
-        out[n % d == 0] += cfg._coef[d]
-    return out
-
-
 def fr_value(n: int, cfg: FRConfig) -> float:
     """F_R(n) by the divisor-form fast route; divisors checks 1 <= n <= limit."""
     s = 0.0
@@ -362,7 +348,9 @@ def rho(x: int, d: int, b: int, cfg: FRConfig) -> float:
 
 
 def _check_class(v: int, N: int, limit: int) -> None:
-    """The class n = N (mod v) over tables to limit: 1 <= v <= limit and N >= 0."""
+    """The class n = N (mod v) over tables to limit: integers with 1 <= v <= limit and N >= 0."""
+    _check_integer("v", v)
+    _check_integer("N", N)
     if not 1 <= v <= limit:
         raise ValueError(f"v must satisfy 1 <= v <= {limit}, got {v}")
     if N < 0:

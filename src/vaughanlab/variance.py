@@ -41,11 +41,16 @@ a prime row holds only the powers of p, so its band is an exact sum over
 pairs of them.  The band width alone picks the route (_lag_route); the bucket
 route stays as the oracle the tests compare the lag route against.  Nothing
 x-sized is kept: the bucket route (_stream_sums) and the theorem-3 column
-sums (_column_sums) derive the residual, or its square, a chunk at a time
+sums (_column_sums) derive the residual (arith._weight, the one place that
+subtracts the F_R table from Lambda), or its square, a chunk at a time
 where they read it front to back; BDH's raw theta reaches the bucket route
 at d = 1 a chunk at a time from Lambda (_pairwise), in the order of the sums
 of a copy; the lag route, whose transform takes the whole row, derives the
 residual (or copies theta) for the band alone.
+
+The theorem-3 second moment of a class n = N (mod v) has one route, short
+class or long: the sum of its columns of the held column sums of the
+residual square in rows of a length that v divides (delta_sq_progression).
 
 Determinism: on the bucket route each modulus contributes a float computed by
 a fixed sequence of array operations, worker threads never share
@@ -72,9 +77,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import ArithTables, FactorSieve, _PRIMORIAL, _check_x, _weight, divisors, factorize
+from .arith import ArithTables, FactorSieve, _PRIMORIAL, _check_integer, _check_x, _weight, divisors, factorize
 from .constants import _SUM_BLOCK, ConstantSet, ProductKind, _exact_sum, restricted_product
-from .frmodel import FRConfig, _check_r, _class_start, _fr_at, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
 
 __all__ = [
     "Mode",
@@ -114,6 +119,7 @@ class RestrictionMode:
     N: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("N", self.N)
         if self.mode is Mode.SHIFT_COPRIME and self.N < 1:
             raise ValueError("SHIFT_COPRIME requires N >= 1")
         if self.N >= 2**63:
@@ -380,6 +386,19 @@ def _passes(moduli: list[int], budget: int) -> Iterator[list[int]]:
         yield group
 
 
+# Fewest moduli a worker takes from a split bucket-route pass.  Each worker
+# derives the residual again, and workers that add small chunks hand the GIL
+# back and forth, so a pass split into small shares costs more than one
+# worker.  Whole ALL bands, R = 50, median of 5 on a 2-core Xeon (KVM),
+# threads=2 over threads=1, shares of 1, 2, 4 and 8 moduli: d near 10^5 at
+# x = 10^7 1.26, 1.24, 0.84, 0.78; d <= 16 at 10^7 1.10, 0.89, 0.69, 0.62;
+# d near 10^5 at 10^6 1.13 (4), 0.72 (8); d near 3162 at 10^7 1.67 (1),
+# 1.53 (4), 1.88 (8).  Shares of 8 gained on every band of d <= 100 or
+# d >= 5 * 10^4 measured; between those, where a chunk holds a few rows of
+# a few thousand entries, a split pass loses at any share size.
+_SHARE_MODULI = 8
+
+
 def _fr_band_sum(
     moduli: range, x: int, weight: Weight, restriction: RestrictionMode, cfg: FRConfig, threads: int
 ) -> float:
@@ -388,11 +407,12 @@ def _fr_band_sum(
     cfg's _sums keeps the column sums of all d classes of a modulus under
     (x, weight, d), so the band reads the ones it finds and streams the
     residual for the rest (_stream_sums) in passes whose running sums add up
-    to at most x + 1 values, the size of the residual; with threads >= 2
-    each worker streams the pass for its own share of the moduli.  The new
-    sums are held only where they all fit beside what _sums holds, so a band
-    evicts nothing another caller left there; once _sums is full, a later
-    band streams its moduli again.
+    to at most x + 1 values, the size of the residual; with threads >= 2 a
+    pass of at least 2 _SHARE_MODULI moduli is split, and each worker
+    streams it for its own share of them.  The new sums are held only where
+    they all fit beside what _sums holds, so a band evicts nothing another
+    caller left there; once _sums is full, a later band streams its moduli
+    again.
     """
     theta, tables = weight is Weight.THETA, cfg.tables
     parts, missing = [], []
@@ -405,7 +425,7 @@ def _fr_band_sum(
     hold = cfg._sums.fits(sum(missing))
     stream = functools.partial(_stream_sums, tables, x, theta, cfg.table())
     for group in _passes(missing, x + 1):
-        workers = min(threads, len(group))
+        workers = min(threads, len(group) // _SHARE_MODULI)
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 shares = list(ex.map(stream, [group[i::workers] for i in range(workers)]))
@@ -424,9 +444,13 @@ def _fr_band_sum(
 # 2 MB here, less than the one-row transform of the whole residual needs at
 # x = 10^5.  Its rows fill at most half the FFT size, so _lag_weights counts
 # at most _BLOCK_ELEMENTS // 2 cells, about ln(width) multiples per cell.
-# The same size bounds _raw_sums' blocks of primes and the chunks of theta
-# and of the residual that _pairwise's leaves take (_raw_sums, _stream_sums),
-# so none of them builds an array of 8 bytes per prime or per n.
+# The same size bounds _raw_sums' blocks of primes, the chunks of theta and
+# of the residual that _pairwise's leaves take (_raw_sums, _stream_sums) and
+# the one buffer the theorem-3 column sums square the residual into, a chunk
+# of whole blocks of rows at a time (512 KB, within an L2 cache; at x = 10^6
+# the 12 passes of the squarefree v <= 60 took 0.022 s against 0.024 s at
+# 2^17 and 0.025 s at 2^15), or of one row where a row is longer; so none
+# of them builds an array of 8 bytes per prime or per n.
 _BLOCK_ELEMENTS = 1 << 16
 
 # Bands wider than this many moduli per log2(x) take the lag route.  Measured
@@ -592,8 +616,9 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
 
     The n that meet d are the powers of the primes p | d, so
     F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from the
-    tables' primes.  sum w is the exactly rounded sum of w at the primes
-    and the prime powers p^k <= x, k >= 2, the only n where w can be
+    tables' primes and their powers p^k <= x, k >= 2, from its prime_powers
+    (_support).  sum w is the exactly rounded sum of w at the primes and
+    the prime powers p^k <= x, k >= 2, the only n where w can be
     nonzero, gathered _SUM_BLOCK of them at a time (_exact_sum), so no
     x-sized mask and no array of 8 bytes per prime is built.  A prime
     above sqrt(x) has no higher power, and d <= q has at most one prime
@@ -607,13 +632,9 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
     first = np.full(q + 1, _exact_sum(lambda: (w[n] for n in cuts)))
     p = primes[: np.searchsorted(primes, q, side="right")]
     sub = w[p]
+    base = tables.sieve.spf[powers]
     for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
-        powers = []
-        pk = pi
-        while pk <= x:
-            powers.append(w[pk])
-            pk *= pi
-        sub[i] = math.fsum(powers)
+        sub[i] = math.fsum(w[[pi, *powers[base == pi]]])
     small = int(np.searchsorted(p, math.isqrt(q), side="right"))
     for pi, s in zip(p[:small].tolist(), sub[:small]):
         first[pi::pi] -= s
@@ -633,13 +654,14 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     mu(p) sum_{i, j} c(|p^(i - 1) - p^(j - 1)|) a[p^i] a[p^j], where
     c(m) = #{lo//p < f <= hi//p : f | m} and c(0) = hi//p - lo//p, summed
     exactly term by term.  A prime above sqrt(x) has K = 1, and all of them
-    take one vectorised step; each p <= sqrt(x) walks its powers and sums
-    the pairs of its nonzero entries (for theta, a[p] alone), with c(m)
-    read off divisors(m).  The phi(d) reduced classes then give
+    take one vectorised step; each p <= sqrt(x) reads its powers from the
+    tables' prime_powers (_support) and sums the pairs of its nonzero
+    entries (for theta, a[p] alone), with c(m) read off divisors(m).  The phi(d) reduced classes then give
     sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d).
     """
     x = len(a) - 1
-    primes = tables.sieve.primes()
+    primes, powers = _support(tables, x, False)
+    base = tables.sieve.spf[powers]
     p = primes[: np.searchsorted(primes, hi, side="right")]
     small = int(np.searchsorted(p, math.isqrt(x), side="right"))
     big = p[small:]
@@ -648,9 +670,7 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     terms = []
     for pi in p[:small].tolist():
         f_lo, f_hi = lo // pi, hi // pi
-        pk = [pi]
-        while pk[-1] * pi <= x:
-            pk.append(pk[-1] * pi)
+        pk = [pi, *powers[base == pi].tolist()]
         row = [(q // pi, a[q]) for q in pk if a[q]]  # (index p^(k - 1), a[p^k]), ascending
         for j, (n, v) in enumerate(row):
             for m, u in row[: j + 1]:
@@ -684,7 +704,8 @@ def _lag_band_sum(
     if restriction.mode is Mode.BDH:  # a holds the raw weight
         return _lag_band_bdh(a, lo, hi, tables), None, None
     parts = _lag_band_rows(a, lo, hi, restriction.shift, tables.mu, lone)
-    excluded = None if restriction.shift is None else math.fsum(np.concatenate(parts[:-1]))
+    # parts[:-1] is empty where the ladder holds e = 1 alone (Q = 1)
+    excluded = None if restriction.shift is None else math.fsum(np.concatenate([np.zeros(0), *parts[:-1]]))
     return math.fsum(np.concatenate(parts)), float(parts[-1][0]), excluded
 
 
@@ -697,7 +718,8 @@ def _lag_route(n_moduli: int, x: int) -> bool:
 
 
 def _check_band(x: int, q: int, q_low: float = 0.0) -> None:
-    """The band Q_low < d <= Q: 1 <= Q <= x and 0 <= Q_low < Q."""
+    """The band Q_low < d <= Q: an integer Q with 1 <= Q <= x, and 0 <= Q_low < Q."""
+    _check_integer("Q", q)
     if not 1 <= q <= x:
         raise ValueError(f"Q must satisfy 1 <= Q <= x, got Q = {q}, x = {x}")
     if not 0 <= q_low < q:
@@ -806,15 +828,8 @@ def _attach_prediction(run: VarianceRun, pred: Prediction) -> None:
 
 
 # Rows per block of the residual square's column sums: each column adds at
-# most this many rows naively before the block sums are added pairwise.  A
-# class of at most this many terms is summed where it lies instead.
+# most this many rows naively before the block sums are added pairwise.
 _BLOCK_ROWS = 64
-
-# Floats of the one buffer that the column sums square the residual into, a
-# chunk of whole blocks of rows at a time (512 KB, within an L2 cache; at
-# x = 10^6 the 12 passes of the squarefree v <= 60 took 0.022 s against
-# 0.024 s at 2^17 and 0.025 s at 2^15), or of one row where a row is longer.
-_SQUARE_ELEMENTS = 1 << 16
 
 
 def _row_length(x: int, v: int) -> int:
@@ -843,27 +858,27 @@ def _column_sums(x: int, m: int, cfg: FRConfig) -> np.ndarray:
     pass per column costs a cache line per element once 8 m bytes span a
     line.
 
-    Neither the residual nor its square is built whole: each chunk of
-    Lambda less the F_R table is taken and squared in one reused buffer of
-    _SQUARE_ELEMENTS floats.  A chunk holds as many whole blocks as fit,
+    Neither the residual nor its square is built whole: each chunk of the
+    psi residual is derived (_weight) and squared in one reused buffer of
+    _BLOCK_ELEMENTS floats.  A chunk holds as many whole blocks as fit,
     each summed as numpy sums the whole square's (a (k, 64, m) reduction
     over its rows); a block wider than the buffer is summed in groups of
     rows, each group's first row carrying the running sums of the rows
     before it, the adds numpy's row sum makes.
     """
-    table, lam = cfg.table(), cfg.tables.lam
+    table = cfg.table()
 
     def square(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """The residual square over [lo, hi) in out[: hi - lo]."""
-        out = np.subtract(lam[lo:hi], table[lo:hi], out=out[: hi - lo])
+        out = _weight(cfg.tables, hi - 1, False, lo, model=table, out=out)
         return np.multiply(out, out, out=out)
 
     full = (x + 1) // m
     whole = full // _BLOCK_ROWS
     blocks = np.empty((whole + (whole * _BLOCK_ROWS < full), m))
-    buf = np.empty(max(_SQUARE_ELEMENTS, m))
+    buf = np.empty(max(_BLOCK_ELEMENTS, m))
     span = _BLOCK_ROWS * m
-    per = _SQUARE_ELEMENTS // span  # whole blocks per chunk
+    per = _BLOCK_ELEMENTS // span  # whole blocks per chunk
     if per:
         for b in range(0, whole, per):
             e = min(b + per, whole)
@@ -871,7 +886,7 @@ def _column_sums(x: int, m: int, cfg: FRConfig) -> np.ndarray:
         if whole < len(blocks):
             np.sum(square(whole * span, full * m, buf).reshape(-1, m), axis=0, out=blocks[whole])
     else:
-        group = max(1, _SQUARE_ELEMENTS // m)  # rows per chunk
+        group = max(1, _BLOCK_ELEMENTS // m)  # rows per chunk
         for b in range(len(blocks)):
             first, stop = b * _BLOCK_ROWS, min((b + 1) * _BLOCK_ROWS, full)
             for lo in range(first, stop, group):
@@ -889,33 +904,20 @@ def _column_sums(x: int, m: int, cfg: FRConfig) -> np.ndarray:
 def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     """Sum of (Lambda(n) - F_R(n))^2 over n <= x, n = N (mod v).
 
-    A class of at most _BLOCK_ROWS terms (x < _BLOCK_ROWS v) takes its x/v
-    residuals from Lambda (_weight) and the config's F_R table, or, while
-    that is unbuilt, F_R at its own points (_fr_at, the table's entries bit
-    for bit); it squares them and returns their np.sum: it builds neither
-    the F_R table nor any residual and adds no cache entry, and in any
-    order each of its n <= 64 terms meets at most n - 1 roundings.  Any
-    other class reads the column sums of the row length
+    Every class reads the column sums of the row length
     m = _row_length(x, v), a multiple of v, from the blocked pass over the
-    residual square, a chunk at a time (_column_sums), and returns the
-    pairwise np.sum of its m/v columns N mod v, N mod v + v, ...:
-    the config keeps the m sums per (x, m), so all moduli that share a row
-    length cost one blocked pass, and a term meets at most
+    square of the psi residual, a chunk at a time (_column_sums), and
+    returns the pairwise np.sum of its m/v columns N mod v, N mod v + v,
+    ...: the config keeps the m sums per (x, m), so all moduli that share a
+    row length cost one blocked pass, and a term meets at most
     64 + log2(k) + log2(m/v) + 54 roundings, k the blocks of rows
     (_column_sums and the strided sum).  The summation order is fixed, so
     the result is deterministic, and, the terms being nonnegative, it is
     within that many units of 2^-53 of their sum of the math.fsum of the
-    same squares.  Either way a square is the square of the psi residual's
-    entry.
+    same squares.  A class of few terms costs the same pass, and the F_R
+    table, as a long one.
     """
-    start = _class_start(x, v, N, cfg.tables)
-    if x < _BLOCK_ROWS * v:
-        if cfg._table is None:
-            diff = _fr_at(np.arange(start, x + 1, v), cfg)
-            np.subtract(_weight(cfg.tables, x, False, start, v), diff, out=diff)
-        else:
-            diff = _weight(cfg.tables, x, False, start, v, cfg._table)
-        return float(np.multiply(diff, diff, out=diff).sum())
+    _class_start(x, v, N, cfg.tables)
     m = _row_length(x, v)
     rows = cfg._sums.get((x, m), lambda: _column_sums(x, m, cfg))
     return float(rows[N % v :: v].sum())

@@ -177,15 +177,28 @@ VARIANCE_SUM_MODES = [r for r in LAG_ORACLE_MODES if r.mode is not Mode.BDH]
 @pytest.mark.parametrize("weight", list(Weight))
 @pytest.mark.parametrize("restriction", LAG_ORACLE_MODES, ids=lambda r: f"{r.mode.value}-{r.N}")
 def test_lag_route_matches_bucket_route(cfg10_small, restriction, weight):
-    x = 2_000
-    w = _weight(cfg10_small.tables, x, weight is Weight.THETA)
-    arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
-    for q_low, q in LAG_ORACLE_BANDS:
+    # the bands at x = 2000, and every band Q = x <= 3, where the ladder of
+    # x = 1 holds the row e = 1 alone: there the entries themselves take the
+    # lag route, and a restricted band excludes nothing
+    tables = cfg10_small.tables
+    bands = [(2_000, q_low, q) for q_low, q in LAG_ORACLE_BANDS] + [(x, 0.0, x) for x in (1, 2, 3)]
+    for x, q_low, q in bands:
+        w = _weight(tables, x, weight is Weight.THETA)
+        arr = w if restriction.mode is Mode.BDH else w[: x + 1] - cfg10_small.table()[: x + 1]
         moduli = range(math.floor(q_low) + 1, q + 1)
-        want = _array_band_sum(moduli, x, arr, restriction, cfg10_small.tables)
-        got = _lag_band_sum(moduli, x, arr, restriction, cfg10_small.tables)[0]
+        want = _array_band_sum(moduli, x, arr, restriction, tables)
+        got = _lag_band_sum(moduli, x, arr, restriction, tables)[0]
         assert type(got) is float
-        assert got == approx(want, rel=1e-12), (q_low, q)
+        assert got == approx(want, rel=1e-12), (x, q_low, q)
+        if x > 3:
+            continue
+        assert _lag_route(q, x) == (x == 1)
+        if restriction.mode is Mode.BDH:
+            run = bdh_variance(x, q, tables, threads=1, weight=weight)
+        else:
+            run = variance_sum(x, q, cfg10_small, restriction, weight=weight, threads=1)
+            assert run.excluded_part == (0.0 if x == 1 and restriction.shift is not None else None)
+        assert run.empirical == approx(want, rel=1e-12), x
 
 
 def _autocorrelation(a):
@@ -1206,30 +1219,36 @@ _ROW_EDGE_X = tuple(
 )
 
 
-@pytest.mark.parametrize("square_elements", [None, 3 * 64 * 102 + 5, 500], ids=["default", "3blocks", "rows"])
+@pytest.mark.parametrize("block_elements", [None, 3 * 64 * 102 + 5, 500], ids=["default", "3blocks", "rows"])
 @pytest.mark.parametrize("held", [True, False, None], ids=["theta", "psi", "none"])
-def test_column_sums_from_the_held_residual_match_a_square(tables_1e5, held, square_elements, monkeypatch):
-    # the column sums, which square Lambda less the F_R table a chunk at a
+def test_column_sums_from_the_held_residual_match_a_square(tables_1e5, held, block_elements, monkeypatch):
+    # the column sums, which derive and square the psi residual a chunk at a
     # time, are those of the psi residual's square the test builds, bit for
     # bit, whether the config holds the class sums of a theta band, of a psi
     # band or nothing; a budget of 3 blocks of m = 102 batches 3 blocks per
     # chunk, and one of 500 floats sums every row length in groups of rows
-    # (m = 30030 a row at a time, in a buffer of one row)
-    if square_elements:
-        monkeypatch.setattr(variance, "_SQUARE_ELEMENTS", square_elements)
+    # (m = 30030 a row at a time, in a buffer of one row).  Every chunk is
+    # derived into the head of a buffer, never into a fresh array, and spans
+    # at most _BLOCK_ELEMENTS entries, or one row where a row is longer
+    if block_elements:
+        monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", block_elements)
     cfg = FRConfig(R=30.0, tables=tables_1e5)
     sq = tables_1e5.lam - cfg.table()
     np.multiply(sq, sq, out=sq)
-    builds = _residual_builds(monkeypatch)
+    chunks = []
+    builds = _residual_builds(monkeypatch, into=chunks)
     for m, x in _ROW_EDGE_X:
         if held is not None:
             weight = Weight.THETA if held else Weight.PSI
             variance_sum(x, 2, cfg, RestrictionMode(Mode.ALL), weight=weight, q_low=1.0, threads=1)
             assert cfg._sums.held((x, weight, 2)) is not None
         builds.clear()
+        chunks.clear()
         got = variance._column_sums(x, m, cfg)
         assert got.tobytes() == _reference_column_sums(sq[: x + 1], m).tobytes(), (m, x)
-        assert not builds  # no residual is derived: the chunks are Lambda less the table
+        assert not builds
+        assert chunks and all(not theta and into for theta, _, _, into in chunks), (m, x)
+        assert max(hi + 1 - lo for _, lo, hi, _ in chunks) <= max(variance._BLOCK_ELEMENTS, m), (m, x)
 
 
 def test_class_sums_after_a_band_hold_no_square(cfg10_2e20):
@@ -1260,7 +1279,7 @@ def _blocked_roundings(x: int, v: int) -> int:
     # it by at most gamma_n S = n u S / (1 - n u), below (n + 1) u S here.
     m = variance._row_length(x, v)
     k = -(-((x + 1) // m) // 64)  # blocks of 64 full rows, the leftover rows one more
-    return 63 + math.ceil(math.log2(k)) + 26 + 1 + math.ceil(math.log2(m // v)) + 26 + 1
+    return 63 + math.ceil(math.log2(max(k, 1))) + 26 + 1 + math.ceil(math.log2(m // v)) + 26 + 1
 
 
 def _pairwise_roundings(n: int) -> int:
@@ -1284,42 +1303,6 @@ def test_row_lengths_serve_squarefree_v_up_to_60_in_12_passes():
 # x = 64 v - 1 (v = 1001 and 323), and moduli past x (x = 200)
 _EDGE_X = (6526, 6527, 6528, 22654, 22655, 22656, 20_000, 64_063, 64_064, 20_671, 20_672, 1000, 200)
 
-
-def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
-    # the blocked column sums agree with the strided pairwise sum of the class
-    # they replaced, and with math.fsum, within the bounds of the two
-    # summation orders (_blocked_roundings, _pairwise_roundings)
-    cfg = FRConfig(R=50.0, tables=tables_1e5)
-    table = cfg.table()
-    table_before = table.copy()
-    u = 2.0**-53
-    for x in (tables_1e5.limit, 98_765, *_EDGE_X):
-        for v in (1, 2, 6, 17, 30, 34, 51, 59, 210, 323, 1001):
-            for N in sorted({0, 1, v - 1, v, v + 1}):
-                got = delta_sq_progression(x, v, N, cfg)
-                start = N % v or v
-                dv = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
-                np.multiply(dv, dv, out=dv)
-                strided, exact = float(np.sum(dv)), math.fsum(dv)
-                if x < variance._BLOCK_ROWS * v:  # at most 64 terms: their strided sum itself
-                    assert len(dv) <= variance._BLOCK_ROWS, (x, v, N)
-                    assert got == strided, (x, v, N)
-                    # n terms in any order meet at most n - 1 roundings each
-                    assert abs(got - exact) <= len(dv) * u * exact, (x, v, N)
-                    continue
-                blocked = _blocked_roundings(x, v)
-                assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
-                assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
-    # the class sums hold their column sums, read-only, under (x, m), and no square
-    assert all(len(key) == 2 and not a.flags.writeable for key, a in cfg._sums._arrays.items())
-    assert cfg.table() is table
-    assert np.array_equal(table, table_before)
-    # a class of at most 64 terms is summed where it lies and kept nowhere
-    fresh = FRConfig(R=50.0, tables=tables_1e5)
-    delta_sq_progression(tables_1e5.limit, 2003, 1, fresh)
-    assert not fresh._sums._arrays
-
-
 # (x, v, N) classes of at most 64 terms (x < 64 v, v squarefree): the last
 # ones at x = 64 v - 1, one term, one past x (empty), and every N mod v
 _SHORT_CLASSES = (
@@ -1328,48 +1311,31 @@ _SHORT_CLASSES = (
 )
 
 
-def test_short_class_squares_its_own_residuals(tables_1e5):
-    # a class of at most 64 terms equals, bit for bit, the strided sum of
-    # the whole residual square, and neither builds that square nor caches
+def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
+    # the blocked column sums agree with the strided pairwise sum of the class
+    # they replaced, and with math.fsum, within the bounds of the two
+    # summation orders (_blocked_roundings, _pairwise_roundings), for long
+    # classes and for classes of at most 64 terms alike
     cfg = FRConfig(R=50.0, tables=tables_1e5)
-    sq = tables_1e5.lam - cfg.table()
-    np.multiply(sq, sq, out=sq)
-    for x, v, N in _SHORT_CLASSES:
-        assert x < variance._BLOCK_ROWS * v and tables_1e5.mu[v] != 0, (x, v)
+    table = cfg.table()
+    table_before = table.copy()
+    u = 2.0**-53
+    classes = [(x, v, N) for x in (tables_1e5.limit, 98_765, *_EDGE_X)
+               for v in (1, 2, 6, 17, 30, 34, 51, 59, 210, 323, 1001) for N in sorted({0, 1, v - 1, v, v + 1})]
+    for x, v, N in classes + list(_SHORT_CLASSES):
+        got = delta_sq_progression(x, v, N, cfg)
         start = N % v or v
-        want = float(sq[start : x + 1 : v].sum())
-        assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
-    assert not cfg._sums._arrays
-
-
-def test_short_class_holds_only_its_terms(tables_1e5):
-    # with the F_R table built, as every theorem3 run builds it, a class of
-    # at most 64 terms allocates its x/v residuals and a few objects, not
-    # the 8 bytes per n of the residual square
-    cfg = FRConfig(R=50.0, tables=tables_1e5)
-    cfg.table()
-    for x, v, N in _SHORT_CLASSES:
-        tracemalloc.start()
-        try:
-            delta_sq_progression(x, v, N, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * (x // v + 1) + 4096, (x, v, N, peak)
-
-
-def test_short_class_builds_no_fr_table(tables_1e5):
-    # on a fresh config a class of at most 64 terms reads F_R at its own
-    # points: no table is built, and the sum is the table route's bit for bit
-    cfg, table_cfg = FRConfig(R=50.0, tables=tables_1e5), FRConfig(R=50.0, tables=tables_1e5)
-    table = table_cfg.table()
-    for x, v, N in _SHORT_CLASSES:
-        start = N % v or v
-        diff = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
-        want = float((diff * diff).sum())
-        assert delta_sq_progression(x, v, N, cfg).hex() == want.hex(), (x, v, N)
-        assert np.array_equal(frmodel._fr_at(np.arange(start, x + 1, v), cfg), table[start : x + 1 : v])
-    assert cfg._table is None
+        dv = tables_1e5.lam[start : x + 1 : v] - table[start : x + 1 : v]
+        np.multiply(dv, dv, out=dv)
+        strided, exact = float(np.sum(dv)), math.fsum(dv)
+        blocked = _blocked_roundings(x, v)
+        assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
+        assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
+    # the class sums hold their column sums, read-only, under (x, m), and no square
+    assert all(len(key) == 2 and not a.flags.writeable for key, a in cfg._sums._arrays.items())
+    assert (10**5, variance._row_length(10**5, 2003)) in cfg._sums._arrays
+    assert cfg.table() is table
+    assert np.array_equal(table, table_before)
 
 
 def test_theorem3_record_holds_the_divisors_and_their_max_pairs():
@@ -1391,12 +1357,14 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
     # every class of the squarefree v <= 60 costs 12 blocked passes over
     # Lambda and the F_R table, one per row length, kept on the config under
     # (x, m) and nothing else, and each class is read from its row length's
-    # sums; no residual array is derived
+    # sums; every chunk of the residual is derived into a buffer of at most
+    # _BLOCK_ELEMENTS entries, no residual array afresh
     calls = Counter()
     column_sums = variance._column_sums
     monkeypatch.setattr(variance, "_column_sums", lambda x, m, cfg: calls.update([m]) or column_sums(x, m, cfg))
     cfg = FRConfig(R=30.0, tables=tables_1e5)
-    builds = _residual_builds(monkeypatch)
+    chunks = []
+    builds = _residual_builds(monkeypatch, into=chunks)
     moduli = _squarefree_up_to(60)
     for _ in range(2):
         for v in moduli:
@@ -1407,6 +1375,7 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
     assert len(calls) == 12
     assert sorted(cfg._sums._arrays) == sorted((98_765, m) for m in rows)
     assert builds == []
+    assert all(into and hi + 1 - lo <= variance._BLOCK_ELEMENTS for _, lo, hi, into in chunks)
 
 
 def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
@@ -1429,8 +1398,8 @@ def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
 
 
 def test_long_classes_read_strided_equal_contiguous_fold(tables_1e5):
-    # a class of more than 64 terms, read as the strided sum of its m/v
-    # column sums, equals bit for bit the fold of those sums into v class
+    # every class, of a few terms or many, read as the strided sum of its
+    # m/v column sums, equals bit for bit the fold of those sums into v class
     # sums along a contiguous axis, the order the config kept before; the
     # sums come from the test's own square.  At x = 19,999 every v whose
     # primes are at most 13 falls back to m = v; from 30,029 on those take
@@ -1441,8 +1410,6 @@ def test_long_classes_read_strided_equal_contiguous_fold(tables_1e5):
     moduli = _squarefree_up_to(60) + [323, 1001]
     for x in (19_999, 30_029, 98_765):
         for v in moduli:
-            if x < variance._BLOCK_ROWS * v:
-                continue
             m = variance._row_length(x, v)
             if 30030 % v == 0:
                 assert m == (v if x < 30029 else 30030), (x, v)
@@ -1721,6 +1688,21 @@ def test_theta_chunks_match_a_theta_copy(cfg10_2e20, x):
             assert bdh_variance(x, q, tables, threads=1, weight=weight).empirical.hex() == want.hex(), (weight, q)
 
 
+@pytest.mark.parametrize("x", CHUNK_EDGE_X)
+def test_weight_into_a_buffer_matches_a_fresh_array(cfg10_2e20, x):
+    # the residual of theta or psi derived into a buffer (out=) is the
+    # freshly allocated one bit for bit, from 0 or from inside [0, x], at the
+    # head of the buffer, and the rest of the buffer is left as it was
+    tables, table = cfg10_2e20.tables, cfg10_2e20.table()
+    for theta in (True, False):
+        for b in (0, 1, x // 2):
+            want = _weight(tables, x, theta, b, model=table)
+            buf = np.full(x + 8, np.nan)
+            got = _weight(tables, x, theta, b, model=table, out=buf)
+            assert got.ctypes.data == buf.ctypes.data and got.tobytes() == want.tobytes(), (theta, b)
+            assert np.isnan(buf[len(want) :]).all(), (theta, b)
+
+
 @pytest.mark.parametrize("block", [128, 200, 1_000])
 def test_theta_chunks_match_a_theta_copy_in_small_chunks(cfg10_2e20, block):
     # chunks and blocks of primes of a few hundred entries: many leaves of
@@ -1780,7 +1762,7 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
     x = data.draw(
         st.one_of(
             st.integers(0, tables.limit),
-            st.integers(0, max(0, d - 2)),
+            st.integers(0, max(0, min(d - 2, tables.limit))),
             st.integers(1, tables.limit // d + 1).map(lambda k: min(k * d - 1, tables.limit)),
             st.sampled_from([e for e in CHUNK_EDGE_X if e <= tables.limit]),
         ),
@@ -1803,6 +1785,30 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
     assert [[None if a is None else a.tobytes() for a in arrs] for _, arrs in runs] == [
         [_bucket_sums(stored, x, d).tobytes() if sum(band) <= frmodel._SUM_CACHE else None for d in band]
     ] * 2
+
+
+def test_a_pass_is_split_only_into_shares_of_enough_moduli(tables_1e5, monkeypatch):
+    # with threads=2 a bucket-route pass goes to two workers only where each
+    # takes _SHARE_MODULI moduli; either way the band is one worker's bit for bit
+    x, k = 99_991, variance._SHARE_MODULI
+    passes = []
+    stream_sums = variance._stream_sums
+
+    def spy(tables, x, theta, table, moduli):
+        passes.append(len(moduli))
+        return stream_sums(tables, x, theta, table, moduli)
+
+    monkeypatch.setattr(variance, "_stream_sums", spy)
+    for n, shares in ((2 * k - 1, [2 * k - 1]), (2 * k, [k, k])):
+        assert not _lag_route(n, x)
+        runs = []
+        for threads in (2, 1):
+            passes.clear()
+            cfg = FRConfig(R=20.0, tables=tables_1e5)
+            runs.append(variance_sum(x, 999 + n, cfg, RestrictionMode(Mode.ALL), q_low=999.0, threads=threads))
+            if threads == 2:
+                assert sorted(passes) == shares, n
+        assert runs[0].empirical.hex() == runs[1].empirical.hex(), n
 
 
 def test_a_band_that_fits_alone_keeps_the_column_sums(tables_1e5, monkeypatch):
@@ -1904,15 +1910,21 @@ def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
         assert peak <= bound, (weight, peak)
 
 
-def _residual_builds(monkeypatch):
-    """(theta, lo, hi) of each run [lo, hi] of the residual derived from a model, in order."""
+def _residual_builds(monkeypatch, into=None):
+    """(theta, lo, hi) of each run [lo, hi] of the residual derived from a model into a fresh
+    array, in order; the runs derived into a given buffer go to the list into, as
+    (theta, lo, hi, whether the result is the head of that buffer)."""
     builds = []
     weight = variance._weight
 
-    def spy(tables, x, theta, b=0, d=1, model=None):
+    def spy(tables, x, theta, b=0, d=1, model=None, out=None):
+        w = weight(tables, x, theta, b, d, model, out)
         if model is not None and d == 1:
-            builds.append((theta, b, x))
-        return weight(tables, x, theta, b, d, model)
+            if out is None:
+                builds.append((theta, b, x))
+            elif into is not None:
+                into.append((theta, b, x, w.ctypes.data == out.ctypes.data))
+        return w
 
     monkeypatch.setattr(variance, "_weight", spy)
     return builds
@@ -1981,7 +1993,8 @@ def test_each_band_derives_the_residual_to_its_own_x(cfg10_2e20, monkeypatch):
 def test_bands_and_class_sums_interleaved_match_fresh_configs(tables_1e5, monkeypatch):
     # band, class sums, band, class sums on one config: every value is that
     # of fresh configs bit for bit; each band streams its residual once and
-    # the class sums derive none, whatever weight the band before them took
+    # the class sums derive theirs into a buffer only, whatever weight the
+    # band before them took
     band, coprime = (900.0, 960), RestrictionMode(Mode.COPRIME)
     steps = ((Weight.THETA, 99_991), (Weight.PSI, 99_997))
 
