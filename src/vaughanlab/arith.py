@@ -395,8 +395,12 @@ def _norm_residue(b: int, d: int) -> int:
 
 
 def _check_integer(name: str, value: int) -> None:
-    """A bound that slices or counts: an integer, numpy's included, never a float of integral value."""
-    if not isinstance(value, numbers.Integral):
+    """A bound that slices or counts: an integer, numpy's included, never a float of integral value.
+
+    A plain int is let through before the numbers.Integral test, which
+    costs about 0.4 us for one (a theorem-3 class checks three).
+    """
+    if type(value) is not int and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

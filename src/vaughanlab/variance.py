@@ -277,6 +277,16 @@ def _support(tables: ArithTables, x: int, theta: bool) -> tuple[np.ndarray, np.n
     return primes[: np.searchsorted(primes, x, side="right")], powers[:n_powers]
 
 
+def _power_runs(tables: ArithTables, x: int) -> dict[int, list[int]]:
+    """p -> [p, p^2, ..., p^K], the powers p^k <= x of each prime p <= sqrt(x), ascending, read
+    from the tables' prime_powers (_support) and their smallest prime factors."""
+    runs: dict[int, list[int]] = {}
+    _, powers = _support(tables, x, False)
+    for pk, p in zip(powers.tolist(), tables.sieve.spf[powers].tolist()):
+        runs.setdefault(p, [p]).append(pk)
+    return runs
+
+
 def _raw_sums(tables: ArithTables, x: int, d: int, theta: bool) -> np.ndarray:
     """_bucket_sums of the raw weight (theta, or psi = Lambda) over [0, x] at all d classes,
     bit for bit, read from where the weight lives.
@@ -616,8 +626,8 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
 
     The n that meet d are the powers of the primes p | d, so
     F(d) = sum w - sum_{p | d} sum_k w[p^k], with the p | d read from the
-    tables' primes and their powers p^k <= x, k >= 2, from its prime_powers
-    (_support).  sum w is the exactly rounded sum of w at the primes and
+    tables' primes and their powers p^k <= x from its prime_powers
+    (_power_runs).  sum w is the exactly rounded sum of w at the primes and
     the prime powers p^k <= x, k >= 2, the only n where w can be
     nonzero, gathered _SUM_BLOCK of them at a time (_exact_sum), so no
     x-sized mask and no array of 8 bytes per prime is built.  A prime
@@ -632,9 +642,9 @@ def _coprime_first_moments(w: np.ndarray, q: int, tables: ArithTables) -> np.nda
     first = np.full(q + 1, _exact_sum(lambda: (w[n] for n in cuts)))
     p = primes[: np.searchsorted(primes, q, side="right")]
     sub = w[p]
-    base = tables.sieve.spf[powers]
+    runs = _power_runs(tables, x)
     for i, pi in enumerate(p[: np.searchsorted(p, math.isqrt(x), side="right")].tolist()):
-        sub[i] = math.fsum(w[[pi, *powers[base == pi]]])
+        sub[i] = math.fsum([w[pk] for pk in runs[pi]])
     small = int(np.searchsorted(p, math.isqrt(q), side="right"))
     for pi, s in zip(p[:small].tolist(), sub[:small]):
         first[pi::pi] -= s
@@ -655,13 +665,12 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     c(m) = #{lo//p < f <= hi//p : f | m} and c(0) = hi//p - lo//p, summed
     exactly term by term.  A prime above sqrt(x) has K = 1, and all of them
     take one vectorised step; each p <= sqrt(x) reads its powers from the
-    tables' prime_powers (_support) and sums the pairs of its nonzero
+    tables' prime_powers (_power_runs) and sums the pairs of its nonzero
     entries (for theta, a[p] alone), with c(m) read off divisors(m).  The phi(d) reduced classes then give
     sum (S_b - x/phi(d))^2 = coprime second moment - 2 (x/phi(d)) F(d) + x^2/phi(d).
     """
     x = len(a) - 1
-    primes, powers = _support(tables, x, False)
-    base = tables.sieve.spf[powers]
+    primes, runs = tables.sieve.primes(), _power_runs(tables, x)
     p = primes[: np.searchsorted(primes, hi, side="right")]
     small = int(np.searchsorted(p, math.isqrt(x), side="right"))
     big = p[small:]
@@ -670,8 +679,7 @@ def _lag_band_bdh(a: np.ndarray, lo: int, hi: int, tables: ArithTables) -> float
     terms = []
     for pi in p[:small].tolist():
         f_lo, f_hi = lo // pi, hi // pi
-        pk = [pi, *powers[base == pi].tolist()]
-        row = [(q // pi, a[q]) for q in pk if a[q]]  # (index p^(k - 1), a[p^k]), ascending
+        row = [(q // pi, a[q]) for q in runs[pi] if a[q]]  # (index p^(k - 1), a[p^k]), ascending
         for j, (n, v) in enumerate(row):
             for m, u in row[: j + 1]:
                 c = f_hi - f_lo if m == n else sum(f_lo < f <= f_hi for f in divisors(n - m, tables.sieve))
