@@ -154,7 +154,7 @@ class _Command(NamedTuple):
 
 
 _OUT = ("output_dir", "format")
-# The band commands read the constants (--cutoff) and split their moduli over threads (--threads).
+# The band commands read the constants (--cutoff) and take --threads, which they check and record.
 _BAND = ("x", "prime_cutoff", "threads", *_OUT, "q", "b_exp", "r", "g_exp", "q_low", "weight")
 
 # Every subcommand but report, which takes manifest paths instead of settings.

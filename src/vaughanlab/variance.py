@@ -18,17 +18,16 @@ headline forms Q x log(x/R) - c0 Q x and their restricted analogues.
 
 Two routes compute a band.  The bucket route streams the residual once, a
 chunk at a time, into the running column sums of all d classes of every
-modulus of the band, numpy's row sum bit for bit, and can split the moduli
-over threads.  Each modulus selects the classes it keeps, found by striking
-b = shift (mod p) for each prime p | d.  Every class a restricted mode keeps
-is a class ALL sums, so the F_R config keeps the sums of all d classes of
-each modulus (in _sums): COPRIME and SHIFT_COPRIME select their classes from
-the sums ALL built, or build them there for the next band.  BDH's raw weight
-lives on the primes (and, for psi, the prime powers), so its classes d >= 2
-are summed over those alone (_raw_sums), in the order of the row sum of a
-stored copy.  The lag route opens each
-modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A the
-autocorrelation of the residual, so the whole band costs one FFT; the
+modulus of the band, numpy's row sum bit for bit.  Each modulus selects the
+classes it keeps, found by striking b = shift (mod p) for each prime p | d.
+Every class a restricted mode keeps is a class ALL sums, so the F_R config
+keeps the sums of all d classes of each modulus (in _sums): COPRIME and
+SHIFT_COPRIME select their classes from the sums ALL built, or build them
+there for the next band.  BDH's raw weight lives on the primes (and, for
+psi, the prime powers), so its classes d >= 2 are summed over those alone
+(_raw_sums), in the order of the row sum of a stored copy.  The lag route
+opens each modulus as sum_b S_b(d)^2 = A(0) + 2 sum_{k >= 1} A(k d), with A
+the autocorrelation of the residual, so the whole band costs one FFT; the
 restricted modes add, by Moebius inversion, the autocorrelations of the rows
 a[shift mod e :: e] of every squarefree e <= Q, batched by FFT size so that a
 block of rows shares one transform.  A row alone in its block is one float
@@ -48,19 +47,22 @@ at d = 1 a chunk at a time from Lambda (_pairwise), in the order of the sums
 of a copy; the lag route, whose transform takes the whole row, derives the
 residual (or copies theta) for the band alone.
 
-The theorem-3 second moment of a class n = N (mod v) has one route, short
-class or long: the sum of its columns of the held column sums of the
-residual square in rows of a length that v divides (delta_sq_progression).
+The theorem-3 second moment of a class n = N (mod v) with v <= x has one
+route, short class or long: the sum of its columns of the held column sums
+of the residual square in rows of a length that v divides
+(delta_sq_progression).  A class with v > x has at most one term, which it
+squares alone.
 
-Determinism: on the bucket route each modulus contributes a float computed by
-a fixed sequence of array operations, worker threads never share
-accumulators, and the final reduction is an exactly rounded fsum.  The lag
-route is single threaded: a fixed sequence of array operations, numpy
-pairwise sums along each row and one fsum over the rows.  Either way results
-are bit-identical for any thread count.  The lag weights c(j) and BDH's
-first moments are exact integer counts and exactly rounded sums, so only the
-transforms and BDH's prime-row terms round; a row alone in its block takes
-the least 5-smooth FFT size, a batch of rows a power of two.
+Determinism: every band runs on the calling thread.  On the bucket route
+each modulus contributes a float computed by a fixed sequence of array
+operations, and the final reduction is an exactly rounded fsum; the lag
+route takes a fixed sequence of array operations, numpy pairwise sums along
+each row and one fsum over the rows.  The threads that variance_sum and
+bdh_variance accept select no route, so results are bit-identical for any
+thread count.  The lag weights c(j) and BDH's first moments are exact
+integer counts and exactly rounded sums, so only the transforms and BDH's
+prime-row terms round; a row alone in its block takes the least 5-smooth
+FFT size, a batch of rows a power of two.
 """
 
 from __future__ import annotations
@@ -72,14 +74,13 @@ import numbers
 import os
 import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import ArithTables, FactorSieve, _PRIMORIAL, _check_integer, _check_x, _weight, divisors, factorize
 from .constants import _SUM_BLOCK, ConstantSet, ProductKind, _exact_sum, restricted_product
-from .frmodel import FRConfig, _check_r, _class_start, delta_indicator
+from .frmodel import FRConfig, _check_r, _class_start, delta_indicator, fr_value
 
 __all__ = [
     "Mode",
@@ -360,30 +361,6 @@ def _class_part(d: int, vals: np.ndarray, x: int, restriction: RestrictionMode, 
     return float((vals * vals).sum())
 
 
-def _bucket_band_sum(
-    moduli: range,
-    x: int,
-    sums: Callable[[int], np.ndarray],
-    restriction: RestrictionMode,
-    tables: ArithTables,
-    threads: int,
-) -> float:
-    """The band one modulus at a time, over threads >= 1 workers (_thread_count): an O(x) bucket
-    pass per d, sums(d), which gives the column sums of all d classes (_class_part)."""
-
-    def contribution(d: int) -> float:
-        return _class_part(d, sums(d), x, restriction, tables)
-
-    if threads <= 1 or len(moduli) < 2:
-        contribs = [contribution(d) for d in moduli]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            contribs = list(ex.map(contribution, moduli))
-    # fsum is exactly rounded, so the reduction order cannot matter; contribs
-    # are nevertheless kept in ascending-d order.
-    return math.fsum(contribs)
-
-
 def _passes(moduli: list[int], budget: int) -> Iterator[list[int]]:
     """The moduli in consecutive groups whose d add up to at most budget, or a larger d alone."""
     group: list[int] = []
@@ -396,33 +373,16 @@ def _passes(moduli: list[int], budget: int) -> Iterator[list[int]]:
         yield group
 
 
-# Fewest moduli a worker takes from a split bucket-route pass.  Each worker
-# derives the residual again, and workers that add small chunks hand the GIL
-# back and forth, so a pass split into small shares costs more than one
-# worker.  Whole ALL bands, R = 50, median of 5 on a 2-core Xeon (KVM),
-# threads=2 over threads=1, shares of 1, 2, 4 and 8 moduli: d near 10^5 at
-# x = 10^7 1.26, 1.24, 0.84, 0.78; d <= 16 at 10^7 1.10, 0.89, 0.69, 0.62;
-# d near 10^5 at 10^6 1.13 (4), 0.72 (8); d near 3162 at 10^7 1.67 (1),
-# 1.53 (4), 1.88 (8).  Shares of 8 gained on every band of d <= 100 or
-# d >= 5 * 10^4 measured; between those, where a chunk holds a few rows of
-# a few thousand entries, a split pass loses at any share size.
-_SHARE_MODULI = 8
-
-
-def _fr_band_sum(
-    moduli: range, x: int, weight: Weight, restriction: RestrictionMode, cfg: FRConfig, threads: int
-) -> float:
+def _fr_band_sum(moduli: Sequence[int], x: int, weight: Weight, restriction: RestrictionMode, cfg: FRConfig) -> float:
     """The bucket-route band of the residual of the weight less cfg's F_R model.
 
     cfg's _sums keeps the column sums of all d classes of a modulus under
     (x, weight, d), so the band reads the ones it finds and streams the
     residual for the rest (_stream_sums) in passes whose running sums add up
-    to at most x + 1 values, the size of the residual; with threads >= 2 a
-    pass of at least 2 _SHARE_MODULI moduli is split, and each worker
-    streams it for its own share of them.  The new sums are held only where
-    they all fit beside what _sums holds, so a band evicts nothing another
-    caller left there; once _sums is full, a later band streams its moduli
-    again.
+    to at most x + 1 values, the size of the residual, each pass one call
+    on the calling thread.  The new sums are held only where they all fit
+    beside what _sums holds, so a band evicts nothing another caller left
+    there; once _sums is full, a later band streams its moduli again.
     """
     theta, tables = weight is Weight.THETA, cfg.tables
     parts, missing = [], []
@@ -433,16 +393,8 @@ def _fr_band_sum(
         else:
             parts.append(_class_part(d, vals, x, restriction, tables))
     hold = cfg._sums.fits(sum(missing))
-    stream = functools.partial(_stream_sums, tables, x, theta, cfg.table())
     for group in _passes(missing, x + 1):
-        workers = min(threads, len(group) // _SHARE_MODULI)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                shares = list(ex.map(stream, [group[i::workers] for i in range(workers)]))
-            built = [shares[i % workers][i // workers] for i in range(len(group))]
-        else:
-            built = stream(group)
-        for d, vals in zip(group, built):
+        for d, vals in zip(group, _stream_sums(tables, x, theta, cfg.table(), group)):
             if hold:
                 vals = cfg._sums.get((x, weight, d), lambda vals=vals: vals)
             parts.append(_class_part(d, vals, x, restriction, tables))
@@ -735,7 +687,11 @@ def _check_band(x: int, q: int, q_low: float = 0.0) -> None:
 
 
 def _thread_count(threads: int) -> int:
-    """The worker threads of a bucket-route band: threads, an integer >= 0, with 0 meaning one per core."""
+    """The thread count a run records: threads, an integer >= 0, with 0 meaning one per core.
+
+    Every band runs on the calling thread, so no route reads it; variance_sum,
+    bdh_variance and the CLI check it and the CLI's manifest records it.
+    """
     if not isinstance(threads, numbers.Integral) or threads < 0:
         raise ValueError(f"threads must be an integer >= 0, got {threads!r}")
     return threads or os.cpu_count() or 1
@@ -747,7 +703,6 @@ def _band_run(
     q_low: float,
     restriction: RestrictionMode,
     weight: Weight,
-    threads: int,
     tables: ArithTables,
     cfg: FRConfig | None = None,
 ) -> VarianceRun:
@@ -759,15 +714,15 @@ def _band_run(
     at a time and reads or holds the class sums of each modulus in cfg's
     _sums (_fr_band_sum), so the restricted bands select their classes from
     the sums ALL built; BDH sums its raw weight over the primes
-    (_raw_sums).  The lag route, whose transform takes the whole row,
-    derives the residual (or BDH's raw weight) over [0, x] for the band
-    alone, and cfg's _sums keeps each lone row's part under the key (x,
-    weight, start, e, f_lo, f_hi), so a later band on cfg reads it: ALL's
-    one row is row e = 1 of every restricted band on the same band.
+    (_raw_sums), one modulus at a time.  The lag route, whose transform
+    takes the whole row, derives the residual (or BDH's raw weight) over
+    [0, x] for the band alone, and cfg's _sums keeps each lone row's part
+    under the key (x, weight, start, e, f_lo, f_hi), so a later band on cfg
+    reads it: ALL's one row is row e = 1 of every restricted band on the
+    same band.
     """
     _check_x(x, tables)
     _check_band(x, q, q_low)
-    threads = _thread_count(threads)
     theta = weight is Weight.THETA
     moduli = range(int(math.floor(q_low)) + 1, q + 1)
     lag = _lag_route(len(moduli), x)
@@ -778,10 +733,9 @@ def _band_run(
         lone = None if cfg is None else lambda row, build: cfg._sums.get((x, weight, *row), build)
         empirical, all_part, excluded_part = _lag_band_sum(moduli, x, diff, restriction, tables, lone)
     elif cfg is None:
-        sums = functools.partial(_raw_sums, tables, x, theta=theta)
-        empirical = _bucket_band_sum(moduli, x, sums, restriction, tables, threads)
+        empirical = math.fsum(_class_part(d, _raw_sums(tables, x, d, theta), x, restriction, tables) for d in moduli)
     else:
-        empirical = _fr_band_sum(moduli, x, weight, restriction, cfg, threads)
+        empirical = _fr_band_sum(moduli, x, weight, restriction, cfg)
     return VarianceRun(
         x=x,
         q=q,
@@ -811,10 +765,13 @@ def variance_sum(
 
     With constants supplied, the main-term prediction of the restriction's
     shift (None: all classes) is attached, scaled to the band by (Q - Q_low).
+    threads is checked (_thread_count) and selects nothing: every band runs
+    on the calling thread.
     """
     if restriction.mode is Mode.BDH:
         raise ValueError("BDH mode is served by bdh_variance")
-    run = _band_run(x, q, q_low, restriction, weight, threads, cfg.tables, cfg)
+    _thread_count(threads)
+    run = _band_run(x, q, q_low, restriction, weight, cfg.tables, cfg)
     if constants is not None:
         if restriction.shift is None:
             pred = vaughan_prediction(x, q, cfg.R, constants, q_low=q_low)
@@ -923,9 +880,15 @@ def delta_sq_progression(x: int, v: int, N: int, cfg: FRConfig) -> float:
     the result is deterministic, and, the terms being nonnegative, it is
     within that many units of 2^-53 of their sum of the math.fsum of the
     same squares.  A class of few terms costs the same pass, and the F_R
-    table, as a long one.
+    table, as a long one, unless v > x: then its one term, if any, is the
+    square of Lambda(n) less fr_value(n), whose adds are the table's, so
+    it reads neither the table nor column sums and is the column-sum
+    route's value bit for bit.
     """
-    _class_start(x, v, N, cfg.tables)
+    n = _class_start(x, v, N, cfg.tables)
+    if v > x:
+        d = cfg.tables.lam[n] - fr_value(n, cfg) if n <= x else 0.0
+        return float(d * d)
     m = _row_length(x, v)
     rows = cfg._sums.get((x, m), lambda: _column_sums(x, m, cfg))
     return float(rows[N % v :: v].sum())
@@ -1205,8 +1168,11 @@ def bdh_variance(
 
     The leading term is Q x log Q; the secondary constant is out of scope, so
     the fitted C = (empirical - Q x log Q)/(Q x) is reported as a diagnostic.
+    threads is checked (_thread_count) and selects nothing: the band runs on
+    the calling thread.
     """
-    run = _band_run(x, q, 0.0, RestrictionMode(Mode.BDH), weight, threads, tables)
+    _thread_count(threads)
+    run = _band_run(x, q, 0.0, RestrictionMode(Mode.BDH), weight, tables)
     leading = q * x * math.log(q) if q > 1 else 0.0
     pred = Prediction(
         terms={"leading": leading, "fitted_C": (run.empirical - leading) / (q * x)},

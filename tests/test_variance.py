@@ -49,9 +49,9 @@ from vaughanlab.arith import _weight
 from vaughanlab.frmodel import _coprime_mu2_over_phi, delta_indicator, fr_square_progression_mean
 from vaughanlab.variance import (
     _LAG_MODULI_PER_LOG2_X,
-    _bucket_band_sum,
     _bucket_sums,
     _check_theorem3_args,
+    _class_part,
     _coprime_first_moments,
     _coprime_mu2_over_phi_main_terms,
     _crt_class_mean,
@@ -64,9 +64,9 @@ from vaughanlab.variance import (
 )
 
 
-def _array_band_sum(moduli, x, arr, restriction, tables, threads=1):
+def _array_band_sum(moduli, x, arr, restriction, tables):
     """The bucket route over the array arr: the row sums of every modulus."""
-    return _bucket_band_sum(moduli, x, functools.partial(_bucket_sums, arr, x), restriction, tables, threads)
+    return math.fsum(_class_part(d, _bucket_sums(arr, x, d), x, restriction, tables) for d in moduli)
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +151,16 @@ def test_shift_reindexing_with_flat_approximant(cfg10_small):
 
 
 def test_thread_count_does_not_change_bits(cfg10_small):
+    # the ALL band and BDH's both take the bucket route at this width, and
+    # any thread count, 0 (one per core) included, gives the same bits
+    assert not _lag_route(60, 2_000)
     runs = [
-        variance_sum(2_000, 60, cfg10_small, RestrictionMode(Mode.ALL), threads=t)
-        for t in (1, 2, 4)
+        variance_sum(2_000, 60, FRConfig(R=10.0, tables=cfg10_small.tables), RestrictionMode(Mode.ALL), threads=t)
+        for t in (0, 1, 2, 4)
     ]
-    assert runs[0].empirical == runs[1].empirical == runs[2].empirical
+    assert len({run.empirical.hex() for run in runs}) == 1
+    bdh = [bdh_variance(2_000, 60, cfg10_small.tables, threads=t) for t in (0, 1, 2, 4)]
+    assert len({run.empirical.hex() for run in bdh}) == 1
 
 
 # Bands (Q_low, Q] at x = 2000: Q_low = 0 takes in d = 1; a non-integer
@@ -1338,6 +1343,34 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
     assert np.array_equal(table, table_before)
 
 
+# (x, v, N) classes with v > x, so of at most one term n = N mod v (or v):
+# a prime power term (n = 8), N past v, v = x + 1 with n = x, a composite
+# squarefree v, and empty classes (n = v > x)
+_LONE_TERM_CLASSES = (
+    (10, 99_991, 3), (10, 99_991, 8), (10, 99_991, 99_994), (100, 101, 100), (100, 101, 50),
+    (1000, 1001, 997), (5, 6, 5), (10, 99_991, 0), (100, 101, 101), (5, 6, 0),
+)
+
+
+def test_class_with_v_above_x_squares_its_one_term(tables_1e5):
+    # on a fresh config such a class builds neither the F_R table nor column
+    # sums, and its value is the table route's and the column-sum route's
+    # bit for bit
+    ref = FRConfig(R=50.0, tables=tables_1e5)
+    table = ref.table()
+    for x, v, N in _LONE_TERM_CLASSES:
+        cfg = FRConfig(R=50.0, tables=tables_1e5)
+        got = delta_sq_progression(x, v, N, cfg)
+        assert type(got) is float
+        n = N % v or v
+        d = tables_1e5.lam[n] - table[n] if n <= x else 0.0
+        assert got.hex() == float(d * d).hex(), (x, v, N)
+        columns = variance._column_sums(x, variance._row_length(x, v), ref)
+        assert got.hex() == float(columns[N % v :: v].sum()).hex(), (x, v, N)
+        assert (got > 0.0) == (n <= x and d != 0.0), (x, v, N)
+        assert cfg._sums._arrays == {} and cfg._table is None, (x, v, N)
+
+
 def test_theorem3_record_holds_the_divisors_and_their_max_pairs():
     # one record per (x, v, R): the divisors of the squarefree v, each prime
     # p appending a*p for every divisor a listed before it, and the tau(v)^2
@@ -1749,8 +1782,7 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
     # edges of the default chunks, or anywhere; both weights; chunks of the
     # default size or a small one (numpy's pairwise tree, whose leaves give
     # d = 1, then keeps each at most 128 entries, and at least 64 once
-    # x + 1 > 128).  A band streamed by two workers, each a share of its
-    # moduli, is one worker's bit for bit.
+    # x + 1 > 128).  The band holds the sums it streams where they fit.
     tables = tables_1e5
     chunk = data.draw(st.sampled_from([7, 64, variance._BLOCK_ELEMENTS]), label="chunk")
     span = max(chunk, 128)
@@ -1776,39 +1808,12 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
     with unittest.mock.patch.object(variance, "_BLOCK_ELEMENTS", chunk):
         got = variance._stream_sums(tables, x, theta, table, moduli)
         assert [s.tobytes() for s in got] == [_bucket_sums(stored, x, d).tobytes() for d in moduli]
-        runs = []
-        for threads in (1, 2):
-            cfg = FRConfig(R=20.0, tables=tables)
-            total = variance._fr_band_sum(band, x, weight, RestrictionMode(Mode.ALL), cfg, threads)
-            runs.append((total.hex(), [cfg._sums.held((x, weight, d)) for d in band]))
-    assert runs[0][0] == runs[1][0]
-    assert [[None if a is None else a.tobytes() for a in arrs] for _, arrs in runs] == [
-        [_bucket_sums(stored, x, d).tobytes() if sum(band) <= frmodel._SUM_CACHE else None for d in band]
-    ] * 2
-
-
-def test_a_pass_is_split_only_into_shares_of_enough_moduli(tables_1e5, monkeypatch):
-    # with threads=2 a bucket-route pass goes to two workers only where each
-    # takes _SHARE_MODULI moduli; either way the band is one worker's bit for bit
-    x, k = 99_991, variance._SHARE_MODULI
-    passes = []
-    stream_sums = variance._stream_sums
-
-    def spy(tables, x, theta, table, moduli):
-        passes.append(len(moduli))
-        return stream_sums(tables, x, theta, table, moduli)
-
-    monkeypatch.setattr(variance, "_stream_sums", spy)
-    for n, shares in ((2 * k - 1, [2 * k - 1]), (2 * k, [k, k])):
-        assert not _lag_route(n, x)
-        runs = []
-        for threads in (2, 1):
-            passes.clear()
-            cfg = FRConfig(R=20.0, tables=tables_1e5)
-            runs.append(variance_sum(x, 999 + n, cfg, RestrictionMode(Mode.ALL), q_low=999.0, threads=threads))
-            if threads == 2:
-                assert sorted(passes) == shares, n
-        assert runs[0].empirical.hex() == runs[1].empirical.hex(), n
+        cfg = FRConfig(R=20.0, tables=tables)
+        total = variance._fr_band_sum(band, x, weight, RestrictionMode(Mode.ALL), cfg)
+    assert total.hex() == _array_band_sum(band, x, stored, RestrictionMode(Mode.ALL), tables).hex()
+    assert [None if a is None else a.tobytes() for a in (cfg._sums.held((x, weight, d)) for d in band)] == [
+        _bucket_sums(stored, x, d).tobytes() if sum(band) <= frmodel._SUM_CACHE else None for d in band
+    ]
 
 
 def test_a_band_that_fits_alone_keeps_the_column_sums(tables_1e5, monkeypatch):
