@@ -29,8 +29,7 @@ import cmath
 import functools
 import math
 import threading
-from collections import OrderedDict
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -112,63 +111,54 @@ def _check_r(R: float, limit: int | None = None) -> None:
 # variance keeps for the theorem-3 forms' other per-modulus work.
 _G_CACHE = 1024
 
-# Float64 values (8 MB) that each config's cache of sums keeps: the column
-# sums of the residual square per row length m, from which
+# Float64 values (8 MB) that each config's cache of sums holds at one x: the
+# column sums of the residual square per row length m, from which
 # variance.delta_sq_progression reads each class, the class sums of each
 # bucket-route modulus d, and one value per lone lag-route row.  The 12 row
 # lengths of the squarefree v <= 60 need 30030 + 6 (17 + 19 + ... + 59) =
 # 32,424 of them; a band at 10^7 holds a few hundred rows, or d values per
-# bucket-route modulus, and a bucket-route band holds its sums only where
-# they fit beside the values held.
+# bucket-route modulus.  An array that does not fit beside the values held
+# is handed out unheld.
 _SUM_CACHE = 2**20
 
 
 class _ArrayCache:
-    """A bounded, thread-safe map of keys to read-only arrays; the least recently used go first.
+    """A thread-safe map of keys (x, ...) to read-only arrays, holding those of one x only.
 
-    It keeps at most max_values array elements in all, or its newest entry
-    alone where that one is larger; a running count of the elements held
-    makes each eviction one step.  It refers to its arrays and nothing
-    else.  Builders run outside the lock, so threads racing on one key may
-    each build the array; the first one stored is the one every caller gets.
+    An array built for a key is held where it fits beside the ones held,
+    max_values elements in all, and handed out unheld where it does not; a
+    key at another x drops every array held first.  Nothing else is ever
+    dropped, so what one caller holds at an x stays held for the next.  It
+    refers to its arrays and nothing else.  Builders run outside the lock,
+    so threads racing on one key may each build the array; the first one
+    stored is the one every caller gets.
     """
 
     def __init__(self, max_values: int) -> None:
         self.max_values = max_values
         self._lock = threading.Lock()
-        self._arrays: OrderedDict[Hashable, np.ndarray] = OrderedDict()
+        self._arrays: dict[tuple, np.ndarray] = {}
         self._size = 0  # the elements of the arrays held
 
-    def held(self, key: Hashable) -> np.ndarray | None:
-        """The array held under key, now the most recently used, or None."""
+    def held(self, key: tuple) -> np.ndarray | None:
+        """The array held under key, or None."""
         with self._lock:
-            arr = self._arrays.get(key)
-            if arr is not None:
-                self._arrays.move_to_end(key)
-            return arr
+            return self._arrays.get(key)
 
-    def fits(self, n: int) -> bool:
-        """Whether n more elements fit beside the ones held, so that holding them evicts nothing."""
-        with self._lock:
-            return self._size + n <= self.max_values
-
-    def get(self, key: Hashable, build: Callable[[], np.ndarray]) -> np.ndarray:
+    def get(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
         arr = self.held(key)
         if arr is not None:
             return arr
         arr = build()
         arr.setflags(write=False)
         with self._lock:
-            held = self._arrays.get(key)
-            if held is None:
+            if self._arrays and next(iter(self._arrays))[0] != key[0]:
+                self._arrays.clear()
+                self._size = 0
+            if key not in self._arrays and self._size + arr.size <= self.max_values:
                 self._arrays[key] = arr
                 self._size += arr.size
-            else:
-                arr = held
-                self._arrays.move_to_end(key)
-            while len(self._arrays) > 1 and self._size > self.max_values:
-                self._size -= self._arrays.popitem(last=False)[1].size
-        return arr
+            return self._arrays.get(key, arr)
 
 
 @dataclass(frozen=True)
@@ -184,18 +174,17 @@ class FRConfig:
       construction, 8 bytes per d <= R;
     - the dense value table over [0, tables.limit], built on first use by
       table(), 8 bytes per n: 80 MB at a limit of 10^7, 800 MB at 10^8;
-    - _sums, an _ArrayCache of at most _SUM_CACHE values: the blocked column
-      sums of the residual square per (x, row length m), from which
+    - _sums, an _ArrayCache of the sums of the last x asked for, each held
+      where it fits beside the others, at most _SUM_CACHE values in all,
+      and none ever evicted at that x: the blocked column sums of the
+      residual square per (x, row length m), from which
       variance.delta_sq_progression reads each class N mod v as the sum of
       the m/v columns N mod v, N mod v + v, ...; the sums of all d classes
-      of a bucket-route modulus d per (x, weight, d),
-      from which every band on the config selects the classes it keeps (a
-      band holds the sums it builds only where they all fit beside the
-      values held, so it evicts nothing);
-      and the unsigned part of each lone row of a lag-route band
-      (variance._lag_band_rows), one 1-element array per
-      (x, weight, start, e, f_lo, f_hi), which later bands on the config
-      read instead of transforming the row again;
+      of a bucket-route modulus d per (x, weight, d), from which every band
+      on the config selects the classes it keeps; and the unsigned part of
+      each lone row of a lag-route band (variance._lag_band_rows), one
+      1-element array per (x, weight, start, e, f_lo, f_hi), which later
+      bands on the config read instead of transforming the row again;
     - _coprime_g(y, v), an lru cache of the last _G_CACHE values of
       G_v(y) = _coprime_mu2_over_phi(y, v, tables).
 

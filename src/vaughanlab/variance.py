@@ -252,6 +252,13 @@ def _stream_sums(
     (_pairwise), at most _BLOCK_ELEMENTS entries each, so d = 1, numpy's
     pairwise sum, adds their np.sums up that tree; every d >= 2 adds each
     chunk to its running column sums (_add_rows).
+
+    Rounding bound, with u = 2^-53 and gamma_k = k u / (1 - k u): a class
+    of d >= 2 over r rows adds its r residual floats t left to right from
+    0.0, so its sum lies within gamma_{r-1} sum |t| of the exact sum of
+    those floats, which math.fsum rounds once; d = 1, numpy's pairwise sum
+    of the r = x + 1 floats, lies within gamma_k sum |t| of it for the
+    k = ceil(log2 r) + 26 roundings that _column_sums counts.
     """
     sums = [np.zeros(d) for d in moduli]
     rows = [s for s in sums if len(s) > 1]
@@ -301,6 +308,11 @@ def _raw_sums(tables: ArithTables, x: int, d: int, theta: bool) -> np.ndarray:
     ascending order, the prime powers merged among the primes.  The support
     goes in blocks of _BLOCK_ELEMENTS primes, and each block's bincount is
     headed by the d running sums, so no array of 8 bytes per prime is built.
+
+    Rounding bound, as _stream_sums': a class of d >= 2 over r rows adds at
+    most r terms t in order from 0.0, so it lies within gamma_{r-1} sum |t|
+    of the exact sum of its floats; d = 1 within gamma_k sum |t|,
+    k = ceil(log2 r) + 26, r = x + 1.
     """
     if d == 1:
         if not theta:
@@ -380,9 +392,10 @@ def _fr_band_sum(moduli: Sequence[int], x: int, weight: Weight, restriction: Res
     (x, weight, d), so the band reads the ones it finds and streams the
     residual for the rest (_stream_sums) in passes whose running sums add up
     to at most x + 1 values, the size of the residual, each pass one call
-    on the calling thread.  The new sums are held only where they all fit
-    beside what _sums holds, so a band evicts nothing another caller left
-    there; once _sums is full, a later band streams its moduli again.
+    on the calling thread.  Each new modulus's sums are held where they fit
+    beside what _sums holds at x (frmodel._ArrayCache), so a band drops
+    nothing another caller left there, and a modulus that does not fit is
+    streamed again by the next band that asks for it.
     """
     theta, tables = weight is Weight.THETA, cfg.tables
     parts, missing = [], []
@@ -392,11 +405,9 @@ def _fr_band_sum(moduli: Sequence[int], x: int, weight: Weight, restriction: Res
             missing.append(d)
         else:
             parts.append(_class_part(d, vals, x, restriction, tables))
-    hold = cfg._sums.fits(sum(missing))
     for group in _passes(missing, x + 1):
         for d, vals in zip(group, _stream_sums(tables, x, theta, cfg.table(), group)):
-            if hold:
-                vals = cfg._sums.get((x, weight, d), lambda vals=vals: vals)
+            vals = cfg._sums.get((x, weight, d), lambda vals=vals: vals)
             parts.append(_class_part(d, vals, x, restriction, tables))
     return math.fsum(parts)
 

@@ -378,13 +378,18 @@ def test_config_arrays_are_read_only(tables_small):
     # values while later bands read the new ones; every array refuses it,
     # the sums it keeps included: the class sums of a bucket-route band of
     # each weight, the theorem-3 column sums and the lone rows of a
-    # lag-route band
+    # lag-route band.  The config holds the sums of one x, so each is taken
+    # while held, and an array it drops stays read-only
     cfg = FRConfig(R=10.0, tables=tables_small)
     for weight in Weight:
         variance_sum(2_000, 12, cfg, RestrictionMode(Mode.ALL), weight=weight, q_low=8.0, threads=1)
+    held = list(cfg._sums._arrays.values())  # the moduli 9..12 per weight
     variance_sum(1_000, 500, cfg, RestrictionMode(Mode.ALL), threads=1)
+    assert list(cfg._sums._arrays) == [(1_000, Weight.THETA, 0, 1, 0, 500)]  # the lone row e = 1
+    held += cfg._sums._arrays.values()
     delta_sq_progression(2_000, 6, 1, cfg)
-    held = list(cfg._sums._arrays.values())
+    assert list(cfg._sums._arrays) == [(2_000, 6)]  # one row length
+    held += cfg._sums._arrays.values()
     assert len(held) == 2 * 4 + 1 + 1  # the moduli 9..12 per weight, one row length, the lone row e = 1
     for arr in (cfg._coef, cfg.table(), *held):
         before = arr.copy()
@@ -406,22 +411,27 @@ def test_config_copies_and_pickles_rebuild_from_r_and_tables(cfg50_small):
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 6)), max_size=60))
+@given(st.integers(0, 12), st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 6)), max_size=60))
 def test_array_cache_matches_a_reference_model(max_values, steps):
-    # each get of (key, size) keeps what a plain LRU model keeps: the newest
-    # entries up to max_values elements in all, or the newest alone where it
-    # is larger; a hit hands back the array stored first and builds nothing
+    # each get of ((x, k), size) keeps what a one-x model keeps: a key at
+    # another x drops every entry first, and a new entry is held where it
+    # fits beside the held ones, max_values elements in all, and nothing
+    # else is dropped; a hit hands back the array stored first and builds
+    # nothing, and a miss builds the array again
     cache = frmodel._ArrayCache(max_values)
-    model = {}  # key -> size, oldest first
-    for key, size in steps:
-        built = []
+    model = {}  # key -> size, in the order stored
+    for x, k, size in steps:
+        key, built = (x, k), []
         arr = cache.get(key, lambda: built.append(key) or np.zeros(size))
         if key in model:
-            assert not built and arr.size == model.pop(key)
-        model[key] = arr.size
-        while len(model) > 1 and sum(model.values()) > max_values:
-            del model[next(iter(model))]
+            assert not built and arr.size == model[key]
+        else:
+            assert built and arr.size == size
+            if model and next(iter(model))[0] != x:
+                model.clear()
+            if sum(model.values()) + size <= max_values:
+                model[key] = size
         assert list(cache._arrays) == list(model), (max_values, steps)
         assert [a.size for a in cache._arrays.values()] == list(model.values())
-        assert cache._size == sum(model.values())
+        assert cache._size == sum(model.values()) <= max_values
         assert not arr.flags.writeable

@@ -12,6 +12,7 @@ import unittest.mock
 import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -1102,20 +1103,20 @@ def test_lone_rows_are_safe_across_threads(tables_small, weight, monkeypatch):
 
 
 def test_evicted_lone_rows_are_rebuilt_to_the_same_bits(tables_small, monkeypatch):
-    # with room for 3 values, the lone rows of a COPRIME band evict the
-    # e = 1 row an ALL band left; ALL then transforms it again, to the same
-    # bits
+    # with room for 3 values, the lone rows of a COPRIME band at another x
+    # drop the e = 1 row an ALL band left at x = 2,000, and those that do
+    # not fit go unheld; ALL then transforms its row again, to the same bits
     monkeypatch.setattr(variance, "_BLOCK_ELEMENTS", 256)
     all_, coprime = RestrictionMode(Mode.ALL), RestrictionMode(Mode.COPRIME)
-    runs = [(all_, (0.0, 300)), (coprime, (333.3, 700)), (all_, (0.0, 300))]
-    want = [_lag_bands(FRConfig(R=10.0, tables=tables_small), [r], Weight.THETA, [band]) for r, band in runs]
+    runs = [(all_, (0.0, 300), 2_000), (coprime, (333.3, 700), 1_999), (all_, (0.0, 300), 2_000)]
+    want = [_lag_bands(FRConfig(R=10.0, tables=tables_small), [r], Weight.THETA, [band], x) for r, band, x in runs]
     monkeypatch.setattr(frmodel, "_SUM_CACHE", 3)
     calls = _lone_row_calls(monkeypatch)
     cfg = FRConfig(R=10.0, tables=tables_small)
     counts = []
-    for (r, band), bands in zip(runs, want):
-        assert _lag_bands(cfg, [r], Weight.THETA, [band]) == bands
-        assert len(cfg._sums._arrays) <= 3
+    for (r, band, x), bands in zip(runs, want):
+        assert _lag_bands(cfg, [r], Weight.THETA, [band], x) == bands
+        assert 0 < len(cfg._sums._arrays) <= 3 and {key[0] for key in cfg._sums._arrays} == {x}
         counts.append(calls.count((0, 1, 0, 300)))
     assert counts == [1, 1, 2]
     assert len(calls) > 5
@@ -1153,7 +1154,7 @@ def test_refined_g_cache_is_safe_across_threads(monkeypatch, tables_small, cs):
     assert results == [want] * 4
     assert cfg._coprime_g.cache_info().currsize <= 2
     held = [a.size for a in cfg._sums._arrays.values()]
-    assert sum(held) <= 100 or len(held) == 1, held
+    assert sum(held) <= 100, held
 
 
 def test_theorem3_caches_keep_no_exception(cfg20_1e4, cs):
@@ -1336,9 +1337,12 @@ def test_delta_sq_progression_matches_strided_sum_and_fsum(tables_1e5):
         blocked = _blocked_roundings(x, v)
         assert abs(got - exact) <= (blocked + 1) * u * exact, (x, v, N)
         assert abs(got - strided) <= (blocked + _pairwise_roundings(len(dv)) + 2) * u * exact, (x, v, N)
-    # the class sums hold their column sums, read-only, under (x, m), and no square
-    assert all(len(key) == 2 and not a.flags.writeable for key, a in cfg._sums._arrays.items())
-    assert (10**5, variance._row_length(10**5, 2003)) in cfg._sums._arrays
+        # the class sums hold their column sums, read-only, under (x, m) at
+        # the last x asked for, and no square
+        assert all(len(key) == 2 and not a.flags.writeable for key, a in cfg._sums._arrays.items())
+        if v <= x:
+            assert {key[0] for key in cfg._sums._arrays} == {x}, (x, v, N)
+            assert (x, variance._row_length(x, v)) in cfg._sums._arrays, (x, v, N)
     assert cfg.table() is table
     assert np.array_equal(table, table_before)
 
@@ -1412,12 +1416,16 @@ def test_delta_sq_progression_reads_each_row_length_once(tables_1e5, monkeypatch
 
 
 def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
-    # with room for 400 values the config keeps the sums used last, at most
-    # 400 values in all or one larger entry alone, and a dropped sum is
-    # built again to the same bits
+    # with room for 400 values the config holds the sums of the row lengths
+    # asked for first while they fit, at most 400 values in all, and drops
+    # none of them; a row length that does not fit, 30030 among them, is
+    # built again for each class, to the same bits
     moduli = _squarefree_up_to(60)
     want = {(v, N): delta_sq_progression(10**5, v, N, FRConfig(R=30.0, tables=tables_1e5)).hex()
             for v in moduli for N in range(v)}
+    calls = Counter()
+    column_sums = variance._column_sums
+    monkeypatch.setattr(variance, "_column_sums", lambda x, m, cfg: calls.update([m]) or column_sums(x, m, cfg))
     monkeypatch.setattr(frmodel, "_SUM_CACHE", 400)
     cfg = FRConfig(R=30.0, tables=tables_1e5)
     for _ in range(2):
@@ -1425,9 +1433,12 @@ def test_delta_sq_progression_cache_is_bounded(tables_1e5, monkeypatch):
             for N in range(v):
                 assert delta_sq_progression(10**5, v, N, cfg).hex() == want[v, N], (v, N)
                 held = [a.size for a in cfg._sums._arrays.values()]
-                assert sum(held) <= 400 or len(held) == 1, held
-    # v = 59 was asked for last, so its row length's sums are kept
-    assert next(reversed(cfg._sums._arrays)) == (10**5, variance._row_length(10**5, 59)) == (10**5, 354)
+                assert sum(held) <= 400, held
+    # v = 17, 19 and 23 ask first for row lengths that fit: 102 + 114 + 138 = 354
+    held = [(10**5, variance._row_length(10**5, v)) for v in (17, 19, 23)]
+    assert list(cfg._sums._arrays) == held == [(10**5, 102), (10**5, 114), (10**5, 138)]
+    assert all(calls[m] == 1 for _, m in held)
+    assert calls[30030] == 2 * sum(v for v in moduli if 30030 % v == 0)
 
 
 def test_long_classes_read_strided_equal_contiguous_fold(tables_1e5):
@@ -1811,16 +1822,19 @@ def test_streamed_sums_match_a_stored_residual(tables_1e5, data):
         cfg = FRConfig(R=20.0, tables=tables)
         total = variance._fr_band_sum(band, x, weight, RestrictionMode(Mode.ALL), cfg)
     assert total.hex() == _array_band_sum(band, x, stored, RestrictionMode(Mode.ALL), tables).hex()
-    assert [None if a is None else a.tobytes() for a in (cfg._sums.held((x, weight, d)) for d in band)] == [
-        _bucket_sums(stored, x, d).tobytes() if sum(band) <= frmodel._SUM_CACHE else None for d in band
-    ]
+    want, room = [], frmodel._SUM_CACHE
+    for d in band:  # held in band order where each fits beside the ones before it
+        want.append(_bucket_sums(stored, x, d).tobytes() if d <= room else None)
+        room -= d if d <= room else 0
+    assert [None if a is None else a.tobytes() for a in (cfg._sums.held((x, weight, d)) for d in band)] == want
 
 
 def test_a_band_that_fits_alone_keeps_the_column_sums(tables_1e5, monkeypatch):
     # with room for 35,000 values, the 30,030 theorem-3 column sums held
-    # first leave no room for an ALL band whose moduli add up to 9,955: it
-    # holds none of its class sums, so the column sums survive; a later band
-    # of moduli that fit beside them holds its sums.  Both bands are fresh
+    # first leave room for 4,970 more: an ALL band whose moduli add up to
+    # 9,955 holds the class sums of 991..995 beside them (4,965 values) and
+    # drops nothing, so the column sums survive; a later band holds the sums
+    # of its d = 3, the one modulus that still fits.  Both bands are fresh
     # configs' bit for bit
     x, all_classes = 99_991, RestrictionMode(Mode.ALL)
     bands = ((990.0, 1000), (2.0, 12))
@@ -1832,7 +1846,7 @@ def test_a_band_that_fits_alone_keeps_the_column_sums(tables_1e5, monkeypatch):
     key = (x, 30_030)
     assert list(cfg._sums._arrays) == [key] and sum(range(991, 1001)) == 9_955
     got = [variance_sum(x, q, cfg, all_classes, q_low=q_low, threads=1).empirical for q_low, q in bands]
-    assert list(cfg._sums._arrays) == [key, *((x, Weight.THETA, d) for d in range(3, 13))]
+    assert list(cfg._sums._arrays) == [key, *((x, Weight.THETA, d) for d in (*range(991, 996), 3))]
     assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
@@ -1875,10 +1889,11 @@ def test_restricted_bands_select_the_class_sums_all_built(tables_1e5, threads, m
 
 def test_a_band_too_wide_to_hold_keeps_the_column_sums(tables_1e5, monkeypatch):
     # with room for 35,000 values, a bucket-route band whose moduli add up
-    # to more holds none of its class sums: the theorem-3 column sums the
-    # config keeps survive an ALL band and a COPRIME band after it, and the
-    # COPRIME band, which sums every modulus again, is a fresh config's bit
-    # for bit
+    # to more holds only the class sums that fit beside the theorem-3 column
+    # sums, those of d = 4,001: the column sums survive an ALL band and a
+    # COPRIME band after it, and the COPRIME band, which reads d = 4,001's
+    # sums and sums every other modulus again, is a fresh config's bit for
+    # bit
     x, v, (q_low, q) = 99_991, 30, (4_000.0, 4_010)
     room, coprime = 35_000, RestrictionMode(Mode.COPRIME)
     moduli = range(math.floor(q_low) + 1, q + 1)
@@ -1891,8 +1906,94 @@ def test_a_band_too_wide_to_hold_keeps_the_column_sums(tables_1e5, monkeypatch):
     assert key == (x, 30_030) and list(cfg._sums._arrays) == [key]
     variance_sum(x, q, cfg, RestrictionMode(Mode.ALL), q_low=q_low, threads=1)
     got = variance_sum(x, q, cfg, coprime, q_low=q_low, threads=1).empirical
-    assert list(cfg._sums._arrays) == [key]
+    assert list(cfg._sums._arrays) == [key, (x, Weight.THETA, 4_001)]
     assert got.hex() == want.hex()
+
+
+def test_a_row_length_too_large_to_hold_drops_no_sums(tables_1e5, monkeypatch):
+    # with room for 35,000 values, a class of v = 9,973 asks for the 59,838
+    # column sums of its row length lcm(9973, 6), more than the room: they
+    # are handed out unheld, and the 30,030 theorem-3 column sums held
+    # before stay held.  The class is a fresh config's bit for bit
+    x, v = 99_991, 9_973
+    want = delta_sq_progression(x, v, 1, FRConfig(R=20.0, tables=tables_1e5))
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 35_000)
+    cfg = FRConfig(R=20.0, tables=tables_1e5)
+    delta_sq_progression(x, 30, 1, cfg)
+    assert list(cfg._sums._arrays) == [(x, 30_030)] and variance._row_length(x, v) == 59_838
+    got = delta_sq_progression(x, v, 1, cfg)
+    assert list(cfg._sums._arrays) == [(x, 30_030)]
+    assert got.hex() == want.hex()
+
+
+def test_a_config_holds_the_sums_of_one_x(tables_1e5, monkeypatch):
+    # theorem-3 column sums, a bucket-route band's class sums and a
+    # lag-route band's lone row held at one x, 49 values that fill the room,
+    # are all dropped when another x is asked for, the values held never
+    # exceed _SUM_CACHE, and every value is a fresh config's bit for bit
+    all_classes = RestrictionMode(Mode.ALL)
+
+    def run(x, cfg):
+        yield delta_sq_progression(x, 6, 1, cfg)
+        yield variance_sum(x, 12, cfg, all_classes, q_low=8.0, threads=1).empirical
+        assert _lag_route(500, x)
+        yield variance_sum(x, 500, cfg, all_classes, threads=1).empirical
+
+    xs = (20_000, 12_345, 20_000)
+    want = [[value.hex() for value in run(x, FRConfig(R=20.0, tables=tables_1e5))] for x in xs]
+    monkeypatch.setattr(frmodel, "_SUM_CACHE", 49)
+    cfg = FRConfig(R=20.0, tables=tables_1e5)
+    for x, values in zip(xs, want):
+        got = []
+        for value in run(x, cfg):
+            got.append(value.hex())
+            assert {key[0] for key in cfg._sums._arrays} == {x}
+            assert sum(a.size for a in cfg._sums._arrays.values()) <= 49
+        assert got == values, x
+        # the row length 6, the moduli 9..12 and the row e = 1: 6 + 42 + 1 values
+        assert list(cfg._sums._arrays) == [
+            (x, 6), *((x, Weight.THETA, d) for d in range(9, 13)), (x, Weight.THETA, 0, 1, 0, 500)
+        ]
+
+
+def _assert_within_rounding_bound(sums, w, d):
+    """Every class b mod d of the column sums of w lies within the bucket route's rounding bound
+    (_stream_sums, _raw_sums) of the exact sum of its floats t: gamma_k sum |t|, with k = r - 1
+    for r rows at d >= 2 and k = ceil(log2 r) + 26 for numpy's pairwise sum at d = 1."""
+    u = 2.0**-53
+    for b in range(d):
+        t = w[b::d].tolist()
+        if not t:
+            assert sums[b] == 0.0, (d, b)
+            continue
+        k = math.ceil(math.log2(len(t))) + 26 if d == 1 else len(t) - 1
+        err = math.fsum([float(sums[b]), *(-v for v in t)])  # the sum less the exact sum, rounded once
+        if abs(err) > (1 - 8 * u) * k * u / (1 - k * u) * math.fsum(map(abs, t)):
+            # within a few roundings of the bound (one add of two terms can
+            # reach it): the float check cannot tell, so check exactly
+            exact = [Fraction(v) for v in t]
+            assert abs(Fraction(float(sums[b])) - sum(exact)) <= Fraction(k, 2**53 - k) * sum(map(abs, exact)), (d, b)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    x=st.one_of(st.integers(0, 10**5), st.sampled_from([2_000, 20_000, 10**5])),
+    moduli=st.lists(st.one_of(st.sampled_from([1, 2, 3, 7, 30, 97, 997]), st.integers(1, 3_000)),
+                    min_size=1, max_size=4, unique=True),
+    weight=st.sampled_from(list(Weight)),
+    R=st.sampled_from([10.0, 30.0]),
+)
+def test_bucket_route_class_sums_meet_their_rounding_bound(tables_1e5, x, moduli, weight, R):
+    # every class sum of the streamed residual and of the raw weight (BDH's)
+    # lies within the bound their docstrings state of the exact sum of the
+    # same floats, at every d, both weights
+    theta = weight is Weight.THETA
+    table = FRConfig(R=R, tables=tables_1e5).table()
+    residual = _weight(tables_1e5, x, theta, model=table)
+    raw = _weight(tables_1e5, x, theta)
+    for d, sums in zip(moduli, variance._stream_sums(tables_1e5, x, theta, table, moduli)):
+        _assert_within_rounding_bound(sums, residual, d)
+        _assert_within_rounding_bound(variance._raw_sums(tables_1e5, x, d, theta), raw, d)
 
 
 def test_bucket_route_bdh_reads_theta_in_chunks(cfg10_2e20):
